@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 ERASED_BYTE = 0xFF
@@ -37,6 +37,10 @@ class PageState(Enum):
     FREE = "free"
     VALID = "valid"
     STALE = "stale"
+
+
+# The byte each state hashes as in FtlState.state_hash (its ordinal).
+_STATE_CODE = {state: i for i, state in enumerate(PageState)}
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,11 @@ class FtlState:
         self.pages = [PhysicalPage(PageState.FREE, erased)
                       for _ in range(g.total_pages)]
         self.blocks = [BlockState() for _ in range(g.block_count)]
+        # Per-block page tallies, kept current wherever a page changes
+        # state, and the offset below which a block has no FREE page.
+        self.free_count = [g.pages_per_block] * g.block_count
+        self.stale_count = [0] * g.block_count
+        self.free_cursor = [0] * g.block_count
         self.mapping: dict[int, int] = {}
         # The highest-numbered blocks are held back for bad-block
         # replacement and take no writes until a retirement pulls one in.
@@ -149,41 +158,60 @@ class FtlState:
         start = block * self.geometry.pages_per_block
         return range(start, start + self.geometry.pages_per_block)
 
-    def _counts_in_block(self, block: int, state: PageState) -> int:
-        return sum(1 for p in self.block_pages(block)
-                   if self.pages[p].state is state)
-
     def free_pages_active(self) -> int:
-        return sum(self._counts_in_block(b, PageState.FREE)
-                   for b in self.allocatable)
+        return sum(self.free_count[b] for b in self.allocatable)
 
     def active_capacity(self) -> int:
         return len(self.allocatable) * self.geometry.pages_per_block
 
-    def page_state_counts(self) -> dict[str, int]:
-        counts = {"free": 0, "valid": 0, "stale": 0}
-        for p in self.pages:
-            counts[p.state.value] += 1
-        return counts
-
     def check_conservation(self) -> bool:
-        counts = self.page_state_counts()
-        return sum(counts.values()) == self.geometry.total_pages
+        """Recount every block against its tallies and cursor, and check
+        that each mapping entry names a VALID page carrying that lpn."""
+        ppb = self.geometry.pages_per_block
+        for b in range(self.geometry.block_count):
+            states = [p.state for p in self.pages[b * ppb:(b + 1) * ppb]]
+            if (states.count(PageState.FREE) != self.free_count[b]
+                    or states.count(PageState.STALE) != self.stale_count[b]
+                    or PageState.FREE in states[:self.free_cursor[b]]):
+                return False
+        return all(self.pages[ppn].state is PageState.VALID
+                   and self.pages[ppn].lpn == lpn
+                   for lpn, ppn in self.mapping.items())
 
     def _allocate(self, exclude: int | None = None) -> int | None:
-        """Greedy wear-leveling: the free page in the lowest-erase-count
-        allocatable block; ties break to the lowest block index."""
+        """Greedy wear-leveling: the lowest free page in the
+        lowest-erase-count allocatable block; ties break to the lowest
+        block index."""
         best = None
         for b in self.allocatable:
-            if b == exclude or self.blocks[b].retired:
-                continue
-            for p in self.block_pages(b):
-                if self.pages[p].state is PageState.FREE:
-                    key = (self.blocks[b].erase_count, b)
-                    if best is None or key < best[0]:
-                        best = (key, p)
-                    break
-        return None if best is None else best[1]
+            if (b != exclude and self.free_count[b]
+                    and (best is None or self.blocks[b].erase_count
+                         < self.blocks[best].erase_count)):
+                best = b
+        if best is None:
+            return None
+        base = self._ppn(best, 0)
+        offset = self.free_cursor[best]
+        while self.pages[base + offset].state is not PageState.FREE:
+            offset += 1
+        self.free_cursor[best] = offset
+        return base + offset
+
+    def _program(self, ppn: int, payload: bytes, lpn: int) -> None:
+        """Fill a FREE page with a VALID copy of ``payload`` and map
+        ``lpn`` to it."""
+        page = self.pages[ppn]
+        page.state = PageState.VALID
+        page.payload = payload
+        page.lpn = lpn
+        page.timestamp = self.op_counter
+        self.op_counter += 1
+        self.free_count[ppn // self.geometry.pages_per_block] -= 1
+        self.mapping[lpn] = ppn
+
+    def _mark_stale(self, ppn: int) -> None:
+        self.pages[ppn].state = PageState.STALE
+        self.stale_count[ppn // self.geometry.pages_per_block] += 1
 
     # -- host-facing operations ---------------------------------------
 
@@ -206,16 +234,10 @@ class FtlState:
             ppn = self._allocate()
         if ppn is None:
             raise DeviceFull("device full")
-        page = self.pages[ppn]
-        page.state = PageState.VALID
-        page.payload = bytes(data)
-        page.lpn = lpn
-        page.timestamp = self.op_counter
-        self.op_counter += 1
         old = self.mapping.get(lpn)
+        self._program(ppn, bytes(data), lpn)
         if old is not None:
-            self.pages[old].state = PageState.STALE
-        self.mapping[lpn] = ppn
+            self._mark_stale(old)
         return ppn
 
     def read(self, lpn: int) -> bytes:
@@ -234,7 +256,7 @@ class FtlState:
             raise FlashRangeError("logical page %d out of range" % lpn)
         ppn = self.mapping.pop(lpn, None)
         if ppn is not None:
-            self.pages[ppn].state = PageState.STALE
+            self._mark_stale(ppn)
 
     # -- maintenance ---------------------------------------------------
 
@@ -246,11 +268,8 @@ class FtlState:
         victim = None
         victim_stale = 0
         for b in self.allocatable:
-            if self.blocks[b].retired:
-                continue
-            stale = self._counts_in_block(b, PageState.STALE)
-            if stale > victim_stale:
-                victim, victim_stale = b, stale
+            if self.stale_count[b] > victim_stale:
+                victim, victim_stale = b, self.stale_count[b]
         if victim is None:
             return False
         if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
@@ -262,14 +281,8 @@ class FtlState:
             target = self._allocate(exclude=victim)
             if target is None:
                 raise DeviceFull("no room to relocate during collection")
-            dst = self.pages[target]
-            dst.state = PageState.VALID
-            dst.payload = src.payload
-            dst.lpn = src.lpn
-            dst.timestamp = self.op_counter
-            self.op_counter += 1
-            self.mapping[src.lpn] = target
-            src.state = PageState.STALE
+            self._program(target, src.payload, src.lpn)
+            self._mark_stale(p)
         erased = self.geometry.erased_page
         for p in self.block_pages(victim):
             page = self.pages[p]
@@ -277,6 +290,9 @@ class FtlState:
             page.payload = erased
             page.lpn = None
             page.timestamp = 0
+        self.free_count[victim] = self.geometry.pages_per_block
+        self.stale_count[victim] = 0
+        self.free_cursor[victim] = 0
         self.blocks[victim].erase_count += 1
         self.gc_runs += 1
         return True
@@ -302,15 +318,8 @@ class FtlState:
         ppb = self.geometry.pages_per_block
         for offset in range(ppb):
             src = self.pages[self._ppn(block, offset)]
-            if src.state is not PageState.VALID:
-                continue
-            dst = self.pages[self._ppn(repl, offset)]
-            dst.state = PageState.VALID
-            dst.payload = src.payload
-            dst.lpn = src.lpn
-            dst.timestamp = self.op_counter
-            self.op_counter += 1
-            self.mapping[src.lpn] = self._ppn(repl, offset)
+            if src.state is PageState.VALID:
+                self._program(self._ppn(repl, offset), src.payload, src.lpn)
         blk.retired = True
         blk.replacement = repl
         # The forgone final erase is what wore the block out; account it.
@@ -347,7 +356,7 @@ class FtlState:
                              g.page_size, g.reserve_blocks, g.endurance_limit))
         for page in self.pages:
             h.update(struct.pack(
-                "<bqq", list(PageState).index(page.state),
+                "<bqq", _STATE_CODE[page.state],
                 -1 if page.lpn is None else page.lpn, page.timestamp))
             h.update(page.payload)
         for blk in self.blocks:
@@ -409,36 +418,37 @@ def remanence_audit(dump: list[PageDump], history) -> RemanenceReport:
     bare payloads.  Recoverable bytes counts stale and retired copies —
     data the host can no longer address but a chip-level dump still
     yields."""
-    order: list[bytes] = []
-    lpns_by_payload: dict[bytes, set] = {}
+    rank: dict[bytes, int] = {}       # payload -> order of first appearance
+    lpns: list[set] = []
     for item in history:
         if isinstance(item, (bytes, bytearray)):
             lpn, payload = None, bytes(item)
         else:
             lpn, payload = item[0], bytes(item[1])
-        if payload not in lpns_by_payload:
-            lpns_by_payload[payload] = set()
-            order.append(payload)
+        if payload not in rank:
+            rank[payload] = len(lpns)
+            lpns.append(set())
         if lpn is not None:
-            lpns_by_payload[payload].add(lpn)
+            lpns[rank[payload]].add(lpn)
+
+    # One pass over the dump tallies live, stale and retired copies per
+    # history payload.  FREE pages count for nothing, even when the
+    # erased pattern is in the history.
+    slot = {"valid": 0, "stale": 1, "retired": 2}
+    copies = [0] * (3 * len(lpns))
+    for d in dump:
+        i = rank.get(d.payload)
+        if i is not None and d.tag in slot:
+            copies[3 * i + slot[d.tag]] += 1
 
     rows = []
     live_total = stale_total = retired_total = 0
     recoverable = 0
-    for payload in order:
-        live = stale = retired = 0
-        for d in dump:
-            if d.payload != payload:
-                continue
-            if d.tag == "valid":
-                live += 1
-            elif d.tag == "stale":
-                stale += 1
-            elif d.tag == "retired":
-                retired += 1
+    for payload, i in rank.items():
+        live, stale, retired = copies[3 * i:3 * i + 3]
         rows.append(PayloadAudit(
             digest=hashlib.sha256(payload).hexdigest(),
-            lpns=sorted(lpns_by_payload[payload]),
+            lpns=sorted(lpns[i]),
             live=live, stale=stale, retired=retired,
         ))
         live_total += live

@@ -1,5 +1,6 @@
 """Flash translation layer: out-of-place writes, remnants, retirement."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from remnant.ftl import (
     FlashRangeError,
     FtlError,
     FtlState,
+    PageDump,
     PageState,
     ReadOnlyDevice,
     apply_random_operations,
@@ -324,6 +326,54 @@ def test_audit_accepts_bare_payload_histories():
     assert rep.recoverable_bytes == 0      # a live copy is not a remnant
 
 
+def _reference_audit(dump, history):
+    """The pairwise payload x page comparison the indexed audit replaced."""
+    order, lpns = [], {}
+    for item in history:
+        lpn, payload = ((None, bytes(item))
+                        if isinstance(item, (bytes, bytearray))
+                        else (item[0], bytes(item[1])))
+        if payload not in lpns:
+            lpns[payload] = set()
+            order.append(payload)
+        if lpn is not None:
+            lpns[payload].add(lpn)
+    rows, live_t, stale_t, retired_t, recoverable = [], 0, 0, 0, 0
+    for payload in order:
+        tags = [d.tag for d in dump if d.payload == payload]
+        live, stale, retired = (tags.count("valid"), tags.count("stale"),
+                                tags.count("retired"))
+        rows.append({"digest": hashlib.sha256(payload).hexdigest(),
+                     "lpns": sorted(lpns[payload]), "live": live,
+                     "stale": stale, "retired": retired,
+                     "copies": live + stale + retired})
+        live_t += live
+        stale_t += stale
+        retired_t += retired
+        recoverable += (stale + retired) * len(payload)
+    return {"payloads": rows, "live_copies": live_t, "stale_copies": stale_t,
+            "retired_copies": retired_t, "recoverable_bytes": recoverable}
+
+
+# A tiny alphabet so payloads repeat; b"\xFF" * 4 plays the erased pattern.
+_payloads = st.sampled_from([b"\xFF" * 4, b"\x00" * 4, b"ab", b"abc", b"z"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pages=st.lists(st.tuples(_payloads, st.sampled_from(
+           ["free", "valid", "stale", "retired"])), max_size=40),
+       history=st.lists(st.one_of(
+           _payloads, _payloads.map(bytearray),
+           st.tuples(st.integers(0, 7), _payloads)), max_size=20))
+def test_audit_matches_the_pairwise_reference(pages, history):
+    # Equal but distinct payload objects, as a real dump holds.
+    dump = [PageDump(block=i // 8, page=i % 8, tag=tag,
+                     payload=bytes(bytearray(payload)), lpn=None, timestamp=0)
+            for i, (payload, tag) in enumerate(pages)]
+    assert (remanence_audit(dump, history).as_dict()
+            == _reference_audit(dump, history))
+
+
 def test_collection_destroys_remnants():
     s = _state(gc_enabled=False)
     versions = [bytes([v]) * PAGE for v in range(1, 6)]
@@ -442,3 +492,103 @@ def test_operation_tally_is_deterministic():
     assert t1 == t2
     assert sum(t1.values()) == 500
     assert set(t1) <= {"write", "trim", "read", "gc", "skipped"}
+
+
+def test_conservation_catches_drifted_tallies_and_mappings():
+    s = _state(gc_enabled=False)
+    s.write(0, _payload(1))
+    s.write(0, _payload(2))
+    assert s.check_conservation()
+    s.stale_count[0] += 1
+    assert not s.check_conservation()
+    s.stale_count[0] -= 1
+    s.free_cursor[0] = 3                   # page 2 below it is still FREE
+    assert not s.check_conservation()
+    s.free_cursor[0] = 2
+    s.mapping[0] = 0                       # the stale copy, not the live one
+    assert not s.check_conservation()
+
+
+# ------------------------------------------------------ recorded behaviour
+#
+# Values recorded once from the page-scanning implementation that the
+# per-block tallies replaced.  They pin the simulated device: the
+# allocator, victim choice, relocation and retirement must reproduce
+# them exactly.  Never regenerate them from the code under test.
+
+def _retire_then_churn(seed):
+    """Desk geometry: one retirement, then churn until the second
+    retirement finds no reserve and the device goes read-only."""
+    s = _state(seed=seed)
+    run_retirement_experiment(s)
+    apply_random_operations(s, 3000, random.Random(seed))
+    return s
+
+
+def _churn_through_retirements(seed):
+    """Two reserve blocks and endurance 10: random churn retires blocks
+    that still hold valid pages, so each replacement starts with free
+    holes between copied pages, and later writes fill those holes."""
+    s = FtlState(geometry=FlashGeometry(block_count=8, pages_per_block=32,
+                                        page_size=64, reserve_blocks=2,
+                                        endurance_limit=10), seed=seed)
+    apply_random_operations(s, 3000, random.Random(seed))
+    return s
+
+
+def _churn_64x64(seed):
+    s = FtlState(geometry=FlashGeometry(block_count=64, pages_per_block=64,
+                                        page_size=64, reserve_blocks=2,
+                                        endurance_limit=10_000), seed=seed)
+    apply_random_operations(s, 3000, random.Random(seed))
+    return s
+
+
+def _cycles(force_gc):
+    """40 payloads over two blocks; without collection the device fills
+    in the fifth round."""
+    s = _state(gc_enabled=force_gc)
+    run_cycle_experiment(s, [bytes([10 + i]) * PAGE for i in range(40)],
+                         iterations=5, force_gc=force_gc)
+    return s
+
+
+RECORDED = [
+    (_retire_then_churn, 0, ("205449ca474ebf8c68d5698fc1c8539e"
+                             "839242ec51978114f0507f73e9fa8073",
+                             39, 1424, 1, True)),
+    (_retire_then_churn, 1, ("fd1dbf3af9a9859b45abd17f7860446e"
+                             "dff11f74633a4654d0f0c114e6d10ee9",
+                             39, 1407, 1, True)),
+    (_retire_then_churn, 2, ("4b7361db2276661aa1e14050b9b2399f"
+                             "4eeba7585cb771b5362cf15f5972ee2c",
+                             39, 1378, 1, True)),
+    (_churn_through_retirements, 0, ("1d19186db8917ee0f897dd73e277c110"
+                                     "4f949dcc965467a43ba2c532c6c17a8c",
+                                     55, 1893, 2, True)),
+    (_churn_through_retirements, 1, ("e21af0c4719b4a1732a610374e4e2933"
+                                     "a4a310621dd7deb518fbecb1f88989bc",
+                                     56, 1959, 2, True)),
+    (_churn_through_retirements, 2, ("6689449ca6986e69361255da9fa2c527"
+                                     "172b95a2eadea0bd637270893efbd93c",
+                                     56, 1957, 2, True)),
+    (_churn_64x64, 3, ("071011f41772a09961dbd7bafb85d0d1"
+                       "1b58512a7621645ee2d013e07e9de7cd",
+                       138, 10182, 0, False)),
+    (_cycles, False, ("9c557d42092aeb1f76d9f807f5a38880"
+                      "4e561a4a919860916f2e02d2989b360b",
+                      0, 225, 0, False)),
+    (_cycles, True, ("a1b079b0173647da4425ee32cc6aeb45"
+                     "4c8e85d85c3706b65d74dd2b9c7c88f0",
+                     2, 49, 0, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, arg, expected", RECORDED,
+    ids=["%s-%s" % (f.__name__.lstrip("_"), a) for f, a, _ in RECORDED])
+def test_simulation_reproduces_recorded_state(scenario, arg, expected):
+    s = scenario(arg)
+    assert (s.state_hash(), s.gc_runs, s.op_counter, s.retired_count,
+            s.read_only) == expected
+    assert s.check_conservation()
