@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 from .report import RecoveredFile, cluster_runs
@@ -260,7 +261,6 @@ class FatSurvey:
     entries: list[FatDirEntry]
     fat: FatTable
     live_clusters: set[int]
-    label: str | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -292,7 +292,7 @@ def _root_blocks(img, desc, fat, live_clusters):
     return [(desc.root_dir_sector * bps, desc.root_entries * DIR_ENTRY_SIZE)]
 
 
-def _plausible_entry(raw: bytes, max_cluster: int) -> bool:
+def _plausible_entry(raw: bytes) -> bool:
     first = raw[0]
     attr = raw[11]
     if attr == ATTR_LFN:
@@ -313,7 +313,7 @@ def _plausible_entry(raw: bytes, max_cluster: int) -> bool:
     return True
 
 
-def _qualifies_as_orphan_dir(buf: bytes, max_cluster: int) -> bool:
+def _qualifies_as_orphan_dir(buf: bytes) -> bool:
     """First cluster of a directory: '.' then '..', both directories."""
     if len(buf) < 2 * DIR_ENTRY_SIZE:
         return False
@@ -322,18 +322,18 @@ def _qualifies_as_orphan_dir(buf: bytes, max_cluster: int) -> bool:
     if not (buf[11] & ATTR_DIRECTORY) or not (buf[43] & ATTR_DIRECTORY):
         return False
     valid = sum(1 for pos in (0, 32)
-                if _plausible_entry(buf[pos:pos + DIR_ENTRY_SIZE], max_cluster))
+                if _plausible_entry(buf[pos:pos + DIR_ENTRY_SIZE]))
     return valid >= 2
 
 
-def _block_all_plausible(buf: bytes, max_cluster: int) -> bool:
+def _block_all_plausible(buf: bytes) -> bool:
     """Continuation test: every slot up to the end marker looks sane."""
     seen_any = False
     for pos in range(0, len(buf) - DIR_ENTRY_SIZE + 1, DIR_ENTRY_SIZE):
         raw = buf[pos:pos + DIR_ENTRY_SIZE]
         if raw[0] == END_MARK:
             return seen_any
-        if not _plausible_entry(raw, max_cluster):
+        if not _plausible_entry(raw):
             return False
         seen_any = True
     return seen_any
@@ -354,7 +354,7 @@ def _collect_orphan_dir(img, desc, fat, start, excluded, consumed):
         buf = _read_or_none(img, cluster_offset(desc, c), cs)
         if buf is None:
             break
-        if c != start and not _block_all_plausible(buf, desc.max_cluster):
+        if c != start and not _block_all_plausible(buf):
             break
         base = cluster_offset(desc, c)
         end_here = False
@@ -368,6 +368,41 @@ def _collect_orphan_dir(img, desc, fat, start, excluded, consumed):
             break
         c += 1
     return slots, clusters
+
+
+def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
+    """Yield (cluster, slots) for every orphaned directory in the heap.
+
+    Every readable cluster is read once, in 4 MiB batches.  One strided
+    slice takes the first byte of each cluster, and ``find`` walks it for
+    the '.' that opens a directory, so Python work grows with the
+    candidates, not the clusters.  Candidates are taken in ascending
+    order and each carved directory's clusters join ``consumed``.
+    """
+    cs = desc.cluster_size
+    batch = max(1, (4 << 20) // cs)
+    # A truncated image is carved up to its last whole cluster.
+    readable = max(0, img.size - cluster_offset(desc, 2)) // cs
+    last = min(desc.max_cluster, readable + 1)
+    dot = DOT_NAME[0]
+    c = 2
+    while c <= last:
+        count = min(batch, last - c + 1)
+        chunk = img.read_at(cluster_offset(desc, c), count * cs)
+        heads = chunk[::cs]
+        i = heads.find(dot)
+        while i != -1:
+            cluster = c + i
+            if (chunk.startswith(DOT_NAME, i * cs)
+                    and cluster not in live_clusters
+                    and cluster not in consumed
+                    and _qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs])):
+                slots, clusters = _collect_orphan_dir(
+                    img, desc, fat, cluster, live_clusters, consumed)
+                consumed.update(clusters)
+                yield cluster, slots
+            i = heads.find(dot, i + 1)
+        c += count
 
 
 def survey(img: VolumeImage, desc: VolumeDescriptor,
@@ -388,15 +423,14 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         fat = FatTable(desc.kind, [0] * (desc.cluster_count + 2))
         warnings.append("allocation table unreadable (%s); carve-only "
                         "results" % exc)
-    label = None
     seen_offsets: set[int] = set()
     consumed: set[int] = set()
 
-    queue: list[tuple[str, list]] = [("", _root_blocks(img, desc, fat,
-                                                       live_clusters))]
+    queue: deque[tuple[str, list]] = deque(
+        [("", _root_blocks(img, desc, fat, live_clusters))])
     visited_dirs: set[int] = set()
     while queue:
-        path, blocks = queue.pop(0)
+        path, blocks = queue.popleft()
         slots = list(_dir_slots_from_blocks(img, blocks))
         parsed, _ = parse_dir_slots(slots, path, desc.kind)
         for entry in parsed:
@@ -406,8 +440,6 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             if entry.is_dot:
                 continue
             if entry.is_label:
-                if not entry.deleted and label is None:
-                    label = entry.short_name
                 continue
             entries.append(entry)
             if entry.deleted:
@@ -431,16 +463,15 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                                     % entry.display_name)
 
     # Recurse into deleted directories: chain zeroed, so contiguity only.
-    pending = [e for e in entries
-               if e.deleted and e.is_directory and fat.in_heap(e.first_cluster)]
-    carved_paths = 0
+    pending = deque(e for e in entries if e.deleted and e.is_directory
+                    and fat.in_heap(e.first_cluster))
     while pending:
-        entry = pending.pop(0)
+        entry = pending.popleft()
         if entry.first_cluster in consumed or entry.first_cluster in live_clusters:
             continue
         head = _read_or_none(img, cluster_offset(desc, entry.first_cluster),
                              desc.cluster_size)
-        if head is None or not _qualifies_as_orphan_dir(head, desc.max_cluster):
+        if head is None or not _qualifies_as_orphan_dir(head):
             continue
         slots, clusters = _collect_orphan_dir(
             img, desc, fat, entry.first_cluster, live_clusters, consumed)
@@ -461,40 +492,20 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                 pending.append(sub)
 
     if deep:
-        cs = desc.cluster_size
-        batch = max(1, (4 << 20) // cs)
-        max_cluster = desc.max_cluster
-        c = 2
-        while c <= max_cluster:
-            count = min(batch, max_cluster - c + 1)
-            chunk = _read_or_none(img, cluster_offset(desc, c), count * cs)
-            if chunk is None:        # truncated image: past the edge
-                break
-            for i in range(count):
-                cluster = c + i
-                if cluster in live_clusters or cluster in consumed:
+        for cluster, slots in _carve_orphan_dirs(img, desc, fat, live_clusters,
+                                                 consumed):
+            parsed, _ = parse_dir_slots(slots, "orphan-%d" % cluster,
+                                        desc.kind, orphaned=True)
+            for sub in parsed:
+                if sub.is_dot or sub.is_label:
                     continue
-                head = chunk[i * cs:(i + 1) * cs]
-                if not _qualifies_as_orphan_dir(head, max_cluster):
+                if sub.entry_offset in seen_offsets:
                     continue
-                slots, clusters = _collect_orphan_dir(
-                    img, desc, fat, cluster, live_clusters, consumed)
-                consumed.update(clusters)
-                carved_paths += 1
-                path = "orphan-%d" % cluster
-                parsed, _ = parse_dir_slots(slots, path, desc.kind,
-                                            orphaned=True)
-                for sub in parsed:
-                    if sub.is_dot or sub.is_label:
-                        continue
-                    if sub.entry_offset in seen_offsets:
-                        continue
-                    seen_offsets.add(sub.entry_offset)
-                    entries.append(sub)
-            c += count
+                seen_offsets.add(sub.entry_offset)
+                entries.append(sub)
 
     return FatSurvey(entries=entries, fat=fat, live_clusters=live_clusters,
-                     label=label, warnings=warnings)
+                     warnings=warnings)
 
 
 @dataclass

@@ -16,9 +16,9 @@ from datetime import datetime, timedelta, timezone
 
 from .report import RecoveredFile, cluster_runs
 from .volume import (
-    ClusterRangeError,
     FsKind,
     VolumeDescriptor,
+    VolumeError,
     VolumeImage,
     cluster_offset,
     read_clusters,
@@ -468,48 +468,50 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
 
     Quick-format leaves the old MFT as anonymous clusters; this walks
     every cluster not claimed by a live structure and validates any
-    record-aligned FILE signature it meets.
+    record-aligned FILE signature it meets.  Every readable cluster is
+    read once, in 4 MiB batches; one strided slice takes the first byte
+    of each record slot, and ``find`` walks it for the 'F', so Python
+    work grows with the candidates, not the slots.
     """
     _require_ntfs(desc)
     record_size = desc.mft_record_size
     cs = desc.cluster_size
     step = min(record_size, cs)
-    total = desc.total_clusters
+    # A truncated image is carved up to its last whole cluster.
+    total = min(desc.total_clusters, img.size // cs)
     batch_clusters = max(1, (4 << 20) // cs)
+    lead = FILE_SIGNATURE[0]
     for start in range(0, total, batch_clusters):
         count = min(batch_clusters, total - start)
         base = cluster_offset(desc, start)
         chunk = img.read_at(base, count * cs)
-        view = memoryview(chunk)
-        for ci in range(count):
-            cluster = start + ci
-            if cluster in skip_clusters:
+        heads = chunk[::step]
+        i = heads.find(lead)
+        while i != -1:
+            pos = i * step
+            i = heads.find(lead, i + 1)
+            if not chunk.startswith(FILE_SIGNATURE, pos):
                 continue
-            coff = ci * cs
-            for slot in range(0, cs, step):
-                pos = coff + slot
-                if view[pos:pos + 4] != FILE_SIGNATURE:
-                    continue
-                abs_off = base + pos
-                if abs_off in known_offsets:
-                    continue
-                if pos + record_size > len(chunk):
-                    have = len(chunk) - pos
-                    try:
-                        tail = img.read_at(abs_off + have, record_size - have)
-                    except Exception:
-                        continue  # slot runs off the end of the volume
-                    buf = bytes(view[pos:]) + tail
-                else:
-                    buf = bytes(view[pos:pos + record_size])
-                raw = bytearray(buf)
+            if start + pos // cs in skip_clusters:
+                continue
+            abs_off = base + pos
+            if abs_off in known_offsets:
+                continue
+            buf = chunk[pos:pos + record_size]
+            if len(buf) < record_size:
                 try:
-                    apply_fixup(raw)
-                    hdr = parse_record_header(bytes(raw), -1)
-                except MftError:
-                    continue
-                stats.carve_candidates += 1
-                yield MftRecord(hdr, bytes(raw), abs_off, orphaned=True)
+                    buf += img.read_at(abs_off + len(buf),
+                                       record_size - len(buf))
+                except VolumeError:
+                    continue  # slot runs off the end of the volume
+            raw = bytearray(buf)
+            try:
+                apply_fixup(raw)
+                hdr = parse_record_header(bytes(raw), -1)
+            except MftError:
+                continue
+            stats.carve_candidates += 1
+            yield MftRecord(hdr, bytes(raw), abs_off, orphaned=True)
 
 
 @dataclass
@@ -546,7 +548,6 @@ class NtfsEntryInfo:
     is_directory: bool
     is_system: bool
     size: int
-    clusters: list[int]
 
 
 @dataclass
@@ -627,14 +628,13 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             continue  # extension record; base record owns the attributes
         if rec.header.in_use:
             walk = parse_attributes(rec.data, rec.header)
-            clusters: list[int] = []
             name = ""
             size = 0
             for attr in walk.attributes:
                 if not attr.resident:
                     try:
-                        clusters.extend(decode_data_runs(attr.run_bytes)
-                                        .real_clusters())
+                        live_clusters.update(decode_data_runs(attr.run_bytes)
+                                             .real_clusters())
                     except RunListError:
                         pass
                 if attr.type_code == ATTR_FILE_NAME and attr.resident:
@@ -644,7 +644,6 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                 if attr.is_unnamed_data:
                     size = (len(attr.value) if attr.resident
                             else attr.real_size)
-            live_clusters.update(clusters)
             idx = rec.header.record_index
             live.append(NtfsEntryInfo(
                 record_index=idx,
@@ -652,7 +651,6 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                 is_directory=rec.header.is_directory,
                 is_system=name.startswith("$") or (idx < 16 and idx != 5),
                 size=size,
-                clusters=clusters,
             ))
         else:
             entry = _entry_from_record(rec)

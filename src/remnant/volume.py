@@ -169,14 +169,6 @@ class VolumeDescriptor:
         return self.cluster_count + 1  # FAT numbering starts at 2
 
 
-@dataclass(frozen=True)
-class ClusterRef:
-    """A cluster number together with its resolved byte offset."""
-
-    cluster: int
-    offset: int
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -321,31 +313,28 @@ def cluster_offset(desc: VolumeDescriptor, cluster: int) -> int:
             + (cluster - 2) * desc.cluster_size)
 
 
-def cluster_ref(desc: VolumeDescriptor, cluster: int) -> ClusterRef:
-    return ClusterRef(cluster, cluster_offset(desc, cluster))
-
-
 def read_clusters(img: VolumeImage, desc: VolumeDescriptor, clusters) -> bytes:
     """Concatenate the raw bytes of the given clusters, in order.
 
     All cluster numbers are validated before any byte is read, so an
     out-of-range member aborts the whole call rather than returning a
-    silently short result.  Adjacent cluster numbers are merged into a
-    single read.
+    silently short result.  Consecutive cluster numbers form one run,
+    read with a single ``read_at``.
     """
     clusters = list(clusters)
-    offsets = [cluster_offset(desc, c) for c in clusters]
     if not clusters:
         return b""
+    cuts = [i for i in range(1, len(clusters))
+            if clusters[i] != clusters[i - 1] + 1]
+    runs = [(clusters[lo], clusters[hi - 1])
+            for lo, hi in zip([0] + cuts, cuts + [len(clusters)])]
+    # The valid numbers are one interval, so a run whose ends are valid
+    # is valid throughout; when only its last end is not, the first
+    # offending member is the one just past the heap.
+    for first, last in runs:
+        cluster_offset(desc, first)
+        cluster_offset(desc, min(last, desc.max_cluster + 1))
     size = desc.cluster_size
-    parts = []
-    run_start = offsets[0]
-    run_len = size
-    for prev, off in zip(offsets, offsets[1:]):
-        if off == prev + size:
-            run_len += size
-        else:
-            parts.append(img.read_at(run_start, run_len))
-            run_start, run_len = off, size
-    parts.append(img.read_at(run_start, run_len))
-    return b"".join(parts)
+    return b"".join(img.read_at(cluster_offset(desc, first),
+                                (last - first + 1) * size)
+                    for first, last in runs)

@@ -5,7 +5,7 @@ import io
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from remnant import fat as fatmod
 from remnant import forge
@@ -25,6 +25,8 @@ from remnant.fat import (
 from remnant.volume import (
     FsKind,
     VolumeDescriptor,
+    VolumeImage,
+    cluster_offset,
     detect_filesystem,
     open_image,
 )
@@ -370,6 +372,39 @@ def test_unreadable_allocation_table_degrades_to_carving(base_images, tmp_path):
     assert any("carve-only" in w for w in surv.warnings)
 
 
+def _dir_head(names, end=True):
+    """'.', '..', one archive entry per name, then an end marker."""
+    slots = [fatmod.DOT_NAME + bytes([ATTR_DIRECTORY]) + bytes(20),
+             fatmod.DOTDOT_NAME + bytes([ATTR_DIRECTORY]) + bytes(20)]
+    for i, name in enumerate(names):
+        slots.append(name + bytes([ATTR_ARCHIVE]) + bytes(14)
+                     + struct.pack("<HI", 3 + i, 100 + i))
+    if end:
+        slots.append(bytes(32))
+    return b"".join(slots)
+
+
+def test_deep_scan_carves_the_readable_part_of_a_truncated_image(image_copy):
+    # Cut the image a few clusters into its second 4 MiB carve batch and
+    # plant a directory head in that readable remainder.
+    path, _ = image_copy("fat32", "quick-format")
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+    cs = desc.cluster_size
+    first = 2 + (4 << 20) // cs           # opens the second batch
+    planted = first + 1
+    data = bytearray(path.read_bytes()[:cluster_offset(desc, first + 3) + 100])
+    head = _dir_head([b"PLANTED TXT"])
+    off = cluster_offset(desc, planted)
+    data[off:off + cs] = head + bytes(cs - len(head))
+    path.write_bytes(bytes(data))
+    with open_image(path) as img:
+        surv = survey(img, desc, deep=True)
+    assert planted not in surv.live_clusters
+    carved = {(e.dir_path, e.short_name) for e in surv.entries}
+    assert ("orphan-%d" % planted, "PLANTED.TXT") in carved
+
+
 def test_recover_refuses_directories(image_copy):
     path, _ = image_copy("fat16")
     with open_image(path) as img:
@@ -430,3 +465,106 @@ def test_delete_then_undelete_restores_every_payload(tmp_path_factory, spec):
             assert key in by_tail
             shas = {recover_file(img, desc, d).sha256 for d in by_tail[key]}
             assert rec.sha256 in shas
+
+
+# ------------------------------------------- strided carve vs per-cluster
+
+def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
+    """Reference: the carve as one Python iteration per cluster."""
+    cs = desc.cluster_size
+    batch = max(1, (4 << 20) // cs)
+    out = []
+    c = 2
+    while c <= desc.max_cluster:
+        count = min(batch, desc.max_cluster - c + 1)
+        chunk = fatmod._read_or_none(img, cluster_offset(desc, c), count * cs)
+        if chunk is None:
+            break
+        for i in range(count):
+            cluster = c + i
+            if cluster in live_clusters or cluster in consumed:
+                continue
+            if not fatmod._qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs]):
+                continue
+            slots, clusters = fatmod._collect_orphan_dir(
+                img, desc, fat, cluster, live_clusters, consumed)
+            consumed.update(clusters)
+            out.append((cluster, slots))
+        c += count
+    return out
+
+
+_BATCH = (4 << 20) // 512
+_HEAP = _BATCH + 40                       # one full batch and a short one
+_MAX = _HEAP + 1
+_EDGE = [2, _BATCH, _BATCH + 1, _MAX - 1, _MAX]
+
+
+def _heap(plants):
+    """A 512 B-cluster heap of zeros with (cluster, shift, bytes) planted."""
+    buf = bytearray(_HEAP * 512)
+    for cluster, shift, blob in plants:
+        pos = (cluster - 2) * 512 + shift
+        buf[pos:pos + len(blob)] = blob[:len(buf) - pos]
+    return bytes(buf)
+
+
+_NAMES = [b"F%07dTXT" % i for i in range(46)]
+
+
+@st.composite
+def _planted_heap(draw):
+    """Directory heads, continuation blocks and '.'-led junk, on or off
+    cluster boundaries, mostly near the batch edge and the heap's end;
+    ``live`` and ``consumed`` mark some of the planted clusters."""
+    plants = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        cluster = min(_MAX, draw(st.sampled_from(_EDGE))
+                      + draw(st.integers(min_value=0, max_value=3)))
+        if draw(st.booleans()):
+            cluster = draw(st.integers(min_value=2, max_value=_MAX))
+        shift = draw(st.sampled_from([0, 0, 0, 1, 32, 255]))
+        kind = draw(st.sampled_from(
+            ["dir", "long-dir", "entries", "dot-file", "dot-junk", "zeros"]))
+        names = _NAMES[:draw(st.integers(min_value=0, max_value=40))]
+        if kind == "dir":
+            blob = _dir_head(names)
+        elif kind == "long-dir":              # no end marker: runs on
+            blob = _dir_head(names, end=False)
+        elif kind == "entries":
+            blob = _dir_head(names)[64:]
+        elif kind == "dot-file":              # '.' entries, not directories
+            blob = _dir_head(names).replace(bytes([ATTR_DIRECTORY]),
+                                            bytes([ATTR_ARCHIVE]), 2)
+        elif kind == "dot-junk":
+            blob = b"." + draw(st.binary(min_size=0, max_size=80))
+        else:
+            blob = bytes(draw(st.integers(min_value=1, max_value=1024)))
+        plants.append((cluster, shift, blob))
+    marked = st.sets(st.sampled_from([c for c, _, _ in plants] + _EDGE),
+                     max_size=4)
+    return _heap(plants), draw(marked), draw(marked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(heap=_planted_heap())
+@example(heap=(_heap([(_MAX, 0, _dir_head(_NAMES[:1]))]), set(), set()))
+# A directory that runs across the batch edge and swallows the head
+# after it, two adjacent heads, and a head in a live cluster.
+@example(heap=(_heap([(_BATCH + 1, 0, _dir_head(_NAMES, end=False)),
+                      (_BATCH + 4, 0, _dir_head(_NAMES[:2])),
+                      (_BATCH + 5, 0, _dir_head(_NAMES[:2])),
+                      (_BATCH + 6, 0, _dir_head(_NAMES[:2])),
+                      (_BATCH + 7, 0, _dir_head(_NAMES[:2]))]),
+               {_BATCH + 7}, set()))
+def test_strided_carve_matches_the_per_cluster_reference(heap):
+    buf, live, consumed = heap
+    desc = _desc16(cluster_count=_HEAP)
+    lead = desc.first_data_sector * desc.bytes_per_sector
+    img = VolumeImage.from_bytes(bytes(lead) + buf)
+    fat = _table(cluster_count=_HEAP)
+    want_consumed, got_consumed = set(consumed), set(consumed)
+    want = _carve_per_cluster(img, desc, fat, live, want_consumed)
+    got = list(fatmod._carve_orphan_dirs(img, desc, fat, live, got_consumed))
+    assert got == want
+    assert got_consumed == want_consumed

@@ -6,7 +6,7 @@ import shutil
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from remnant import forge
 from remnant import ntfs
@@ -27,7 +27,15 @@ from remnant.ntfs import (
     scan_mft,
     survey,
 )
-from remnant.volume import detect_filesystem, open_image
+from remnant.volume import (
+    FsKind,
+    VolumeDescriptor,
+    VolumeError,
+    VolumeImage,
+    cluster_offset,
+    detect_filesystem,
+    open_image,
+)
 
 
 def _open(path):
@@ -247,6 +255,29 @@ def test_torn_record_is_skipped_and_counted(image_copy, base_images):
     assert rec.entry_offset not in {r.offset for r in records}
 
 
+def test_deep_scan_carves_the_readable_part_of_a_truncated_image(
+        base_images, image_copy):
+    # Cut the image a few clusters into its second 4 MiB carve batch and
+    # plant a corpus file's record in that readable remainder.
+    src, truth = base_images["ntfs"]
+    rec = next(iter(truth.files.values()))
+    img, desc = _open(src)
+    with img:
+        record = img.read_at(rec.entry_offset, desc.mft_record_size)
+    path, _ = image_copy("ntfs", "quick-format")
+    first = (4 << 20) // desc.cluster_size    # opens the second batch
+    planted = cluster_offset(desc, first + 1)
+    data = bytearray(path.read_bytes()[:cluster_offset(desc, first + 3) + 1000])
+    data[planted:planted + len(record)] = record
+    path.write_bytes(bytes(data))
+    img, desc = _open(path)
+    with img:
+        surv = survey(img, desc, deep=True)
+    assert first + 1 not in surv.live_clusters
+    carved = {(e.record_offset, e.name) for e in surv.deleted}
+    assert (planted, rec.path.rsplit("/", 1)[-1]) in carved
+
+
 def test_live_survey_matches_ground_truth(base_images):
     path, truth = base_images["ntfs"]
     img, desc = _open(path)
@@ -384,3 +415,124 @@ def test_sink_and_buffer_agree(image_copy, tmp_path):
     assert buffered.data == sink.getvalue()
     assert streamed.output_path is None   # a stream sink has no path
     assert buffered.sha256 == streamed.sha256
+
+
+# ------------------------------------------------- strided carve vs per-slot
+
+def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
+    """Reference: the carve as one signature compare per record slot."""
+    record_size = desc.mft_record_size
+    cs = desc.cluster_size
+    step = min(record_size, cs)
+    total = desc.total_clusters
+    batch_clusters = max(1, (4 << 20) // cs)
+    for start in range(0, total, batch_clusters):
+        count = min(batch_clusters, total - start)
+        base = cluster_offset(desc, start)
+        chunk = img.read_at(base, count * cs)
+        view = memoryview(chunk)
+        for ci in range(count):
+            cluster = start + ci
+            if cluster in skip_clusters:
+                continue
+            coff = ci * cs
+            for slot in range(0, cs, step):
+                pos = coff + slot
+                if view[pos:pos + 4] != ntfs.FILE_SIGNATURE:
+                    continue
+                abs_off = base + pos
+                if abs_off in known_offsets:
+                    continue
+                if pos + record_size > len(chunk):
+                    have = len(chunk) - pos
+                    try:
+                        tail = img.read_at(abs_off + have, record_size - have)
+                    except VolumeError:
+                        continue
+                    buf = bytes(view[pos:]) + tail
+                else:
+                    buf = bytes(view[pos:pos + record_size])
+                raw = bytearray(buf)
+                try:
+                    apply_fixup(raw)
+                    hdr = parse_record_header(bytes(raw), -1)
+                except MftError:
+                    continue
+                stats.carve_candidates += 1
+                yield ntfs.MftRecord(hdr, bytes(raw), abs_off, orphaned=True)
+
+
+def _ntfs_volume(cs, plants):
+    """Geometry and bytes of a volume of one 4 MiB batch plus 20 KiB of
+    ``cs``-byte clusters, 1 KiB records, (offset, bytes) planted."""
+    clusters = (4 << 20) // cs + 40 * 512 // cs
+    buf = bytearray(clusters * cs)
+    for pos, blob in plants:
+        buf[pos:pos + len(blob)] = blob[:len(buf) - pos]
+    desc = VolumeDescriptor(kind=FsKind.NTFS, bytes_per_sector=512,
+                            sectors_per_cluster=cs // 512,
+                            total_sectors=clusters * cs // 512,
+                            mft_lcn=0, mft_mirror_lcn=1, mft_record_size=1024)
+    return desc, bytes(buf)
+
+
+_BATCH_END = 4 << 20
+_VOLUME_END = _BATCH_END + 40 * 512
+
+
+@st.composite
+def _planted_volume(draw):
+    """Valid, torn and 'F'-led junk records, on or off slot boundaries,
+    mostly near the batch edge and the volume's end.  With 512 B clusters
+    a 1 KiB record spans two clusters, so one can straddle the batch edge
+    and one can run off the end; with 4 KiB clusters four slots share
+    one cluster.  ``known`` and ``skip`` mark some of the planted ones."""
+    cs = draw(st.sampled_from([512, 4096]))
+    edge = [0, _BATCH_END - 1024, _VOLUME_END - 1024]
+    plants = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        pos = (draw(st.sampled_from(edge))
+               + 512 * draw(st.integers(min_value=0, max_value=2)))
+        if draw(st.booleans()):
+            pos = 512 * draw(st.integers(min_value=0,
+                                         max_value=_VOLUME_END // 512 - 1))
+        pos = min(_VOLUME_END - 1, pos + draw(st.sampled_from([0, 0, 1, 4])))
+        kind = draw(st.sampled_from(["record", "torn", "f-junk", "zeros"]))
+        if kind == "record":
+            blob = bytes(_blank_record(flags=draw(st.sampled_from([0, 1, 3]))))
+        elif kind == "torn":
+            blob = bytearray(_blank_record())
+            blob[510] ^= 0xFF
+        elif kind == "f-junk":
+            blob = b"F" + draw(st.binary(min_size=0, max_size=8))
+        else:
+            blob = bytes(draw(st.integers(min_value=1, max_value=1024)))
+        plants.append((pos, blob))
+    offsets = [pos for pos, _ in plants]
+    skip = draw(st.sets(st.sampled_from([o // cs for o in offsets]),
+                        max_size=3))
+    known = draw(st.sets(st.sampled_from(offsets), max_size=3))
+    return _ntfs_volume(cs, plants), known, skip
+
+
+_RECORD = bytes(_blank_record())
+
+
+@settings(max_examples=100, deadline=None)
+@given(volume=_planted_volume())
+@example(volume=(_ntfs_volume(512, [(_BATCH_END - 512, _RECORD),
+                                    (_VOLUME_END - 512, _RECORD),
+                                    (_VOLUME_END - 2048, _RECORD),
+                                    (_VOLUME_END - 4096, _RECORD)]),
+                 {_VOLUME_END - 4096}, set()))
+@example(volume=(_ntfs_volume(4096, [(_BATCH_END - 1024, _RECORD),
+                                     (_BATCH_END + 3072, _RECORD)]),
+                 set(), {_BATCH_END // 4096}))
+def test_strided_carve_matches_the_per_slot_reference(volume):
+    (desc, buf), known, skip = volume
+    img = VolumeImage.from_bytes(buf)
+    want_stats, got_stats = MftScanStats(), MftScanStats()
+    want = list(_carve_per_slot(img, desc, known, skip, want_stats))
+    got = list(ntfs.carve_records(img, desc, known, skip, got_stats))
+    assert got == want
+    assert got_stats == want_stats

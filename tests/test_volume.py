@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remnant import forge
 from remnant.volume import (
@@ -244,3 +245,111 @@ def test_read_clusters_concatenates_in_call_order():
     out = read_clusters(img, desc, [3, 5, 4])
     assert out == b"\x03" * 4096 + b"\x05" * 4096 + b"\x04" * 4096
     assert read_clusters(img, desc, []) == b""
+
+
+# -------------------------------------------- run-at-a-time cluster reads
+
+def _read_clusters_per_cluster(img, desc, clusters):
+    """Reference: validate every cluster on its own, then merge reads of
+    adjacent offsets."""
+    clusters = list(clusters)
+    offsets = [cluster_offset(desc, c) for c in clusters]
+    if not clusters:
+        return b""
+    size = desc.cluster_size
+    parts = []
+    run_start = offsets[0]
+    run_len = size
+    for prev, off in zip(offsets, offsets[1:]):
+        if off == prev + size:
+            run_len += size
+        else:
+            parts.append(img.read_at(run_start, run_len))
+            run_start, run_len = off, size
+    parts.append(img.read_at(run_start, run_len))
+    return b"".join(parts)
+
+
+class _CountingImage(VolumeImage):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.reads = []
+
+    def read_at(self, offset, length):
+        self.reads.append((offset, length))
+        return super().read_at(offset, length)
+
+
+def _small_fat32():
+    # Eight 512 B clusters, 2..9, behind one data-start sector.
+    return VolumeDescriptor(
+        kind=FsKind.FAT32, bytes_per_sector=512, sectors_per_cluster=1,
+        total_sectors=9, reserved_sectors=1, num_fats=1, sectors_per_fat=1,
+        root_cluster=2, first_data_sector=1, cluster_count=8)
+
+
+def _numbered_image(clusters, cluster_size, lead=0):
+    buf = bytes(lead) + b"".join(bytes([i]) * cluster_size
+                                 for i in range(clusters))
+    return _CountingImage(buffer=buf)
+
+
+@pytest.mark.parametrize("clusters, bad", [
+    ([3, 4, 8, 9, 10, 11, 5], 10),     # the run 8..11 leaves the heap at 10
+    ([5, 6, 0, 1, 2, 3], 0),           # the run 0..3 starts below it
+    ([2, 3, -1, 0, 1], -1),
+])
+def test_read_clusters_names_the_first_bad_member_and_reads_nothing(
+        clusters, bad):
+    desc = _small_fat32()
+    img = _numbered_image(10, 512, lead=512)
+    with pytest.raises(ClusterRangeError) as new:
+        read_clusters(img, desc, clusters)
+    assert str(new.value) == "cluster %d outside heap" % bad
+    with pytest.raises(ClusterRangeError) as old:
+        _read_clusters_per_cluster(img, desc, clusters)
+    assert str(new.value) == str(old.value)
+    assert img.reads == []
+
+
+def test_read_clusters_issues_one_read_per_run():
+    desc = _ntfs_desc(total_sectors=8 * 8)
+    img = _numbered_image(8, 4096)
+    out = read_clusters(img, desc, range(1, 7))
+    assert out == b"".join(bytes([i]) * 4096 for i in range(1, 7))
+    assert img.reads == [(4096, 6 * 4096)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ntfs_kind=st.booleans(),
+       clusters=st.lists(st.one_of(
+           st.integers(min_value=-2, max_value=12),
+           st.tuples(st.integers(min_value=-2, max_value=12),
+                     st.integers(min_value=1, max_value=6))),
+           max_size=8))
+def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters):
+    flat = []
+    for item in clusters:                 # tuples expand to runs
+        if isinstance(item, tuple):
+            flat.extend(range(item[0], item[0] + item[1]))
+        else:
+            flat.append(item)
+    if ntfs_kind:
+        desc = _ntfs_desc(total_sectors=10 * 8)
+        img = _numbered_image(10, 4096)
+    else:
+        desc = _small_fat32()
+        img = _numbered_image(10, 512, lead=512)
+    try:
+        want = _read_clusters_per_cluster(img, desc, flat)
+    except ClusterRangeError as exc:
+        img.reads.clear()
+        with pytest.raises(ClusterRangeError) as got:
+            read_clusters(img, desc, flat)
+        assert str(got.value) == str(exc)
+        assert img.reads == []
+        return
+    old_reads = list(img.reads)
+    img.reads.clear()
+    assert read_clusters(img, desc, flat) == want
+    assert img.reads == old_reads
