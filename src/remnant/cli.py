@@ -123,8 +123,7 @@ def cmd_recover(args) -> int:
         truth_rows = truth.truth_rows() if truth else None
         hashes = {t["sha256"] for t in truth_rows} if truth_rows else None
         recovered, errors = undelete.recover_all(
-            img, scan, out_dir=args.out, jobs=args.jobs,
-            allow_same_media=args.same_media, truth_hashes=hashes)
+            img, scan, out_dir=args.out, jobs=args.jobs, truth_hashes=hashes)
 
     meta = _volume_meta("recover", args, desc)
     meta["output_dir"] = args.out

@@ -9,20 +9,22 @@ have since claimed.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import struct
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
-from .report import RecoveredFile, cluster_runs
+from .report import RecoveredFile
 from .volume import (
+    CorruptBootRecord,
     FsKind,
     VolumeDescriptor,
     VolumeError,
     VolumeImage,
+    cluster_extents,
     cluster_offset,
-    read_clusters,
+    cluster_runs,
 )
 
 DIR_ENTRY_SIZE = 32
@@ -48,7 +50,9 @@ DOTDOT_NAME = b"..         "
 # End-of-chain and bad-cluster markers per FAT width.
 _EOC_MIN = {FsKind.FAT12: 0xFF8, FsKind.FAT16: 0xFFF8, FsKind.FAT32: 0x0FFFFFF8}
 _BAD = {FsKind.FAT12: 0xFF7, FsKind.FAT16: 0xFFF7, FsKind.FAT32: 0x0FFFFFF7}
+_ENTRY_BITS = {FsKind.FAT12: 12, FsKind.FAT16: 16, FsKind.FAT32: 32}
 FAT32_ENTRY_MASK = 0x0FFFFFFF
+_FAT32_HIGH_BYTE = bytes(b & (FAT32_ENTRY_MASK >> 24) for b in range(256))
 
 
 class FatError(Exception):
@@ -203,7 +207,7 @@ class FatTable:
     """The decoded allocation table: one integer per cluster slot."""
 
     kind: FsKind
-    entries: list[int]
+    entries: list[int] | array
 
     def in_heap(self, cluster: int) -> bool:
         return 2 <= cluster < len(self.entries)
@@ -236,23 +240,34 @@ class FatTable:
 
 
 def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
-    """Decode the first FAT copy into a plain list of ints."""
+    """Decode the first FAT copy: an unsigned array on FAT16/32, a list
+    of ints on FAT12; either indexes by cluster number."""
     if desc.kind is FsKind.NTFS:
         raise FatError("not a FAT volume descriptor")
     bps = desc.bytes_per_sector
     raw = img.read_at(desc.reserved_sectors * bps, desc.sectors_per_fat * bps)
     n = desc.cluster_count + 2
+    need = _ceil_div(n * _ENTRY_BITS[desc.kind], 8)
+    if len(raw) < need:
+        raise CorruptBootRecord("corrupt boot record: FAT holds fewer "
+                                "than %d entries" % n)
     if desc.kind is FsKind.FAT12:
         values = []
         for i in range(n):
             o = i * 3 // 2
             pair = raw[o] | (raw[o + 1] << 8)
             values.append((pair >> 4) if i & 1 else (pair & 0xFFF))
-    elif desc.kind is FsKind.FAT16:
-        values = list(struct.unpack_from("<%dH" % n, raw, 0))
+        return FatTable(desc.kind, values)
+    if desc.kind is FsKind.FAT16:
+        values = array("H", raw[:need])
     else:
-        values = [v & FAT32_ENTRY_MASK
-                  for v in struct.unpack_from("<%dI" % n, raw, 0)]
+        # The top nibble of each little-endian entry's last byte is
+        # reserved: clear it in one C-level pass over every fourth byte.
+        buf = bytearray(raw[:need])
+        buf[3::4] = buf[3::4].translate(_FAT32_HIGH_BYTE)
+        values = array("I", buf)
+    if sys.byteorder == "big":
+        values.byteswap()
     return FatTable(desc.kind, values)
 
 
@@ -622,55 +637,38 @@ def find_deleted(surv: FatSurvey, desc: VolumeDescriptor) -> list[DeletedFatEntr
     return out
 
 
-def recover_file(img: VolumeImage, desc: VolumeDescriptor,
-                 entry: DeletedFatEntry, sink=None,
-                 allow_same_media: bool = False) -> RecoveredFile:
-    """Read the hypothesized chain and truncate to the recorded size,
-    so the final cluster's slack never reaches the output."""
+def plan_file(img: VolumeImage, desc: VolumeDescriptor,
+              entry: DeletedFatEntry) -> RecoveredFile:
+    """Lay the hypothesized chain out as extents, validated, and clip it
+    to the recorded size, so the final cluster's slack never reaches
+    the output."""
     if entry.is_directory:
         raise FatError("%s is a directory" % entry.display_name)
-    _check_sink(img, sink, allow_same_media)
-    data = read_clusters(img, desc, entry.chain)
+    runs = cluster_runs(entry.chain)
+    extents = cluster_extents(img, desc, runs)
+    held = len(entry.chain) * desc.cluster_size
     flags = list(entry.flags)
-    if len(data) < entry.size and "truncated" not in flags:
+    if held < entry.size and "truncated" not in flags:
         flags.append("truncated")
-    data = data[:entry.size]
-    digest = hashlib.sha256(data).hexdigest()
-    out_path = _write_sink(sink, data)
     return RecoveredFile(
         name=entry.display_name,
         path=entry.dir_path,
-        size=len(data),
-        sha256=digest,
+        size=min(held, entry.size),
+        sha256="",
         file_class="unknown",
         confidence=entry.confidence,
         source={
             "filesystem": desc.kind.value,
             "entry": entry.entry_id,
-            "clusters": cluster_runs(entry.chain),
+            "clusters": runs,
         },
+        extents=extents,
         flags=flags,
-        output_path=out_path,
-        data=None if out_path else data,
     )
 
 
-def _check_sink(img: VolumeImage, sink, allow_same_media: bool) -> None:
-    if sink is None or not isinstance(sink, (str, bytes, os.PathLike)):
-        return
-    if img.path is None or allow_same_media:
-        return
-    if os.path.realpath(os.fspath(sink)) == os.path.realpath(img.path):
-        raise FatError("sink lives on the volume under analysis")
-
-
-def _write_sink(sink, data: bytes) -> str | None:
-    if sink is None:
-        return None
-    if isinstance(sink, (str, bytes, os.PathLike)):
-        path = os.fspath(sink)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return path
-    sink.write(data)
-    return getattr(sink, "name", None)
+def recover_file(img: VolumeImage, desc: VolumeDescriptor,
+                 entry: DeletedFatEntry, sink=None) -> RecoveredFile:
+    """Stream a deleted file's hypothesized chain into ``sink``, a
+    writable object; with none the payload is kept in memory."""
+    return plan_file(img, desc, entry).stream(img, sink)

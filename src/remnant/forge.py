@@ -30,9 +30,12 @@ from .ntfs import (
 from .volume import (
     FAT12_CLUSTER_LIMIT,
     FAT16_CLUSTER_LIMIT,
+    STREAM_CHUNK,
     FsKind,
     VolumeDescriptor,
+    cluster_extents,
     cluster_offset,
+    cluster_runs,
     detect_filesystem,
     open_image,
 )
@@ -645,8 +648,7 @@ class _FatBuilder:
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
                 first_cluster=clusters[0] if clusters else 0,
-                clusters=[list(r) for r in
-                          _runs_as_start_len(runs_from_clusters(clusters))],
+                clusters=cluster_runs(clusters),
                 entry_offset=-1,  # patched when directories materialize
             )
 
@@ -707,8 +709,7 @@ class _FatBuilder:
                 off = place(entry)
                 truth_dirs[name] = DirTruth(
                     path=name, first_cluster=dir_info[name]["clusters"][0],
-                    clusters=[list(r) for r in _runs_as_start_len(
-                        runs_from_clusters(dir_info[name]["clusters"]))],
+                    clusters=cluster_runs(dir_info[name]["clusters"]),
                     entry_offset=off, lfn_offsets=lfn_offsets)
             else:
                 _, f, lfns, entry = item
@@ -733,10 +734,6 @@ class _FatBuilder:
         for i in range(self.num_fats):
             off = (self.reserved + i * self.fat_sectors) * self.bps
             self.buf[off:off + len(packed)] = packed
-
-
-def _runs_as_start_len(runs) -> list[tuple[int, int]]:
-    return [(start, length) for length, start in runs]
 
 
 def _pack_fat(kind: FsKind, entries: list[int], out_len: int) -> bytes:
@@ -1094,8 +1091,7 @@ class _NtfsBuilder:
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
                 first_cluster=clusters[0] if clusters else 0,
-                clusters=[list(r) for r in
-                          _runs_as_start_len(runs_from_clusters(clusters))],
+                clusters=cluster_runs(clusters),
                 entry_offset=mft_base + idx * rs,
                 resident=resident, record_index=idx)
 
@@ -1524,9 +1520,7 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
         for off, raw in zip(slot_offs, lfns + [entry]):
             fh.seek(off)
             fh.write(raw)
-    return {"path": name, "clusters": [list(r) for r in
-                                       _runs_as_start_len(
-                                           runs_from_clusters(clusters))]}
+    return {"path": name, "clusters": cluster_runs(clusters)}
 
 
 def _ntfs_record_slots(img, desc):
@@ -1635,9 +1629,7 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
         fh.seek(slot_off)
         fh.write(rec)
         _set_bit(fh, mft_bits_abs, slot_index)
-    return {"path": name, "clusters": [list(r) for r in
-                                       _runs_as_start_len(
-                                           runs_from_clusters(clusters))]}
+    return {"path": name, "clusters": cluster_runs(clusters)}
 
 
 # -- sanitization audit ----------------------------------------------------
@@ -1685,13 +1677,18 @@ def _audit_one(img, desc, t: FileTruth) -> dict:
         matching = 0
         pos = 0
         cs = desc.cluster_size
+        batch = max(1, STREAM_CHUNK // cs)
         for start, length in t.clusters:
-            for c in range(start, start + length):
-                span = min(cs, t.size - pos)
-                disk = img.read_at(cluster_offset(desc, c), span)
-                if disk == original[pos:pos + span]:
-                    matching += span
-                pos += span
+            for first in range(start, start + length, batch):
+                count = min(batch, start + length - first)
+                (offset, _), = cluster_extents(img, desc, [(first, count)])
+                want = original[pos:pos + count * cs]
+                disk = img.read_at(offset, len(want))
+                # A chunk that differs is compared cluster by cluster.
+                matching += len(want) if disk == want else sum(
+                    len(want[i:i + cs]) for i in range(0, len(want), cs)
+                    if disk[i:i + cs] == want[i:i + cs])
+                pos += len(want)
     if t.size == 0 or matching == t.size:
         verdict = "RECOVERABLE"
     elif matching == 0:

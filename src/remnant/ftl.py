@@ -274,6 +274,12 @@ class FtlState:
             return False
         if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
             return self.retire_block(victim)
+        # Start no collection that cannot finish: the victim's valid
+        # pages must fit the free pages of the other blocks.
+        valid = (self.geometry.pages_per_block - self.free_count[victim]
+                 - victim_stale)
+        if valid > self.free_pages_active() - self.free_count[victim]:
+            return False
         for p in self.block_pages(victim):
             src = self.pages[p]
             if src.state is not PageState.VALID:

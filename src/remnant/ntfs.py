@@ -8,19 +8,20 @@ header is trusted.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 
-from .report import RecoveredFile, cluster_runs
+from .report import RecoveredFile
 from .volume import (
     FsKind,
     VolumeDescriptor,
     VolumeError,
     VolumeImage,
+    cluster_extents,
     cluster_offset,
+    cluster_runs,
     read_clusters,
 )
 
@@ -673,95 +674,75 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                       live_clusters=live_clusters)
 
 
-def recover_file(img: VolumeImage, desc: VolumeDescriptor,
-                 entry: DeletedNtfsEntry, sink=None,
-                 live_clusters: set[int] | None = None,
-                 allow_same_media: bool = False) -> RecoveredFile:
-    """Rebuild a deleted file's content from its record.
+def plan_file(img: VolumeImage, desc: VolumeDescriptor,
+              entry: DeletedNtfsEntry,
+              live_clusters: set[int] | None = None) -> RecoveredFile:
+    """Lay a deleted file's content out as extents, validated.
 
     Resident data comes straight out of the record; non-resident data
-    follows the run list, substitutes zeros for sparse runs, and stops
-    at the volume edge (flagged, confidence downgraded).  The output is
-    truncated to the real size so slack never leaks into the result.
+    follows the run list, with zero-fill for sparse runs, and stops at
+    the volume edge (flagged, confidence downgraded).  The plan is
+    clipped to the real size so slack never leaks into the result.
     """
     if entry.is_directory:
         raise MftError("record %d is a directory" % entry.record_index)
-    _check_sink(img, sink, allow_same_media)
 
     flags: list[str] = []
     confidence = entry.confidence
-    clusters_used: list[int] = []
+    extents: list = []
+    size = 0
+    real: list[tuple[int, int]] = []
     if entry.resident is None:
-        data = b""
         if entry.size:
             flags.append("no-data-stream")
     elif entry.resident:
-        data = entry.payload or b""
+        extents = [entry.payload or b""]
+        size = len(extents[0])
     else:
-        parts: list[bytes] = []
-        cs = desc.cluster_size
         total = desc.total_clusters
+        runs: list[tuple[int | None, int]] = []
         for run in entry.runs.runs:
             if run.lcn is None:
-                parts.append(b"\x00" * (run.length * cs))
+                runs.append((None, run.length))
                 continue
-            end = run.lcn + run.length
-            readable_end = min(end, total)
-            if run.lcn >= total:
+            count = min(run.length, max(0, total - run.lcn))
+            if count:
+                runs.append((run.lcn, count))
+                real.append((run.lcn, count))
+            if count < run.length:
                 flags.append("partial")
                 break
-            if readable_end < end and "partial" not in flags:
-                flags.append("partial")
-            span = range(run.lcn, readable_end)
-            parts.append(read_clusters(img, desc, span))
-            clusters_used.extend(span)
-            if readable_end < end:
-                break
-        data = b"".join(parts)
-        if len(data) < entry.size:
-            if "partial" not in flags:
-                flags.append("truncated")
-        data = data[:entry.size]
+        extents = cluster_extents(img, desc, runs)
+        held = sum(length for _, length in extents)
+        if held < entry.size and "partial" not in flags:
+            flags.append("truncated")
+        size = min(held, entry.size)
         if "partial" in flags:
             confidence = "partial"
-        if live_clusters and any(c in live_clusters for c in clusters_used):
+        if live_clusters and any(not live_clusters.isdisjoint(
+                range(lcn, lcn + count)) for lcn, count in real):
             flags.append("overwritten-risk")
 
-    digest = hashlib.sha256(data).hexdigest()
-    out_path = _write_sink(sink, data)
     return RecoveredFile(
         name=entry.name,
-        size=len(data),
-        sha256=digest,
+        size=size,
+        sha256="",
         file_class="unknown",
         confidence=confidence,
         source={
             "filesystem": desc.kind.value,
             "entry": entry.entry_id,
-            "clusters": cluster_runs(clusters_used),
+            "clusters": cluster_runs(chain.from_iterable(
+                range(lcn, lcn + count) for lcn, count in real)),
         },
+        extents=extents,
         flags=flags,
-        output_path=out_path,
-        data=None if out_path else data,
     )
 
 
-def _check_sink(img: VolumeImage, sink, allow_same_media: bool) -> None:
-    if sink is None or not isinstance(sink, (str, bytes, os.PathLike)):
-        return
-    if img.path is None or allow_same_media:
-        return
-    if os.path.realpath(os.fspath(sink)) == os.path.realpath(img.path):
-        raise MftError("sink lives on the volume under analysis")
-
-
-def _write_sink(sink, data: bytes) -> str | None:
-    if sink is None:
-        return None
-    if isinstance(sink, (str, bytes, os.PathLike)):
-        path = os.fspath(sink)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return path
-    sink.write(data)
-    return getattr(sink, "name", None)
+def recover_file(img: VolumeImage, desc: VolumeDescriptor,
+                 entry: DeletedNtfsEntry, sink=None,
+                 live_clusters: set[int] | None = None) -> RecoveredFile:
+    """Stream a deleted file's content into ``sink``, a writable object;
+    with none the payload is kept in memory."""
+    return plan_file(img, desc, entry, live_clusters).stream(img, sink)

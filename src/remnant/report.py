@@ -8,24 +8,15 @@ output forms cannot drift apart.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
-from .filetypes import CLASSES
+from .filetypes import CLASSES, classify
+from .volume import VolumeImage, stream_extents
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "remnant"
-
-
-def cluster_runs(clusters) -> list[list[int]]:
-    """Compress a cluster list into [start, length] runs for reporting."""
-    runs: list[list[int]] = []
-    for c in clusters:
-        if runs and c == runs[-1][0] + runs[-1][1]:
-            runs[-1][1] += 1
-        else:
-            runs.append([c, 1])
-    return runs
 
 
 def exact_percent(numerator: int, denominator: int) -> float | None:
@@ -42,7 +33,12 @@ def exact_percent(numerator: int, denominator: int) -> float | None:
 
 @dataclass
 class RecoveredFile:
-    """One recovered payload plus everything the report needs to say."""
+    """One recovered payload plus everything the report needs to say.
+
+    Recovery plans a file first: every field is settled but the hash and
+    the class, and ``extents`` say where the bytes lie.  ``stream`` then
+    reads them and fills those two in.
+    """
 
     name: str
     size: int
@@ -55,6 +51,7 @@ class RecoveredFile:
     output_path: str | None = None
     byte_identical: bool | None = None
     data: bytes | None = None           # in-memory payload, never serialized
+    extents: list = field(default_factory=list)  # never serialized
 
     def to_dict(self) -> dict:
         return {
@@ -69,6 +66,18 @@ class RecoveredFile:
             "output": self.output_path,
             "byte_identical": self.byte_identical,
         }
+
+    def stream(self, img: VolumeImage, sink=None) -> RecoveredFile:
+        """Read the payload into ``sink`` (any object with ``write``) and
+        fill in the hash and the class; without a sink the payload is
+        kept in memory as ``data``."""
+        out = io.BytesIO() if sink is None else sink
+        self.sha256, head = stream_extents(img, self.extents, self.size, out)
+        self.file_class = classify(head, self.name)
+        self.output_path = getattr(sink, "name", None)
+        if sink is None:
+            self.data = out.getvalue()
+        return self
 
 
 def summarize(files, truth_files=None) -> dict:

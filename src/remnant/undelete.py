@@ -14,10 +14,10 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import fat as fatmod
 from . import ntfs as ntfsmod
-from .filetypes import classify
 from .report import RecoveredFile
 from .volume import FsKind, VolumeDescriptor, VolumeError, VolumeImage
 
@@ -187,20 +187,29 @@ def scan_volume(img: VolumeImage, desc: VolumeDescriptor,
                       live_rows=live_rows, stats=stats)
 
 
-def recover_one(img: VolumeImage, scan: ScanResult,
-                cand: Candidate) -> RecoveredFile:
-    """Recover one candidate into memory and classify its content."""
+def plan_one(img: VolumeImage, scan: ScanResult,
+             cand: Candidate) -> RecoveredFile:
+    """Plan one candidate's recovery; the scan's flags ride along."""
     if scan.desc.kind is FsKind.NTFS:
-        rf = ntfsmod.recover_file(img, scan.desc, cand.entry,
-                                  live_clusters=scan.live_clusters)
-        rf.path = cand.path
+        plan = ntfsmod.plan_file(img, scan.desc, cand.entry,
+                                 live_clusters=scan.live_clusters)
     else:
-        rf = fatmod.recover_file(img, scan.desc, cand.entry)
-    rf.file_class = classify(rf.data or b"", rf.name)
+        plan = fatmod.plan_file(img, scan.desc, cand.entry)
+    plan.path = cand.path
     for fl in cand.flags:
-        if fl not in rf.flags:
-            rf.flags.append(fl)
-    return rf
+        if fl not in plan.flags:
+            plan.flags.append(fl)
+    return plan
+
+
+def recover_one(img: VolumeImage, plan: RecoveredFile,
+                dest: str | None = None) -> RecoveredFile:
+    """Stream one planned file into a new file at ``dest``, or into
+    memory when there is none."""
+    if dest is None:
+        return plan.stream(img)
+    with open(dest, "wb") as fh:
+        return plan.stream(img, fh)
 
 
 _UNSAFE = re.compile(r'[\\/:*?"<>|\x00-\x1f]')
@@ -246,45 +255,35 @@ def check_out_dir(img: VolumeImage, out_dir: str,
 
 
 def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str | None = None,
-                jobs: int = 1, allow_same_media: bool = False,
-                truth_hashes: set[str] | None = None):
+                jobs: int = 1, truth_hashes: set[str] | None = None):
     """Recover every non-directory candidate.
 
     Returns (recovered, errors) where errors is a list of
     (candidate, message) for entries whose metadata no longer supports
-    a read.  Report order matches scan order regardless of ``jobs``.
+    a read.  Every candidate is planned first, so a failed one takes no
+    output name; the workers then stream each file straight into its
+    output.  Report order matches scan order regardless of ``jobs``.
     """
-    files = scan.files
-
-    def one(cand: Candidate):
-        try:
-            return recover_one(img, scan, cand), None
-        except (fatmod.FatError, ntfsmod.MftError, VolumeError) as exc:
-            return None, (cand, str(exc))
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, files))
-    else:
-        results = [one(c) for c in files]
-
-    recovered: list[RecoveredFile] = []
+    plans: list[RecoveredFile] = []
     errors: list[tuple[Candidate, str]] = []
-    for rf, err in results:
-        if rf is not None:
-            recovered.append(rf)
-        else:
-            errors.append(err)
+    for cand in scan.files:
+        try:
+            plans.append(plan_one(img, scan, cand))
+        except (fatmod.FatError, ntfsmod.MftError, VolumeError) as exc:
+            errors.append((cand, str(exc)))
 
+    dests: list[str | None] = [None] * len(plans)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         taken: set[str] = set()
-        for rf in recovered:
-            dest = os.path.join(out_dir, output_name(rf.path, rf.name, taken))
-            with open(dest, "wb") as fh:
-                fh.write(rf.data or b"")
-            rf.output_path = dest
-            rf.data = None
+        dests = [os.path.join(out_dir, output_name(p.path, p.name, taken))
+                 for p in plans]
+
+    if jobs > 1 and len(plans) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            recovered = list(pool.map(recover_one, repeat(img), plans, dests))
+    else:
+        recovered = list(map(recover_one, repeat(img), plans, dests))
 
     if truth_hashes is not None:
         for rf in recovered:

@@ -7,6 +7,7 @@ to be, and turns cluster numbers into byte offsets.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ FAT12_CLUSTER_LIMIT = 4085   # below this: FAT12
 FAT16_CLUSTER_LIMIT = 65525  # below this: FAT16, else FAT32
 
 MIN_IMAGE_BYTES = 512
+
+STREAM_CHUNK = 4 << 20  # most bytes one read may hold while streaming
+HEAD_BYTES = 64         # leading payload bytes kept for classification
 
 
 class VolumeError(Exception):
@@ -85,13 +89,17 @@ class VolumeImage:
     def from_bytes(cls, data, base_offset=0) -> "VolumeImage":
         return cls(buffer=data, base_offset=base_offset)
 
-    def read_at(self, offset: int, length: int) -> bytes:
-        """Read exactly ``length`` bytes at ``offset`` (volume-relative)."""
+    def check_span(self, offset: int, length: int) -> None:
+        """Raise VolumeError unless [offset, offset + length) is readable."""
         if offset < 0 or length < 0 or offset + length > self.size:
             raise VolumeError(
                 "read [%d:%d) outside volume of %d bytes"
                 % (offset, offset + length, self.size)
             )
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        """Read exactly ``length`` bytes at ``offset`` (volume-relative)."""
+        self.check_span(offset, length)
         pos = self.base_offset + offset
         if self._buffer is not None:
             return self._buffer[pos:pos + length]
@@ -313,6 +321,46 @@ def cluster_offset(desc: VolumeDescriptor, cluster: int) -> int:
             + (cluster - 2) * desc.cluster_size)
 
 
+def cluster_runs(clusters) -> list[list[int]]:
+    """Compress a cluster list into [start, length] runs."""
+    runs: list[list[int]] = []
+    for c in clusters:
+        if runs and c == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    return runs
+
+
+def cluster_extents(img: VolumeImage, desc: VolumeDescriptor,
+                    runs) -> list[tuple[int | None, int]]:
+    """Byte extents (offset, length) of cluster runs (first, count).
+
+    A run whose first cluster is None is sparse and becomes the zero-fill
+    extent (None, length).  Every run is checked before any byte is
+    read: an out-of-range member raises ClusterRangeError naming the
+    first offending cluster, and a run past the end of the image raises
+    the VolumeError that reading it would.
+    """
+    # The valid numbers are one interval, so a run whose ends are valid
+    # is valid throughout; when only its last end is not, the first
+    # offending member is the one just past the heap.
+    for first, count in runs:
+        if first is not None:
+            cluster_offset(desc, first)
+            cluster_offset(desc, min(first + count - 1, desc.max_cluster + 1))
+    cs = desc.cluster_size
+    extents: list[tuple[int | None, int]] = []
+    for first, count in runs:
+        if first is None:
+            extents.append((None, count * cs))
+            continue
+        offset = cluster_offset(desc, first)
+        img.check_span(offset, count * cs)
+        extents.append((offset, count * cs))
+    return extents
+
+
 def read_clusters(img: VolumeImage, desc: VolumeDescriptor, clusters) -> bytes:
     """Concatenate the raw bytes of the given clusters, in order.
 
@@ -321,20 +369,44 @@ def read_clusters(img: VolumeImage, desc: VolumeDescriptor, clusters) -> bytes:
     silently short result.  Consecutive cluster numbers form one run,
     read with a single ``read_at``.
     """
-    clusters = list(clusters)
-    if not clusters:
-        return b""
-    cuts = [i for i in range(1, len(clusters))
-            if clusters[i] != clusters[i - 1] + 1]
-    runs = [(clusters[lo], clusters[hi - 1])
-            for lo, hi in zip([0] + cuts, cuts + [len(clusters)])]
-    # The valid numbers are one interval, so a run whose ends are valid
-    # is valid throughout; when only its last end is not, the first
-    # offending member is the one just past the heap.
-    for first, last in runs:
-        cluster_offset(desc, first)
-        cluster_offset(desc, min(last, desc.max_cluster + 1))
-    size = desc.cluster_size
-    return b"".join(img.read_at(cluster_offset(desc, first),
-                                (last - first + 1) * size)
-                    for first, last in runs)
+    extents = cluster_extents(img, desc, cluster_runs(clusters))
+    return b"".join(img.read_at(offset, length) for offset, length in extents)
+
+
+def _extent_chunks(img: VolumeImage, extent, limit: int):
+    """The first ``limit`` bytes of one extent, at most STREAM_CHUNK at
+    a time."""
+    if isinstance(extent, bytes):
+        yield extent[:limit]
+        return
+    offset, length = extent
+    length = min(length, limit)
+    if offset is None:
+        zeros = memoryview(bytes(min(length, STREAM_CHUNK)))
+    for pos in range(0, length, STREAM_CHUNK):
+        n = min(STREAM_CHUNK, length - pos)
+        yield zeros[:n] if offset is None else img.read_at(offset + pos, n)
+
+
+def stream_extents(img: VolumeImage, extents, size: int,
+                   sink) -> tuple[str, bytes]:
+    """Write the first ``size`` bytes of ``extents`` to ``sink``.
+
+    An extent is a volume span (offset, length), a zero-fill run
+    (None, length), or ``bytes`` taken as they are (resident data).  No
+    read or zero chunk exceeds STREAM_CHUNK bytes, so memory stays
+    bounded whatever length the extents claim.  Each chunk goes to one
+    sha256 and to ``sink.write``.  Returns the hex digest and the first
+    HEAD_BYTES bytes.
+    """
+    digest = hashlib.sha256()
+    head = b""
+    left = size
+    for extent in extents:
+        for chunk in _extent_chunks(img, extent, left):
+            digest.update(chunk)
+            sink.write(chunk)
+            if len(head) < HEAD_BYTES:
+                head += chunk[:HEAD_BYTES - len(head)]
+            left -= len(chunk)
+    return digest.hexdigest(), head

@@ -23,6 +23,7 @@ from remnant.fat import (
     survey,
 )
 from remnant.volume import (
+    CorruptBootRecord,
     FsKind,
     VolumeDescriptor,
     VolumeImage,
@@ -568,3 +569,99 @@ def test_strided_carve_matches_the_per_cluster_reference(heap):
     got = list(fatmod._carve_orphan_dirs(img, desc, fat, live, got_consumed))
     assert got == want
     assert got_consumed == want_consumed
+
+
+# ------------------------------------------------------- table decoding
+
+def _load_fat_per_entry(raw, kind, n):
+    """Reference: the per-entry decoder the array decode replaced."""
+    if kind is FsKind.FAT16:
+        return list(struct.unpack_from("<%dH" % n, raw, 0))
+    return [v & 0x0FFFFFFF for v in struct.unpack_from("<%dI" % n, raw, 0)]
+
+
+def _table_volume(kind, raw, n):
+    sectors = -(-len(raw) // 512)
+    desc = VolumeDescriptor(
+        kind=kind, bytes_per_sector=512, sectors_per_cluster=1,
+        total_sectors=1 + sectors + n, reserved_sectors=1, num_fats=1,
+        sectors_per_fat=sectors, first_data_sector=1 + sectors,
+        cluster_count=n - 2)
+    return VolumeImage.from_bytes(bytes(512) + raw.ljust(sectors * 512,
+                                                         b"\0")), desc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fat32=st.booleans(),
+       tail=st.binary(max_size=9))
+@example(data=None, fat32=True, tail=b"\xff" * 4)
+def test_table_decode_matches_the_per_entry_reference(data, fat32, tail):
+    kind = FsKind.FAT32 if fat32 else FsKind.FAT16
+    width = 4 if fat32 else 2
+    if data is None:        # every reserved bit set
+        values = [(1 << 8 * width) - 1] * 40
+    else:
+        values = data.draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << 8 * width) - 1),
+            min_size=2, max_size=700))
+    raw = b"".join(v.to_bytes(width, "little") for v in values) + tail
+    img, desc = _table_volume(kind, raw, len(values))
+    got = fatmod.load_fat(img, desc).entries
+    assert list(got) == _load_fat_per_entry(raw, kind, len(values))
+
+
+def test_table_shorter_than_the_heap_is_reported():
+    # 600 clusters need 1,204 table bytes; one sector holds 512.
+    desc = _desc16(cluster_count=600)
+    img = VolumeImage.from_bytes(bytes(desc.total_sectors * 512))
+    with pytest.raises(CorruptBootRecord):
+        fatmod.load_fat(img, desc)
+    assert any("allocation table unreadable" in w
+               for w in survey(img, desc).warnings)
+
+
+# ---------------------------------------------------- run-at-a-time audit
+
+def _audit_per_cluster(img, desc, t):
+    """Reference: the per-cluster compare the run-at-a-time audit
+    replaced."""
+    original = forge.content_bytes(t.file_class, t.size, t.seed)
+    matching = pos = 0
+    cs = desc.cluster_size
+    for start, length in t.clusters:
+        for c in range(start, start + length):
+            span = min(cs, t.size - pos)
+            disk = img.read_at(cluster_offset(desc, c), span)
+            if disk == original[pos:pos + span]:
+                matching += span
+            pos += span
+    return matching
+
+
+@pytest.mark.parametrize("chunk_clusters", [None, 3])
+def test_audit_counts_a_partial_overwrite_like_the_per_cluster_reference(
+        image_copy, monkeypatch, chunk_clusters):
+    path, truth = image_copy("fat16")
+    t = max((t for t in truth.files.values()
+             if not t.resident and t.clusters and t.clusters[0][1] >= 6),
+            key=lambda t: t.size)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+    cs = desc.cluster_size
+    start = t.clusters[0][0]
+    original = forge.content_bytes(t.file_class, t.size, t.seed)
+    with open(path, "r+b") as fh:
+        # Two flipped bytes inside the second cluster, and the fifth
+        # cluster zeroed, all within the file's first run.
+        fh.seek(cluster_offset(desc, start + 1) + 7)
+        fh.write(bytes(b ^ 0xFF for b in original[cs + 7:cs + 9]))
+        fh.seek(cluster_offset(desc, start + 4))
+        fh.write(bytes(cs))
+    if chunk_clusters:
+        monkeypatch.setattr(forge, "STREAM_CHUNK", chunk_clusters * cs)
+    row = next(r for r in forge.audit_image(path, truth)["files"]
+               if r["path"] == t.path)
+    with open_image(path) as img:
+        want = _audit_per_cluster(img, desc, t)
+    assert want == t.size - 2 * cs
+    assert (row["verdict"], row["recoverable_bytes"]) == ("PARTIAL", want)

@@ -4,6 +4,8 @@ import hashlib
 import io
 import shutil
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +19,8 @@ from remnant.ntfs import (
     FixupError,
     MftError,
     MftScanStats,
+    Run,
+    RunList,
     RunListError,
     apply_fixup,
     decode_data_runs,
@@ -415,6 +419,54 @@ def test_sink_and_buffer_agree(image_copy, tmp_path):
     assert buffered.data == sink.getvalue()
     assert streamed.output_path is None   # a stream sink has no path
     assert buffered.sha256 == streamed.sha256
+
+
+# ------------------------------------------------- hostile run lengths
+
+def _deleted_non_resident(tmp_path):
+    spec = forge.CorpusSpec(
+        filesystem="ntfs", total_size=16 * 1024 * 1024,
+        files=[forge.FileSpec(name="TINY.BIN", file_class="audio",
+                              size=10_000)])
+    img_path = tmp_path / "h.img"
+    truth = forge.build_image(spec, img_path)
+    forge.apply_mutation(img_path, "delete", truth=truth, target="TINY.BIN")
+    img, desc = _open(img_path)
+    entry = next(e for e in survey(img, desc).deleted if e.name == "TINY.BIN")
+    assert entry.resident is False
+    return img, desc, entry
+
+
+def test_sparse_run_streams_in_bounded_memory(tmp_path):
+    # 50,000 sparse 4 KiB clusters (195 MiB of zeros) behind a 10-byte
+    # file: only the recorded size may be produced, in bounded chunks.
+    img, desc, entry = _deleted_non_resident(tmp_path)
+    hostile = replace(entry, size=10, runs=RunList([Run(50_000, None)]))
+    with img:
+        tracemalloc.start()
+        try:
+            got = recover_file(img, desc, hostile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (got.size, got.data, got.flags) == (10, bytes(10), [])
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("lcn", [None, 100])
+def test_run_length_near_two_to_the_32_stays_bounded(tmp_path, lcn):
+    img, desc, entry = _deleted_non_resident(tmp_path)
+    hostile = replace(entry, size=10, runs=RunList([Run(2 ** 32 - 1, lcn)]))
+    with img:
+        got = recover_file(img, desc, hostile)
+        want = bytes(10) if lcn is None else \
+            img.read_at(lcn * desc.cluster_size, 10)
+    assert (got.size, got.data) == (10, want)
+    if lcn is not None:
+        # The run is clipped to the volume, not read to its claimed end.
+        assert got.flags == ["partial"]
+        assert got.confidence == "partial"
+        assert got.source["clusters"] == [[lcn, desc.total_clusters - lcn]]
 
 
 # ------------------------------------------------- strided carve vs per-slot

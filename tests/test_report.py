@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from remnant.report import (
     RecoveredFile,
-    cluster_runs,
     dump_json,
     exact_percent,
     make_report,
     render_text,
     summarize,
 )
+from remnant.volume import cluster_runs
 
 
 # --------------------------------------------------------- exact_percent

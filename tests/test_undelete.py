@@ -1,11 +1,25 @@
 """The filesystem-neutral pipeline shared by scan and recover."""
 
+import hashlib
+import os
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from remnant import undelete
+from remnant import forge, undelete
+from remnant.filetypes import MAGIC_TABLE, classify
 from remnant.undelete import output_name, recover_all, scan_volume
-from remnant.volume import detect_filesystem, open_image
+from remnant.volume import (
+    HEAD_BYTES,
+    STREAM_CHUNK,
+    FsKind,
+    cluster_runs,
+    detect_filesystem,
+    open_image,
+    read_clusters,
+)
 
 
 # ------------------------------------------------------------ output names
@@ -121,3 +135,137 @@ def test_ntfs_candidates_resolve_one_parent_level(image_copy):
     seen = {c.path for c in scan.files}
     for d in dirs:
         assert d in seen, "no candidate carries directory %r" % d
+
+
+# ------------------------------------------------- streamed recovery
+
+def _recover_buffered(img, scan, cand):
+    """Reference: the whole-payload recovery that streaming replaced --
+    read every cluster into one buffer, cut it to size, hash it."""
+    desc = scan.desc
+    entry = cand.entry
+    flags = []
+    confidence = entry.confidence
+    if desc.kind is FsKind.NTFS:
+        clusters_used = []
+        if entry.resident is None:
+            data = b""
+            if entry.size:
+                flags.append("no-data-stream")
+        elif entry.resident:
+            data = entry.payload or b""
+        else:
+            parts = []
+            total = desc.total_clusters
+            for run in entry.runs.runs:
+                if run.lcn is None:
+                    parts.append(b"\x00" * (run.length * desc.cluster_size))
+                    continue
+                end = run.lcn + run.length
+                readable_end = min(end, total)
+                if run.lcn >= total:
+                    flags.append("partial")
+                    break
+                if readable_end < end and "partial" not in flags:
+                    flags.append("partial")
+                span = range(run.lcn, readable_end)
+                parts.append(read_clusters(img, desc, span))
+                clusters_used.extend(span)
+                if readable_end < end:
+                    break
+            data = b"".join(parts)
+            if len(data) < entry.size and "partial" not in flags:
+                flags.append("truncated")
+            data = data[:entry.size]
+            if "partial" in flags:
+                confidence = "partial"
+            if scan.live_clusters and any(c in scan.live_clusters
+                                          for c in clusters_used):
+                flags.append("overwritten-risk")
+        name = entry.name
+    else:
+        clusters_used = entry.chain
+        data = read_clusters(img, desc, entry.chain)
+        flags = list(entry.flags)
+        if len(data) < entry.size and "truncated" not in flags:
+            flags.append("truncated")
+        data = data[:entry.size]
+        name = entry.display_name
+    for fl in cand.flags:
+        if fl not in flags:
+            flags.append(fl)
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data),
+            "flags": flags, "confidence": confidence,
+            "source": {"filesystem": desc.kind.value, "entry": entry.entry_id,
+                       "clusters": cluster_runs(clusters_used)},
+            "class": classify(data, name), "data": data}
+
+
+@pytest.mark.parametrize("fs", ["fat12", "fat16", "fat32", "ntfs"])
+# A full overwrite leaves no candidate to compare.
+@pytest.mark.parametrize("mutation", ["delete-all", "quick-format"])
+def test_streamed_recovery_matches_the_buffered_reference(image_copy, fs,
+                                                          mutation):
+    path, _ = image_copy(fs, mutation)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        scan = scan_volume(img, desc, deep=True)
+        assert scan.files
+        for cand in scan.files:
+            want = _recover_buffered(img, scan, cand)
+            got = undelete.recover_one(img, undelete.plan_one(img, scan, cand))
+            assert (got.sha256, got.size, got.flags, got.confidence,
+                    got.source, got.file_class, got.data) == (
+                want["sha256"], want["size"], want["flags"],
+                want["confidence"], want["source"], want["class"],
+                want["data"]), cand.entry_id
+
+
+def test_classification_sees_every_magic_prefix():
+    assert max(len(magic) for magic, _ in MAGIC_TABLE) <= HEAD_BYTES
+
+
+def test_plan_failure_takes_no_output_name(image_copy, tmp_path):
+    # A candidate that fails to plan ahead of a namesake must not push
+    # the namesake onto a numbered name.
+    path, _ = image_copy("fat16", "delete-all")
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        scan = scan_volume(img, desc)
+        good = scan.files[0]
+        bad = replace(good, entry=replace(good.entry,
+                                          chain=[desc.max_cluster + 1]))
+        scan.candidates.insert(scan.candidates.index(good), bad)
+        recovered, errors = recover_all(img, scan, out_dir=str(tmp_path))
+    assert errors == [(bad, "cluster %d outside heap"
+                       % (desc.max_cluster + 1))]
+    first = next(r for r in recovered if r.source["entry"] == good.entry_id)
+    assert os.path.basename(first.output_path) == \
+        output_name(good.path, good.name, set())
+    assert len(recovered) == len(scan.files) - 1
+
+
+def test_recovery_memory_does_not_grow_with_the_bytes_recovered(tmp_path):
+    spec = forge.CorpusSpec(
+        filesystem="fat32", total_size=48 << 20,
+        files=[forge.FileSpec("BIG%d.BIN" % i, "video", 2 << 20, seed=i)
+               for i in range(8)])
+    img_path = tmp_path / "big.img"
+    truth = forge.build_image(spec, img_path)
+    forge.apply_mutation(img_path, "delete-all", truth=truth)
+    with open_image(img_path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        tracemalloc.start()
+        try:
+            recovered, errors = recover_all(
+                img, scan, out_dir=str(tmp_path / "out"), jobs=2,
+                truth_hashes={t.sha256 for t in truth.files.values()})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert errors == []
+    assert sum(r.byte_identical for r in recovered) == 8
+    for r in recovered:
+        with open(r.output_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == r.sha256
+    assert peak < 3 * STREAM_CHUNK
