@@ -53,14 +53,15 @@ def main() -> None:
 
             fat = load_fat(img, desc)
             print("\nchain hypothesis (forward walk over free clusters):")
-            print("  clusters      %s%s"
-                  % (entry.chain[:8],
-                     " ..." if len(entry.chain) > 8 else ""))
+            print("  runs          %s  ([first cluster, count])"
+                  % entry.chain)
             print("  confidence    %s  flags %s"
                   % (entry.confidence, entry.flags or "[]"))
-            free = sum(1 for c in entry.chain if fat.is_free(c))
+            held = sum(count for _, count in entry.chain)
+            free = sum(1 for first, count in entry.chain
+                       for c in range(first, first + count) if fat.is_free(c))
             print("  %d/%d clusters still marked free in the FAT"
-                  % (free, len(entry.chain)))
+                  % (free, held))
 
             from remnant.fat import recover_file
             rec = recover_file(img, desc, entry)

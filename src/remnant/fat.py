@@ -4,7 +4,8 @@ Deletion on FAT only swaps the first name byte for 0xE5 and zeroes the
 file's FAT chain; the rest of the directory entry (size, first cluster,
 timestamps) survives.  Recovery therefore reads the entry as-is and
 rebuilds the chain by contiguity, skipping clusters that live files
-have since claimed.
+have since claimed.  Chains are [first, count] cluster runs throughout,
+and live space is an allocation bitmap with one byte per cluster number.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ from .volume import (
     VolumeImage,
     cluster_extents,
     cluster_offset,
-    cluster_runs,
+    mark_runs,
 )
 
 DIR_ENTRY_SIZE = 32
@@ -55,7 +57,7 @@ FAT32_ENTRY_MASK = 0x0FFFFFFF
 _FAT32_HIGH_BYTE = bytes(b & (FAT32_ENTRY_MASK >> 24) for b in range(256))
 
 
-class FatError(Exception):
+class FatError(VolumeError):
     """Base error for FAT handling."""
 
 
@@ -215,28 +217,37 @@ class FatTable:
     def is_free(self, cluster: int) -> bool:
         return self.entries[cluster] == 0
 
-    def is_bad(self, cluster: int) -> bool:
-        return self.entries[cluster] == _BAD[self.kind]
-
     def is_eoc(self, value: int) -> bool:
         return value >= _EOC_MIN[self.kind]
 
     def chain_from(self, first: int, limit: int | None = None):
-        """Follow a live chain.  Returns (clusters, ended_with_eoc)."""
-        chain: list[int] = []
-        seen: set[int] = set()
-        c = first
+        """Follow a live chain for at most ``limit`` clusters.  Returns
+        (runs, ended_with_eoc): the chain as [first, count] runs, cut
+        before the first cluster it would visit twice."""
+        runs: list[list[int]] = []
+        starts: list[int] = []                 # the runs' firsts, sorted
+        by_start: dict[int, list[int]] = {}
         cap = limit if limit is not None else len(self.entries)
-        while self.in_heap(c) and c not in seen and len(chain) < cap:
-            seen.add(c)
-            chain.append(c)
+        taken = 0
+        c = first
+        while self.in_heap(c) and taken < cap:
+            i = bisect_right(starts, c) - 1
+            if i >= 0 and c < starts[i] + by_start[starts[i]][1]:
+                break                          # the chain loops back
+            if runs and c == runs[-1][0] + runs[-1][1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([c, 1])
+                by_start[c] = runs[-1]
+                insort(starts, c)
+            taken += 1
             value = self.entries[c]
             if self.is_eoc(value):
-                return chain, True
+                return runs, True
             if value == 0 or value == _BAD[self.kind]:
-                return chain, False
+                return runs, False
             c = value
-        return chain, False
+        return runs, False
 
 
 def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
@@ -275,7 +286,7 @@ def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
 class FatSurvey:
     entries: list[FatDirEntry]
     fat: FatTable
-    live_clusters: set[int]
+    live_clusters: bytearray    # 1 per cluster a live chain holds
     warnings: list[str] = field(default_factory=list)
 
 
@@ -298,12 +309,23 @@ def _dir_slots_from_blocks(img, blocks):
             yield base + pos, raw[pos:pos + DIR_ENTRY_SIZE]
 
 
+def _run_blocks(img, desc, runs):
+    """Byte regions of cluster runs, each cut to the whole clusters the
+    image holds, so a truncated image keeps its readable clusters."""
+    cs = desc.cluster_size
+    blocks = []
+    for first, count in runs:
+        base = cluster_offset(desc, first)
+        blocks.append((base, min(count, max(0, img.size - base) // cs) * cs))
+    return blocks
+
+
 def _root_blocks(img, desc, fat, live_clusters):
     bps = desc.bytes_per_sector
     if desc.kind is FsKind.FAT32:
-        chain, _ = fat.chain_from(desc.root_cluster)
-        live_clusters.update(chain)
-        return [(cluster_offset(desc, c), desc.cluster_size) for c in chain]
+        runs, _ = fat.chain_from(desc.root_cluster)
+        mark_runs(live_clusters, runs)
+        return _run_blocks(img, desc, runs)
     return [(desc.root_dir_sector * bps, desc.root_entries * DIR_ENTRY_SIZE)]
 
 
@@ -354,8 +376,9 @@ def _block_all_plausible(buf: bytes) -> bool:
     return seen_any
 
 
-def _collect_orphan_dir(img, desc, fat, start, excluded, consumed):
-    """Gather a carved directory starting at ``start``.
+def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
+    """Gather a carved directory starting at ``start`` and mark its
+    clusters in the ``consumed`` bitmap.  Returns its slots.
 
     The chain is gone, so continuation is by contiguity: keep taking the
     next cluster while the previous one ended without an end-of-directory
@@ -363,26 +386,25 @@ def _collect_orphan_dir(img, desc, fat, start, excluded, consumed):
     """
     cs = desc.cluster_size
     slots = []
-    clusters = []
     c = start
-    while fat.in_heap(c) and c not in excluded and c not in consumed:
+    while fat.in_heap(c) and not live_clusters[c] and not consumed[c]:
         buf = _read_or_none(img, cluster_offset(desc, c), cs)
         if buf is None:
             break
         if c != start and not _block_all_plausible(buf):
             break
         base = cluster_offset(desc, c)
+        c += 1
         end_here = False
         for pos in range(0, cs - DIR_ENTRY_SIZE + 1, DIR_ENTRY_SIZE):
             slots.append((base + pos, buf[pos:pos + DIR_ENTRY_SIZE]))
             if buf[pos] == END_MARK:
                 end_here = True
                 break
-        clusters.append(c)
         if end_here:
             break
-        c += 1
-    return slots, clusters
+    mark_runs(consumed, [(start, c - start)])
+    return slots
 
 
 def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
@@ -392,7 +414,8 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     slice takes the first byte of each cluster, and ``find`` walks it for
     the '.' that opens a directory, so Python work grows with the
     candidates, not the clusters.  Candidates are taken in ascending
-    order and each carved directory's clusters join ``consumed``.
+    order and each carved directory's clusters are marked in the
+    ``consumed`` bitmap.
     """
     cs = desc.cluster_size
     batch = max(1, (4 << 20) // cs)
@@ -409,13 +432,11 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
         while i != -1:
             cluster = c + i
             if (chunk.startswith(DOT_NAME, i * cs)
-                    and cluster not in live_clusters
-                    and cluster not in consumed
+                    and not live_clusters[cluster]
+                    and not consumed[cluster]
                     and _qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs])):
-                slots, clusters = _collect_orphan_dir(
+                yield cluster, _collect_orphan_dir(
                     img, desc, fat, cluster, live_clusters, consumed)
-                consumed.update(clusters)
-                yield cluster, slots
             i = heads.find(dot, i + 1)
         c += count
 
@@ -424,14 +445,18 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
            deep: bool = False) -> FatSurvey:
     """Walk the live tree; with ``deep`` also carve orphaned directories.
 
-    The live walk records every cluster reachable from live chains so
-    the carve pass only ever looks at abandoned space.
+    The live walk marks every cluster reachable from live chains in an
+    allocation bitmap so the carve pass only ever looks at abandoned
+    space.
     """
-    live_clusters: set[int] = set()
+    live_clusters = bytearray(desc.max_cluster + 1)
+    consumed = bytearray(desc.max_cluster + 1)
     entries: list[FatDirEntry] = []
     warnings: list[str] = []
     try:
         fat = load_fat(img, desc)
+    except FatError:
+        raise                   # not a FAT volume at all
     except VolumeError as exc:
         # Truncated/damaged image: chains are gone, but the directory
         # walk and the orphan carve can still run against what's left.
@@ -439,7 +464,6 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         warnings.append("allocation table unreadable (%s); carve-only "
                         "results" % exc)
     seen_offsets: set[int] = set()
-    consumed: set[int] = set()
 
     queue: deque[tuple[str, list]] = deque(
         [("", _root_blocks(img, desc, fat, live_clusters))])
@@ -459,20 +483,19 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             entries.append(entry)
             if entry.deleted:
                 continue
-            chain, ok = fat.chain_from(entry.first_cluster)
+            runs, ok = fat.chain_from(entry.first_cluster)
             if entry.is_directory:
                 if entry.first_cluster in visited_dirs:
                     continue
                 visited_dirs.add(entry.first_cluster)
-                live_clusters.update(chain)
+                mark_runs(live_clusters, runs)
                 if not ok:
                     warnings.append("directory %s has a broken chain"
                                     % entry.display_name)
                 sub = path + "/" + entry.display_name if path else entry.display_name
-                queue.append((sub, [(cluster_offset(desc, c), desc.cluster_size)
-                                    for c in chain]))
+                queue.append((sub, _run_blocks(img, desc, runs)))
             elif entry.size > 0 and fat.in_heap(entry.first_cluster):
-                live_clusters.update(chain)
+                mark_runs(live_clusters, runs)
                 if not ok:
                     warnings.append("file %s has a broken chain"
                                     % entry.display_name)
@@ -482,15 +505,14 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                     and fat.in_heap(e.first_cluster))
     while pending:
         entry = pending.popleft()
-        if entry.first_cluster in consumed or entry.first_cluster in live_clusters:
+        if consumed[entry.first_cluster] or live_clusters[entry.first_cluster]:
             continue
         head = _read_or_none(img, cluster_offset(desc, entry.first_cluster),
                              desc.cluster_size)
         if head is None or not _qualifies_as_orphan_dir(head):
             continue
-        slots, clusters = _collect_orphan_dir(
+        slots = _collect_orphan_dir(
             img, desc, fat, entry.first_cluster, live_clusters, consumed)
-        consumed.update(clusters)
         parent = entry.dir_path + "/" + entry.display_name \
             if entry.dir_path else entry.display_name
         # Children of a deleted directory are unreachable whatever their
@@ -534,7 +556,7 @@ class DeletedFatEntry:
     size: int
     created: str | None
     modified: str | None
-    chain: list[int]
+    chain: list[list[int]]      # [first, count] cluster runs
     confidence: str
     entry_offset: int
     orphaned: bool = False
@@ -551,7 +573,7 @@ class DeletedFatEntry:
 
 def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
                       desc: VolumeDescriptor,
-                      live_clusters: set[int] | None = None):
+                      live_clusters: bytearray | None = None):
     """Hypothesize the cluster chain of a deleted file.
 
     Deletion normally zeroes the chain, so all that survives is the
@@ -562,7 +584,7 @@ def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
     cluster itself belongs to a live file the start of the content is
     gone: report ``fragmented-unknown`` and return the raw contiguous
     run for best-effort carving.
-    Returns (chain, confidence, flags).
+    Returns (runs, confidence, flags), the chain as [first, count] runs.
     """
     if size == 0:
         return [], "exact", []
@@ -571,31 +593,36 @@ def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
         return [], "fragmented-unknown", ["bad-first-cluster"]
     top = desc.max_cluster
     if not fat.is_free(first_cluster):
-        if live_clusters is not None and first_cluster not in live_clusters:
+        if live_clusters is not None and not live_clusters[first_cluster]:
             # The allocation is dangling, not owned by a live file: the
             # original chain is still written in the table.  Follow it.
-            chain, ended = fat.chain_from(first_cluster, limit=needed)
-            flags = [] if (ended or len(chain) == needed) else ["truncated"]
-            return chain, "exact", flags
-        chain = list(range(first_cluster, min(first_cluster + needed, top + 1)))
+            runs, ended = fat.chain_from(first_cluster, limit=needed)
+            held = sum(count for _, count in runs)
+            flags = [] if (ended or held == needed) else ["truncated"]
+            return runs, "exact", flags
+        count = min(needed, top + 1 - first_cluster)
         flags = ["overwritten-risk"]
-        if len(chain) < needed:
+        if count < needed:
             flags.append("truncated")
-        return chain, "fragmented-unknown", flags
-    chain: list[int] = []
-    skipped = False
+        return [[first_cluster, count]], "fragmented-unknown", flags
+    entries = fat.entries
+    runs: list[list[int]] = []
+    held = 0
     c = first_cluster
-    while len(chain) < needed and c <= top:
-        if fat.is_free(c):
-            chain.append(c)
-        else:
-            skipped = True
-        c += 1
-    flags = []
-    if len(chain) < needed:
-        flags.append("truncated")
-    confidence = "contiguous-heuristic" if skipped else "exact"
-    return chain, confidence, flags
+    while held < needed and c <= top:
+        if entries[c]:
+            c += 1                      # held by a live file: skip it
+            continue
+        start = c
+        end = min(top + 1, c + needed - held)
+        while c < end and not entries[c]:
+            c += 1
+        runs.append([start, c - start])
+        held += c - start
+    flags = [] if held == needed else ["truncated"]
+    # Every cluster walked but not taken was skipped: a live file holds it.
+    confidence = "contiguous-heuristic" if c - first_cluster > held else "exact"
+    return runs, confidence, flags
 
 
 def find_deleted(surv: FatSurvey, desc: VolumeDescriptor) -> list[DeletedFatEntry]:
@@ -644,9 +671,8 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
     the output."""
     if entry.is_directory:
         raise FatError("%s is a directory" % entry.display_name)
-    runs = cluster_runs(entry.chain)
-    extents = cluster_extents(img, desc, runs)
-    held = len(entry.chain) * desc.cluster_size
+    extents = cluster_extents(img, desc, entry.chain)
+    held = sum(length for _, length in extents)
     flags = list(entry.flags)
     if held < entry.size and "truncated" not in flags:
         flags.append("truncated")
@@ -660,7 +686,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
         source={
             "filesystem": desc.kind.value,
             "entry": entry.entry_id,
-            "clusters": runs,
+            "clusters": entry.chain,
         },
         extents=extents,
         flags=flags,

@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import struct
 from dataclasses import dataclass, field, asdict
 
+from .fat import DIR_ENTRY_SIZE, load_fat
 from .filetypes import magic_for
 from .ntfs import (
+    ATTR_BITMAP,
+    ATTR_DATA,
+    ATTR_FILE_NAME,
+    ATTR_INDEX_ROOT,
+    ATTR_STANDARD_INFORMATION,
+    ATTR_VOLUME_INFORMATION,
+    ATTR_VOLUME_NAME,
     RECORD_FLAG_DIRECTORY,
     RECORD_FLAG_IN_USE,
     UPDATE_SEQUENCE_STRIDE,
@@ -41,7 +48,6 @@ from .volume import (
 )
 
 SECTOR = 512
-DIR_ENTRY_SIZE = 32
 
 # Fixed build timestamp: 2020-01-01 12:00:00 (images must be reproducible).
 FAT_BUILD_DATE = ((2020 - 1980) << 9) | (1 << 5) | 1
@@ -59,14 +65,6 @@ NTFS_FIRST_USER_RECORD = 32   # records 16..31 stay blank on purpose: a
                               # re-format's fresh metadata lands there
                               # instead of on top of user records.
 NTFS_SYSTEM_RECORDS = 16
-
-ATTR_STANDARD_INFORMATION = 0x10
-ATTR_FILE_NAME = 0x30
-ATTR_VOLUME_NAME = 0x60
-ATTR_VOLUME_INFORMATION = 0x70
-ATTR_DATA = 0x80
-ATTR_INDEX_ROOT = 0x90
-ATTR_BITMAP = 0xB0
 
 SFN_VALID = set(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#$%&'()-@^_`{}~")
 
@@ -287,17 +285,6 @@ def encode_data_runs(runs) -> bytes:
         prev = lcn
     out.append(0x00)
     return bytes(out)
-
-
-def runs_from_clusters(clusters) -> list[tuple[int, int]]:
-    """Collapse a cluster list into (length, start) extents."""
-    runs = []
-    for c in clusters:
-        if runs and c == runs[-1][1] + runs[-1][0]:
-            runs[-1] = (runs[-1][0] + 1, runs[-1][1])
-        else:
-            runs.append((1, c))
-    return runs
 
 
 # -- 8.3 names and long-name entries -------------------------------------
@@ -736,17 +723,22 @@ class _FatBuilder:
             self.buf[off:off + len(packed)] = packed
 
 
+def _put_fat12(raw: bytearray, pos: int, index: int, value: int) -> None:
+    """Store 12-bit entry ``index`` in the byte pair at ``raw[pos:pos + 2]``
+    without disturbing the neighbouring entry's nibble."""
+    if index % 2 == 0:
+        raw[pos] = value & 0xFF
+        raw[pos + 1] = (raw[pos + 1] & 0xF0) | ((value >> 8) & 0x0F)
+    else:
+        raw[pos] = (raw[pos] & 0x0F) | ((value << 4) & 0xF0)
+        raw[pos + 1] = (value >> 4) & 0xFF
+
+
 def _pack_fat(kind: FsKind, entries: list[int], out_len: int) -> bytes:
     if kind is FsKind.FAT12:
         raw = bytearray((len(entries) * 3 + 1) // 2 + 1)
         for i, v in enumerate(entries):
-            o = i * 3 // 2
-            if i % 2 == 0:
-                raw[o] = v & 0xFF
-                raw[o + 1] = (raw[o + 1] & 0xF0) | ((v >> 8) & 0x0F)
-            else:
-                raw[o] = (raw[o] & 0x0F) | ((v << 4) & 0xF0)
-                raw[o + 1] = (v >> 4) & 0xFF
+            _put_fat12(raw, i * 3 // 2, i, v)
         packed = bytes(raw)
     elif kind is FsKind.FAT16:
         packed = struct.pack("<%dH" % len(entries), *entries)
@@ -816,12 +808,12 @@ def _resident_attr(type_code: int, value: bytes, name: str = "") -> bytes:
 
 def _nonresident_attr(type_code: int, runs, real_size: int,
                       cluster_size: int, name: str = "") -> bytes:
-    run_bytes = encode_data_runs(runs)
+    """A non-resident attribute over (first, count) cluster runs."""
+    run_bytes = encode_data_runs([(count, first) for first, count in runs])
     name_bytes = name.encode("utf-16-le")
     runs_off = _align8(0x40 + len(name_bytes))
     length = _align8(runs_off + len(run_bytes))
-    total_clusters = sum(r[0] if isinstance(r, tuple) else r.length
-                         for r in runs)
+    total_clusters = sum(count for _, count in runs)
     alloc = total_clusters * cluster_size
     raw = bytearray(length)
     struct.pack_into("<IIBBHHH", raw, 0, type_code, length, 1, len(name),
@@ -966,7 +958,7 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
     boot_clusters = -(-8192 // cs)
     recs.append(_record_bytes(7, RECORD_FLAG_IN_USE, _std_and_fn(
         "$Boot", 5, 8192, boot_clusters * cs, False) + [
-        _nonresident_attr(ATTR_DATA, [(boot_clusters, 0)], 8192, cs)], rs))
+        _nonresident_attr(ATTR_DATA, [(0, boot_clusters)], 8192, cs)], rs))
     for idx, name in ((8, "$BadClus"), (9, "$Secure"), (10, "$UpCase"),
                       (11, "$Extend")):
         recs.append(_record_bytes(idx, RECORD_FLAG_IN_USE, _std_and_fn(
@@ -975,6 +967,13 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
         recs.append(_record_bytes(idx, RECORD_FLAG_IN_USE, [
             _resident_attr(ATTR_STANDARD_INFORMATION, _std_info_value())], rs))
     return recs, mft_bitmap_value_off
+
+
+def _set_bits(bits: bytearray, runs) -> None:
+    """Set the bits that (first, count) runs cover in an LSB-first bitmap."""
+    for first, count in runs:
+        for i in range(first, first + count):
+            bits[i // 8] |= 1 << (i % 8)
 
 
 class _NtfsBuilder:
@@ -1031,20 +1030,13 @@ class _NtfsBuilder:
         first_file_index = NTFS_FIRST_USER_RECORD + len(dirs)
 
         used_bits = bytearray(max(8, _align8(-(-mft_slots // 8))))
+        _set_bits(used_bits, [(0, NTFS_SYSTEM_RECORDS),
+                              (first_file_index, len(files))]
+                  + [(idx, 1) for idx in dir_index.values()])
 
-        def set_used(i: int) -> None:
-            used_bits[i // 8] |= 1 << (i % 8)
-
-        for i in range(NTFS_SYSTEM_RECORDS):
-            set_used(i)
-        for idx in dir_index.values():
-            set_used(idx)
-        for i in range(len(files)):
-            set_used(first_file_index + i)
-
-        mft_runs = [(mft_clusters, self.mft_lcn)]
-        bitmap_runs = [(bitmap_clusters, bitmap_lcn)]
-        mirror_runs = [(mirror_clusters, mirror_lcn)]
+        mft_runs = [(self.mft_lcn, mft_clusters)]
+        bitmap_runs = [(bitmap_lcn, bitmap_clusters)]
+        mirror_runs = [(mirror_lcn, mirror_clusters)]
         system, mft_bitmap_value_off = _system_records(
             rs, cs, mft_runs, mft_slots, bytes(used_bits), bitmap_runs,
             bitmap_real, mirror_runs, spec.volume_label)
@@ -1081,9 +1073,8 @@ class _NtfsBuilder:
                 attrs = base_attrs + [_resident_attr(ATTR_DATA, data)]
                 clusters = []
             else:
-                runs = runs_from_clusters(clusters)
-                attrs = base_attrs + [
-                    _nonresident_attr(ATTR_DATA, runs, f.size, cs)]
+                attrs = base_attrs + [_nonresident_attr(
+                    ATTR_DATA, cluster_runs(clusters), f.size, cs)]
                 for n, c in enumerate(clusters):
                     self._wc(c, data[n * cs:(n + 1) * cs])
             slots[idx] = _record_bytes(idx, RECORD_FLAG_IN_USE, attrs, rs)
@@ -1100,25 +1091,13 @@ class _NtfsBuilder:
             if rec is not None:
                 self.buf[mft_base + i * rs:mft_base + (i + 1) * rs] = rec
 
+        # Boot code, system files, padding past the last cluster, corpus.
         cluster_bits = bytearray(bitmap_real)
-
-        def set_cluster(c: int) -> None:
-            cluster_bits[c // 8] |= 1 << (c % 8)
-
-        boot_clusters = -(-8192 // cs)
-        for c in range(boot_clusters):
-            set_cluster(c)
-        for c in range(self.mft_lcn, self.mft_lcn + mft_clusters):
-            set_cluster(c)
-        for c in range(bitmap_lcn, bitmap_lcn + bitmap_clusters):
-            set_cluster(c)
-        for c in range(mirror_lcn, mirror_lcn + mirror_clusters):
-            set_cluster(c)
-        for clist in plan.values():
-            for c in clist:
-                set_cluster(c)
-        for bit in range(self.cluster_count, bitmap_real * 8):
-            cluster_bits[bit // 8] |= 1 << (bit % 8)
+        cc = self.cluster_count
+        _set_bits(cluster_bits, [(0, -(-8192 // cs)), *mft_runs, *bitmap_runs,
+                                 *mirror_runs, (cc, bitmap_real * 8 - cc)]
+                  + [run for clusters in plan.values()
+                     for run in cluster_runs(clusters)])
         self._wc(bitmap_lcn, bytes(cluster_bits))
 
         self._wc(mirror_lcn, b"".join(slots[i] for i in range(4)))
@@ -1225,12 +1204,7 @@ def _store_fat_entry(fh, fat_off: int, kind: FsKind, index: int,
         o = fat_off + index * 3 // 2
         fh.seek(o)
         pair = bytearray(fh.read(2))
-        if index % 2 == 0:
-            pair[0] = value & 0xFF
-            pair[1] = (pair[1] & 0xF0) | ((value >> 8) & 0x0F)
-        else:
-            pair[0] = (pair[0] & 0x0F) | ((value << 4) & 0xF0)
-            pair[1] = (value >> 4) & 0xFF
+        _put_fat12(pair, 0, index, value)
         fh.seek(o)
         fh.write(bytes(pair))
     elif kind is FsKind.FAT16:
@@ -1257,11 +1231,6 @@ def _set_bit(fh, base: int, bit: int) -> None:
     fh.write(bytes([b | (1 << (bit % 8))]))
 
 
-def _truth_clusters(t) -> list[int]:
-    return [c for start, length in t.clusters
-            for c in range(start, start + length)]
-
-
 def delete_metadata_only(image_path, truth: GroundTruth, path: str) -> None:
     """Delete one file (or directory) the way the filesystem driver does:
     mark its directory metadata unused and free its allocation, touching
@@ -1280,16 +1249,18 @@ def delete_metadata_only(image_path, truth: GroundTruth, path: str) -> None:
             fh.write(struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
             _clear_bit(fh, truth.internal["mft_bitmap_value_abs"],
                        t.record_index)
-            for c in _truth_clusters(t):
-                _clear_bit(fh, truth.internal["cluster_bitmap_abs"], c)
+            for start, length in t.clusters:
+                for c in range(start, start + length):
+                    _clear_bit(fh, truth.internal["cluster_bitmap_abs"], c)
         else:
             kind = FsKind(truth.filesystem)
             for off in [t.entry_offset, *t.lfn_offsets]:
                 fh.seek(off)
                 fh.write(b"\xe5")
             for fat_off in truth.internal["fat_offsets"]:
-                for c in _truth_clusters(t):
-                    _store_fat_entry(fh, fat_off, kind, c, 0)
+                for start, length in t.clusters:
+                    for c in range(start, start + length):
+                        _store_fat_entry(fh, fat_off, kind, c, 0)
 
 
 def delete_all(image_path, truth: GroundTruth) -> list[str]:
@@ -1371,28 +1342,17 @@ def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
     serial = (desc.volume_serial or 0) & ((1 << 64) - 1)
 
     used = bytearray(8)
-    for i in range(NTFS_SYSTEM_RECORDS):
-        used[i // 8] |= 1 << (i % 8)
+    _set_bits(used, [(0, NTFS_SYSTEM_RECORDS)])
+    mft_run = (mft_lcn, fresh_clusters)
+    bitmap_run = (bitmap_lcn, bitmap_clusters)
+    mirror_run = (mirror_lcn, mirror_clusters)
     recs, _ = _system_records(
-        rs, cs, [(fresh_clusters, mft_lcn)], NTFS_SYSTEM_RECORDS,
-        bytes(used), [(bitmap_clusters, bitmap_lcn)], bitmap_real,
-        [(mirror_clusters, mirror_lcn)], "")
+        rs, cs, [mft_run], NTFS_SYSTEM_RECORDS, bytes(used), [bitmap_run],
+        bitmap_real, [mirror_run], "")
 
     cluster_bits = bytearray(bitmap_real)
-
-    def mark(c: int) -> None:
-        cluster_bits[c // 8] |= 1 << (c % 8)
-
-    for c in range(-(-8192 // cs)):
-        mark(c)
-    for c in range(mft_lcn, mft_lcn + fresh_clusters):
-        mark(c)
-    for c in range(bitmap_lcn, bitmap_lcn + bitmap_clusters):
-        mark(c)
-    for c in range(mirror_lcn, mirror_lcn + mirror_clusters):
-        mark(c)
-    for bit in range(cc, bitmap_real * 8):
-        cluster_bits[bit // 8] |= 1 << (bit % 8)
+    _set_bits(cluster_bits, [(0, -(-8192 // cs)), mft_run, bitmap_run,
+                             mirror_run, (cc, bitmap_real * 8 - cc)])
 
     boot = _ntfs_boot_sector(desc.bytes_per_sector, desc.sectors_per_cluster,
                              desc.total_sectors, mft_lcn, mirror_lcn, rs,
@@ -1465,8 +1425,6 @@ def add_file(image_path, name: str, data: bytes) -> dict:
 
 
 def _fat_add_file(image_path, img, desc, name, data) -> dict:
-    from .fat import load_fat
-
     fat = load_fat(img, desc)
     cs = desc.cluster_size
     count = -(-len(data) // cs) if data else 0
@@ -1484,8 +1442,9 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     need_slots = len(lfns) + 1
 
     if desc.kind is FsKind.FAT32:
-        chain, _ = fat.chain_from(desc.root_cluster)
-        blocks = [(cluster_offset(desc, c), cs) for c in chain]
+        runs, _ = fat.chain_from(desc.root_cluster)
+        blocks = [(cluster_offset(desc, first), count * cs)
+                  for first, count in runs]
     else:
         blocks = [(desc.root_dir_sector * desc.bytes_per_sector,
                    desc.root_entries * DIR_ENTRY_SIZE)]
@@ -1600,7 +1559,7 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
         clusters = []
     else:
         attrs = base_attrs + [_nonresident_attr(
-            ATTR_DATA, runs_from_clusters(clusters), len(data), cs)]
+            ATTR_DATA, cluster_runs(clusters), len(data), cs)]
     rec = _record_bytes(slot_index, RECORD_FLAG_IN_USE, attrs, rs)
 
     # Locate the record-allocation bitmap value inside record 0.

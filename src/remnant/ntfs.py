@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import chain
 
 from .report import RecoveredFile
 from .volume import (
@@ -21,8 +20,8 @@ from .volume import (
     VolumeImage,
     cluster_extents,
     cluster_offset,
-    cluster_runs,
-    read_clusters,
+    mark_runs,
+    merge_runs,
 )
 
 FILE_SIGNATURE = b"FILE"
@@ -49,7 +48,7 @@ FILE_REFERENCE_INDEX_MASK = (1 << 48) - 1
 _EPOCH_1601 = datetime(1601, 1, 1, tzinfo=timezone.utc)
 
 
-class MftError(Exception):
+class MftError(VolumeError):
     """Base error for MFT handling."""
 
 
@@ -262,14 +261,6 @@ class RunList:
     def total_clusters(self) -> int:
         return sum(r.length for r in self.runs)
 
-    def real_clusters(self) -> list[int]:
-        """Every allocated (non-sparse) cluster number, in stream order."""
-        out: list[int] = []
-        for r in self.runs:
-            if r.lcn is not None:
-                out.extend(range(r.lcn, r.lcn + r.length))
-        return out
-
 
 def decode_data_runs(raw: bytes) -> RunList:
     """Decode a mapping-pairs (run list) byte string.
@@ -416,15 +407,16 @@ def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
         stats = MftScanStats()
     extent = mft_extent(img, desc)
     record_size = desc.mft_record_size
-    cs = desc.cluster_size
     index = 0
     pending = b""
     pending_offset = 0
     for run in extent.runs:
         if run.lcn is None:
             continue  # a sparse MFT extent holds no records
-        chunk = read_clusters(img, desc, range(run.lcn, run.lcn + run.length))
-        base = cluster_offset(desc, run.lcn)
+        # Validated at its two ends before any read: a hostile length
+        # costs O(1), not one step per claimed cluster.
+        (base, length), = cluster_extents(img, desc, [(run.lcn, run.length)])
+        chunk = img.read_at(base, length)
         if pending:
             # a record straddling two runs: stitch it together
             need = record_size - len(pending)
@@ -463,12 +455,13 @@ def _emit_record(buf: bytes, offset: int, index: int, stats: MftScanStats):
 
 
 def carve_records(img: VolumeImage, desc: VolumeDescriptor,
-                  known_offsets: set[int], skip_clusters: set[int],
+                  known_offsets: set[int], skip_clusters: bytearray,
                   stats: MftScanStats):
     """Deep scan: find FILE records outside the live MFT extent.
 
     Quick-format leaves the old MFT as anonymous clusters; this walks
-    every cluster not claimed by a live structure and validates any
+    every cluster not marked in the ``skip_clusters`` allocation bitmap
+    (one byte per cluster number) and validates any
     record-aligned FILE signature it meets.  Every readable cluster is
     read once, in 4 MiB batches; one strided slice takes the first byte
     of each record slot, and ``find`` walks it for the 'F', so Python
@@ -493,7 +486,7 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
             i = heads.find(lead, i + 1)
             if not chunk.startswith(FILE_SIGNATURE, pos):
                 continue
-            if start + pos // cs in skip_clusters:
+            if skip_clusters[start + pos // cs]:
                 continue
             abs_off = base + pos
             if abs_off in known_offsets:
@@ -556,7 +549,7 @@ class NtfsSurvey:
     live: list[NtfsEntryInfo]
     deleted: list[DeletedNtfsEntry]
     stats: MftScanStats
-    live_clusters: set[int]
+    live_clusters: bytearray    # 1 per cluster a live record's runs hold
 
 
 def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
@@ -615,12 +608,12 @@ def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
 
 def survey(img: VolumeImage, desc: VolumeDescriptor,
            deep: bool = False) -> NtfsSurvey:
-    """One pass over the volume: live records, deleted candidates,
-    the set of clusters claimed by anything still in use."""
+    """One pass over the volume: live records, deleted candidates, and
+    the allocation bitmap of clusters claimed by anything still in use."""
     stats = MftScanStats()
     live: list[NtfsEntryInfo] = []
     deleted: list[DeletedNtfsEntry] = []
-    live_clusters: set[int] = set()
+    live_clusters = bytearray(desc.max_cluster + 1)
     known_offsets: set[int] = set()
 
     for rec in scan_mft(img, desc, stats):
@@ -634,10 +627,11 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             for attr in walk.attributes:
                 if not attr.resident:
                     try:
-                        live_clusters.update(decode_data_runs(attr.run_bytes)
-                                             .real_clusters())
+                        runs = decode_data_runs(attr.run_bytes).runs
                     except RunListError:
-                        pass
+                        runs = []
+                    mark_runs(live_clusters,
+                              ((r.lcn, r.length) for r in runs))
                 if attr.type_code == ATTR_FILE_NAME and attr.resident:
                     fn = parse_file_name(attr.value)
                     if fn is not None and (not name or fn.namespace != 2):
@@ -659,9 +653,9 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                 deleted.append(entry)
 
     if deep:
-        skip = set(live_clusters)
         seen_ids = {e.record_offset for e in deleted}
-        for rec in carve_records(img, desc, known_offsets, skip, stats):
+        for rec in carve_records(img, desc, known_offsets, live_clusters,
+                                 stats):
             if rec.offset in seen_ids:
                 continue
             entry = _entry_from_record(rec)
@@ -676,7 +670,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
 
 def plan_file(img: VolumeImage, desc: VolumeDescriptor,
               entry: DeletedNtfsEntry,
-              live_clusters: set[int] | None = None) -> RecoveredFile:
+              live_clusters: bytearray | None = None) -> RecoveredFile:
     """Lay a deleted file's content out as extents, validated.
 
     Resident data comes straight out of the record; non-resident data
@@ -719,8 +713,9 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
         size = min(held, entry.size)
         if "partial" in flags:
             confidence = "partial"
-        if live_clusters and any(not live_clusters.isdisjoint(
-                range(lcn, lcn + count)) for lcn, count in real):
+        if live_clusters is not None and any(
+                live_clusters.find(1, lcn, lcn + count) != -1
+                for lcn, count in real):
             flags.append("overwritten-risk")
 
     return RecoveredFile(
@@ -732,8 +727,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
         source={
             "filesystem": desc.kind.value,
             "entry": entry.entry_id,
-            "clusters": cluster_runs(chain.from_iterable(
-                range(lcn, lcn + count) for lcn, count in real)),
+            "clusters": merge_runs(real),
         },
         extents=extents,
         flags=flags,
@@ -742,7 +736,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
 
 def recover_file(img: VolumeImage, desc: VolumeDescriptor,
                  entry: DeletedNtfsEntry, sink=None,
-                 live_clusters: set[int] | None = None) -> RecoveredFile:
+                 live_clusters: bytearray | None = None) -> RecoveredFile:
     """Stream a deleted file's content into ``sink``, a writable object;
     with none the payload is kept in memory."""
     return plan_file(img, desc, entry, live_clusters).stream(img, sink)

@@ -84,7 +84,7 @@ def _live_row(name, path, size, is_directory, created=None, modified=None):
 class ScanResult:
     desc: VolumeDescriptor
     candidates: list[Candidate]
-    live_clusters: set[int]
+    live_clusters: bytearray    # allocation bitmap, one byte per cluster
     live_rows: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
@@ -269,7 +269,7 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str | None = None,
     for cand in scan.files:
         try:
             plans.append(plan_one(img, scan, cand))
-        except (fatmod.FatError, ntfsmod.MftError, VolumeError) as exc:
+        except VolumeError as exc:
             errors.append((cand, str(exc)))
 
     dests: list[str | None] = [None] * len(plans)

@@ -321,15 +321,35 @@ def cluster_offset(desc: VolumeDescriptor, cluster: int) -> int:
             + (cluster - 2) * desc.cluster_size)
 
 
+def merge_runs(runs) -> list[list[int]]:
+    """Collapse (first, count) cluster runs into [first, count] runs,
+    joining each run to the one before it when it starts where that one
+    ends."""
+    merged: list[list[int]] = []
+    for first, count in runs:
+        if merged and first == merged[-1][0] + merged[-1][1]:
+            merged[-1][1] += count
+        else:
+            merged.append([first, count])
+    return merged
+
+
 def cluster_runs(clusters) -> list[list[int]]:
     """Compress a cluster list into [start, length] runs."""
-    runs: list[list[int]] = []
-    for c in clusters:
-        if runs and c == runs[-1][0] + runs[-1][1]:
-            runs[-1][1] += 1
-        else:
-            runs.append([c, 1])
-    return runs
+    return merge_runs((c, 1) for c in clusters)
+
+
+def mark_runs(bitmap: bytearray, runs) -> None:
+    """Set to 1 the bytes of an allocation bitmap (one byte per cluster
+    number) that the (first, count) runs cover.  Each run is clipped to
+    the bitmap and sparse runs (first None) mark nothing, so the work is
+    bounded by the bitmap whatever length a run claims."""
+    for first, count in runs:
+        if first is None:
+            continue
+        end = min(first + count, len(bitmap))
+        if first < end:
+            bitmap[first:end] = b"\x01" * (end - first)
 
 
 def cluster_extents(img: VolumeImage, desc: VolumeDescriptor,

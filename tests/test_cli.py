@@ -8,6 +8,7 @@ import pytest
 
 from remnant import cli
 from remnant import forge
+from remnant.volume import detect_filesystem, open_image
 
 MiB = 1024 * 1024
 
@@ -122,6 +123,21 @@ def test_scan_unrecognized_volume(tmp_path, capsys):
     blank.write_bytes(b"\x00" * MiB)
     code, _, err = run(capsys, "scan", str(blank))
     assert code == 2
+
+
+def test_scan_zeroed_mft_head_is_exit_2(tmp_path, capsys):
+    img = tmp_path / "ntfs.img"
+    spec = forge.CorpusSpec(filesystem="ntfs", total_size=16 * MiB)
+    forge.build_image(spec, img)
+    with open_image(img) as vol:
+        desc = detect_filesystem(vol)
+    with open(img, "r+b") as fh:
+        fh.seek(desc.mft_lcn * desc.cluster_size)
+        fh.write(bytes(desc.mft_record_size))
+    code, _, err = run(capsys, "scan", str(img))
+    assert code == 2
+    assert "MFT unreadable" in err
+    assert "Traceback" not in err
 
 
 def test_scan_missing_file_is_a_config_error(tmp_path, capsys):

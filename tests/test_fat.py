@@ -28,6 +28,7 @@ from remnant.volume import (
     VolumeDescriptor,
     VolumeImage,
     cluster_offset,
+    cluster_runs,
     detect_filesystem,
     open_image,
 )
@@ -167,10 +168,23 @@ def _table(cluster_count=62):
     return FatTable(FsKind.FAT16, [0] * (cluster_count + 2))
 
 
+def _bitmap(desc, clusters=()):
+    """An allocation bitmap over ``desc``'s heap with ``clusters`` set."""
+    bitmap = bytearray(desc.max_cluster + 1)
+    for c in clusters:
+        bitmap[c] = 1
+    return bitmap
+
+
+def _expand(runs):
+    """The cluster sequence that [first, count] runs describe."""
+    return [c for first, count in runs for c in range(first, first + count)]
+
+
 def test_chain_all_free_is_exact():
     desc, fat = _desc16(), _table()
     chain, conf, flags = reconstruct_chain(5, 1200, fat, desc)
-    assert chain == [5, 6, 7]          # ceil(1200 / 512) clusters
+    assert _expand(chain) == [5, 6, 7]          # ceil(1200 / 512) clusters
     assert conf == "exact"
     assert flags == []
 
@@ -178,7 +192,7 @@ def test_chain_all_free_is_exact():
 def test_chain_single_cluster_file():
     desc, fat = _desc16(), _table()
     chain, conf, flags = reconstruct_chain(9, 1, fat, desc)
-    assert chain == [9]
+    assert _expand(chain) == [9]
     assert conf == "exact"
 
 
@@ -190,8 +204,9 @@ def test_chain_zero_size_is_trivially_exact():
 def test_chain_skips_live_cluster_and_admits_guesswork():
     desc, fat = _desc16(), _table()
     fat.entries[6] = 0xFFFF            # someone else owns cluster 6 now
-    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc, {6})
-    assert chain == [5, 7, 8]
+    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc,
+                                           _bitmap(desc, {6}))
+    assert _expand(chain) == [5, 7, 8]
     assert conf == "contiguous-heuristic"
     assert flags == []
 
@@ -200,10 +215,11 @@ def test_chain_overwritten_head_is_fragmented_unknown():
     desc, fat = _desc16(), _table()
     for c in (5, 6):
         fat.entries[c] = 0xFFFF
-    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc, {5, 6})
+    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc,
+                                           _bitmap(desc, {5, 6}))
     assert conf == "fragmented-unknown"
     assert "overwritten-risk" in flags
-    assert chain == [5, 6, 7]          # raw contiguous run, best effort
+    assert _expand(chain) == [5, 6, 7]          # raw contiguous run, best effort
 
 
 def test_chain_dangling_allocation_is_followed_exactly():
@@ -213,8 +229,8 @@ def test_chain_dangling_allocation_is_followed_exactly():
     fat.entries[5] = 9
     fat.entries[9] = 10
     fat.entries[10] = 0xFFFF
-    chain, conf, flags = reconstruct_chain(5, 1300, fat, desc, set())
-    assert chain == [5, 9, 10]
+    chain, conf, flags = reconstruct_chain(5, 1300, fat, desc, _bitmap(desc))
+    assert _expand(chain) == [5, 9, 10]
     assert conf == "exact"
     assert flags == []
 
@@ -223,7 +239,7 @@ def test_chain_truncates_at_end_of_heap():
     desc, fat = _desc16(), _table()
     first = desc.max_cluster - 1       # room for 2 of the 4 needed
     chain, conf, flags = reconstruct_chain(first, 2048, fat, desc)
-    assert chain == [first, first + 1]
+    assert _expand(chain) == [first, first + 1]
     assert "truncated" in flags
 
 
@@ -231,7 +247,7 @@ def test_chain_bad_first_cluster():
     desc, fat = _desc16(), _table()
     for bad in (0, 1, desc.cluster_count + 5):
         chain, conf, flags = reconstruct_chain(bad, 100, fat, desc)
-        assert chain == []
+        assert _expand(chain) == []
         assert conf == "fragmented-unknown"
         assert flags == ["bad-first-cluster"]
 
@@ -240,8 +256,108 @@ def test_chain_bad_first_cluster():
 def test_chain_length_matches_ceil_division(size):
     desc, fat = _desc16(), _table()
     chain, conf, _ = reconstruct_chain(2, size, fat, desc)
-    assert len(chain) == (size + 511) // 512
+    assert len(_expand(chain)) == (size + 511) // 512
     assert conf == "exact"
+
+
+# ---------------------------------------------- run chains vs per-cluster
+
+def _chain_from_per_cluster(fat, first, limit=None):
+    """Reference: the per-cluster live-chain walk the run walk replaced."""
+    chain, seen = [], set()
+    c = first
+    cap = limit if limit is not None else len(fat.entries)
+    while fat.in_heap(c) and c not in seen and len(chain) < cap:
+        seen.add(c)
+        chain.append(c)
+        value = fat.entries[c]
+        if fat.is_eoc(value):
+            return chain, True
+        if value == 0 or value == 0xFFF7:          # FAT16 bad cluster
+            return chain, False
+        c = value
+    return chain, False
+
+
+def _reconstruct_per_cluster(first_cluster, size, fat, desc, live=None):
+    """Reference: the per-cluster chain hypothesis the runs replaced;
+    ``live`` is a set of cluster numbers."""
+    if size == 0:
+        return [], "exact", []
+    needed = -(-size // desc.cluster_size)
+    if not fat.in_heap(first_cluster):
+        return [], "fragmented-unknown", ["bad-first-cluster"]
+    top = desc.max_cluster
+    if not fat.is_free(first_cluster):
+        if live is not None and first_cluster not in live:
+            chain, ended = _chain_from_per_cluster(fat, first_cluster, needed)
+            flags = [] if (ended or len(chain) == needed) else ["truncated"]
+            return chain, "exact", flags
+        chain = list(range(first_cluster, min(first_cluster + needed, top + 1)))
+        flags = ["overwritten-risk"]
+        if len(chain) < needed:
+            flags.append("truncated")
+        return chain, "fragmented-unknown", flags
+    chain = []
+    skipped = False
+    c = first_cluster
+    while len(chain) < needed and c <= top:
+        if fat.is_free(c):
+            chain.append(c)
+        else:
+            skipped = True
+        c += 1
+    flags = ["truncated"] if len(chain) < needed else []
+    return chain, "contiguous-heuristic" if skipped else "exact", flags
+
+
+_SMALL_HEAP = 40
+_SLOTS = _SMALL_HEAP + 2                   # table entries, 0 and 1 reserved
+
+
+@st.composite
+def _fat16_case(draw):
+    """A FAT16 table of free, contiguous, jumping (back into the chain,
+    out of the heap, onto reserved slots), end-of-chain and bad entries,
+    so dangling, cyclic and heap-edge chains all occur; a first cluster
+    (often near the heap's end), a size and a set of live clusters."""
+    entries = [0xFFF8, 0xFFFF]
+    for c in range(2, _SLOTS):
+        kind = draw(st.sampled_from(
+            ["free", "free", "next", "next", "next", "jump", "eoc", "bad"]))
+        if kind == "free":
+            entries.append(0)
+        elif kind == "next":
+            entries.append(c + 1)                 # the last one leaves the heap
+        elif kind == "jump":
+            entries.append(draw(st.integers(0, _SLOTS + 2)))
+        elif kind == "eoc":
+            entries.append(draw(st.integers(0xFFF8, 0xFFFF)))
+        else:
+            entries.append(0xFFF7)
+    first = draw(st.one_of(st.integers(0, _SLOTS + 2),
+                           st.integers(_SLOTS - 4, _SLOTS - 1)))
+    size = draw(st.integers(0, (_SLOTS + 2) * 512))
+    live = draw(st.sets(st.integers(2, _SLOTS - 1)))
+    return entries, first, size, live
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_fat16_case(), limit=st.one_of(st.none(), st.integers(1, 50)))
+# A chain that loops back into the middle of an earlier run.
+@example(case=([0xFFF8, 0xFFFF, 3, 4, 5, 3] + [0] * (_SLOTS - 6), 2, 3000,
+               set()), limit=None)
+def test_run_chains_match_the_per_cluster_reference(case, limit):
+    entries, first, size, live = case
+    desc, fat = _desc16(cluster_count=_SMALL_HEAP), FatTable(FsKind.FAT16,
+                                                             entries)
+    chain, ended = _chain_from_per_cluster(fat, first, limit)
+    assert fat.chain_from(first, limit) == (cluster_runs(chain), ended)
+    for live_map, live_set in ((None, None), (_bitmap(desc, live), live)):
+        chain, conf, flags = _reconstruct_per_cluster(first, size, fat, desc,
+                                                      live_set)
+        assert reconstruct_chain(first, size, fat, desc, live_map) == \
+            (cluster_runs(chain), conf, flags)
 
 
 # ------------------------------------------------------- whole images
@@ -401,7 +517,7 @@ def test_deep_scan_carves_the_readable_part_of_a_truncated_image(image_copy):
     path.write_bytes(bytes(data))
     with open_image(path) as img:
         surv = survey(img, desc, deep=True)
-    assert planted not in surv.live_clusters
+    assert not surv.live_clusters[planted]
     carved = {(e.dir_path, e.short_name) for e in surv.entries}
     assert ("orphan-%d" % planted, "PLANTED.TXT") in carved
 
@@ -483,14 +599,12 @@ def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
             break
         for i in range(count):
             cluster = c + i
-            if cluster in live_clusters or cluster in consumed:
+            if live_clusters[cluster] or consumed[cluster]:
                 continue
             if not fatmod._qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs]):
                 continue
-            slots, clusters = fatmod._collect_orphan_dir(
-                img, desc, fat, cluster, live_clusters, consumed)
-            consumed.update(clusters)
-            out.append((cluster, slots))
+            out.append((cluster, fatmod._collect_orphan_dir(
+                img, desc, fat, cluster, live_clusters, consumed)))
         c += count
     return out
 
@@ -564,7 +678,8 @@ def test_strided_carve_matches_the_per_cluster_reference(heap):
     lead = desc.first_data_sector * desc.bytes_per_sector
     img = VolumeImage.from_bytes(bytes(lead) + buf)
     fat = _table(cluster_count=_HEAP)
-    want_consumed, got_consumed = set(consumed), set(consumed)
+    live = _bitmap(desc, live)
+    want_consumed, got_consumed = _bitmap(desc, consumed), _bitmap(desc, consumed)
     want = _carve_per_cluster(img, desc, fat, live, want_consumed)
     got = list(fatmod._carve_orphan_dirs(img, desc, fat, live, got_consumed))
     assert got == want

@@ -1,0 +1,78 @@
+"""No dead code in the package: every function, class and method defined
+under src/remnant is named somewhere, and every module-level import of a
+package module is used by that module."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "remnant"
+SEARCHED = [ROOT / d for d in ("src", "tests", "demos", "bench")]
+# Overrides that a base class from outside the package calls by name.
+CALLED_BY_BASE = {"error"}      # cli.Parser.error, argparse's usage hook
+
+
+def _trees(dirs):
+    for top in dirs:
+        for path in sorted(top.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _names(node):
+    """Every identifier under ``node``: names, attributes, imported names,
+    and identifier-like strings (the benchmark probe looks functions up
+    by name)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
+
+
+def _where(path, node, name):
+    return "%s:%d %s" % (path.relative_to(ROOT), node.lineno, name)
+
+
+def test_every_definition_is_named_outside_itself():
+    uses = Counter()
+    for _, tree in _trees(SEARCHED):
+        uses.update(_names(tree))
+    unused = []
+    for path, tree in _trees([PACKAGE]):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") \
+                    or name in CALLED_BY_BASE:
+                continue        # called by the language or a base class
+            inside = sum(1 for n in _names(node) if n == name)
+            if uses[name] <= inside:
+                unused.append(_where(path, node, name))
+    assert unused == []
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path, tree in _trees([PACKAGE]):
+        if path.name == "__init__.py":
+            continue            # re-exports
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [_where(path, node, b) for b in bound if b not in used]
+    assert unused == []

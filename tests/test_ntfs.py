@@ -4,12 +4,14 @@ import hashlib
 import io
 import shutil
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from remnant import cli
 from remnant import forge
 from remnant import ntfs
 from remnant.ntfs import (
@@ -68,14 +70,12 @@ def test_decode_negative_delta_walks_backwards():
     # Second run's offset is a signed delta from the first: 5 - 5 = 0.
     rl = decode_data_runs(bytes([0x11, 0x02, 0x05, 0x11, 0x03, 0xFB, 0x00]))
     assert [(r.length, r.lcn) for r in rl.runs] == [(2, 5), (3, 0)]
-    assert rl.real_clusters() == [5, 6, 0, 1, 2]
 
 
 def test_decode_sparse_run_has_no_lcn():
     # Zero offset width marks a hole in the stream.
     rl = decode_data_runs(bytes([0x11, 0x02, 0x08, 0x01, 0x04, 0x00]))
     assert [(r.length, r.lcn) for r in rl.runs] == [(2, 8), (4, None)]
-    assert rl.real_clusters() == [8, 9]
     assert rl.total_clusters == 6
 
 
@@ -277,7 +277,7 @@ def test_deep_scan_carves_the_readable_part_of_a_truncated_image(
     img, desc = _open(path)
     with img:
         surv = survey(img, desc, deep=True)
-    assert first + 1 not in surv.live_clusters
+    assert not surv.live_clusters[first + 1]
     carved = {(e.record_offset, e.name) for e in surv.deleted}
     assert (planted, rec.path.rsplit("/", 1)[-1]) in carved
 
@@ -423,6 +423,70 @@ def test_sink_and_buffer_agree(image_copy, tmp_path):
 
 # ------------------------------------------------- hostile run lengths
 
+def _patch_data_run(path, record_offset, record_size, length, lcn):
+    """Rewrite a record's unnamed $DATA run list in place as one run of
+    ``length`` clusters at ``lcn``, clear of the first guard word."""
+    with open(path, "r+b") as fh:
+        fh.seek(record_offset)
+        raw = bytearray(fh.read(record_size))
+        apply_fixup(raw)
+        pos = parse_record_header(bytes(raw)).first_attr_offset
+        while struct.unpack_from("<I", raw, pos)[0] != ATTR_DATA:
+            pos += struct.unpack_from("<I", raw, pos + 4)[0]
+        end = pos + struct.unpack_from("<I", raw, pos + 4)[0]
+        pos += struct.unpack_from("<H", raw, pos + 0x20)[0]
+        runs = forge.encode_data_runs([(length, lcn)])
+        assert pos + len(runs) <= min(end, 510)
+        fh.seek(record_offset + pos)
+        fh.write(runs)
+
+
+def _live_non_resident(tmp_path):
+    spec = forge.CorpusSpec(
+        filesystem="ntfs", total_size=16 * 1024 * 1024,
+        files=[forge.FileSpec(name="TINY.BIN", file_class="audio",
+                              size=10_000)])
+    img_path = tmp_path / "h.img"
+    return img_path, forge.build_image(spec, img_path)
+
+
+def test_hostile_mft_run_is_rejected_without_walking_it(tmp_path, capsys):
+    # Record 0 claims 2**36 clusters on a 4,096-cluster volume: the run
+    # must be refused from its two ends, not walked cluster by cluster.
+    img_path, _ = _live_non_resident(tmp_path)
+    img, desc = _open(img_path)
+    img.close()
+    _patch_data_run(img_path, desc.mft_lcn * desc.cluster_size,
+                    desc.mft_record_size, 2 ** 36, desc.mft_lcn)
+    start = time.perf_counter()
+    code = cli.main(["scan", str(img_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "outside volume" in capsys.readouterr().err
+    assert elapsed < 2
+
+
+@pytest.mark.parametrize("length", [2 ** 22, 2 ** 32 - 1])
+def test_hostile_live_run_keeps_survey_memory_bounded(tmp_path, length):
+    # A live file whose run claims far more clusters than the volume has:
+    # its live space is clipped to the volume in a bounded bitmap.
+    img_path, truth = _live_non_resident(tmp_path)
+    rec = truth.files["TINY.BIN"]
+    _patch_data_run(img_path, rec.entry_offset, 1024, length,
+                    rec.first_cluster)
+    img, desc = _open(img_path)
+    with img:
+        tracemalloc.start()
+        try:
+            surv = survey(img, desc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= img.size
+    tail = desc.total_clusters - rec.first_cluster
+    assert surv.live_clusters[rec.first_cluster:] == b"\x01" * tail
+
+
 def _deleted_non_resident(tmp_path):
     spec = forge.CorpusSpec(
         filesystem="ntfs", total_size=16 * 1024 * 1024,
@@ -485,7 +549,7 @@ def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
         view = memoryview(chunk)
         for ci in range(count):
             cluster = start + ci
-            if cluster in skip_clusters:
+            if skip_clusters[cluster]:
                 continue
             coff = ci * cs
             for slot in range(0, cs, step):
@@ -581,7 +645,10 @@ _RECORD = bytes(_blank_record())
                                      (_BATCH_END + 3072, _RECORD)]),
                  set(), {_BATCH_END // 4096}))
 def test_strided_carve_matches_the_per_slot_reference(volume):
-    (desc, buf), known, skip = volume
+    (desc, buf), known, skip_set = volume
+    skip = bytearray(desc.total_clusters)
+    for cluster in skip_set:
+        skip[cluster] = 1
     img = VolumeImage.from_bytes(buf)
     want_stats, got_stats = MftScanStats(), MftScanStats()
     want = list(_carve_per_slot(img, desc, known, skip, want_stats))

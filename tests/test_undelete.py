@@ -179,13 +179,13 @@ def _recover_buffered(img, scan, cand):
             data = data[:entry.size]
             if "partial" in flags:
                 confidence = "partial"
-            if scan.live_clusters and any(c in scan.live_clusters
-                                          for c in clusters_used):
+            if any(scan.live_clusters[c] for c in clusters_used):
                 flags.append("overwritten-risk")
         name = entry.name
     else:
-        clusters_used = entry.chain
-        data = read_clusters(img, desc, entry.chain)
+        clusters_used = [c for first, count in entry.chain
+                         for c in range(first, first + count)]
+        data = read_clusters(img, desc, clusters_used)
         flags = list(entry.flags)
         if len(data) < entry.size and "truncated" not in flags:
             flags.append("truncated")
@@ -234,7 +234,7 @@ def test_plan_failure_takes_no_output_name(image_copy, tmp_path):
         scan = scan_volume(img, desc)
         good = scan.files[0]
         bad = replace(good, entry=replace(good.entry,
-                                          chain=[desc.max_cluster + 1]))
+                                          chain=[[desc.max_cluster + 1, 1]]))
         scan.candidates.insert(scan.candidates.index(good), bad)
         recovered, errors = recover_all(img, scan, out_dir=str(tmp_path))
     assert errors == [(bad, "cluster %d outside heap"
