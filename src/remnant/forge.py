@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import struct
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 
 from .fat import DIR_ENTRY_SIZE, load_fat
 from .filetypes import magic_for
@@ -42,8 +44,8 @@ from .volume import (
     VolumeDescriptor,
     cluster_extents,
     cluster_offset,
-    cluster_runs,
     detect_filesystem,
+    merge_runs,
     open_image,
 )
 
@@ -238,6 +240,96 @@ class GroundTruth:
     def truth_rows(self) -> list[dict]:
         return [{"path": t.path, "class": t.file_class, "size": t.size,
                  "sha256": t.sha256} for t in self.files.values()]
+
+
+# -- the image writer ------------------------------------------------------
+
+
+class _Writer:
+    """The one way the forge changes an image: the file, opened once
+    (``flags`` are added to ``O_RDWR``) and written with ``pwrite`` at
+    byte offsets."""
+
+    def __init__(self, path, flags: int = 0):
+        self.fd = os.open(path, os.O_RDWR | flags, 0o666)
+
+    def __enter__(self) -> "_Writer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self.fd)
+
+    def read(self, offset: int, length: int) -> bytes:
+        return os.pread(self.fd, length, offset)
+
+    def write(self, offset: int, data) -> None:
+        view = memoryview(data)
+        while view:
+            n = os.pwrite(self.fd, view, offset)
+            view, offset = view[n:], offset + n
+
+    def zero(self, offset: int, length: int) -> None:
+        """Write real zeros over ``length`` bytes, STREAM_CHUNK at a time."""
+        zeros = memoryview(bytes(min(length, STREAM_CHUNK)))
+        for pos in range(0, length, STREAM_CHUNK):
+            self.write(offset + pos, zeros[:min(STREAM_CHUNK, length - pos)])
+
+    def write_runs(self, runs, data: bytes, cluster_size: int,
+                   offset_of) -> None:
+        """Lay ``data`` over (first, count) cluster runs in order;
+        ``offset_of`` maps a cluster number to its byte offset."""
+        view = memoryview(data)
+        pos = 0
+        for first, count in runs:
+            self.write(offset_of(first), view[pos:pos + count * cluster_size])
+            pos += count * cluster_size
+
+    def set_bits(self, base: int, runs, on: bool) -> None:
+        """Set or clear the bits that (first, count) runs cover in the
+        LSB-first bitmap at byte offset ``base``, one read and one write
+        per run."""
+        for first, count in runs:
+            lo, hi = first // 8, -(-(first + count) // 8)
+            raw = bytearray(self.read(base + lo, hi - lo))
+            _set_bits(raw, [(first - 8 * lo, count)], on)
+            self.write(base + lo, raw)
+
+    def fat_entries(self, fat_offsets, kind: FsKind, first: int,
+                    values) -> None:
+        """Store ``values`` as FAT entries ``first``, ``first + 1``, ... in
+        every copy of the table, one read and one write per copy.  FAT32
+        keeps each entry's reserved top nibble; FAT12 entries share
+        bytes, so their span is patched entry by entry."""
+        n = len(values)
+        if kind is FsKind.FAT12:
+            lo = first * 3 // 2
+            span = (first + n - 1) * 3 // 2 + 2 - lo
+        else:
+            width, code = (2, "H") if kind is FsKind.FAT16 else (4, "I")
+            lo, span = first * width, n * width
+            new = struct.pack("<%d%s" % (n, code), *values)
+            keep = int.from_bytes(b"\0\0\0\xf0" * n, "little")
+        for fat_off in fat_offsets:
+            if kind is FsKind.FAT12:
+                raw = bytearray(self.read(fat_off + lo, span))
+                for index, value in enumerate(values, first):
+                    _put_fat12(raw, index * 3 // 2 - lo, index, value)
+            elif kind is FsKind.FAT16:
+                raw = new
+            else:
+                old = int.from_bytes(self.read(fat_off + lo, span), "little")
+                raw = (old & keep | int.from_bytes(new, "little")).to_bytes(
+                    span, "little")
+            self.write(fat_off + lo, raw)
+
+    def fat_chain(self, fat_offsets, kind: FsKind, runs) -> None:
+        """Link (first, count) runs into one chain that ends in
+        end-of-chain: each cluster points at the next, each run's last
+        cluster at the next run's first."""
+        for i, (first, count) in enumerate(runs):
+            last = runs[i + 1][0] if i + 1 < len(runs) else _EOC[kind]
+            self.fat_entries(fat_offsets, kind, first,
+                             [*range(first + 1, first + count), last])
 
 
 # -- run-list encoding ---------------------------------------------------
@@ -482,16 +574,11 @@ class _FatBuilder:
         root_dir_sectors = (root_entries * DIR_ENTRY_SIZE + bps - 1) // bps
         self.first_data_sector = (reserved + num_fats * fat_sectors
                                   + root_dir_sectors)
-        self.buf = bytearray(spec.total_size)
-        self.fat = [0] * (clusters + 2)
-        self.fat[0] = (_EOC[kind] & ~0xFF) | MEDIA_FIXED
-        self.fat[1] = _EOC[kind]
-        self.cursor = 2
-        self.root_cluster = None
-        if kind is FsKind.FAT32:
-            self.root_cluster = 2
-            self.fat[2] = _EOC[kind]
-            self.cursor = 3
+        self.fat_offsets = [(reserved + i * fat_sectors) * bps
+                            for i in range(num_fats)]
+        self.cursor = 2     # every cluster below it is allocated
+        # The FAT32 root is the first run allocated, so it starts here.
+        self.root_cluster = 2 if kind is FsKind.FAT32 else None
         self.serial = (0x5245_0000 ^ (spec.seed * 2654435761)) & 0xFFFFFFFF
 
     # cluster helpers
@@ -500,29 +587,13 @@ class _FatBuilder:
         return (self.first_data_sector * self.bps
                 + (cluster - 2) * self.cs)
 
-    def allocate(self, count: int) -> list[int]:
-        out = []
-        c = self.cursor
-        while len(out) < count:
-            if c >= self.clusters + 2:
-                raise ForgeError("corpus does not fit volume")
-            if self.fat[c] == 0:
-                out.append(c)
-            c += 1
-        self.cursor = c
-        return out
-
-    def chain(self, clusters: list[int]) -> None:
-        for a, b in zip(clusters, clusters[1:]):
-            self.fat[a] = b
-        if clusters:
-            self.fat[clusters[-1]] = _EOC[self.kind]
-
-    def write_cluster_data(self, clusters: list[int], data: bytes) -> None:
-        for i, c in enumerate(clusters):
-            off = self._cluster_off(c)
-            part = data[i * self.cs:(i + 1) * self.cs]
-            self.buf[off:off + len(part)] = part
+    def allocate(self, count: int) -> int:
+        """First cluster of a fresh run of ``count`` clusters."""
+        first = self.cursor
+        if first + count > self.clusters + 2:
+            raise ForgeError("corpus does not fit volume")
+        self.cursor = first + count
+        return first
 
     def geometry_dict(self) -> dict:
         g = {
@@ -544,7 +615,7 @@ class _FatBuilder:
             g["root_dir_sector"] = self.reserved + self.num_fats * self.fat_sectors
         return g
 
-    def build(self) -> GroundTruth:
+    def build(self, w: _Writer) -> GroundTruth:
         spec = self.spec
         files = spec.resolved_files()
         dir_names = spec.all_dirs()
@@ -584,12 +655,10 @@ class _FatBuilder:
                 root_slots += need
 
         if self.kind is FsKind.FAT32:
-            root_chain = [self.root_cluster]
-            extra = -(-root_slots // per_cluster) - 1
-            if extra > 0:
-                root_chain += self.allocate(extra)
-            self.chain(root_chain)
-            root_blocks = self._dir_capacity_blocks(root_chain)
+            count = -(-root_slots // per_cluster)
+            root_runs = [[self.allocate(count), count]]
+            w.fat_chain(self.fat_offsets, self.kind, root_runs)
+            root_blocks = self._dir_capacity_blocks(root_runs)
         else:
             if root_slots > self.root_entries:
                 raise ForgeError("root directory is full")
@@ -599,14 +668,15 @@ class _FatBuilder:
 
         dir_info: dict[str, dict] = {}
         for name in dir_names:
-            clusters = self.allocate(-(-dir_slots[name] // per_cluster))
-            self.chain(clusters)
-            dot = _dir_entry(b".          ", 0x10, clusters[0], 0)
+            count = -(-dir_slots[name] // per_cluster)
+            runs = [[self.allocate(count), count]]
+            w.fat_chain(self.fat_offsets, self.kind, runs)
+            dot = _dir_entry(b".          ", 0x10, runs[0][0], 0)
             dotdot = _dir_entry(b"..         ", 0x10, 0, 0)
-            dir_info[name] = {**dir_meta[name], "clusters": clusters,
+            dir_info[name] = {**dir_meta[name], "runs": runs,
                               "entries": [dot, dotdot]}
 
-        file_clusters = _plan_file_clusters(
+        file_runs = _plan_file_clusters(
             files, self.cs, spec.fragment_pairs, self.allocate)
 
         truth_files: dict[str, FileTruth] = {}
@@ -619,41 +689,45 @@ class _FatBuilder:
 
         for name in dir_names:
             info = dir_info[name]
-            entry = _dir_entry(info["raw11"], 0x10, info["clusters"][0], 0)
+            entry = _dir_entry(info["raw11"], 0x10, info["runs"][0][0], 0)
             pending_entries[""].append(("dir", name, info["lfns"], entry))
 
         for f in files:
-            clusters = file_clusters[f.path]
+            runs = file_runs[f.path]
             data = content_bytes(f.file_class, f.size, f.seed)
-            self.chain(clusters)
-            self.write_cluster_data(clusters, data)
+            w.fat_chain(self.fat_offsets, self.kind, runs)
+            w.write_runs(runs, data, self.cs, self._cluster_off)
             meta = file_meta[f.path]
-            entry = _dir_entry(meta["raw11"], 0x20,
-                               clusters[0] if clusters else 0, f.size)
+            first = runs[0][0] if runs else 0
+            entry = _dir_entry(meta["raw11"], 0x20, first, f.size)
             pending_entries[f.parent].append(("file", f, meta["lfns"], entry))
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
-                first_cluster=clusters[0] if clusters else 0,
-                clusters=cluster_runs(clusters),
+                first_cluster=first, clusters=runs,
                 entry_offset=-1,  # patched when directories materialize
             )
 
         truth_dirs: dict[str, DirTruth] = {}
-        self._lay_entries(pending_entries[""], root_blocks,
+        self._lay_entries(w, pending_entries[""], root_blocks,
                           truth_files, truth_dirs, dir_info)
         for name in dir_names:
             info = dir_info[name]
             head = [("raw", e) for e in info["entries"]]
-            self._lay_entries(head + pending_entries[name],
-                              self._dir_capacity_blocks(info["clusters"]),
+            self._lay_entries(w, head + pending_entries[name],
+                              self._dir_capacity_blocks(info["runs"]),
                               truth_files, truth_dirs, {})
 
-        self._write_system_areas()
+        geom = self.geometry_dict()
+        geom["root_cluster"] = self.root_cluster
+        boot = _fat_boot_sector(self.kind, geom, self.serial,
+                                self.spec.volume_label)
+        # Every cluster from the cursor up is still free.
+        _write_fat_system_areas(w, self.kind, boot, self.fat_offsets,
+                                self.clusters + 2 - self.cursor, self.cursor)
         geometry = self.geometry_dict()
         internal = {
-            "fat_offsets": [ (self.reserved + i * self.fat_sectors) * self.bps
-                             for i in range(self.num_fats)],
+            "fat_offsets": self.fat_offsets,
             "fat_bytes": self.fat_sectors * self.bps,
             "root_blocks": root_blocks,
         }
@@ -668,10 +742,12 @@ class _FatBuilder:
             seed=spec.seed,
         )
 
-    def _dir_capacity_blocks(self, clusters: list[int]):
-        return [(self._cluster_off(c), self.cs) for c in clusters]
+    def _dir_capacity_blocks(self, runs):
+        return [(self._cluster_off(first), count * self.cs)
+                for first, count in runs]
 
-    def _lay_entries(self, items, blocks, truth_files, truth_dirs, dir_info):
+    def _lay_entries(self, w, items, blocks, truth_files, truth_dirs,
+                     dir_info):
         slots = []
         for base, length in blocks:
             for pos in range(0, length, DIR_ENTRY_SIZE):
@@ -683,7 +759,7 @@ class _FatBuilder:
             if cursor >= len(slots):
                 raise ForgeError("directory overflows its allocation")
             off = slots[cursor]
-            self.buf[off:off + DIR_ENTRY_SIZE] = raw
+            w.write(off, raw)
             cursor += 1
             return off
 
@@ -694,9 +770,9 @@ class _FatBuilder:
                 _, name, lfns, entry = item
                 lfn_offsets = [place(raw) for raw in lfns]
                 off = place(entry)
+                runs = dir_info[name]["runs"]
                 truth_dirs[name] = DirTruth(
-                    path=name, first_cluster=dir_info[name]["clusters"][0],
-                    clusters=cluster_runs(dir_info[name]["clusters"]),
+                    path=name, first_cluster=runs[0][0], clusters=runs,
                     entry_offset=off, lfn_offsets=lfn_offsets)
             else:
                 _, f, lfns, entry = item
@@ -704,23 +780,6 @@ class _FatBuilder:
                 off = place(entry)
                 truth_files[f.path].entry_offset = off
                 truth_files[f.path].lfn_offsets = lfn_offsets
-
-    def _write_system_areas(self) -> None:
-        geom = self.geometry_dict()
-        geom["root_cluster"] = self.root_cluster
-        boot = _fat_boot_sector(self.kind, geom, self.serial,
-                                self.spec.volume_label)
-        self.buf[0:SECTOR] = boot
-        if self.kind is FsKind.FAT32:
-            free = sum(1 for v in self.fat[2:] if v == 0)
-            info = _fsinfo_sector(free, self.cursor)
-            self.buf[SECTOR:2 * SECTOR] = info
-            self.buf[6 * SECTOR:7 * SECTOR] = boot
-            self.buf[7 * SECTOR:8 * SECTOR] = info
-        packed = _pack_fat(self.kind, self.fat, self.fat_sectors * self.bps)
-        for i in range(self.num_fats):
-            off = (self.reserved + i * self.fat_sectors) * self.bps
-            self.buf[off:off + len(packed)] = packed
 
 
 def _put_fat12(raw: bytearray, pos: int, index: int, value: int) -> None:
@@ -734,31 +793,34 @@ def _put_fat12(raw: bytearray, pos: int, index: int, value: int) -> None:
         raw[pos + 1] = (value >> 4) & 0xFF
 
 
-def _pack_fat(kind: FsKind, entries: list[int], out_len: int) -> bytes:
-    if kind is FsKind.FAT12:
-        raw = bytearray((len(entries) * 3 + 1) // 2 + 1)
-        for i, v in enumerate(entries):
-            _put_fat12(raw, i * 3 // 2, i, v)
-        packed = bytes(raw)
-    elif kind is FsKind.FAT16:
-        packed = struct.pack("<%dH" % len(entries), *entries)
-    else:
-        packed = struct.pack("<%dI" % len(entries), *entries)
-    return packed[:out_len].ljust(out_len, b"\x00")
+def _write_fat_system_areas(w: _Writer, kind: FsKind, boot: bytes,
+                            fat_offsets, free: int, next_free: int) -> None:
+    """The boot sector, on FAT32 the FSInfo sector and both backups, and
+    the two reserved entries at the head of every FAT copy."""
+    w.write(0, boot)
+    if kind is FsKind.FAT32:
+        info = _fsinfo_sector(free, next_free)
+        w.write(SECTOR, info)
+        w.write(6 * SECTOR, boot)
+        w.write(7 * SECTOR, info)
+    w.fat_entries(fat_offsets, kind, 0,
+                  [(_EOC[kind] & ~0xFF) | MEDIA_FIXED, _EOC[kind]])
 
 
 # -- shared allocation planning -------------------------------------------
 
 
 def _plan_file_clusters(files, cluster_size, fragment_pairs, allocate):
-    """Assign clusters per file path.  Fragmented pairs interleave single
-    clusters so neither file is contiguous; everything else takes one
-    straight run from the allocator."""
+    """Assign [first, count] cluster runs per file path; ``allocate(n)``
+    returns the first cluster of a fresh run of n.  Fragmented pairs
+    interleave single clusters until the smaller file ends, so neither
+    file is contiguous, and the larger one takes the rest of their run;
+    everything else takes one straight run."""
     partner_of = {}
     for a, b in fragment_pairs:
         partner_of[a] = b
         partner_of[b] = a
-    out: dict[str, list[int]] = {}
+    out: dict[str, list[list[int]]] = {}
     for f in files:
         if f.path in out:
             continue
@@ -769,19 +831,18 @@ def _plan_file_clusters(files, cluster_size, fragment_pairs, allocate):
             partner = next((g for g in files
                             if g.name == pname and g.path not in out), None)
         if partner is None:
-            out[f.path] = allocate(count) if count else []
+            out[f.path] = [[allocate(count), count]] if count else []
             continue
         pcount = -(-partner.size // cluster_size) if partner.size else 0
-        pool = allocate(count + pcount)
-        mine: list[int] = []
-        theirs: list[int] = []
-        for i, c in enumerate(pool):
-            if (i % 2 == 0 and len(mine) < count) or len(theirs) >= pcount:
-                mine.append(c)
-            else:
-                theirs.append(c)
-        out[f.path] = mine
-        out[partner.path] = theirs
+        first = allocate(count + pcount)
+        shared = min(count, pcount)
+        mine = [(first + 2 * i, 1) for i in range(shared)]
+        theirs = [(first + 2 * i + 1, 1) for i in range(shared)]
+        rest = (first + 2 * shared, count + pcount - 2 * shared)
+        if rest[1]:
+            (mine if count > pcount else theirs).append(rest)
+        out[f.path] = merge_runs(mine)
+        out[partner.path] = merge_runs(theirs)
     return out
 
 
@@ -969,11 +1030,23 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
     return recs, mft_bitmap_value_off
 
 
-def _set_bits(bits: bytearray, runs) -> None:
-    """Set the bits that (first, count) runs cover in an LSB-first bitmap."""
+def _set_bits(bits: bytearray, runs, on: bool = True) -> None:
+    """Set (or, with ``on`` false, clear) the bits that (first, count)
+    runs cover in an LSB-first bitmap: the whole bytes of a run in one
+    slice, at most seven bits at either edge one by one."""
     for first, count in runs:
-        for i in range(first, first + count):
-            bits[i // 8] |= 1 << (i % 8)
+        end = first + count
+        lo, hi = -(-first // 8), end // 8
+        if lo < hi:
+            bits[lo:hi] = (b"\xff" if on else b"\x00") * (hi - lo)
+            edges = (range(first, 8 * lo), range(8 * hi, end))
+        else:
+            edges = (range(first, end),)
+        for i in (i for edge in edges for i in edge):
+            if on:
+                bits[i // 8] |= 1 << (i % 8)
+            else:
+                bits[i // 8] &= ~(1 << (i % 8))
 
 
 class _NtfsBuilder:
@@ -988,15 +1061,10 @@ class _NtfsBuilder:
         self.total_sectors = spec.total_size // self.bps
         self.cluster_count = self.total_sectors // self.spc
         self.mft_lcn = 4
-        self.buf = bytearray(spec.total_size)
         self.serial = (0x4E54_0000_0000_0000 ^
                        (spec.seed * 0x9E3779B97F4A7C15)) & ((1 << 64) - 1)
 
-    def _wc(self, lcn: int, data: bytes) -> None:
-        off = lcn * self.cs
-        self.buf[off:off + len(data)] = data
-
-    def build(self) -> GroundTruth:
+    def build(self, w: _Writer) -> GroundTruth:
         spec = self.spec
         files = spec.resolved_files()
         dirs = spec.all_dirs()
@@ -1015,12 +1083,12 @@ class _NtfsBuilder:
         if mft_clusters * per_cluster < slots_needed:
             raise ForgeError("corpus does not fit the MFT")
 
-        def allocate(n: int) -> list[int]:
+        def allocate(n: int) -> int:
             start = cursor[0]
             if start + n > min(mirror_lcn, self.cluster_count):
                 raise ForgeError("corpus does not fit volume")
             cursor[0] = start + n
-            return list(range(start, start + n))
+            return start
 
         plan = _plan_file_clusters(files, cs, spec.fragment_pairs, allocate)
 
@@ -1063,47 +1131,43 @@ class _NtfsBuilder:
             idx = first_file_index + i
             parent = dir_index.get(f.parent, 5)
             data = content_bytes(f.file_class, f.size, f.seed)
-            clusters = plan[f.path]
+            runs = plan[f.path]
             base_attrs = _std_and_fn(
                 f.name, parent, f.size,
-                len(clusters) * cs if clusters else _align8(f.size), False)
+                sum(n for _, n in runs) * cs if runs else _align8(f.size),
+                False)
             free = rs - 0x30 - sum(len(a) for a in base_attrs) - 0x18 - 8
             resident = f.size <= free
             if resident:
                 attrs = base_attrs + [_resident_attr(ATTR_DATA, data)]
-                clusters = []
+                runs = []
             else:
                 attrs = base_attrs + [_nonresident_attr(
-                    ATTR_DATA, cluster_runs(clusters), f.size, cs)]
-                for n, c in enumerate(clusters):
-                    self._wc(c, data[n * cs:(n + 1) * cs])
+                    ATTR_DATA, runs, f.size, cs)]
+                w.write_runs(runs, data, cs, lambda lcn: lcn * cs)
             slots[idx] = _record_bytes(idx, RECORD_FLAG_IN_USE, attrs, rs)
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
-                first_cluster=clusters[0] if clusters else 0,
-                clusters=cluster_runs(clusters),
+                first_cluster=runs[0][0] if runs else 0, clusters=runs,
                 entry_offset=mft_base + idx * rs,
                 resident=resident, record_index=idx)
 
         # Lay the table, the cluster bitmap, the mirror, and the boot code.
-        for i, rec in enumerate(slots):
-            if rec is not None:
-                self.buf[mft_base + i * rs:mft_base + (i + 1) * rs] = rec
+        w.write(mft_base, b"".join(rec or bytes(rs) for rec in slots))
 
         # Boot code, system files, padding past the last cluster, corpus.
         cluster_bits = bytearray(bitmap_real)
         cc = self.cluster_count
         _set_bits(cluster_bits, [(0, -(-8192 // cs)), *mft_runs, *bitmap_runs,
                                  *mirror_runs, (cc, bitmap_real * 8 - cc)]
-                  + [run for clusters in plan.values()
-                     for run in cluster_runs(clusters)])
-        self._wc(bitmap_lcn, bytes(cluster_bits))
+                  + [run for runs in plan.values() for run in runs])
+        w.write(bitmap_lcn * cs, cluster_bits)
 
-        self._wc(mirror_lcn, b"".join(slots[i] for i in range(4)))
-        boot = _ntfs_boot_sector(self.bps, self.spc, self.total_sectors,
-                                 self.mft_lcn, mirror_lcn, rs, self.serial)
-        self.buf[0:SECTOR] = boot
+        w.write(mirror_lcn * cs, b"".join(slots[:4]))
+        w.write(0, _ntfs_boot_sector(self.bps, self.spc, self.total_sectors,
+                                     self.mft_lcn, mirror_lcn, rs,
+                                     self.serial))
 
         geometry = {
             "kind": "NTFS",
@@ -1145,9 +1209,15 @@ def build_image(spec: CorpusSpec, image_path, truth_path=None) -> GroundTruth:
         builder = _NtfsBuilder(spec)
     else:
         raise ForgeError("unknown filesystem %r" % spec.filesystem)
-    truth = builder.build()
-    with open(image_path, "wb") as fh:
-        fh.write(builder.buf)
+    with _Writer(image_path, os.O_CREAT | os.O_TRUNC) as w:
+        try:
+            # Sized, not filled: every byte never written stays a hole
+            # that reads as zero, and no volume-sized buffer exists.
+            os.ftruncate(w.fd, spec.total_size)
+            truth = builder.build(w)
+        except BaseException:
+            os.unlink(image_path)   # no half-built image is left behind
+            raise
     if truth_path is not None:
         truth.save(truth_path)
     return truth
@@ -1190,47 +1260,6 @@ def standard_corpus(filesystem: str, total_size: int | None = None,
 # -- deletion modalities ---------------------------------------------------
 
 
-def _write_zeros(fh, count: int) -> None:
-    chunk = b"\x00" * min(count, 4 << 20)
-    while count > 0:
-        n = min(count, len(chunk))
-        fh.write(chunk[:n])
-        count -= n
-
-
-def _store_fat_entry(fh, fat_off: int, kind: FsKind, index: int,
-                     value: int) -> None:
-    if kind is FsKind.FAT12:
-        o = fat_off + index * 3 // 2
-        fh.seek(o)
-        pair = bytearray(fh.read(2))
-        _put_fat12(pair, 0, index, value)
-        fh.seek(o)
-        fh.write(bytes(pair))
-    elif kind is FsKind.FAT16:
-        fh.seek(fat_off + 2 * index)
-        fh.write(struct.pack("<H", value & 0xFFFF))
-    else:
-        fh.seek(fat_off + 4 * index)
-        old = struct.unpack("<I", fh.read(4))[0]
-        fh.seek(fat_off + 4 * index)
-        fh.write(struct.pack("<I", (old & 0xF0000000) | (value & 0x0FFFFFFF)))
-
-
-def _clear_bit(fh, base: int, bit: int) -> None:
-    fh.seek(base + bit // 8)
-    b = fh.read(1)[0]
-    fh.seek(base + bit // 8)
-    fh.write(bytes([b & ~(1 << (bit % 8))]))
-
-
-def _set_bit(fh, base: int, bit: int) -> None:
-    fh.seek(base + bit // 8)
-    b = fh.read(1)[0]
-    fh.seek(base + bit // 8)
-    fh.write(bytes([b | (1 << (bit % 8))]))
-
-
 def delete_metadata_only(image_path, truth: GroundTruth, path: str) -> None:
     """Delete one file (or directory) the way the filesystem driver does:
     mark its directory metadata unused and free its allocation, touching
@@ -1241,32 +1270,32 @@ def delete_metadata_only(image_path, truth: GroundTruth, path: str) -> None:
         t = truth.dirs[path]
     else:
         raise ForgeError("no such path in ground truth: %r" % path)
-    with open(image_path, "r+b") as fh:
-        if truth.filesystem == "NTFS":
-            fh.seek(t.entry_offset + 0x16)
-            flags = struct.unpack("<H", fh.read(2))[0]
-            fh.seek(t.entry_offset + 0x16)
-            fh.write(struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
-            _clear_bit(fh, truth.internal["mft_bitmap_value_abs"],
-                       t.record_index)
-            for start, length in t.clusters:
-                for c in range(start, start + length):
-                    _clear_bit(fh, truth.internal["cluster_bitmap_abs"], c)
-        else:
-            kind = FsKind(truth.filesystem)
-            for off in [t.entry_offset, *t.lfn_offsets]:
-                fh.seek(off)
-                fh.write(b"\xe5")
-            for fat_off in truth.internal["fat_offsets"]:
-                for start, length in t.clusters:
-                    for c in range(start, start + length):
-                        _store_fat_entry(fh, fat_off, kind, c, 0)
+    with _Writer(image_path) as w:
+        _delete(w, truth, t)
+
+
+def _delete(w: _Writer, truth: GroundTruth, t) -> None:
+    if truth.filesystem == "NTFS":
+        flags = struct.unpack("<H", w.read(t.entry_offset + 0x16, 2))[0]
+        w.write(t.entry_offset + 0x16,
+                struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
+        w.set_bits(truth.internal["mft_bitmap_value_abs"],
+                   [(t.record_index, 1)], False)
+        w.set_bits(truth.internal["cluster_bitmap_abs"], t.clusters, False)
+    else:
+        for off in [t.entry_offset, *t.lfn_offsets]:
+            w.write(off, b"\xe5")
+        kind = FsKind(truth.filesystem)
+        for first, count in t.clusters:
+            w.fat_entries(truth.internal["fat_offsets"], kind, first,
+                          [0] * count)
 
 
 def delete_all(image_path, truth: GroundTruth) -> list[str]:
     paths = sorted(truth.files)
-    for path in paths:
-        delete_metadata_only(image_path, truth, path)
+    with _Writer(image_path) as w:
+        for path in paths:
+            _delete(w, truth, truth.files[path])
     return paths
 
 
@@ -1298,33 +1327,24 @@ def _fat_quick_format(image_path, desc: VolumeDescriptor) -> None:
     serial = (desc.volume_serial or 0) & 0xFFFFFFFF
     boot = _fat_boot_sector(kind, geom, serial, "NO NAME")
     bps = desc.bytes_per_sector
-    head = [(_EOC[kind] & ~0xFF) | MEDIA_FIXED, _EOC[kind]]
-    head_len = {FsKind.FAT12: 3, FsKind.FAT16: 4, FsKind.FAT32: 8}[kind]
-    with open(image_path, "r+b") as fh:
-        fh.seek(0)
-        fh.write(boot)
+    fat_offsets = _fat_offsets(desc)
+    with _Writer(image_path) as w:
+        for off in fat_offsets:
+            w.zero(off, desc.sectors_per_fat * bps)
+        # The fresh root takes one cluster; the next free is the one after.
+        _write_fat_system_areas(w, kind, boot, fat_offsets,
+                                desc.cluster_count - 1, 3)
         if kind is FsKind.FAT32:
-            info = _fsinfo_sector(desc.cluster_count - 1, 3)
-            fh.seek(SECTOR)
-            fh.write(info)
-            fh.seek(6 * SECTOR)
-            fh.write(boot)
-            fh.seek(7 * SECTOR)
-            fh.write(info)
-        for i in range(desc.num_fats):
-            off = (desc.reserved_sectors + i * desc.sectors_per_fat) * bps
-            fh.seek(off)
-            _write_zeros(fh, desc.sectors_per_fat * bps)
-            fh.seek(off)
-            fh.write(_pack_fat(kind, head, head_len))
-            if kind is FsKind.FAT32:
-                _store_fat_entry(fh, off, kind, desc.root_cluster, _EOC[kind])
-        if kind is FsKind.FAT32:
-            fh.seek(cluster_offset(desc, desc.root_cluster))
-            _write_zeros(fh, desc.cluster_size)
+            w.fat_chain(fat_offsets, kind, [(desc.root_cluster, 1)])
+            w.zero(cluster_offset(desc, desc.root_cluster), desc.cluster_size)
         else:
-            fh.seek(desc.root_dir_sector * bps)
-            _write_zeros(fh, desc.root_entries * DIR_ENTRY_SIZE)
+            w.zero(desc.root_dir_sector * bps,
+                   desc.root_entries * DIR_ENTRY_SIZE)
+
+
+def _fat_offsets(desc: VolumeDescriptor) -> list[int]:
+    return [(desc.reserved_sectors + i * desc.sectors_per_fat)
+            * desc.bytes_per_sector for i in range(desc.num_fats)]
 
 
 def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
@@ -1357,15 +1377,11 @@ def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
     boot = _ntfs_boot_sector(desc.bytes_per_sector, desc.sectors_per_cluster,
                              desc.total_sectors, mft_lcn, mirror_lcn, rs,
                              serial)
-    with open(image_path, "r+b") as fh:
-        fh.seek(0)
-        fh.write(boot)
-        fh.seek(mft_lcn * cs)
-        fh.write(b"".join(recs))
-        fh.seek(bitmap_lcn * cs)
-        fh.write(bytes(cluster_bits))
-        fh.seek(mirror_lcn * cs)
-        fh.write(b"".join(recs[:4]))
+    with _Writer(image_path) as w:
+        w.write(0, boot)
+        w.write(mft_lcn * cs, b"".join(recs))
+        w.write(bitmap_lcn * cs, cluster_bits)
+        w.write(mirror_lcn * cs, b"".join(recs[:4]))
 
 
 def full_overwrite(image_path) -> None:
@@ -1379,9 +1395,8 @@ def full_overwrite(image_path) -> None:
     else:
         start = desc.first_data_sector * desc.bytes_per_sector
         end = start + desc.cluster_count * desc.cluster_size
-    with open(image_path, "r+b") as fh:
-        fh.seek(start)
-        _write_zeros(fh, end - start)
+    with _Writer(image_path) as w:
+        w.zero(start, end - start)
     quick_format(image_path)
 
 
@@ -1427,24 +1442,18 @@ def add_file(image_path, name: str, data: bytes) -> dict:
 def _fat_add_file(image_path, img, desc, name, data) -> dict:
     fat = load_fat(img, desc)
     cs = desc.cluster_size
-    count = -(-len(data) // cs) if data else 0
-    free = [c for c in range(2, desc.cluster_count + 2)
-            if fat.is_free(c)]
-    if count > len(free):
-        raise ForgeError("volume full")
-    clusters = free[:count]
-    fat_offs = [(desc.reserved_sectors + i * desc.sectors_per_fat)
-                * desc.bytes_per_sector for i in range(desc.num_fats)]
+    runs = _lowest_free_runs(fat.is_free, 2, desc.cluster_count + 2,
+                             -(-len(data) // cs))
 
     raw11, needs_lfn = _to_83(name, set())
     lfns = _lfn_entries(name, raw11) if needs_lfn else []
-    entry = _dir_entry(raw11, 0x20, clusters[0] if clusters else 0, len(data))
+    entry = _dir_entry(raw11, 0x20, runs[0][0] if runs else 0, len(data))
     need_slots = len(lfns) + 1
 
     if desc.kind is FsKind.FAT32:
-        runs, _ = fat.chain_from(desc.root_cluster)
+        root_runs, _ = fat.chain_from(desc.root_cluster)
         blocks = [(cluster_offset(desc, first), count * cs)
-                  for first, count in runs]
+                  for first, count in root_runs]
     else:
         blocks = [(desc.root_dir_sector * desc.bytes_per_sector,
                    desc.root_entries * DIR_ENTRY_SIZE)]
@@ -1452,9 +1461,9 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     slot_offs: list[int] = []
     run: list[int] = []
     for base, length in blocks:
+        block = img.read_at(base, length)
         for pos in range(0, length, DIR_ENTRY_SIZE):
-            first = img.read_at(base + pos, 1)[0]
-            if first in (0x00, 0xE5):
+            if block[pos] in (0x00, 0xE5):
                 run.append(base + pos)
                 if len(run) == need_slots:
                     slot_offs = run
@@ -1466,20 +1475,23 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     if not slot_offs:
         raise ForgeError("no room in the root directory")
 
-    with open(image_path, "r+b") as fh:
-        for i, c in enumerate(clusters):
-            fh.seek(cluster_offset(desc, c))
-            fh.write(data[i * cs:(i + 1) * cs])
-        for fat_off in fat_offs:
-            for a, b in zip(clusters, clusters[1:]):
-                _store_fat_entry(fh, fat_off, desc.kind, a, b)
-            if clusters:
-                _store_fat_entry(fh, fat_off, desc.kind, clusters[-1],
-                                 _EOC[desc.kind])
+    with _Writer(image_path) as w:
+        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+        w.fat_chain(_fat_offsets(desc), desc.kind, runs)
         for off, raw in zip(slot_offs, lfns + [entry]):
-            fh.seek(off)
-            fh.write(raw)
-    return {"path": name, "clusters": cluster_runs(clusters)}
+            w.write(off, raw)
+    return {"path": name, "clusters": runs}
+
+
+def _lowest_free_runs(is_free, start: int, stop: int,
+                      count: int) -> list[list[int]]:
+    """The lowest ``count`` clusters in [start, stop) that ``is_free``
+    accepts, as [first, count] runs; the walk stops at the last one
+    needed."""
+    found = list(islice(filter(is_free, range(start, stop)), count))
+    if len(found) < count:
+        raise ForgeError("volume full")
+    return merge_runs((c, 1) for c in found)
 
 
 def _ntfs_record_slots(img, desc):
@@ -1540,26 +1552,20 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     bitmap_abs = bitmap_run.lcn * cs
     bits = bytearray(img.read_at(bitmap_abs, bitmap_real))
 
-    count = -(-len(data) // cs) if data else 0
-    clusters: list[int] = []
-    for c in range(2, desc.total_clusters):
-        if not bits[c // 8] >> (c % 8) & 1:
-            clusters.append(c)
-            if len(clusters) == count:
-                break
-    if len(clusters) < count:
-        raise ForgeError("volume full")
+    count = -(-len(data) // cs)
+    runs = _lowest_free_runs(lambda c: not bits[c // 8] >> (c % 8) & 1,
+                             2, desc.total_clusters, count)
 
     base_attrs = _std_and_fn(name, 5, len(data),
-                             count * cs if clusters else _align8(len(data)),
+                             count * cs if runs else _align8(len(data)),
                              False)
     free = rs - 0x30 - sum(len(a) for a in base_attrs) - 0x18 - 8
     if len(data) <= free:
         attrs = base_attrs + [_resident_attr(ATTR_DATA, data)]
-        clusters = []
+        runs = []
     else:
         attrs = base_attrs + [_nonresident_attr(
-            ATTR_DATA, cluster_runs(clusters), len(data), cs)]
+            ATTR_DATA, runs, len(data), cs)]
     rec = _record_bytes(slot_index, RECORD_FLAG_IN_USE, attrs, rs)
 
     # Locate the record-allocation bitmap value inside record 0.
@@ -1580,15 +1586,12 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     if mft_bits_abs is None:
         raise ForgeError("record 0 lacks a record-allocation bitmap")
 
-    with open(image_path, "r+b") as fh:
-        for i, c in enumerate(clusters):
-            fh.seek(cluster_offset(desc, c))
-            fh.write(data[i * cs:(i + 1) * cs])
-            _set_bit(fh, bitmap_abs, c)
-        fh.seek(slot_off)
-        fh.write(rec)
-        _set_bit(fh, mft_bits_abs, slot_index)
-    return {"path": name, "clusters": cluster_runs(clusters)}
+    with _Writer(image_path) as w:
+        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+        w.set_bits(bitmap_abs, runs, True)
+        w.write(slot_off, rec)
+        w.set_bits(mft_bits_abs, [(slot_index, 1)], True)
+    return {"path": name, "clusters": runs}
 
 
 # -- sanitization audit ----------------------------------------------------

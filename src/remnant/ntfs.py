@@ -94,11 +94,6 @@ class MftRecordHeader:
         return bool(self.flags & RECORD_FLAG_DIRECTORY)
 
 
-def is_deleted(header: MftRecordHeader) -> bool:
-    """A record is deleted exactly when its in-use flag bit is clear."""
-    return not header.in_use
-
-
 def parse_record_header(buf: bytes, record_index: int = -1) -> MftRecordHeader:
     if len(buf) < 48 or buf[0:4] != FILE_SIGNATURE:
         raise MftError("record %d: bad signature" % record_index)

@@ -334,11 +334,6 @@ def merge_runs(runs) -> list[list[int]]:
     return merged
 
 
-def cluster_runs(clusters) -> list[list[int]]:
-    """Compress a cluster list into [start, length] runs."""
-    return merge_runs((c, 1) for c in clusters)
-
-
 def mark_runs(bitmap: bytearray, runs) -> None:
     """Set to 1 the bytes of an allocation bitmap (one byte per cluster
     number) that the (first, count) runs cover.  Each run is clipped to
@@ -379,18 +374,6 @@ def cluster_extents(img: VolumeImage, desc: VolumeDescriptor,
         img.check_span(offset, count * cs)
         extents.append((offset, count * cs))
     return extents
-
-
-def read_clusters(img: VolumeImage, desc: VolumeDescriptor, clusters) -> bytes:
-    """Concatenate the raw bytes of the given clusters, in order.
-
-    All cluster numbers are validated before any byte is read, so an
-    out-of-range member aborts the whole call rather than returning a
-    silently short result.  Consecutive cluster numbers form one run,
-    read with a single ``read_at``.
-    """
-    extents = cluster_extents(img, desc, cluster_runs(clusters))
-    return b"".join(img.read_at(offset, length) for offset, length in extents)
 
 
 def _extent_chunks(img: VolumeImage, extent, limit: int):

@@ -1,8 +1,9 @@
 """Shared fixtures: forged disk images with known contents.
 
-Building an image is cheap (in-memory bytearray), but the 64 MiB ones
-are worth reusing, so the pristine copies are session-scoped and every
-test that wants to mutate an image works on a private copy.
+Building an image is cheap (a sparse file written in cluster runs), but
+the 64 MiB ones are worth reusing, so the pristine copies are
+session-scoped and every test that wants to mutate an image works on a
+private copy.
 """
 
 import shutil

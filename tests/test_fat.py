@@ -28,8 +28,8 @@ from remnant.volume import (
     VolumeDescriptor,
     VolumeImage,
     cluster_offset,
-    cluster_runs,
     detect_filesystem,
+    merge_runs,
     open_image,
 )
 
@@ -352,12 +352,13 @@ def test_run_chains_match_the_per_cluster_reference(case, limit):
     desc, fat = _desc16(cluster_count=_SMALL_HEAP), FatTable(FsKind.FAT16,
                                                              entries)
     chain, ended = _chain_from_per_cluster(fat, first, limit)
-    assert fat.chain_from(first, limit) == (cluster_runs(chain), ended)
+    assert fat.chain_from(first, limit) == (
+        merge_runs((c, 1) for c in chain), ended)
     for live_map, live_set in ((None, None), (_bitmap(desc, live), live)):
         chain, conf, flags = _reconstruct_per_cluster(first, size, fat, desc,
                                                       live_set)
         assert reconstruct_chain(first, size, fat, desc, live_map) == \
-            (cluster_runs(chain), conf, flags)
+            (merge_runs((c, 1) for c in chain), conf, flags)
 
 
 # ------------------------------------------------------- whole images

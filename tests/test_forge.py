@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from remnant import fat as fatmod
 from remnant import filetypes
 from remnant import forge
 from remnant import ntfs as ntfsmod
-from remnant.volume import FsKind, detect_filesystem, open_image
+from remnant.volume import (FsKind, cluster_extents, detect_filesystem,
+                            open_image)
 
 MiB = 1024 * 1024
 ALL_FS = ("fat12", "fat16", "fat32", "ntfs")
@@ -87,12 +92,10 @@ def test_built_corpus_reads_back_byte_identical(base_images, fs):
                              if a.is_unnamed_data)
                 assert value == original
             else:
-                data = bytearray()
-                for start, length in rec.clusters:
-                    from remnant.volume import read_clusters
-                    data += read_clusters(img, desc,
-                                          range(start, start + length))
-                assert bytes(data[:rec.size]) == original
+                data = b"".join(
+                    img.read_at(offset, length) for offset, length
+                    in cluster_extents(img, desc, rec.clusters))
+                assert data[:rec.size] == original
 
 
 def test_empty_spec_builds_a_valid_volume(tmp_path):
@@ -118,6 +121,38 @@ def test_rebuild_is_bit_for_bit_deterministic(tmp_path):
     c = tmp_path / "c.img"
     forge.build_image(spec2, c)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("fs", ["fat32", "ntfs"])
+def test_build_memory_does_not_follow_the_volume_size(tmp_path, fs):
+    """The image is sized, not filled: the forge holds no volume-sized
+    buffer, and clusters never written are left for the filesystem to
+    keep as holes."""
+    f = forge.FileSpec
+    spec = forge.CorpusSpec(
+        filesystem=fs, total_size=64 * MiB,
+        sectors_per_cluster=1 if fs == "fat32" else None,
+        files=[f("A.BIN", "audio", 300_000), f("B.TXT", "document", 700),
+               f("C.JPG", "image", 65_536, None, "SUB")], dirs=["SUB"])
+    path = tmp_path / "v.img"
+    tracemalloc.start()
+    try:
+        forge.build_image(spec, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MiB
+    assert os.stat(path).st_size == spec.total_size
+
+
+def test_a_failed_build_leaves_no_image(tmp_path):
+    spec = forge.CorpusSpec(
+        filesystem="fat16", total_size=4 * MiB,
+        files=[forge.FileSpec("HUGE.BIN", "video", 8 * MiB)])
+    path = tmp_path / "v.img"
+    with pytest.raises(forge.ForgeError, match="does not fit"):
+        forge.build_image(spec, path)
+    assert not path.exists()
 
 
 def test_three_cluster_file_gets_one_contiguous_run(tmp_path):
@@ -256,6 +291,58 @@ def test_audit_reports_partial_files(image_copy):
     assert 0 < row["recoverable_bytes"] < row["size_bytes"]
     assert rep["partial_files"] >= 1
     assert rep["verdict"] == "RECOVERABLE"   # something is still exposed
+
+
+def test_add_file_memory_follows_the_fat_not_the_heap(image_copy):
+    """The new file takes the lowest free clusters and the search stops
+    at the last one needed: no list of every free cluster is built."""
+    path, truth = image_copy("fat32", "quick-format")
+    assert truth.geometry["cluster_size"] == 512
+    tracemalloc.start()
+    try:
+        got = forge.add_file(path, "NEW.TXT", b"hello")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["clusters"] == [[3, 1]]
+    assert peak < 4 * truth.internal["fat_bytes"]
+
+
+def test_delete_keeps_the_reserved_fat32_nibble(image_copy):
+    path, truth = image_copy("fat32")
+    victim = max(truth.files.values(), key=lambda r: r.size)
+    (first, count), = victim.clusters
+    with open(path, "r+b") as fh:
+        for fat_off in truth.internal["fat_offsets"]:
+            fh.seek(fat_off + 4 * first)
+            entries = struct.unpack("<%dI" % count, fh.read(4 * count))
+            fh.seek(fat_off + 4 * first)
+            fh.write(struct.pack("<%dI" % count,
+                                 *(0xA0000000 | e for e in entries)))
+    forge.apply_mutation(path, "delete", truth=truth, target=victim.path)
+    raw = path.read_bytes()
+    for fat_off in truth.internal["fat_offsets"]:
+        start = fat_off + 4 * first
+        assert struct.unpack("<%dI" % count, raw[start:start + 4 * count]) \
+            == (0xA0000000,) * count
+
+
+@given(size=st.integers(1, 6), on=st.booleans(), runs=st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 17)), max_size=4))
+def test_set_bits_matches_the_per_bit_reference(size, on, runs):
+    runs = [(first, count) for first, count in runs
+            if first + count <= 8 * size]
+    start = bytes(range(37, 37 + size))
+    want = bytearray(start)
+    for first, count in runs:
+        for i in range(first, first + count):
+            if on:
+                want[i // 8] |= 1 << (i % 8)
+            else:
+                want[i // 8] &= ~(1 << (i % 8))
+    got = bytearray(start)
+    forge._set_bits(got, runs, on)
+    assert got == want
 
 
 def test_audit_refuses_a_mismatched_sidecar(base_images, image_copy):

@@ -21,6 +21,7 @@ from remnant.ntfs import (
     FixupError,
     MftError,
     MftScanStats,
+    RECORD_FLAG_IN_USE,
     Run,
     RunList,
     RunListError,
@@ -134,13 +135,13 @@ def _blank_record(flags=0x0001, index=7):
 def test_flags_decide_deletion_state():
     live = parse_record_header(bytes(_blank_record(flags=0x0001)), 7)
     assert live.in_use and not live.is_directory
-    assert not ntfs.is_deleted(live)
+    assert live.flags & RECORD_FLAG_IN_USE
 
     gone = parse_record_header(bytes(_blank_record(flags=0x0000)), 7)
-    assert ntfs.is_deleted(gone) and not gone.is_directory
+    assert not gone.flags & RECORD_FLAG_IN_USE and not gone.is_directory
 
     gone_dir = parse_record_header(bytes(_blank_record(flags=0x0002)), 7)
-    assert ntfs.is_deleted(gone_dir) and gone_dir.is_directory
+    assert not gone_dir.flags & RECORD_FLAG_IN_USE and gone_dir.is_directory
 
 
 def test_bad_signature_is_an_error():

@@ -12,7 +12,7 @@ from remnant.report import (
     render_text,
     summarize,
 )
-from remnant.volume import cluster_runs
+from remnant.volume import merge_runs
 
 
 # --------------------------------------------------------- exact_percent
@@ -50,9 +50,12 @@ def test_percent_bounds_and_exactness(n, d):
 # ---------------------------------------------------------- cluster runs
 
 def test_cluster_runs_collapse_contiguity():
-    assert cluster_runs([5, 6, 7, 9, 12, 13]) == [[5, 3], [9, 1], [12, 2]]
-    assert cluster_runs([]) == []
-    assert cluster_runs([4]) == [[4, 1]]
+    def runs(clusters):
+        return merge_runs((c, 1) for c in clusters)
+    assert runs([5, 6, 7, 9, 12, 13]) == [[5, 3], [9, 1], [12, 2]]
+    assert runs([]) == []
+    assert runs([4]) == [[4, 1]]
+    assert merge_runs([(5, 2), (7, 3), (11, 1)]) == [[5, 5], [11, 1]]
 
 
 # ------------------------------------------------------------- summaries

@@ -15,10 +15,10 @@ from remnant.volume import (
     HEAD_BYTES,
     STREAM_CHUNK,
     FsKind,
-    cluster_runs,
+    cluster_extents,
     detect_filesystem,
+    merge_runs,
     open_image,
-    read_clusters,
 )
 
 
@@ -139,6 +139,13 @@ def test_ntfs_candidates_resolve_one_parent_level(image_copy):
 
 # ------------------------------------------------- streamed recovery
 
+def _read_clusters(img, desc, clusters):
+    """Every cluster checked first, then the runs read into one buffer."""
+    extents = cluster_extents(img, desc,
+                              merge_runs((c, 1) for c in clusters))
+    return b"".join(img.read_at(offset, length) for offset, length in extents)
+
+
 def _recover_buffered(img, scan, cand):
     """Reference: the whole-payload recovery that streaming replaced --
     read every cluster into one buffer, cut it to size, hash it."""
@@ -169,7 +176,7 @@ def _recover_buffered(img, scan, cand):
                 if readable_end < end and "partial" not in flags:
                     flags.append("partial")
                 span = range(run.lcn, readable_end)
-                parts.append(read_clusters(img, desc, span))
+                parts.append(_read_clusters(img, desc, span))
                 clusters_used.extend(span)
                 if readable_end < end:
                     break
@@ -185,7 +192,7 @@ def _recover_buffered(img, scan, cand):
     else:
         clusters_used = [c for first, count in entry.chain
                          for c in range(first, first + count)]
-        data = read_clusters(img, desc, clusters_used)
+        data = _read_clusters(img, desc, clusters_used)
         flags = list(entry.flags)
         if len(data) < entry.size and "truncated" not in flags:
             flags.append("truncated")
@@ -197,7 +204,8 @@ def _recover_buffered(img, scan, cand):
     return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data),
             "flags": flags, "confidence": confidence,
             "source": {"filesystem": desc.kind.value, "entry": entry.entry_id,
-                       "clusters": cluster_runs(clusters_used)},
+                       "clusters": merge_runs((c, 1)
+                                              for c in clusters_used)},
             "class": classify(data, name), "data": data}
 
 

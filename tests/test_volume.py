@@ -13,10 +13,11 @@ from remnant.volume import (
     VolumeDescriptor,
     VolumeError,
     VolumeImage,
+    cluster_extents,
     cluster_offset,
     detect_filesystem,
+    merge_runs,
     open_image,
-    read_clusters,
 )
 
 MiB = 1024 * 1024
@@ -235,6 +236,14 @@ def test_cluster_offset_ntfs_counts_from_zero():
         cluster_offset(desc, -1)
 
 
+def _read_clusters(img, desc, clusters):
+    """Clusters read the way recovery reads them: every run checked by
+    ``cluster_extents`` first, then one ``read_at`` per extent."""
+    extents = cluster_extents(img, desc,
+                              merge_runs((c, 1) for c in clusters))
+    return b"".join(img.read_at(offset, length) for offset, length in extents)
+
+
 def test_read_clusters_concatenates_in_call_order():
     desc = _ntfs_desc(total_sectors=8 * 8)  # 8 clusters of 4 KiB
     buf = bytearray()
@@ -242,9 +251,9 @@ def test_read_clusters_concatenates_in_call_order():
         buf += bytes([i]) * 4096
     img = VolumeImage.from_bytes(bytes(buf))
 
-    out = read_clusters(img, desc, [3, 5, 4])
+    out = _read_clusters(img, desc, [3, 5, 4])
     assert out == b"\x03" * 4096 + b"\x05" * 4096 + b"\x04" * 4096
-    assert read_clusters(img, desc, []) == b""
+    assert _read_clusters(img, desc, []) == b""
 
 
 # -------------------------------------------- run-at-a-time cluster reads
@@ -304,7 +313,7 @@ def test_read_clusters_names_the_first_bad_member_and_reads_nothing(
     desc = _small_fat32()
     img = _numbered_image(10, 512, lead=512)
     with pytest.raises(ClusterRangeError) as new:
-        read_clusters(img, desc, clusters)
+        _read_clusters(img, desc, clusters)
     assert str(new.value) == "cluster %d outside heap" % bad
     with pytest.raises(ClusterRangeError) as old:
         _read_clusters_per_cluster(img, desc, clusters)
@@ -315,7 +324,7 @@ def test_read_clusters_names_the_first_bad_member_and_reads_nothing(
 def test_read_clusters_issues_one_read_per_run():
     desc = _ntfs_desc(total_sectors=8 * 8)
     img = _numbered_image(8, 4096)
-    out = read_clusters(img, desc, range(1, 7))
+    out = _read_clusters(img, desc, range(1, 7))
     assert out == b"".join(bytes([i]) * 4096 for i in range(1, 7))
     assert img.reads == [(4096, 6 * 4096)]
 
@@ -345,11 +354,11 @@ def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters):
     except ClusterRangeError as exc:
         img.reads.clear()
         with pytest.raises(ClusterRangeError) as got:
-            read_clusters(img, desc, flat)
+            _read_clusters(img, desc, flat)
         assert str(got.value) == str(exc)
         assert img.reads == []
         return
     old_reads = list(img.reads)
     img.reads.clear()
-    assert read_clusters(img, desc, flat) == want
+    assert _read_clusters(img, desc, flat) == want
     assert img.reads == old_reads
