@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 from .report import RecoveredFile
 from .volume import (
+    DIR_ENTRY_SIZE,
+    STREAM_CHUNK,
     CorruptBootRecord,
     FsKind,
     VolumeDescriptor,
@@ -29,7 +31,6 @@ from .volume import (
     mark_runs,
 )
 
-DIR_ENTRY_SIZE = 32
 DELETED_MARK = 0xE5
 END_MARK = 0x00
 KANJI_LEAD = 0x05          # stored stand-in for a real leading 0xE5
@@ -121,7 +122,7 @@ class FatDirEntry:
         """8.3 name; a deleted entry's lost first byte renders as '_'."""
         raw = bytearray(self.raw_name)
         if raw[0] == KANJI_LEAD:
-            raw[0] = 0xE5
+            raw[0] = DELETED_MARK
         first = DELETED_SUBSTITUTE if self.deleted else chr(raw[0])
         base = (first + raw[1:8].decode("latin-1")).rstrip(" ")
         ext = raw[8:11].decode("latin-1").rstrip(" ")
@@ -418,7 +419,7 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     ``consumed`` bitmap.
     """
     cs = desc.cluster_size
-    batch = max(1, (4 << 20) // cs)
+    batch = max(1, STREAM_CHUNK // cs)
     # A truncated image is carved up to its last whole cluster.
     readable = max(0, img.size - cluster_offset(desc, 2)) // cs
     last = min(desc.max_cluster, readable + 1)

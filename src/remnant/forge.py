@@ -18,27 +18,45 @@ import struct
 from dataclasses import dataclass, field, asdict
 from itertools import islice
 
-from .fat import DIR_ENTRY_SIZE, load_fat
+from .fat import (
+    ATTR_ARCHIVE,
+    ATTR_DIRECTORY,
+    ATTR_VOLUME_ID,
+    DELETED_MARK,
+    DOT_NAME,
+    DOTDOT_NAME,
+    END_MARK,
+    load_fat,
+    parse_dir_slots,
+)
 from .filetypes import magic_for
 from .ntfs import (
     ATTR_BITMAP,
     ATTR_DATA,
+    ATTR_END,
     ATTR_FILE_NAME,
     ATTR_INDEX_ROOT,
     ATTR_STANDARD_INFORMATION,
     ATTR_VOLUME_INFORMATION,
     ATTR_VOLUME_NAME,
+    FILE_SIGNATURE,
     RECORD_FLAG_DIRECTORY,
     RECORD_FLAG_IN_USE,
+    ROOT_RECORD,
+    SYSTEM_RECORDS,
     UPDATE_SEQUENCE_STRIDE,
     MftError,
-    apply_fixup,
+    decode_data_runs,
+    mft_extent,
     parse_attributes,
-    parse_record_header,
+    read_record,
 )
 from .volume import (
+    BOOT_SIGNATURE,
+    DIR_ENTRY_SIZE,
     FAT12_CLUSTER_LIMIT,
     FAT16_CLUSTER_LIMIT,
+    NTFS_OEM,
     STREAM_CHUNK,
     FsKind,
     VolumeDescriptor,
@@ -66,7 +84,6 @@ NTFS_RECORD_SIZE = 1024
 NTFS_FIRST_USER_RECORD = 32   # records 16..31 stay blank on purpose: a
                               # re-format's fresh metadata lands there
                               # instead of on top of user records.
-NTFS_SYSTEM_RECORDS = 16
 
 SFN_VALID = set(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#$%&'()-@^_`{}~")
 
@@ -527,7 +544,7 @@ def _fat_boot_sector(kind: FsKind, geom: dict, serial: int, label: str) -> bytes
     fstype = {FsKind.FAT12: b"FAT12   ", FsKind.FAT16: b"FAT16   ",
               FsKind.FAT32: b"FAT32   "}[kind]
     boot[ext + 18:ext + 26] = fstype
-    boot[510:512] = b"\x55\xaa"
+    boot[510:512] = BOOT_SIGNATURE
     return bytes(boot)
 
 
@@ -536,7 +553,7 @@ def _fsinfo_sector(free_clusters: int, next_free: int) -> bytes:
     sec[0:4] = b"RRaA"
     sec[0x1E4:0x1E8] = b"rrAa"
     struct.pack_into("<II", sec, 0x1E8, free_clusters, next_free)
-    sec[510:512] = b"\x55\xaa"
+    sec[510:512] = BOOT_SIGNATURE
     return bytes(sec)
 
 
@@ -671,8 +688,8 @@ class _FatBuilder:
             count = -(-dir_slots[name] // per_cluster)
             runs = [[self.allocate(count), count]]
             w.fat_chain(self.fat_offsets, self.kind, runs)
-            dot = _dir_entry(b".          ", 0x10, runs[0][0], 0)
-            dotdot = _dir_entry(b"..         ", 0x10, 0, 0)
+            dot = _dir_entry(DOT_NAME, ATTR_DIRECTORY, runs[0][0], 0)
+            dotdot = _dir_entry(DOTDOT_NAME, ATTR_DIRECTORY, 0, 0)
             dir_info[name] = {**dir_meta[name], "runs": runs,
                               "entries": [dot, dotdot]}
 
@@ -685,11 +702,13 @@ class _FatBuilder:
             pending_entries[name] = []
 
         label_raw = spec.volume_label.upper().ljust(11)[:11].encode("latin-1")
-        pending_entries[""].append(("label", _dir_entry(label_raw, 0x08, 0, 0)))
+        pending_entries[""].append(
+            ("label", _dir_entry(label_raw, ATTR_VOLUME_ID, 0, 0)))
 
         for name in dir_names:
             info = dir_info[name]
-            entry = _dir_entry(info["raw11"], 0x10, info["runs"][0][0], 0)
+            entry = _dir_entry(info["raw11"], ATTR_DIRECTORY,
+                               info["runs"][0][0], 0)
             pending_entries[""].append(("dir", name, info["lfns"], entry))
 
         for f in files:
@@ -699,7 +718,7 @@ class _FatBuilder:
             w.write_runs(runs, data, self.cs, self._cluster_off)
             meta = file_meta[f.path]
             first = runs[0][0] if runs else 0
-            entry = _dir_entry(meta["raw11"], 0x20, first, f.size)
+            entry = _dir_entry(meta["raw11"], ATTR_ARCHIVE, first, f.size)
             pending_entries[f.parent].append(("file", f, meta["lfns"], entry))
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
@@ -925,7 +944,7 @@ def _std_and_fn(name: str, parent: int, real: int, alloc: int,
 def _record_bytes(index: int, flags: int, attrs: list[bytes],
                   record_size: int) -> bytes:
     raw = bytearray(record_size)
-    raw[0:4] = b"FILE"
+    raw[0:4] = FILE_SIGNATURE
     usa_count = 1 + record_size // UPDATE_SEQUENCE_STRIDE
     struct.pack_into("<HH", raw, 0x04, 0x2A, usa_count)
     struct.pack_into("<H", raw, 0x10, 1)                 # sequence
@@ -938,7 +957,7 @@ def _record_bytes(index: int, flags: int, attrs: list[bytes],
             raise ForgeError("attributes overflow record %d" % index)
         raw[pos:pos + len(attr)] = attr
         pos += len(attr)
-    struct.pack_into("<I", raw, pos, 0xFFFFFFFF)
+    struct.pack_into("<I", raw, pos, ATTR_END)
     used = pos + 8
     struct.pack_into("<II", raw, 0x18, used, record_size)
     struct.pack_into("<H", raw, 0x28, len(attrs) + 1)    # next attribute id
@@ -957,7 +976,7 @@ def _ntfs_boot_sector(bps, spc, total_sectors, mft_lcn, mirror_lcn,
                       record_size, serial) -> bytes:
     boot = bytearray(SECTOR)
     boot[0:3] = b"\xeb\x52\x90"
-    boot[3:11] = b"NTFS    "
+    boot[3:11] = NTFS_OEM
     struct.pack_into("<H", boot, 0x0B, bps)
     boot[0x0D] = spc
     boot[0x15] = MEDIA_FIXED
@@ -973,7 +992,7 @@ def _ntfs_boot_sector(bps, spc, total_sectors, mft_lcn, mirror_lcn,
         boot[0x40] = (256 - (record_size.bit_length() - 1)) & 0xFF
     boot[0x44] = 1
     struct.pack_into("<Q", boot, 0x48, serial & (1 << 64) - 1)
-    boot[510:512] = b"\x55\xaa"
+    boot[510:512] = BOOT_SIGNATURE
     return bytes(boot)
 
 
@@ -985,7 +1004,8 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
     rs, cs = record_size, cluster_size
     recs: list[bytes] = []
 
-    mft_attrs = _std_and_fn("$MFT", 5, mft_slots * rs, mft_slots * rs, False)
+    mft_attrs = _std_and_fn("$MFT", ROOT_RECORD, mft_slots * rs,
+                            mft_slots * rs, False)
     mft_attrs.append(_nonresident_attr(ATTR_DATA, mft_runs, mft_slots * rs, cs))
     bitmap_attr_off = 0x30 + sum(len(a) for a in mft_attrs)
     mft_attrs.append(_resident_attr(ATTR_BITMAP, mft_bitmap_bits))
@@ -996,35 +1016,36 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
 
     mirror_real = 4 * rs
     recs.append(_record_bytes(1, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$MFTMirr", 5, mirror_real, mirror_real, False) + [
+        "$MFTMirr", ROOT_RECORD, mirror_real, mirror_real, False) + [
         _nonresident_attr(ATTR_DATA, mirror_runs, mirror_real, cs)], rs))
     recs.append(_record_bytes(2, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$LogFile", 5, 0, 0, False) + [
+        "$LogFile", ROOT_RECORD, 0, 0, False) + [
         _resident_attr(ATTR_DATA, b"")], rs))
     recs.append(_record_bytes(3, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$Volume", 5, 0, 0, False) + [
+        "$Volume", ROOT_RECORD, 0, 0, False) + [
         _resident_attr(ATTR_VOLUME_NAME, label.encode("utf-16-le")),
         _resident_attr(ATTR_VOLUME_INFORMATION,
                        struct.pack("<QBBH", 0, 3, 1, 0))], rs))
     recs.append(_record_bytes(4, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$AttrDef", 5, 0, 0, False) + [
+        "$AttrDef", ROOT_RECORD, 0, 0, False) + [
         _resident_attr(ATTR_DATA, b"")], rs))
     recs.append(_record_bytes(
-        5, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
-        _std_and_fn(".", 5, 0, 0, True) + [
+        ROOT_RECORD, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
+        _std_and_fn(".", ROOT_RECORD, 0, 0, True) + [
             _resident_attr(ATTR_INDEX_ROOT, _index_root_value(), "$I30")], rs))
     recs.append(_record_bytes(6, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$Bitmap", 5, bitmap_real, bitmap_real, False) + [
+        "$Bitmap", ROOT_RECORD, bitmap_real, bitmap_real, False) + [
         _nonresident_attr(ATTR_DATA, bitmap_runs, bitmap_real, cs)], rs))
     boot_clusters = -(-8192 // cs)
     recs.append(_record_bytes(7, RECORD_FLAG_IN_USE, _std_and_fn(
-        "$Boot", 5, 8192, boot_clusters * cs, False) + [
+        "$Boot", ROOT_RECORD, 8192, boot_clusters * cs, False) + [
         _nonresident_attr(ATTR_DATA, [(0, boot_clusters)], 8192, cs)], rs))
     for idx, name in ((8, "$BadClus"), (9, "$Secure"), (10, "$UpCase"),
                       (11, "$Extend")):
         recs.append(_record_bytes(idx, RECORD_FLAG_IN_USE, _std_and_fn(
-            name, 5, 0, 0, False) + [_resident_attr(ATTR_DATA, b"")], rs))
-    for idx in range(12, 16):
+            name, ROOT_RECORD, 0, 0, False) + [
+            _resident_attr(ATTR_DATA, b"")], rs))
+    for idx in range(12, SYSTEM_RECORDS):
         recs.append(_record_bytes(idx, RECORD_FLAG_IN_USE, [
             _resident_attr(ATTR_STANDARD_INFORMATION, _std_info_value())], rs))
     return recs, mft_bitmap_value_off
@@ -1098,7 +1119,7 @@ class _NtfsBuilder:
         first_file_index = NTFS_FIRST_USER_RECORD + len(dirs)
 
         used_bits = bytearray(max(8, _align8(-(-mft_slots // 8))))
-        _set_bits(used_bits, [(0, NTFS_SYSTEM_RECORDS),
+        _set_bits(used_bits, [(0, SYSTEM_RECORDS),
                               (first_file_index, len(files))]
                   + [(idx, 1) for idx in dir_index.values()])
 
@@ -1118,7 +1139,7 @@ class _NtfsBuilder:
         for name, idx in dir_index.items():
             rec = _record_bytes(
                 idx, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
-                _std_and_fn(name, 5, 0, 0, True) + [
+                _std_and_fn(name, ROOT_RECORD, 0, 0, True) + [
                     _resident_attr(ATTR_INDEX_ROOT, _index_root_value(),
                                    "$I30")], rs)
             slots[idx] = rec
@@ -1129,7 +1150,7 @@ class _NtfsBuilder:
         truth_files: dict[str, FileTruth] = {}
         for i, f in enumerate(files):
             idx = first_file_index + i
-            parent = dir_index.get(f.parent, 5)
+            parent = dir_index.get(f.parent, ROOT_RECORD)
             data = content_bytes(f.file_class, f.size, f.seed)
             runs = plan[f.path]
             base_attrs = _std_and_fn(
@@ -1284,7 +1305,7 @@ def _delete(w: _Writer, truth: GroundTruth, t) -> None:
         w.set_bits(truth.internal["cluster_bitmap_abs"], t.clusters, False)
     else:
         for off in [t.entry_offset, *t.lfn_offsets]:
-            w.write(off, b"\xe5")
+            w.write(off, bytes([DELETED_MARK]))
         kind = FsKind(truth.filesystem)
         for first, count in t.clusters:
             w.fat_entries(truth.internal["fat_offsets"], kind, first,
@@ -1352,7 +1373,7 @@ def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
     cs = desc.cluster_size
     cc = desc.total_clusters
     mft_lcn = desc.mft_lcn
-    fresh_clusters = -(-NTFS_SYSTEM_RECORDS * rs // cs)
+    fresh_clusters = -(-SYSTEM_RECORDS * rs // cs)
     bitmap_lcn = mft_lcn + fresh_clusters
     bitmap_real = -(-cc // 8)
     bitmap_clusters = -(-bitmap_real // cs)
@@ -1362,12 +1383,12 @@ def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
     serial = (desc.volume_serial or 0) & ((1 << 64) - 1)
 
     used = bytearray(8)
-    _set_bits(used, [(0, NTFS_SYSTEM_RECORDS)])
+    _set_bits(used, [(0, SYSTEM_RECORDS)])
     mft_run = (mft_lcn, fresh_clusters)
     bitmap_run = (bitmap_lcn, bitmap_clusters)
     mirror_run = (mirror_lcn, mirror_clusters)
     recs, _ = _system_records(
-        rs, cs, [mft_run], NTFS_SYSTEM_RECORDS, bytes(used), [bitmap_run],
+        rs, cs, [mft_run], SYSTEM_RECORDS, bytes(used), [bitmap_run],
         bitmap_real, [mirror_run], "")
 
     cluster_bits = bytearray(bitmap_real)
@@ -1442,14 +1463,6 @@ def add_file(image_path, name: str, data: bytes) -> dict:
 def _fat_add_file(image_path, img, desc, name, data) -> dict:
     fat = load_fat(img, desc)
     cs = desc.cluster_size
-    runs = _lowest_free_runs(fat.is_free, 2, desc.cluster_count + 2,
-                             -(-len(data) // cs))
-
-    raw11, needs_lfn = _to_83(name, set())
-    lfns = _lfn_entries(name, raw11) if needs_lfn else []
-    entry = _dir_entry(raw11, 0x20, runs[0][0] if runs else 0, len(data))
-    need_slots = len(lfns) + 1
-
     if desc.kind is FsKind.FAT32:
         root_runs, _ = fat.chain_from(desc.root_cluster)
         blocks = [(cluster_offset(desc, first), count * cs)
@@ -1457,22 +1470,37 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     else:
         blocks = [(desc.root_dir_sector * desc.bytes_per_sector,
                    desc.root_entries * DIR_ENTRY_SIZE)]
-
-    slot_offs: list[int] = []
-    run: list[int] = []
+    slots = []
     for base, length in blocks:
         block = img.read_at(base, length)
-        for pos in range(0, length, DIR_ENTRY_SIZE):
-            if block[pos] in (0x00, 0xE5):
-                run.append(base + pos)
-                if len(run) == need_slots:
-                    slot_offs = run
-                    break
-            else:
-                run = []
-        if slot_offs:
-            break
-    if not slot_offs:
+        slots += [(base + pos, block[pos:pos + DIR_ENTRY_SIZE])
+                  for pos in range(0, length, DIR_ENTRY_SIZE)]
+
+    # FAT names are case-blind: a live entry that already answers to the
+    # name, long or short, is a collision, and a derived short name must
+    # differ from every live one.
+    live = [e for e in parse_dir_slots(slots, "", desc.kind)[0]
+            if not e.deleted and not e.is_label]
+    wanted = name.upper()
+    if any(wanted in (e.short_name.upper(), (e.lfn_name or "").upper())
+           for e in live):
+        raise ForgeError("%r already exists in the root directory" % name)
+    raw11, needs_lfn = _to_83(name, {e.raw_name for e in live})
+    lfns = _lfn_entries(name, raw11) if needs_lfn else []
+
+    runs = _lowest_free_runs(fat.is_free, 2, desc.cluster_count + 2,
+                             -(-len(data) // cs))
+    entry = _dir_entry(raw11, ATTR_ARCHIVE, runs[0][0] if runs else 0,
+                       len(data))
+    slot_offs: list[int] = []
+    for off, raw in slots:
+        if raw[0] in (END_MARK, DELETED_MARK):
+            slot_offs.append(off)
+            if len(slot_offs) == len(lfns) + 1:
+                break
+        else:
+            slot_offs = []
+    else:
         raise ForgeError("no room in the root directory")
 
     with _Writer(image_path) as w:
@@ -1496,8 +1524,6 @@ def _lowest_free_runs(is_free, start: int, stop: int,
 
 def _ntfs_record_slots(img, desc):
     """(index, byte offset) of every slot in the MFT extent."""
-    from .ntfs import mft_extent
-
     rs = desc.mft_record_size
     cs = desc.cluster_size
     extent = mft_extent(img, desc)
@@ -1516,36 +1542,30 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     rs = desc.mft_record_size
     cs = desc.cluster_size
 
-    slot_index = slot_off = None
-    rec6 = rec0_off = None
+    slot_index = slot_off = rec0_off = rec6_off = None
     for idx, off in _ntfs_record_slots(img, desc):
-        head = img.read_at(off, 0x18)
         if idx == 0:
             rec0_off = off
-        if idx == 6:
-            rec6 = off
-        if idx < NTFS_SYSTEM_RECORDS or slot_index is not None:
-            continue
-        if head[0:4] != b"FILE" or \
-                not struct.unpack_from("<H", head, 0x16)[0] & RECORD_FLAG_IN_USE:
-            slot_index, slot_off = idx, off
+        elif idx == 6:
+            rec6_off = off
+        elif idx >= SYSTEM_RECORDS:
+            head = img.read_at(off, 0x18)
+            flags, = struct.unpack_from("<H", head, 0x16)
+            if head[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
+                slot_index, slot_off = idx, off
+                break
     if slot_index is None:
         raise ForgeError("no free record slot")
-    if rec6 is None or rec0_off is None:
+    if rec6_off is None or rec0_off is None:
         raise ForgeError("volume lacks an allocation bitmap")
 
     # The cluster allocation bitmap is record 6's unnamed data stream.
-    raw6 = bytearray(img.read_at(rec6, rs))
-    apply_fixup(raw6)
-    hdr6 = parse_record_header(bytes(raw6), 6)
-    walk6 = parse_attributes(bytes(raw6), hdr6)
+    rec6 = read_record(img.read_at(rec6_off, rs), rec6_off, 6)
     bitmap_run = None
     bitmap_real = 0
-    for attr in walk6.attributes:
+    for attr in parse_attributes(rec6.data, rec6.header).attributes:
         if attr.is_unnamed_data and not attr.resident:
-            from .ntfs import decode_data_runs
-            rl = decode_data_runs(attr.run_bytes)
-            bitmap_run = rl.runs[0]
+            bitmap_run = decode_data_runs(attr.run_bytes).runs[0]
             bitmap_real = attr.real_size
     if bitmap_run is None or bitmap_run.lcn is None:
         raise ForgeError("volume lacks an allocation bitmap")
@@ -1556,7 +1576,7 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     runs = _lowest_free_runs(lambda c: not bits[c // 8] >> (c % 8) & 1,
                              2, desc.total_clusters, count)
 
-    base_attrs = _std_and_fn(name, 5, len(data),
+    base_attrs = _std_and_fn(name, ROOT_RECORD, len(data),
                              count * cs if runs else _align8(len(data)),
                              False)
     free = rs - 0x30 - sum(len(a) for a in base_attrs) - 0x18 - 8
@@ -1568,29 +1588,19 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
             ATTR_DATA, runs, len(data), cs)]
     rec = _record_bytes(slot_index, RECORD_FLAG_IN_USE, attrs, rs)
 
-    # Locate the record-allocation bitmap value inside record 0.
-    raw0 = bytearray(img.read_at(rec0_off, rs))
-    apply_fixup(raw0)
-    hdr0 = parse_record_header(bytes(raw0), 0)
-    pos = hdr0.first_attr_offset
-    mft_bits_abs = None
-    while pos + 8 <= len(raw0):
-        type_code, length = struct.unpack_from("<II", raw0, pos)
-        if type_code == 0xFFFFFFFF or length == 0:
-            break
-        if type_code == ATTR_BITMAP:
-            voff = struct.unpack_from("<H", raw0, pos + 0x14)[0]
-            mft_bits_abs = rec0_off + pos + voff
-            break
-        pos += length
-    if mft_bits_abs is None:
+    # The record-allocation bitmap is record 0's resident $BITMAP value.
+    rec0 = read_record(img.read_at(rec0_off, rs), rec0_off, 0)
+    walk0 = parse_attributes(rec0.data, rec0.header)
+    mft_bits = next((a for a in walk0.attributes
+                     if a.type_code == ATTR_BITMAP and a.resident), None)
+    if mft_bits is None:
         raise ForgeError("record 0 lacks a record-allocation bitmap")
 
     with _Writer(image_path) as w:
         w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
         w.set_bits(bitmap_abs, runs, True)
         w.write(slot_off, rec)
-        w.set_bits(mft_bits_abs, [(slot_index, 1)], True)
+        w.set_bits(rec0_off + mft_bits.value_offset, [(slot_index, 1)], True)
     return {"path": name, "clusters": runs}
 
 
@@ -1662,16 +1672,12 @@ def _audit_one(img, desc, t: FileTruth) -> dict:
 
 
 def _audit_resident(img, desc, t: FileTruth, original: bytes) -> int:
-    raw = bytearray(img.read_at(t.entry_offset, desc.mft_record_size))
-    if raw[0:4] != b"FILE":
-        return 0
     try:
-        apply_fixup(raw)
-        hdr = parse_record_header(bytes(raw), t.record_index or -1)
-        walk = parse_attributes(bytes(raw), hdr)
+        rec = read_record(img.read_at(t.entry_offset, desc.mft_record_size),
+                          t.entry_offset)
     except MftError:
         return 0
-    for attr in walk.attributes:
+    for attr in parse_attributes(rec.data, rec.header).attributes:
         if attr.is_unnamed_data and attr.resident:
             return t.size if attr.value == original else 0
     return 0

@@ -1,9 +1,12 @@
 """Master File Table parsing and deleted-file recovery for NTFS volumes.
 
+Deleting a file on NTFS clears one flag bit in its MFT record, so live,
+deleted and carved records are the same thing and take the same path:
+one reader (``read_record``: signature, update-sequence fixup, header)
+and one entry type (``NtfsEntry``, built by ``_entry_from_record``).
 A record is parsed strictly from its first-attribute offset; nothing is
 assumed about where individual attributes sit inside the record.  The
-update-sequence fixup is applied before any field beyond the record
-header is trusted.
+fixup is applied before any field beyond the record header is trusted.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from datetime import datetime, timedelta, timezone
 
 from .report import RecoveredFile
 from .volume import (
+    STREAM_CHUNK,
     FsKind,
     VolumeDescriptor,
     VolumeError,
@@ -25,7 +29,6 @@ from .volume import (
 )
 
 FILE_SIGNATURE = b"FILE"
-BLANK_SIGNATURE = b"\x00\x00\x00\x00"
 
 # The update sequence protects 512-byte strides regardless of the
 # physical sector size.
@@ -44,6 +47,11 @@ RECORD_FLAG_IN_USE = 0x0001
 RECORD_FLAG_DIRECTORY = 0x0002
 
 FILE_REFERENCE_INDEX_MASK = (1 << 48) - 1
+
+ROOT_RECORD = 5       # the root directory's record
+SYSTEM_RECORDS = 16   # records 0..15 hold the volume's metadata files
+
+FILE_NAME_DOS = 2     # $FILE_NAME namespace of an 8.3 alias
 
 _EPOCH_1601 = datetime(1601, 1, 1, tzinfo=timezone.utc)
 
@@ -150,6 +158,7 @@ class ParsedAttribute:
     attr_flags: int
     # resident form
     value: bytes | None = None
+    value_offset: int = 0     # of the value, from the record's start
     # non-resident form
     start_vcn: int = 0
     end_vcn: int = 0
@@ -220,6 +229,7 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
                 type_code=type_code, name=name, resident=True,
                 attr_flags=attr_flags,
                 value=bytes(record[pos + value_off:pos + value_off + value_len]),
+                value_offset=pos + value_off,
             ))
         else:
             if pos + 0x40 > limit:
@@ -357,6 +367,19 @@ class MftRecord:
     orphaned: bool = False
 
 
+def read_record(buf: bytes, offset: int, index: int = -1,
+                orphaned: bool = False) -> MftRecord:
+    """The one way a record is read: check the signature, apply the
+    fixup and parse the header of the record-sized ``buf`` found at
+    byte ``offset``.  Raises MftError when any of the three fails."""
+    if buf[0:4] != FILE_SIGNATURE:
+        raise MftError("record %d: bad signature" % index)
+    raw = bytearray(buf)
+    apply_fixup(raw)
+    data = bytes(raw)
+    return MftRecord(parse_record_header(data, index), data, offset, orphaned)
+
+
 @dataclass
 class MftScanStats:
     records_seen: int = 0
@@ -375,16 +398,11 @@ def mft_extent(img: VolumeImage, desc: VolumeDescriptor) -> RunList:
     """Bootstrap: decode record 0's own $DATA run list."""
     _require_ntfs(desc)
     base = cluster_offset(desc, desc.mft_lcn)
-    raw = bytearray(img.read_at(base, desc.mft_record_size))
-    if raw[0:4] != FILE_SIGNATURE:
-        raise MftError("MFT unreadable")
     try:
-        apply_fixup(raw)
-        hdr = parse_record_header(bytes(raw), 0)
+        rec = read_record(img.read_at(base, desc.mft_record_size), base, 0)
     except MftError as exc:
         raise MftError("MFT unreadable: %s" % exc) from exc
-    walk = parse_attributes(bytes(raw), hdr)
-    for attr in walk.attributes:
+    for attr in parse_attributes(rec.data, rec.header).attributes:
         if attr.is_unnamed_data and not attr.resident:
             return decode_data_runs(attr.run_bytes)
     raise MftError("MFT unreadable: record 0 has no data extent")
@@ -435,18 +453,16 @@ def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
 
 def _emit_record(buf: bytes, offset: int, index: int, stats: MftScanStats):
     stats.records_seen += 1
-    if buf[0:4] == BLANK_SIGNATURE or buf[0:4] != FILE_SIGNATURE:
+    if buf[0:4] != FILE_SIGNATURE:
         stats.skipped += 1
         return
-    raw = bytearray(buf)
     try:
-        apply_fixup(raw)
-        hdr = parse_record_header(bytes(raw), index)
+        rec = read_record(buf, offset, index)
     except MftError:
         stats.corrupt += 1
         return
     stats.file_records += 1
-    yield MftRecord(hdr, bytes(raw), offset)
+    yield rec
 
 
 def carve_records(img: VolumeImage, desc: VolumeDescriptor,
@@ -468,7 +484,7 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
     step = min(record_size, cs)
     # A truncated image is carved up to its last whole cluster.
     total = min(desc.total_clusters, img.size // cs)
-    batch_clusters = max(1, (4 << 20) // cs)
+    batch_clusters = max(1, STREAM_CHUNK // cs)
     lead = FILE_SIGNATURE[0]
     for start in range(0, total, batch_clusters):
         count = min(batch_clusters, total - start)
@@ -493,18 +509,20 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
                                        record_size - len(buf))
                 except VolumeError:
                     continue  # slot runs off the end of the volume
-            raw = bytearray(buf)
             try:
-                apply_fixup(raw)
-                hdr = parse_record_header(bytes(raw), -1)
+                rec = read_record(buf, abs_off, orphaned=True)
             except MftError:
                 continue
             stats.carve_candidates += 1
-            yield MftRecord(hdr, bytes(raw), abs_off, orphaned=True)
+            yield rec
 
 
 @dataclass
-class DeletedNtfsEntry:
+class NtfsEntry:
+    """One base record, live or deleted, read by one rule: the first
+    non-DOS $FILE_NAME names it and the first unnamed $DATA holds its
+    content."""
+
     record_index: int
     name: str
     name_known: bool
@@ -527,30 +545,24 @@ class DeletedNtfsEntry:
             return "record-%d" % self.record_index
         return "carved@0x%x" % self.record_offset
 
-
-@dataclass
-class NtfsEntryInfo:
-    """A live record, kept for listings and the overwrite map."""
-
-    record_index: int
-    name: str
-    is_directory: bool
-    is_system: bool
-    size: int
+    @property
+    def is_system(self) -> bool:
+        """A metadata file: '$'-named, or in a reserved record other
+        than the root directory's."""
+        return self.name.startswith("$") or (
+            self.record_index in range(SYSTEM_RECORDS)
+            and self.record_index != ROOT_RECORD)
 
 
 @dataclass
 class NtfsSurvey:
-    live: list[NtfsEntryInfo]
-    deleted: list[DeletedNtfsEntry]
+    live: list[NtfsEntry]
+    deleted: list[NtfsEntry]
     stats: MftScanStats
     live_clusters: bytearray    # 1 per cluster a live record's runs hold
 
 
-def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
-    walk = parse_attributes(rec.data, rec.header)
-    if not walk.attributes:
-        return None  # a never-used slot: nothing to recover
+def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
     std = None
     best_fn = None
     data_attr = None
@@ -559,7 +571,8 @@ def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
             std = parse_standard_info(attr.value)
         elif attr.type_code == ATTR_FILE_NAME and attr.resident:
             fn = parse_file_name(attr.value)
-            if fn is not None and (best_fn is None or best_fn.namespace == 2):
+            if fn is not None and (best_fn is None
+                                   or best_fn.namespace == FILE_NAME_DOS):
                 best_fn = fn
         elif attr.is_unnamed_data and data_attr is None:
             data_attr = attr
@@ -580,7 +593,7 @@ def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
                 runs = RunList([])
             size = data_attr.real_size
     index = rec.header.record_index
-    entry = DeletedNtfsEntry(
+    return NtfsEntry(
         record_index=index,
         name=best_fn.name if name_known else (
             "record-%d" % index if index >= 0 else "carved-%x" % rec.offset),
@@ -598,16 +611,17 @@ def _entry_from_record(rec: MftRecord) -> DeletedNtfsEntry | None:
         record_offset=rec.offset,
         attr_walk_corrupt=walk.corrupt,
     )
-    return entry
 
 
 def survey(img: VolumeImage, desc: VolumeDescriptor,
            deep: bool = False) -> NtfsSurvey:
     """One pass over the volume: live records, deleted candidates, and
-    the allocation bitmap of clusters claimed by anything still in use."""
+    the allocation bitmap of clusters claimed by anything still in use.
+    A deleted or carved slot without attributes was never used and is
+    left out."""
     stats = MftScanStats()
-    live: list[NtfsEntryInfo] = []
-    deleted: list[DeletedNtfsEntry] = []
+    live: list[NtfsEntry] = []
+    deleted: list[NtfsEntry] = []
     live_clusters = bytearray(desc.max_cluster + 1)
     known_offsets: set[int] = set()
 
@@ -615,10 +629,8 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         known_offsets.add(rec.offset)
         if rec.header.base_reference & FILE_REFERENCE_INDEX_MASK:
             continue  # extension record; base record owns the attributes
+        walk = parse_attributes(rec.data, rec.header)
         if rec.header.in_use:
-            walk = parse_attributes(rec.data, rec.header)
-            name = ""
-            size = 0
             for attr in walk.attributes:
                 if not attr.resident:
                     try:
@@ -627,44 +639,24 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                         runs = []
                     mark_runs(live_clusters,
                               ((r.lcn, r.length) for r in runs))
-                if attr.type_code == ATTR_FILE_NAME and attr.resident:
-                    fn = parse_file_name(attr.value)
-                    if fn is not None and (not name or fn.namespace != 2):
-                        name = fn.name
-                if attr.is_unnamed_data:
-                    size = (len(attr.value) if attr.resident
-                            else attr.real_size)
-            idx = rec.header.record_index
-            live.append(NtfsEntryInfo(
-                record_index=idx,
-                name=name or "record-%d" % idx,
-                is_directory=rec.header.is_directory,
-                is_system=name.startswith("$") or (idx < 16 and idx != 5),
-                size=size,
-            ))
-        else:
-            entry = _entry_from_record(rec)
-            if entry is not None:
-                deleted.append(entry)
+            live.append(_entry_from_record(rec, walk))
+        elif walk.attributes:
+            deleted.append(_entry_from_record(rec, walk))
 
     if deep:
-        seen_ids = {e.record_offset for e in deleted}
+        # Orphaned records are unreachable from the live volume, so they
+        # are deleted candidates whatever their flag says.
         for rec in carve_records(img, desc, known_offsets, live_clusters,
                                  stats):
-            if rec.offset in seen_ids:
-                continue
-            entry = _entry_from_record(rec)
-            if entry is not None:
-                # Orphaned records are unreachable from the live volume,
-                # so they are deleted candidates whatever their flag says.
-                entry.orphaned = True
-                deleted.append(entry)
+            walk = parse_attributes(rec.data, rec.header)
+            if walk.attributes:
+                deleted.append(_entry_from_record(rec, walk))
     return NtfsSurvey(live=live, deleted=deleted, stats=stats,
                       live_clusters=live_clusters)
 
 
 def plan_file(img: VolumeImage, desc: VolumeDescriptor,
-              entry: DeletedNtfsEntry,
+              entry: NtfsEntry,
               live_clusters: bytearray | None = None) -> RecoveredFile:
     """Lay a deleted file's content out as extents, validated.
 
@@ -730,7 +722,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
 
 
 def recover_file(img: VolumeImage, desc: VolumeDescriptor,
-                 entry: DeletedNtfsEntry, sink=None,
+                 entry: NtfsEntry, sink=None,
                  live_clusters: bytearray | None = None) -> RecoveredFile:
     """Stream a deleted file's content into ``sink``, a writable object;
     with none the payload is kept in memory."""

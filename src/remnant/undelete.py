@@ -21,8 +21,6 @@ from . import ntfs as ntfsmod
 from .report import RecoveredFile
 from .volume import FsKind, VolumeDescriptor, VolumeError, VolumeImage
 
-NTFS_ROOT_RECORD = 5
-
 
 class UndeleteError(Exception):
     pass
@@ -104,7 +102,7 @@ def _ntfs_candidates(surv) -> list[Candidate]:
     # Parent names are resolved one level deep: the corpus keeps a flat
     # tree, and deleted volumes rarely preserve enough of the index
     # structure to walk further with confidence.
-    parents: dict[int, str] = {NTFS_ROOT_RECORD: ""}
+    parents: dict[int, str] = {ntfsmod.ROOT_RECORD: ""}
     for info in surv.live:
         if info.is_directory and not info.is_system:
             parents.setdefault(info.record_index, info.name)
@@ -114,9 +112,7 @@ def _ntfs_candidates(surv) -> list[Candidate]:
 
     out = []
     for e in surv.deleted:
-        path = ""
-        if e.parent_index is not None and e.parent_index != NTFS_ROOT_RECORD:
-            path = parents.get(e.parent_index, "")
+        path = parents.get(e.parent_index, "")
         flags = []
         if e.orphaned:
             flags.append("carved")
@@ -156,7 +152,7 @@ def scan_volume(img: VolumeImage, desc: VolumeDescriptor,
         surv = ntfsmod.survey(img, desc, deep=deep)
         cands = _ntfs_candidates(surv)
         for info in surv.live:
-            if info.is_system or info.record_index == NTFS_ROOT_RECORD:
+            if info.is_system or info.record_index == ntfsmod.ROOT_RECORD:
                 continue
             live_rows.append(_live_row(info.name, "", info.size,
                                        info.is_directory))

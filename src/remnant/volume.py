@@ -15,6 +15,7 @@ from enum import Enum
 
 BOOT_SIGNATURE = b"\x55\xaa"  # bytes 510..512 of the boot sector
 NTFS_OEM = b"NTFS    "        # bytes 3..11
+DIR_ENTRY_SIZE = 32           # bytes per FAT directory entry
 
 VALID_SECTOR_SIZES = (512, 1024, 2048, 4096)
 MAX_SECTORS_PER_CLUSTER = 128
@@ -260,7 +261,7 @@ def _parse_fat_boot(boot: bytes) -> VolumeDescriptor:
     if total_sectors == 0 or sectors_per_fat == 0:
         raise CorruptBootRecord("corrupt boot record: zero FAT geometry")
 
-    root_dir_sectors = (root_entries * 32 + bps - 1) // bps
+    root_dir_sectors = (root_entries * DIR_ENTRY_SIZE + bps - 1) // bps
     first_data_sector = reserved + num_fats * sectors_per_fat + root_dir_sectors
     if first_data_sector >= total_sectors:
         raise CorruptBootRecord("corrupt boot record: no data region")

@@ -308,6 +308,25 @@ def test_add_file_memory_follows_the_fat_not_the_heap(image_copy):
     assert peak < 4 * truth.internal["fat_bytes"]
 
 
+def test_add_file_keeps_root_names_unique(image_copy):
+    """A live root name, long or short and in any case, is not added
+    twice, and derived short names differ from the live ones."""
+    path, _ = image_copy("fat12")
+    forge.add_file(path, "NEW.TXT", b"one")
+    for again in ("NEW.TXT", "new.txt"):
+        with pytest.raises(forge.ForgeError, match="already exists"):
+            forge.add_file(path, again, b"two")
+    forge.add_file(path, "Long name here.txt", b"three")
+    forge.add_file(path, "Long name there.txt", b"four")
+    with open_image(path) as img:
+        surv = fatmod.survey(img, detect_filesystem(img))
+    root = [e for e in surv.entries
+            if e.dir_path == "" and not (e.deleted or e.is_label)]
+    assert sorted(e.display_name for e in root) == [
+        "DATA", "Long name here.txt", "Long name there.txt", "NEW.TXT"]
+    assert len({e.raw_name for e in root}) == len(root)
+
+
 def test_delete_keeps_the_reserved_fat32_nibble(image_copy):
     path, truth = image_copy("fat32")
     victim = max(truth.files.values(), key=lambda r: r.size)

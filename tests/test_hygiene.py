@@ -1,6 +1,7 @@
 """No dead code in the package: every function, class and method defined
 under src/remnant is named somewhere outside the tests, and every
-module-level import of a package module is used by that module."""
+module-level import of a package module is used by that module.  Every
+on-disk bytes value the package names is written by that name only."""
 
 import ast
 from collections import Counter
@@ -79,3 +80,25 @@ def test_every_module_import_is_used():
                 continue
             unused += [_where(path, node, b) for b in bound if b not in used]
     assert unused == []
+
+
+def test_named_bytes_values_are_not_spelled_out_again():
+    """A bytes literal equal to a module-level bytes constant (``NAME =
+    b"..."``) anywhere in the package is a second home for that on-disk
+    value.  Ints are left out: too many unrelated values coincide."""
+    trees = list(_trees([PACKAGE]))
+    named, homes = {}, set()
+    for _, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, bytes):
+                for target in node.targets:
+                    named.setdefault(node.value.value, target.id)
+                homes.add(id(node.value))
+    repeated = [_where(path, node, named[node.value])
+                for path, tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, bytes)
+                and node.value in named and id(node) not in homes]
+    assert repeated == []

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from remnant import cli
 from remnant import forge
 from remnant import ntfs
+from remnant import undelete
 from remnant.ntfs import (
     ATTR_DATA,
     ATTR_FILE_NAME,
@@ -374,10 +375,52 @@ def test_record_without_file_name_gets_placeholder(image_copy):
 
     hdr = parse_record_header(bytes(raw), rec.record_index)
     entry = ntfs._entry_from_record(
-        ntfs.MftRecord(header=hdr, data=bytes(raw), offset=rec.entry_offset))
+        ntfs.MftRecord(header=hdr, data=bytes(raw), offset=rec.entry_offset),
+        parse_attributes(bytes(raw), hdr))
     assert not entry.name_known
     assert entry.name == "record-%d" % rec.record_index
     assert entry.confidence == "heuristic"
+
+
+WIN32, DOS = 1, 2     # $FILE_NAME namespaces
+
+
+@pytest.mark.parametrize("namespaces", [(WIN32, DOS), (DOS, WIN32),
+                                        (WIN32, WIN32)],
+                         ids=["win32+dos", "dos+win32", "win32+win32"])
+def test_live_and_deleted_records_list_the_same_name(tmp_path, namespaces):
+    # Deleting clears one flag bit, so the name must not change with it:
+    # both take the first non-DOS $FILE_NAME (a hard link's first name).
+    spec = forge.CorpusSpec(
+        filesystem="ntfs", total_size=8 * 1024 * 1024,
+        files=[forge.FileSpec(name="LINK.TXT", file_class="document",
+                              size=100)])
+    img_path = tmp_path / "l.img"
+    truth = forge.build_image(spec, img_path)
+    rec = truth.files["LINK.TXT"]
+    names = ("FIRST.TXT", "SECOND.TXT")
+    attrs = [forge._resident_attr(ATTR_STANDARD_INFORMATION,
+                                  forge._std_info_value())]
+    for name, namespace in zip(names, namespaces):
+        value = bytearray(forge._file_name_value(ntfs.ROOT_RECORD, name,
+                                                 100, 104, False))
+        value[0x41] = namespace
+        attrs.append(forge._resident_attr(ATTR_FILE_NAME, bytes(value)))
+    attrs.append(forge._resident_attr(ATTR_DATA, b"x" * 100))
+    with open(img_path, "r+b") as fh:
+        fh.seek(rec.entry_offset)
+        fh.write(forge._record_bytes(rec.record_index, RECORD_FLAG_IN_USE,
+                                     attrs, forge.NTFS_RECORD_SIZE))
+
+    def listed(deleted):
+        img, desc = _open(img_path)
+        with img:
+            rows = undelete.scan_volume(img, desc).listing_rows()
+        return [r["name"] for r in rows if r["deleted"] is deleted]
+
+    live = listed(False)
+    forge.apply_mutation(img_path, "delete", truth=truth, target="LINK.TXT")
+    assert live == listed(True) == [names[namespaces.index(WIN32)]]
 
 
 def test_reused_clusters_flag_overwritten_risk(tmp_path):
