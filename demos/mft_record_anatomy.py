@@ -80,14 +80,13 @@ def main() -> None:
                     print("      name %r, parent record %d"
                           % (fn.name, fn.parent_index))
                 if a.type_code == 0x80 and not a.resident:
-                    runs = decode_data_runs(a.run_bytes)
-                    for r in runs.runs:
-                        kind = "sparse" if r.lcn is None else "LCN %d" % r.lcn
-                        print("      run: %d clusters at %s" % (r.length, kind))
+                    for first, count in decode_data_runs(a.run_bytes):
+                        kind = "sparse" if first is None else "LCN %d" % first
+                        print("      run: %d clusters at %s" % (count, kind))
 
             data = next(a for a in walk.attributes if a.is_unnamed_data)
-            runs = decode_data_runs(data.run_bytes)
-            total = sum(r.length for r in runs.runs)
+            total = sum(count for _, count in
+                        decode_data_runs(data.run_bytes))
             print("\n%s occupies %d clusters for %d real bytes; deleting the"
                   % (SUBJECT, total, data.real_size))
             print("file clears one flag bit in the header — every structure "

@@ -367,7 +367,8 @@ def _unsigned_width(value: int) -> int:
 
 
 def encode_data_runs(runs) -> bytes:
-    """Encode (length, lcn-or-None) extents as a mapping-pairs string.
+    """Encode (first, count) cluster runs, ``first`` None for a sparse
+    run, as a mapping-pairs string.
 
     Minimal field widths, deltas relative to the previous run's LCN,
     sparse runs carry no offset field.  The decoder in the recovery
@@ -375,8 +376,7 @@ def encode_data_runs(runs) -> bytes:
     """
     out = bytearray()
     prev = 0
-    for run in runs:
-        length, lcn = (run.length, run.lcn) if hasattr(run, "length") else run
+    for lcn, length in runs:
         if length <= 0:
             raise ForgeError("run length must be positive")
         lwidth = _unsigned_width(length)
@@ -889,7 +889,7 @@ def _resident_attr(type_code: int, value: bytes, name: str = "") -> bytes:
 def _nonresident_attr(type_code: int, runs, real_size: int,
                       cluster_size: int, name: str = "") -> bytes:
     """A non-resident attribute over (first, count) cluster runs."""
-    run_bytes = encode_data_runs([(count, first) for first, count in runs])
+    run_bytes = encode_data_runs(runs)
     name_bytes = name.encode("utf-16-le")
     runs_off = _align8(0x40 + len(name_bytes))
     length = _align8(runs_off + len(run_bytes))
@@ -1528,12 +1528,12 @@ def _ntfs_record_slots(img, desc):
     cs = desc.cluster_size
     extent = mft_extent(img, desc)
     idx = 0
-    for run in extent.runs:
-        if run.lcn is None:
-            idx += run.length * cs // rs
+    for first, count in extent:
+        if first is None:
+            idx += count * cs // rs
             continue
-        base = cluster_offset(desc, run.lcn)
-        for k in range(run.length * cs // rs):
+        base = cluster_offset(desc, first)
+        for k in range(count * cs // rs):
             yield idx, base + k * rs
             idx += 1
 
@@ -1561,15 +1561,15 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
 
     # The cluster allocation bitmap is record 6's unnamed data stream.
     rec6 = read_record(img.read_at(rec6_off, rs), rec6_off, 6)
-    bitmap_run = None
+    bitmap_first = None
     bitmap_real = 0
     for attr in parse_attributes(rec6.data, rec6.header).attributes:
         if attr.is_unnamed_data and not attr.resident:
-            bitmap_run = decode_data_runs(attr.run_bytes).runs[0]
+            bitmap_first, _ = decode_data_runs(attr.run_bytes)[0]
             bitmap_real = attr.real_size
-    if bitmap_run is None or bitmap_run.lcn is None:
+    if bitmap_first is None:
         raise ForgeError("volume lacks an allocation bitmap")
-    bitmap_abs = bitmap_run.lcn * cs
+    bitmap_abs = bitmap_first * cs
     bits = bytearray(img.read_at(bitmap_abs, bitmap_real))
 
     count = -(-len(data) // cs)

@@ -250,32 +250,17 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
     return walk
 
 
-@dataclass(frozen=True)
-class Run:
-    """One extent of a non-resident stream; lcn None means sparse."""
-
-    length: int
-    lcn: int | None
-
-
-@dataclass
-class RunList:
-    runs: list[Run]
-
-    @property
-    def total_clusters(self) -> int:
-        return sum(r.length for r in self.runs)
-
-
-def decode_data_runs(raw: bytes) -> RunList:
-    """Decode a mapping-pairs (run list) byte string.
+def decode_data_runs(raw: bytes) -> list[tuple[int | None, int]]:
+    """Decode a mapping-pairs (run list) byte string into the
+    (first, count) cluster runs every extent helper takes, ``first``
+    None for a sparse run.
 
     Each run starts with a header byte: low nibble is the byte count of
     the unsigned run length, high nibble the byte count of the signed
     LCN delta (cumulative from zero).  A zero high nibble is a sparse
     run; a 0x00 header terminates the list.
     """
-    runs: list[Run] = []
+    runs: list[tuple[int | None, int]] = []
     prev_lcn = 0
     pos = 0
     terminated = False
@@ -296,17 +281,17 @@ def decode_data_runs(raw: bytes) -> RunList:
         if length == 0:
             raise RunListError("invalid run: zero length")
         if offset_size == 0:
-            runs.append(Run(length, None))
+            runs.append((None, length))
             continue
         delta = int.from_bytes(raw[pos:pos + offset_size], "little", signed=True)
         pos += offset_size
         prev_lcn += delta
         if prev_lcn < 0:
             raise RunListError("run resolves before volume start")
-        runs.append(Run(length, prev_lcn))
+        runs.append((prev_lcn, length))
     if not terminated:
         raise RunListError("run list truncated")
-    return RunList(runs)
+    return runs
 
 
 @dataclass
@@ -394,7 +379,8 @@ def _require_ntfs(desc: VolumeDescriptor) -> None:
         raise MftError("not an NTFS volume descriptor")
 
 
-def mft_extent(img: VolumeImage, desc: VolumeDescriptor) -> RunList:
+def mft_extent(img: VolumeImage,
+               desc: VolumeDescriptor) -> list[tuple[int | None, int]]:
     """Bootstrap: decode record 0's own $DATA run list."""
     _require_ntfs(desc)
     base = cluster_offset(desc, desc.mft_lcn)
@@ -423,12 +409,12 @@ def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
     index = 0
     pending = b""
     pending_offset = 0
-    for run in extent.runs:
-        if run.lcn is None:
+    for first, count in extent:
+        if first is None:
             continue  # a sparse MFT extent holds no records
         # Validated at its two ends before any read: a hostile length
         # costs O(1), not one step per claimed cluster.
-        (base, length), = cluster_extents(img, desc, [(run.lcn, run.length)])
+        (base, length), = cluster_extents(img, desc, [(first, count)])
         chunk = img.read_at(base, length)
         if pending:
             # a record straddling two runs: stitch it together
@@ -533,7 +519,7 @@ class NtfsEntry:
     parent_index: int | None
     resident: bool | None          # None when the record has no data stream
     payload: bytes | None          # resident data
-    runs: RunList | None           # non-resident extents
+    runs: list[tuple[int | None, int]] | None   # non-resident (first, count)
     confidence: str                # "exact" when the name survived
     orphaned: bool = False
     record_offset: int = 0
@@ -590,7 +576,7 @@ def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
             try:
                 runs = decode_data_runs(data_attr.run_bytes)
             except RunListError:
-                runs = RunList([])
+                runs = []
             size = data_attr.real_size
     index = rec.header.record_index
     return NtfsEntry(
@@ -634,11 +620,10 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             for attr in walk.attributes:
                 if not attr.resident:
                     try:
-                        runs = decode_data_runs(attr.run_bytes).runs
+                        mark_runs(live_clusters,
+                                  decode_data_runs(attr.run_bytes))
                     except RunListError:
-                        runs = []
-                    mark_runs(live_clusters,
-                              ((r.lcn, r.length) for r in runs))
+                        pass  # an undecodable run list claims nothing
             live.append(_entry_from_record(rec, walk))
         elif walk.attributes:
             deleted.append(_entry_from_record(rec, walk))
@@ -682,15 +667,15 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
     else:
         total = desc.total_clusters
         runs: list[tuple[int | None, int]] = []
-        for run in entry.runs.runs:
-            if run.lcn is None:
-                runs.append((None, run.length))
+        for first, length in entry.runs:
+            if first is None:
+                runs.append((None, length))
                 continue
-            count = min(run.length, max(0, total - run.lcn))
+            count = min(length, max(0, total - first))
             if count:
-                runs.append((run.lcn, count))
-                real.append((run.lcn, count))
-            if count < run.length:
+                runs.append((first, count))
+                real.append((first, count))
+            if count < length:
                 flags.append("partial")
                 break
         extents = cluster_extents(img, desc, runs)

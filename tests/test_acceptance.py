@@ -200,13 +200,13 @@ def test_criterion_4_run_list_round_trip():
             length = rng.randrange(1, 1 << rng.choice((4, 8, 16, 24)))
             lcn = (None if rng.random() < 0.15
                    else rng.randrange(0, 1 << rng.choice((8, 16, 32, 40))))
-            runs.append((length, lcn))
+            runs.append((lcn, length))
         raw = forge.encode_data_runs(runs)
         decoded = decode_data_runs(raw)
-        if [(r.length, r.lcn) for r in decoded.runs] != runs:
+        if decoded != runs:
             failures.append("list %d decoded differently" % i)
             break
-        if forge.encode_data_runs(decoded.runs) != raw:
+        if forge.encode_data_runs(decoded) != raw:
             failures.append("list %d re-encoded differently" % i)
             break
     elapsed = time.perf_counter() - t0

@@ -23,8 +23,6 @@ from remnant.ntfs import (
     MftError,
     MftScanStats,
     RECORD_FLAG_IN_USE,
-    Run,
-    RunList,
     RunListError,
     apply_fixup,
     decode_data_runs,
@@ -55,30 +53,24 @@ def _open(path):
 
 def test_decode_single_run():
     # header 0x21: 2-byte offset, 1-byte length; 0x18 clusters at 0x5634
-    rl = decode_data_runs(bytes([0x21, 0x18, 0x34, 0x56, 0x00]))
-    assert len(rl.runs) == 1
-    assert rl.runs[0].length == 24
-    assert rl.runs[0].lcn == 22068
-    assert rl.total_clusters == 24
+    assert decode_data_runs(bytes([0x21, 0x18, 0x34, 0x56, 0x00])) == [
+        (22068, 24)]
 
 
 def test_decode_terminator_only():
-    rl = decode_data_runs(b"\x00")
-    assert rl.runs == []
-    assert rl.total_clusters == 0
+    assert decode_data_runs(b"\x00") == []
 
 
 def test_decode_negative_delta_walks_backwards():
     # Second run's offset is a signed delta from the first: 5 - 5 = 0.
     rl = decode_data_runs(bytes([0x11, 0x02, 0x05, 0x11, 0x03, 0xFB, 0x00]))
-    assert [(r.length, r.lcn) for r in rl.runs] == [(2, 5), (3, 0)]
+    assert rl == [(5, 2), (0, 3)]
 
 
 def test_decode_sparse_run_has_no_lcn():
     # Zero offset width marks a hole in the stream.
     rl = decode_data_runs(bytes([0x11, 0x02, 0x08, 0x01, 0x04, 0x00]))
-    assert [(r.length, r.lcn) for r in rl.runs] == [(2, 8), (4, None)]
-    assert rl.total_clusters == 6
+    assert rl == [(8, 2), (None, 4)]
 
 
 def test_decode_rejects_truncated_input():
@@ -97,9 +89,9 @@ def test_decode_rejects_zero_length_run():
 
 _run_lists = st.lists(
     st.tuples(
-        st.integers(min_value=1, max_value=1 << 24),            # length
         st.one_of(st.none(),
-                  st.integers(min_value=0, max_value=1 << 32)),  # lcn
+                  st.integers(min_value=0, max_value=1 << 32)),  # first
+        st.integers(min_value=1, max_value=1 << 24),            # count
     ),
     max_size=12,
 )
@@ -109,9 +101,9 @@ _run_lists = st.lists(
 def test_encode_decode_round_trip(runs):
     raw = forge.encode_data_runs(runs)
     back = decode_data_runs(raw)
-    assert [(r.length, r.lcn) for r in back.runs] == runs
+    assert back == runs
     # Re-encoding is bit-exact: widths are canonical minimums.
-    assert forge.encode_data_runs(back.runs) == raw
+    assert forge.encode_data_runs(back) == raw
 
 
 # ---------------------------------------------------------- record headers
@@ -349,7 +341,7 @@ def test_three_cluster_tail_is_truncated_to_real_size(tmp_path):
     with img:
         surv = survey(img, desc)
         entry = next(e for e in surv.deleted if e.name == "REPORT.PDF")
-        assert entry.runs.total_clusters == 3
+        assert sum(count for _, count in entry.runs) == 3
         sink = io.BytesIO()
         got = recover_file(img, desc, entry, sink=sink,
                            live_clusters=surv.live_clusters)
@@ -479,7 +471,7 @@ def _patch_data_run(path, record_offset, record_size, length, lcn):
             pos += struct.unpack_from("<I", raw, pos + 4)[0]
         end = pos + struct.unpack_from("<I", raw, pos + 4)[0]
         pos += struct.unpack_from("<H", raw, pos + 0x20)[0]
-        runs = forge.encode_data_runs([(length, lcn)])
+        runs = forge.encode_data_runs([(lcn, length)])
         assert pos + len(runs) <= min(end, 510)
         fh.seek(record_offset + pos)
         fh.write(runs)
@@ -549,7 +541,7 @@ def test_sparse_run_streams_in_bounded_memory(tmp_path):
     # 50,000 sparse 4 KiB clusters (195 MiB of zeros) behind a 10-byte
     # file: only the recorded size may be produced, in bounded chunks.
     img, desc, entry = _deleted_non_resident(tmp_path)
-    hostile = replace(entry, size=10, runs=RunList([Run(50_000, None)]))
+    hostile = replace(entry, size=10, runs=[(None, 50_000)])
     with img:
         tracemalloc.start()
         try:
@@ -564,7 +556,7 @@ def test_sparse_run_streams_in_bounded_memory(tmp_path):
 @pytest.mark.parametrize("lcn", [None, 100])
 def test_run_length_near_two_to_the_32_stays_bounded(tmp_path, lcn):
     img, desc, entry = _deleted_non_resident(tmp_path)
-    hostile = replace(entry, size=10, runs=RunList([Run(2 ** 32 - 1, lcn)]))
+    hostile = replace(entry, size=10, runs=[(lcn, 2 ** 32 - 1)])
     with img:
         got = recover_file(img, desc, hostile)
         want = bytes(10) if lcn is None else \

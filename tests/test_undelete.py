@@ -164,18 +164,18 @@ def _recover_buffered(img, scan, cand):
         else:
             parts = []
             total = desc.total_clusters
-            for run in entry.runs.runs:
-                if run.lcn is None:
-                    parts.append(b"\x00" * (run.length * desc.cluster_size))
+            for lcn, length in entry.runs:
+                if lcn is None:
+                    parts.append(b"\x00" * (length * desc.cluster_size))
                     continue
-                end = run.lcn + run.length
+                end = lcn + length
                 readable_end = min(end, total)
-                if run.lcn >= total:
+                if lcn >= total:
                     flags.append("partial")
                     break
                 if readable_end < end and "partial" not in flags:
                     flags.append("partial")
-                span = range(run.lcn, readable_end)
+                span = range(lcn, readable_end)
                 parts.append(_read_clusters(img, desc, span))
                 clusters_used.extend(span)
                 if readable_end < end:
