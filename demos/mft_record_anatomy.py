@@ -11,6 +11,10 @@ from pathlib import Path
 
 from remnant import forge
 from remnant.ntfs import (
+    ATTR_DATA,
+    ATTR_FILE_NAME,
+    ATTR_STANDARD_INFORMATION,
+    RECORD_FLAG_IN_USE,
     decode_data_runs,
     filetime_to_iso,
     parse_attributes,
@@ -22,9 +26,9 @@ from remnant.volume import detect_filesystem, open_image
 
 MiB = 1024 * 1024
 ATTR_NAMES = {
-    0x10: "$STANDARD_INFORMATION",
-    0x30: "$FILE_NAME",
-    0x80: "$DATA",
+    ATTR_STANDARD_INFORMATION: "$STANDARD_INFORMATION",
+    ATTR_FILE_NAME: "$FILE_NAME",
+    ATTR_DATA: "$DATA",
 }
 SUBJECT = "MOVIE.MKV"   # non-resident: big enough to need real clusters
 
@@ -44,7 +48,7 @@ def main() -> None:
                 walk = parse_attributes(record.data, record.header)
                 name = next((parse_file_name(a.value).name
                              for a in walk.attributes
-                             if a.type_code == 0x30 and a.value), "")
+                             if a.type_code == ATTR_FILE_NAME and a.value), "")
                 if name == SUBJECT:
                     break
             else:
@@ -55,7 +59,7 @@ def main() -> None:
                                                         record.offset))
             print("  signature FILE, seq %d, flags %#06x (%s)"
                   % (h.sequence, h.flags,
-                     "in use" if h.flags & 0x1 else "deleted"))
+                     "in use" if h.flags & RECORD_FLAG_IN_USE else "deleted"))
             print("  fixup: %d update-sequence slots verified and patched"
                   % (h.usa_count - 1))
             print("  attributes start at %#x, record used %d of %d bytes"
@@ -70,16 +74,16 @@ def main() -> None:
                 else:
                     print("  %-24s non-resident, %d bytes in %d run bytes"
                           % (label, a.real_size, len(a.run_bytes)))
-                if a.type_code == 0x10 and a.value:
+                if a.type_code == ATTR_STANDARD_INFORMATION and a.value:
                     si = parse_standard_info(a.value)
                     print("      created %s  modified %s"
                           % (filetime_to_iso(si.created),
                              filetime_to_iso(si.modified)))
-                if a.type_code == 0x30 and a.value:
+                if a.type_code == ATTR_FILE_NAME and a.value:
                     fn = parse_file_name(a.value)
                     print("      name %r, parent record %d"
                           % (fn.name, fn.parent_index))
-                if a.type_code == 0x80 and not a.resident:
+                if a.type_code == ATTR_DATA and not a.resident:
                     for first, count in decode_data_runs(a.run_bytes):
                         kind = "sparse" if first is None else "LCN %d" % first
                         print("      run: %d clusters at %s" % (count, kind))

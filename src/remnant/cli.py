@@ -383,8 +383,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnrecognizedVolume as exc:
-        return _fail(EXIT_UNRECOGNIZED, str(exc))
     except VolumeError as exc:
         return _fail(EXIT_UNRECOGNIZED, str(exc))
     except undelete.UndeleteError as exc:

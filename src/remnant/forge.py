@@ -21,11 +21,13 @@ from itertools import islice
 from .fat import (
     ATTR_ARCHIVE,
     ATTR_DIRECTORY,
+    ATTR_LFN,
     ATTR_VOLUME_ID,
     DELETED_MARK,
     DOT_NAME,
     DOTDOT_NAME,
     END_MARK,
+    LFN_LAST_FLAG,
     load_fat,
     parse_dir_slots,
 )
@@ -447,10 +449,10 @@ def _lfn_entries(name: str, raw11: bytes) -> list[bytes]:
     entries = []
     for idx, chunk in enumerate(chunks, start=1):
         raw = bytearray(32)
-        raw[0] = idx | (0x40 if idx == len(chunks) else 0)
+        raw[0] = idx | (LFN_LAST_FLAG if idx == len(chunks) else 0)
         enc = chunk.encode("utf-16-le")
         raw[1:11] = enc[0:10]
-        raw[11] = 0x0F
+        raw[11] = ATTR_LFN
         raw[12] = 0
         raw[13] = checksum
         raw[14:26] = enc[10:22]

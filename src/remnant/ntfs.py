@@ -81,11 +81,8 @@ def filetime_to_iso(ticks: int) -> str | None:
 
 @dataclass
 class MftRecordHeader:
-    signature: bytes
-    usa_offset: int
     usa_count: int
     sequence: int
-    link_count: int
     first_attr_offset: int
     flags: int
     used_size: int
@@ -105,16 +102,13 @@ class MftRecordHeader:
 def parse_record_header(buf: bytes, record_index: int = -1) -> MftRecordHeader:
     if len(buf) < 48 or buf[0:4] != FILE_SIGNATURE:
         raise MftError("record %d: bad signature" % record_index)
-    usa_offset, usa_count = struct.unpack_from("<HH", buf, 0x04)
-    sequence, link_count, first_attr = struct.unpack_from("<HHH", buf, 0x10)
-    flags, used, allocated = struct.unpack_from("<HII", buf, 0x16)
+    usa_count, = struct.unpack_from("<H", buf, 0x06)
+    sequence, = struct.unpack_from("<H", buf, 0x10)
+    first_attr, flags, used, allocated = struct.unpack_from("<HHII", buf, 0x14)
     base_ref, = struct.unpack_from("<Q", buf, 0x20)
     hdr = MftRecordHeader(
-        signature=buf[0:4],
-        usa_offset=usa_offset,
         usa_count=usa_count,
         sequence=sequence,
-        link_count=link_count,
         first_attr_offset=first_attr,
         flags=flags,
         used_size=used,
@@ -155,16 +149,11 @@ class ParsedAttribute:
     type_code: int
     name: str
     resident: bool
-    attr_flags: int
     # resident form
     value: bytes | None = None
     value_offset: int = 0     # of the value, from the record's start
     # non-resident form
-    start_vcn: int = 0
-    end_vcn: int = 0
-    alloc_size: int = 0
     real_size: int = 0
-    initialized_size: int = 0
     run_bytes: bytes = b""
 
     @property
@@ -209,7 +198,6 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
         non_resident = record[pos + 8]
         name_len = record[pos + 9]
         name_off, = struct.unpack_from("<H", record, pos + 10)
-        attr_flags, = struct.unpack_from("<H", record, pos + 12)
         name = ""
         if name_len:
             raw = record[pos + name_off:pos + name_off + 2 * name_len]
@@ -227,7 +215,6 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
                 break
             walk.attributes.append(ParsedAttribute(
                 type_code=type_code, name=name, resident=True,
-                attr_flags=attr_flags,
                 value=bytes(record[pos + value_off:pos + value_off + value_len]),
                 value_offset=pos + value_off,
             ))
@@ -236,14 +223,11 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
                 walk.corrupt = True
                 walk.note = "attribute walk overrun"
                 break
-            start_vcn, end_vcn = struct.unpack_from("<QQ", record, pos + 0x10)
             runs_off, = struct.unpack_from("<H", record, pos + 0x20)
-            alloc, real, init = struct.unpack_from("<QQQ", record, pos + 0x28)
+            real, = struct.unpack_from("<Q", record, pos + 0x30)
             walk.attributes.append(ParsedAttribute(
                 type_code=type_code, name=name, resident=False,
-                attr_flags=attr_flags,
-                start_vcn=start_vcn, end_vcn=end_vcn,
-                alloc_size=alloc, real_size=real, initialized_size=init,
+                real_size=real,
                 run_bytes=bytes(record[pos + runs_off:pos + length]),
             ))
         pos += length
@@ -298,17 +282,12 @@ def decode_data_runs(raw: bytes) -> list[tuple[int | None, int]]:
 class StandardInfoView:
     created: int
     modified: int
-    mft_modified: int
-    accessed: int
-    dos_flags: int
 
 
 def parse_standard_info(value: bytes) -> StandardInfoView | None:
     if len(value) < 36:
         return None
-    c, m, mm, a = struct.unpack_from("<QQQQ", value, 0)
-    flags, = struct.unpack_from("<I", value, 32)
-    return StandardInfoView(c, m, mm, a, flags)
+    return StandardInfoView(*struct.unpack_from("<QQ", value, 0))
 
 
 @dataclass
@@ -316,9 +295,6 @@ class FileNameView:
     parent_index: int
     created: int
     modified: int
-    real_size: int
-    alloc_size: int
-    fn_flags: int
     namespace: int
     name: str
 
@@ -328,8 +304,6 @@ def parse_file_name(value: bytes) -> FileNameView | None:
         return None
     parent_ref, = struct.unpack_from("<Q", value, 0)
     created, modified = struct.unpack_from("<QQ", value, 8)
-    alloc, real = struct.unpack_from("<QQ", value, 0x28)
-    fn_flags, = struct.unpack_from("<I", value, 0x38)
     name_len = value[0x40]
     namespace = value[0x41]
     raw = value[0x42:0x42 + 2 * name_len]
@@ -337,9 +311,7 @@ def parse_file_name(value: bytes) -> FileNameView | None:
         return None
     return FileNameView(
         parent_index=parent_ref & FILE_REFERENCE_INDEX_MASK,
-        created=created, modified=modified,
-        real_size=real, alloc_size=alloc,
-        fn_flags=fn_flags, namespace=namespace,
+        created=created, modified=modified, namespace=namespace,
         name=raw.decode("utf-16-le", errors="replace"),
     )
 
