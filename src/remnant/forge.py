@@ -74,8 +74,10 @@ SECTOR = 512
 # Fixed build timestamp: 2020-01-01 12:00:00 (images must be reproducible).
 FAT_BUILD_DATE = ((2020 - 1980) << 9) | (1 << 5) | 1
 FAT_BUILD_TIME = 12 << 11
-# Same instant as an NTFS timestamp (100ns ticks since 1601-01-01).
-_SECONDS_1601_TO_BUILD = ((2020 - 1601) * 365 + 102) * 86400 + 12 * 3600
+# Same instant as an NTFS timestamp (100ns ticks since 1601-01-01).  The
+# years 1601-2019 hold 101 leap days: 104 multiples of 4, less 1700, 1800
+# and 1900.
+_SECONDS_1601_TO_BUILD = ((2020 - 1601) * 365 + 101) * 86400 + 12 * 3600
 NTFS_BUILD_TIME = _SECONDS_1601_TO_BUILD * 10_000_000
 
 MEDIA_FIXED = 0xF8

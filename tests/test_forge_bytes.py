@@ -5,7 +5,10 @@ forge's writer was rebuilt over cluster runs; any change to how the
 forge lays out, deletes, formats, overwrites or adds files shows here.
 The cases cover the standard corpora at their default sizes (seed 0),
 one fragmented corpus per filesystem, and ``add_file`` over freed space
-that is split into several runs.
+that is split into several runs.  The eight NTFS image hashes were
+recorded again when the NTFS build time was corrected from 2020-01-02
+to 2020-01-01 12:00:00; that moved only the $STANDARD_INFORMATION and
+$FILE_NAME time fields.
 """
 
 import hashlib
@@ -78,19 +81,19 @@ PINNED = {
         '7a7d9f41dbb666b23c5f7bf3ddb79945c59dcc93f757b9970befe7647e98d240',
         '60f01ddeb9453301efab455c1de68723a266214ba9003de98a62fe082db9594b'),
     'standard/ntfs/build': (
-        'f3962ec58cb05834f54a2cb4db58388bc82e1c518ff0328063ceaad229f76e36',
+        '7f7f7db81d811d106e8d93dbcde4b463b8abd7365c89408393102991bbd43f08',
         'c20f5f7e49e6be90e08bc0269e021d2dc4ef9393703a23642d89f5fae6610b16'),
     'standard/ntfs/delete-all': (
-        '6c199c42fdc44516f38b1d7edd75622c28fcce96caf3974546dc6ce62ea23cbc',
+        '0a9521f7fbe77b5610cac97358e4e76509fd6ce442c5d17d911bd8a1a41ff026',
         '93e896602066ba5aa8b40bcb5f47c28fbc744c843d7b4486fb0c9aa380f66bdf'),
     'standard/ntfs/quick-format': (
-        '7f362ed3a72e7e307abdb3d471307c2168cc0772f4623e47ebe8edab17f600eb',
+        '5a4249fdd6f4506ee871d1531f22dfaf5776541158c89b92cc9397ce8d34cccd',
         '1b89db3115e75cd41f70b3ab0b5b32f5c8a62647a532aa06acba9c566e88827d'),
     'standard/ntfs/full-overwrite': (
-        '0fe5989e91418355fe5337bc4248e574ab224b811e741135d920983c298d2ebb',
+        '7bde1bd865c8a5181d76889e06219721d7db493b1f3c919513a74330676e5fac',
         'c83cb54538d6786ebcb830dac4e19ce912db84c4e0cdc0632f9726ebdb1fde15'),
     'standard/ntfs/delete-all+quick-format': (
-        'be28164b3bc287052af1cd92be18cfddd425532c3cc3b41341b6f72a5d4e189f',
+        '4975d23cac3a31cb292a2cf4f6d2b90c0d67866f5400b275bd0d3165bea38e89',
         '683c30a376df73021077961d64c564fba5c0d0c86a7b332fa45a32265a030818'),
     'fragmented/fat12/build': (
         'aa2e9d7964c7f91e1e8e02fcb87a9dee2990891f7368d8de11edb42e1cf5814c',
@@ -111,10 +114,10 @@ PINNED = {
         '5d6afc1d9a92398400f69a5de73bbb5dbf3c83f2ee6ebc3c9bd57fed22bf292d',
         'a0ff9cb648beb5109ca10a0644756161572665fa0ec607914fa69e136d07f0a4'),
     'fragmented/ntfs/build': (
-        'e14135304ee4248f2b30254883eb9544989c3c3a33c9c844eb795a9e1322d647',
+        '7dd1327d3525e1074a59ee0558f5215766e94db3e7b5ade4de5eff3662622fb3',
         'a21252021521a9c4c7f025ad5b7fff651f0da96e88c9b9e0440acc60869143db'),
     'fragmented/ntfs/delete-all': (
-        'e6d42518d1c0dc5500fb3a3d7f3cdb527a531e71531c83fbb331d6564414d094',
+        '5bca7fbe3e2a03a454bec978b13eb2656368f8912cb9697f16e4518a8d18c899',
         'dff815adba50412b30d4fac00c9ec909214653dbd3d652dbf09db70175ed3030'),
     'add-file/fat12/holes': (
         'adf5c91df908e9183fcdd5211e1413716d3211619d49ece24393b089d274a445',
@@ -123,7 +126,7 @@ PINNED = {
         'c71de468bc50c3257db4e79d93a48a6f4112d71309cfdf3cecc899cab54b261b',
         '474df08abddd2bcafeb832517c33f66df128f3da2fc07c888c89866e4b1c5391'),
     'add-file/ntfs/holes': (
-        '90630e5370de72420ab6b243e1a6bab3a54c7bdfb0fcd4ab529e0b3b580511d9',
+        '1f1ef493e153e5389afdf513728ff27e475efe36410f667605d8c45c01612553',
         'c20f5f7e49e6be90e08bc0269e021d2dc4ef9393703a23642d89f5fae6610b16'),
 }
 

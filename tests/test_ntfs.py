@@ -309,6 +309,16 @@ def test_deleted_files_recover_byte_identical(image_copy):
             assert (entry.resident is True) == bool(rec.resident)
 
 
+def test_deleted_file_keeps_the_build_time(image_copy):
+    # The forge stamps 2020-01-01 12:00:00 on FAT and NTFS alike.
+    path, _ = image_copy("ntfs", "delete-all")
+    img, desc = _open(path)
+    with img:
+        rows = undelete.scan_volume(img, desc, deep=True).listing_rows()
+    row, = (r for r in rows if r["name"] == "TINY.TXT" and r["deleted"])
+    assert row["modified"] == row["created"] == "2020-01-01T12:00:00Z"
+
+
 def test_resident_and_nonresident_split_at_truth(image_copy):
     # Small payloads live inside the record; big ones own clusters.
     path, truth = image_copy("ntfs", "delete-all")
