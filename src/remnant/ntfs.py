@@ -285,7 +285,7 @@ class StandardInfoView:
 
 
 def parse_standard_info(value: bytes) -> StandardInfoView | None:
-    if len(value) < 36:
+    if len(value) < 36:   # the four times and the DOS flags
         return None
     return StandardInfoView(*struct.unpack_from("<QQ", value, 0))
 
