@@ -394,7 +394,8 @@ def _extent_chunks(img: VolumeImage, extent, limit: int):
 
 def stream_extents(img: VolumeImage, extents, size: int,
                    sink) -> tuple[str, bytes]:
-    """Write the first ``size`` bytes of ``extents`` to ``sink``.
+    """Write the first ``size`` bytes of ``extents`` to ``sink``, or
+    only hash them when ``sink`` is None.
 
     An extent is a volume span (offset, length), a zero-fill run
     (None, length), or ``bytes`` taken as they are (resident data).  No
@@ -409,7 +410,8 @@ def stream_extents(img: VolumeImage, extents, size: int,
     for extent in extents:
         for chunk in _extent_chunks(img, extent, left):
             digest.update(chunk)
-            sink.write(chunk)
+            if sink is not None:
+                sink.write(chunk)
             if len(head) < HEAD_BYTES:
                 head += chunk[:HEAD_BYTES - len(head)]
             left -= len(chunk)

@@ -15,6 +15,7 @@ from remnant import forge
 from remnant import ntfs as ntfsmod
 from remnant.volume import (FsKind, cluster_extents, detect_filesystem,
                             open_image)
+from test_forge_bytes import STEPS, fragmented_corpus
 
 MiB = 1024 * 1024
 ALL_FS = ("fat12", "fat16", "fat32", "ntfs")
@@ -291,6 +292,119 @@ def test_audit_reports_partial_files(image_copy):
     assert 0 < row["recoverable_bytes"] < row["size_bytes"]
     assert rep["partial_files"] >= 1
     assert rep["verdict"] == "RECOVERABLE"   # something is still exposed
+    assert rep == _reference_audit(path, truth)
+
+
+def _audit_one_by_rebuild(img, desc, t):
+    """Reference: the audit before it hashed first, which regenerates
+    every original and compares it chunk by chunk."""
+    original = forge.content_bytes(t.file_class, t.size, t.seed)
+    if t.resident:
+        matching = forge._audit_resident(img, desc, t, original)
+    else:
+        matching = 0
+        pos = 0
+        cs = desc.cluster_size
+        batch = max(1, forge.STREAM_CHUNK // cs)
+        for start, length in t.clusters:
+            for first in range(start, start + length, batch):
+                count = min(batch, start + length - first)
+                (offset, _), = cluster_extents(img, desc, [(first, count)])
+                want = original[pos:pos + count * cs]
+                disk = img.read_at(offset, len(want))
+                matching += len(want) if disk == want else sum(
+                    len(want[i:i + cs]) for i in range(0, len(want), cs)
+                    if disk[i:i + cs] == want[i:i + cs])
+                pos += len(want)
+    if t.size == 0 or matching == t.size:
+        verdict = "RECOVERABLE"
+    elif matching == 0:
+        verdict = "SANITIZED"
+    else:
+        verdict = "PARTIAL"
+    return {"path": t.path, "class": t.file_class, "size_bytes": t.size,
+            "recoverable_bytes": matching, "verdict": verdict}
+
+
+def _reference_audit(path, truth):
+    """The whole report with every row from the rebuild reference."""
+    real = forge._audit_one
+    forge._audit_one = _audit_one_by_rebuild
+    try:
+        return forge.audit_image(path, truth)
+    finally:
+        forge._audit_one = real
+
+
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("fs", ALL_FS)
+def test_hash_first_audit_matches_the_rebuild_reference(image_copy, fs,
+                                                         steps):
+    path, truth = image_copy(fs)
+    for action in STEPS[steps]:
+        forge.apply_mutation(path, action, truth=truth)
+    rep = forge.audit_image(path, truth)
+    assert rep == _reference_audit(path, truth)
+    if steps == "full-overwrite":
+        assert rep["verdict"] == "SANITIZED"
+    else:
+        assert rep["recoverable_bytes"] == rep["total_bytes"]
+
+
+@pytest.mark.parametrize("fs", ["fat16", "ntfs"])
+def test_a_sidecar_hash_that_misses_falls_back_to_the_byte_compare(
+        image_copy, fs):
+    path, truth = image_copy(fs)
+    t = max((t for t in truth.files.values() if not t.resident),
+            key=lambda t: t.size)
+    t.sha256 = "0" * 64
+    rep = forge.audit_image(path, truth)
+    assert rep == _reference_audit(path, truth)
+    row = next(r for r in rep["files"] if r["path"] == t.path)
+    assert (row["verdict"], row["recoverable_bytes"]) == \
+        ("RECOVERABLE", t.size)
+
+
+@pytest.mark.parametrize("fs", ["fat12", "fat16", "fat32"])
+def test_a_pristine_audit_rebuilds_no_original(base_images, monkeypatch, fs):
+    def refuse(*args):
+        raise AssertionError("content rebuilt although the hash matched")
+
+    monkeypatch.setattr(forge, "content_bytes", refuse)
+    path, truth = base_images[fs]
+    rep = forge.audit_image(path, truth)
+    assert rep["recoverable_files"] == rep["truth_files"] == len(truth.files)
+
+
+def test_audit_memory_does_not_follow_the_file_size(tmp_path):
+    """A matching file is hashed STREAM_CHUNK at a time; its original,
+    32 MiB here, is never held in memory."""
+    spec = forge.CorpusSpec(
+        filesystem="fat32", total_size=48 * MiB, sectors_per_cluster=1,
+        files=[forge.FileSpec("BIG.MKV", "video", 32 * MiB)])
+    path = tmp_path / "big.img"
+    truth = forge.build_image(spec, path)
+    tracemalloc.start()
+    try:
+        rep = forge.audit_image(path, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["recoverable_bytes"] == 32 * MiB
+    assert peak < 12 * MiB
+
+
+def test_sidecar_hashes_are_the_hashes_of_the_content(base_images, tmp_path):
+    """The audit takes a matching sidecar hash as byte identity, so the
+    sidecar must hash exactly what ``content_bytes`` regenerates."""
+    truths = [truth for _, truth in base_images.values()]
+    for fs in ALL_FS:
+        truths.append(forge.build_image(fragmented_corpus(fs),
+                                        tmp_path / ("%s.img" % fs)))
+    for truth in truths:
+        for t in truth.files.values():
+            original = forge.content_bytes(t.file_class, t.size, t.seed)
+            assert t.sha256 == hashlib.sha256(original).hexdigest(), t.path
 
 
 def test_add_file_memory_follows_the_fat_not_the_heap(image_copy):
@@ -325,6 +439,30 @@ def test_add_file_keeps_root_names_unique(image_copy):
     assert sorted(e.display_name for e in root) == [
         "DATA", "Long name here.txt", "Long name there.txt", "NEW.TXT"]
     assert len({e.raw_name for e in root}) == len(root)
+
+
+@pytest.mark.parametrize("run_list", [b"\x00", b"\x01\x01\x00"],
+                         ids=["empty", "sparse"])
+def test_add_file_needs_a_cluster_bitmap_with_clusters(tmp_path, run_list):
+    spec = forge.standard_corpus("ntfs", total_size=16 * MiB)
+    path = tmp_path / "n.img"
+    truth = forge.build_image(spec, path)
+    rec6 = truth.internal["mft_base"] + 6 * truth.internal["record_size"]
+    with open_image(path) as img:
+        rec = ntfsmod.read_record(
+            img.read_at(rec6, truth.internal["record_size"]), rec6, 6)
+    attr, = [a for a in ntfsmod.parse_attributes(rec.data, rec.header)
+             .attributes if a.is_unnamed_data]
+    encoded = forge.encode_data_runs(ntfsmod.decode_data_runs(attr.run_bytes))
+    raw = bytearray(path.read_bytes()[rec6:rec6 + len(rec.data)])
+    assert raw.count(encoded) == 1
+    at = raw.index(encoded)
+    raw[at:at + len(run_list)] = run_list
+    with open(path, "r+b") as fh:
+        fh.seek(rec6)
+        fh.write(raw)
+    with pytest.raises(forge.ForgeError, match="lacks an allocation bitmap"):
+        forge.add_file(path, "NEW.BIN", b"\xA5" * 5000)
 
 
 def test_delete_keeps_the_reserved_fat32_nibble(image_copy):
