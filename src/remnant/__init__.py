@@ -15,45 +15,4 @@ over these modules:
 - :mod:`remnant.report` — the one report shape both output forms share
 """
 
-from .volume import (
-    FsKind,
-    UnrecognizedVolume,
-    VolumeDescriptor,
-    VolumeError,
-    VolumeImage,
-    detect_filesystem,
-    open_image,
-)
-from .report import RecoveredFile, make_report, render_text, summarize
-from .undelete import Candidate, ScanResult, recover_all, scan_volume
-from .forge import (
-    CorpusSpec,
-    FileSpec,
-    ForgeError,
-    GroundTruth,
-    apply_mutation,
-    audit_image,
-    build_image,
-    standard_corpus,
-)
-from .ftl import (
-    FlashGeometry,
-    FtlState,
-    desk_geometry,
-    remanence_audit,
-    run_cycle_experiment,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FsKind", "UnrecognizedVolume", "VolumeDescriptor", "VolumeError",
-    "VolumeImage", "detect_filesystem", "open_image",
-    "RecoveredFile", "make_report", "render_text", "summarize",
-    "Candidate", "ScanResult", "recover_all", "scan_volume",
-    "CorpusSpec", "FileSpec", "ForgeError", "GroundTruth",
-    "apply_mutation", "audit_image", "build_image", "standard_corpus",
-    "FlashGeometry", "FtlState", "desk_geometry", "remanence_audit",
-    "run_cycle_experiment",
-    "__version__",
-]

@@ -18,7 +18,6 @@ import random
 import sys
 
 from . import forge as forgemod
-from . import ftl as ftlmod
 from . import report as reportmod
 from . import undelete
 from .volume import FsKind, UnrecognizedVolume, VolumeError, detect_filesystem, open_image
@@ -197,20 +196,17 @@ def cmd_forge(args) -> int:
     return EXIT_OK
 
 
-def _simulate_state(cfg: dict, seed: int) -> ftlmod.FtlState:
+def _run_simulation(cfg: dict, seed: int) -> dict:
+    from . import ftl as ftlmod
+
     geo_cfg = cfg.get("geometry")
     if geo_cfg is None:
         geo = ftlmod.desk_geometry()
     else:
         geo = ftlmod.FlashGeometry(**geo_cfg)
-    return ftlmod.FtlState(geo, seed=seed,
-                           gc_enabled=bool(cfg.get("gc_enabled", True)),
-                           gc_threshold=float(cfg.get("gc_threshold", 0.125)))
-
-
-def _run_simulation(cfg: dict, seed: int) -> dict:
-    state = _simulate_state(cfg, seed)
-    geo = state.geometry
+    state = ftlmod.FtlState(geo, seed=seed,
+                            gc_enabled=bool(cfg.get("gc_enabled", True)),
+                            gc_threshold=float(cfg.get("gc_threshold", 0.125)))
     rng = random.Random(seed)
     experiment = cfg["experiment"]
 
@@ -283,6 +279,9 @@ def _run_simulation(cfg: dict, seed: int) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here so that the disk commands never load the simulator.
+    from . import ftl as ftlmod
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)

@@ -411,21 +411,26 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
 def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     """Yield (cluster, slots) for every orphaned directory in the heap.
 
-    Every readable cluster is read once, in 4 MiB batches.  One strided
-    slice takes the first byte of each cluster, and ``find`` walks it for
-    the '.' that opens a directory, so Python work grows with the
-    candidates, not the clusters.  Candidates are taken in ascending
-    order and each carved directory's clusters are marked in the
-    ``consumed`` bitmap.
+    Every readable cluster is read once, in 4 MiB batches, except those
+    in the image's holes, which read as zeros and so cannot open with a
+    '.'.  One strided slice takes the first byte of each cluster, and
+    ``find`` walks it for the '.' that opens a directory, so Python work
+    grows with the candidates, not the clusters.  Candidates are taken
+    in ascending order and each carved directory's clusters are marked
+    in the ``consumed`` bitmap.
     """
     cs = desc.cluster_size
     batch = max(1, STREAM_CHUNK // cs)
+    heap = cluster_offset(desc, 2)
     # A truncated image is carved up to its last whole cluster.
-    readable = max(0, img.size - cluster_offset(desc, 2)) // cs
+    readable = max(0, img.size - heap) // cs
     last = min(desc.max_cluster, readable + 1)
     dot = DOT_NAME[0]
     c = 2
     while c <= last:
+        c = 2 + (img.next_data(cluster_offset(desc, c)) - heap) // cs
+        if c > last:
+            break
         count = min(batch, last - c + 1)
         chunk = img.read_at(cluster_offset(desc, c), count * cs)
         heads = chunk[::cs]

@@ -15,7 +15,7 @@ import json
 import os
 import random
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .fat import (
@@ -229,8 +229,8 @@ class GroundTruth:
             "filesystem": self.filesystem,
             "total_size": self.total_size,
             "geometry": self.geometry,
-            "files": {k: asdict(v) for k, v in self.files.items()},
-            "dirs": {k: asdict(v) for k, v in self.dirs.items()},
+            "files": {k: vars(v) for k, v in self.files.items()},
+            "dirs": {k: vars(v) for k, v in self.dirs.items()},
             "internal": self.internal,
             "volume_label": self.volume_label,
             "seed": self.seed,

@@ -432,9 +432,11 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
     every cluster not marked in the ``skip_clusters`` allocation bitmap
     (one byte per cluster number) and validates any
     record-aligned FILE signature it meets.  Every readable cluster is
-    read once, in 4 MiB batches; one strided slice takes the first byte
-    of each record slot, and ``find`` walks it for the 'F', so Python
-    work grows with the candidates, not the slots.
+    read once, in 4 MiB batches, except those in the image's holes,
+    which read as zeros and so cannot open with 'FILE'; one strided
+    slice takes the first byte of each record slot, and ``find`` walks
+    it for the 'F', so Python work grows with the candidates, not the
+    slots.
     """
     _require_ntfs(desc)
     record_size = desc.mft_record_size
@@ -444,7 +446,11 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
     total = min(desc.total_clusters, img.size // cs)
     batch_clusters = max(1, STREAM_CHUNK // cs)
     lead = FILE_SIGNATURE[0]
-    for start in range(0, total, batch_clusters):
+    start = 0
+    while start < total:
+        start = img.next_data(cluster_offset(desc, start)) // cs
+        if start >= total:
+            break
         count = min(batch_clusters, total - start)
         base = cluster_offset(desc, start)
         chunk = img.read_at(base, count * cs)
@@ -473,6 +479,7 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
                 continue
             stats.carve_candidates += 1
             yield rec
+        start += count
 
 
 @dataclass

@@ -7,6 +7,7 @@ to be, and turns cluster numbers into byte offsets.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import struct
@@ -108,6 +109,23 @@ class VolumeImage:
         if len(out) != length:
             raise VolumeError("short read from backing file")
         return out
+
+    def next_data(self, offset: int) -> int:
+        """The first offset at or after ``offset`` that may hold a nonzero
+        byte, or ``size`` when only holes remain.
+
+        A hole in a sparse backing file reads as zeros, so a scan for
+        nonzero bytes may skip it.  A buffer, or a file whose holes the
+        system cannot report, returns ``offset``: every byte may matter.
+        The seek moves the file's own offset, which no read uses.
+        """
+        if self._fd is None:
+            return offset
+        try:
+            pos = os.lseek(self._fd, self.base_offset + offset, os.SEEK_DATA)
+        except OSError as exc:
+            return self.size if exc.errno == errno.ENXIO else offset
+        return min(max(pos - self.base_offset, offset), self.size)
 
     def close(self) -> None:
         if getattr(self, "_fd", None) is not None:
@@ -415,4 +433,5 @@ def stream_extents(img: VolumeImage, extents, size: int,
             if len(head) < HEAD_BYTES:
                 head += chunk[:HEAD_BYTES - len(head)]
             left -= len(chunk)
+            del chunk  # free it before the next read, not after
     return digest.hexdigest(), head

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -346,6 +349,17 @@ def test_simulate_rejects_unknown_experiments(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "simulate", str(bad))
     assert code == 5
+
+
+def test_disk_commands_do_not_load_the_simulator():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, remnant.cli; print('remnant.ftl' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ bad usage

@@ -277,3 +277,25 @@ def test_recovery_memory_does_not_grow_with_the_bytes_recovered(tmp_path):
         with open(r.output_path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == r.sha256
     assert peak < 3 * STREAM_CHUNK
+
+
+def test_recovering_one_large_file_holds_one_chunk_at_a_time(tmp_path):
+    spec = forge.CorpusSpec(
+        filesystem="fat32", total_size=64 << 20,
+        files=[forge.FileSpec("BIG.BIN", "video", 32 << 20, seed=1)])
+    img_path = tmp_path / "big.img"
+    truth = forge.build_image(spec, img_path)
+    forge.apply_mutation(img_path, "delete-all", truth=truth)
+    with open_image(img_path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        tracemalloc.start()
+        try:
+            recovered, errors = recover_all(
+                img, scan, out_dir=str(tmp_path / "out"), jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert errors == []
+    assert [r.sha256 for r in recovered] == \
+        [t.sha256 for t in truth.files.values()]
+    assert peak < 6 << 20

@@ -1,5 +1,7 @@
 """Boot-record detection and cluster addressing."""
 
+import errno
+import os
 import struct
 
 import pytest
@@ -85,6 +87,35 @@ def test_from_bytes_matches_file_backed(tmp_path):
     mem = VolumeImage.from_bytes(data)
     with open_image(path) as disk:
         assert mem.read_at(100, 50) == disk.read_at(100, 50)
+
+
+def test_next_data_of_a_buffer_is_the_offset():
+    img = VolumeImage.from_bytes(bytes(2048))
+    assert [img.next_data(off) for off in (0, 700, 2048)] == [0, 700, 2048]
+
+
+def test_next_data_past_the_last_extent_is_the_size(tmp_path):
+    path = tmp_path / "tail.img"
+    with open(path, "wb") as fh:
+        fh.write(b"\xAA" * 4096)
+        fh.truncate(MiB)                  # the rest is one hole
+    with open_image(path, base_offset=512) as img:
+        assert img.next_data(100) == 100
+        assert img.next_data(8192) == img.size == MiB - 512
+
+
+def test_next_data_when_holes_cannot_be_told_is_the_offset(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "tail.img"
+    with open(path, "wb") as fh:
+        fh.truncate(MiB)
+
+    def no_seek_data(fd, pos, how):
+        raise OSError(errno.EINVAL, "SEEK_DATA unsupported")
+
+    monkeypatch.setattr(os, "lseek", no_seek_data)
+    with open_image(path) as img:
+        assert img.next_data(8192) == 8192
 
 
 # ----------------------------------------------------------- detection
