@@ -516,26 +516,29 @@ def _solve_fat_sectors(total_sectors, bps, spc, reserved, num_fats,
     return fat_sectors, clusters
 
 
-def _fat_boot_sector(kind: FsKind, geom: dict, serial: int, label: str) -> bytes:
+def _fat_boot_sector(desc: VolumeDescriptor, label: str) -> bytes:
+    """A FAT boot sector for ``desc``, which a builder or a detected
+    volume supplies."""
+    kind = desc.kind
     boot = bytearray(SECTOR)
     boot[0:3] = b"\xeb\x3c\x90"
     boot[3:11] = b"MSWIN4.1"
-    struct.pack_into("<H", boot, 0x0B, geom["bytes_per_sector"])
-    boot[0x0D] = geom["sectors_per_cluster"]
-    struct.pack_into("<H", boot, 0x0E, geom["reserved_sectors"])
-    boot[0x10] = geom["num_fats"]
-    total = geom["total_sectors"]
+    struct.pack_into("<H", boot, 0x0B, desc.bytes_per_sector)
+    boot[0x0D] = desc.sectors_per_cluster
+    struct.pack_into("<H", boot, 0x0E, desc.reserved_sectors)
+    boot[0x10] = desc.num_fats
+    total = desc.total_sectors
     if kind is not FsKind.FAT32:
-        struct.pack_into("<H", boot, 0x11, geom["root_entries"])
+        struct.pack_into("<H", boot, 0x11, desc.root_entries)
         if total < 0x10000:
             struct.pack_into("<H", boot, 0x13, total)
         else:
             struct.pack_into("<I", boot, 0x20, total)
-        struct.pack_into("<H", boot, 0x16, geom["sectors_per_fat"])
+        struct.pack_into("<H", boot, 0x16, desc.sectors_per_fat)
     else:
         struct.pack_into("<I", boot, 0x20, total)
-        struct.pack_into("<I", boot, 0x24, geom["sectors_per_fat"])
-        struct.pack_into("<I", boot, 0x2C, geom["root_cluster"])
+        struct.pack_into("<I", boot, 0x24, desc.sectors_per_fat)
+        struct.pack_into("<I", boot, 0x2C, desc.root_cluster)
         struct.pack_into("<H", boot, 0x30, 1)    # FSInfo sector
         struct.pack_into("<H", boot, 0x32, 6)    # backup boot sector
     boot[0x15] = MEDIA_FIXED
@@ -544,7 +547,7 @@ def _fat_boot_sector(kind: FsKind, geom: dict, serial: int, label: str) -> bytes
     ext = 0x40 if kind is FsKind.FAT32 else 0x24
     boot[ext] = 0x80
     boot[ext + 2] = 0x29
-    struct.pack_into("<I", boot, ext + 3, serial & 0xFFFFFFFF)
+    struct.pack_into("<I", boot, ext + 3, desc.volume_serial)
     boot[ext + 7:ext + 18] = label.upper().ljust(11)[:11].encode("latin-1")
     fstype = {FsKind.FAT12: b"FAT12   ", FsKind.FAT16: b"FAT16   ",
               FsKind.FAT32: b"FAT32   "}[kind]
@@ -570,10 +573,9 @@ class _FatBuilder:
         spc = spec.sectors_per_cluster or _pick_fat_spc(
             kind_name, total_sectors, bps)
         reserved = 32 if kind_name == "fat32" else 4
-        num_fats = 2
         root_entries = 0 if kind_name == "fat32" else 512
         fat_sectors, clusters = _solve_fat_sectors(
-            total_sectors, bps, spc, reserved, num_fats, root_entries)
+            total_sectors, bps, spc, reserved, 2, root_entries)
         kind = {"fat12": FsKind.FAT12, "fat16": FsKind.FAT16,
                 "fat32": FsKind.FAT32}[kind_name]
         got = ("fat12" if clusters < FAT12_CLUSTER_LIMIT else
@@ -582,181 +584,136 @@ class _FatBuilder:
             raise ForgeError(
                 "geometry yields %s, not %s: adjust size or cluster size"
                 % (got, kind_name))
+        root_sector = reserved + 2 * fat_sectors
+        fat32 = kind is FsKind.FAT32
+        self.desc = VolumeDescriptor(
+            kind=kind, bytes_per_sector=bps, sectors_per_cluster=spc,
+            total_sectors=total_sectors, reserved_sectors=reserved,
+            num_fats=2, sectors_per_fat=fat_sectors,
+            root_entries=root_entries,
+            root_dir_sector=None if fat32 else root_sector,
+            # The FAT32 root is the first run allocated, so it starts here.
+            root_cluster=2 if fat32 else None,
+            first_data_sector=root_sector
+            + (root_entries * DIR_ENTRY_SIZE + bps - 1) // bps,
+            cluster_count=clusters,
+            volume_serial=(0x5245_0000 ^ (spec.seed * 2654435761))
+            & 0xFFFFFFFF)
         self.spec = spec
-        self.kind = kind
-        self.bps = bps
-        self.spc = spc
-        self.cs = bps * spc
-        self.reserved = reserved
-        self.num_fats = num_fats
-        self.root_entries = root_entries
-        self.fat_sectors = fat_sectors
-        self.clusters = clusters
-        self.total_sectors = total_sectors
-        root_dir_sectors = (root_entries * DIR_ENTRY_SIZE + bps - 1) // bps
-        self.first_data_sector = (reserved + num_fats * fat_sectors
-                                  + root_dir_sectors)
-        self.fat_offsets = [(reserved + i * fat_sectors) * bps
-                            for i in range(num_fats)]
+        self.fat_offsets = _fat_offsets(self.desc)
         self.cursor = 2     # every cluster below it is allocated
-        # The FAT32 root is the first run allocated, so it starts here.
-        self.root_cluster = 2 if kind is FsKind.FAT32 else None
-        self.serial = (0x5245_0000 ^ (spec.seed * 2654435761)) & 0xFFFFFFFF
-
-    # cluster helpers
-
-    def _cluster_off(self, cluster: int) -> int:
-        return (self.first_data_sector * self.bps
-                + (cluster - 2) * self.cs)
 
     def allocate(self, count: int) -> int:
         """First cluster of a fresh run of ``count`` clusters."""
         first = self.cursor
-        if first + count > self.clusters + 2:
+        if first + count > self.desc.cluster_count + 2:
             raise ForgeError("corpus does not fit volume")
         self.cursor = first + count
         return first
 
-    def geometry_dict(self) -> dict:
-        g = {
-            "kind": self.kind.value,
-            "bytes_per_sector": self.bps,
-            "sectors_per_cluster": self.spc,
-            "reserved_sectors": self.reserved,
-            "num_fats": self.num_fats,
-            "sectors_per_fat": self.fat_sectors,
-            "root_entries": self.root_entries,
-            "total_sectors": self.total_sectors,
-            "cluster_count": self.clusters,
-            "first_data_sector": self.first_data_sector,
-            "cluster_size": self.cs,
-        }
-        if self.kind is FsKind.FAT32:
-            g["root_cluster"] = self.root_cluster
-        else:
-            g["root_dir_sector"] = self.reserved + self.num_fats * self.fat_sectors
-        return g
-
     def build(self, w: _Writer) -> GroundTruth:
-        spec = self.spec
+        spec, desc = self.spec, self.desc
+        kind, cs = desc.kind, desc.cluster_size
         files = spec.resolved_files()
         dir_names = spec.all_dirs()
-        per_cluster = self.cs // DIR_ENTRY_SIZE
 
-        # Assign short names (and long-name fragments) up front so every
-        # directory can be sized and allocated contiguously before file
-        # data: a directory whose tail lives in some distant cluster is
-        # unfindable once its chain is gone.
-        taken_root: set = set()
-        dir_meta: dict[str, dict] = {}
-        for name in dir_names:
-            raw11, needs_lfn = _to_83(name, taken_root)
-            dir_meta[name] = {
-                "raw11": raw11,
-                "lfns": _lfn_entries(name, raw11) if needs_lfn else [],
-            }
-        takens: dict[str, set] = {name: set() for name in dir_names}
-        file_meta: dict[str, dict] = {}
+        # Every directory is one contiguous block, sized and allocated
+        # before any file data (a directory whose tail lives in some
+        # distant cluster is unfindable once its chain is gone), so short
+        # names and long-name fragments are assigned up front.
+        taken: dict[str, set] = {name: set() for name in ["", *dir_names]}
+
+        def named(name: str, parent: str) -> tuple[bytes, list[bytes]]:
+            raw11, needs_lfn = _to_83(name, taken[parent])
+            return raw11, _lfn_entries(name, raw11) if needs_lfn else []
+
+        dir_83 = {name: named(name, "") for name in dir_names}
+        file_83 = {f.path: named(f.name, f.parent) for f in files}
+        # The root opens with the volume label, a directory with . and ..
+        need = {"": 1 + sum(1 + len(lfns) for _, lfns in dir_83.values()),
+                **dict.fromkeys(dir_names, 2)}
         for f in files:
-            taken = takens[f.parent] if f.parent else taken_root
-            raw11, needs_lfn = _to_83(f.name, taken)
-            file_meta[f.path] = {
-                "raw11": raw11,
-                "lfns": _lfn_entries(f.name, raw11) if needs_lfn else [],
-            }
+            need[f.parent] += 1 + len(file_83[f.path][1])
 
-        root_slots = 1  # the volume label comes first
-        dir_slots = {name: 2 for name in dir_names}  # dot and dotdot
-        for name in dir_names:
-            root_slots += 1 + len(dir_meta[name]["lfns"])
-        for f in files:
-            need = 1 + len(file_meta[f.path]["lfns"])
-            if f.parent:
-                dir_slots[f.parent] += need
-            else:
-                root_slots += need
+        base: dict[str, int] = {}
 
-        if self.kind is FsKind.FAT32:
-            count = -(-root_slots // per_cluster)
-            root_runs = [[self.allocate(count), count]]
-            w.fat_chain(self.fat_offsets, self.kind, root_runs)
-            root_blocks = self._dir_capacity_blocks(root_runs)
-        else:
-            if root_slots > self.root_entries:
-                raise ForgeError("root directory is full")
-            start = (self.reserved
-                     + self.num_fats * self.fat_sectors) * self.bps
-            root_blocks = [(start, self.root_entries * DIR_ENTRY_SIZE)]
-
-        dir_info: dict[str, dict] = {}
-        for name in dir_names:
-            count = -(-dir_slots[name] // per_cluster)
+        def allocate_dir(name: str) -> list[list[int]]:
+            count = -(-need[name] // (cs // DIR_ENTRY_SIZE))
             runs = [[self.allocate(count), count]]
-            w.fat_chain(self.fat_offsets, self.kind, runs)
-            dot = _dir_entry(DOT_NAME, ATTR_DIRECTORY, runs[0][0], 0)
-            dotdot = _dir_entry(DOTDOT_NAME, ATTR_DIRECTORY, 0, 0)
-            dir_info[name] = {**dir_meta[name], "runs": runs,
-                              "entries": [dot, dotdot]}
+            w.fat_chain(self.fat_offsets, kind, runs)
+            base[name] = cluster_offset(desc, runs[0][0])
+            return runs
 
+        if kind is FsKind.FAT32:
+            root_bytes = allocate_dir("")[0][1] * cs
+        else:
+            if need[""] > desc.root_entries:
+                raise ForgeError("root directory is full")
+            base[""] = desc.root_dir_sector * desc.bytes_per_sector
+            root_bytes = desc.root_entries * DIR_ENTRY_SIZE
+        dir_runs = {name: allocate_dir(name) for name in dir_names}
         file_runs = _plan_file_clusters(
-            files, self.cs, spec.fragment_pairs, self.allocate)
+            files, cs, spec.fragment_pairs, self.allocate)
+
+        label = spec.volume_label.upper().ljust(11)[:11].encode("latin-1")
+        slots = {"": [_dir_entry(label, ATTR_VOLUME_ID, 0, 0)]}
+        for name, runs in dir_runs.items():
+            slots[name] = [_dir_entry(DOT_NAME, ATTR_DIRECTORY, runs[0][0], 0),
+                           _dir_entry(DOTDOT_NAME, ATTR_DIRECTORY, 0, 0)]
+
+        def place(parent: str, lfns: list[bytes], entry: bytes):
+            """Append ``lfns`` and ``entry`` to ``parent``'s slots; returns
+            the entry's byte offset and its fragments' offsets."""
+            block = slots[parent]
+            at = base[parent] + DIR_ENTRY_SIZE * len(block)
+            block += lfns + [entry]
+            return (at + DIR_ENTRY_SIZE * len(lfns),
+                    [at + DIR_ENTRY_SIZE * i for i in range(len(lfns))])
+
+        truth_dirs: dict[str, DirTruth] = {}
+        for name, runs in dir_runs.items():
+            raw11, lfns = dir_83[name]
+            off, lfn_offsets = place(
+                "", lfns, _dir_entry(raw11, ATTR_DIRECTORY, runs[0][0], 0))
+            truth_dirs[name] = DirTruth(
+                path=name, first_cluster=runs[0][0], clusters=runs,
+                entry_offset=off, lfn_offsets=lfn_offsets)
 
         truth_files: dict[str, FileTruth] = {}
-        pending_entries: dict[str, list] = {"": []}
-        for name in dir_names:
-            pending_entries[name] = []
-
-        label_raw = spec.volume_label.upper().ljust(11)[:11].encode("latin-1")
-        pending_entries[""].append(
-            ("label", _dir_entry(label_raw, ATTR_VOLUME_ID, 0, 0)))
-
-        for name in dir_names:
-            info = dir_info[name]
-            entry = _dir_entry(info["raw11"], ATTR_DIRECTORY,
-                               info["runs"][0][0], 0)
-            pending_entries[""].append(("dir", name, info["lfns"], entry))
-
         for f in files:
             runs = file_runs[f.path]
             data = content_bytes(f.file_class, f.size, f.seed)
-            w.fat_chain(self.fat_offsets, self.kind, runs)
-            w.write_runs(runs, data, self.cs, self._cluster_off)
-            meta = file_meta[f.path]
+            w.fat_chain(self.fat_offsets, kind, runs)
+            w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
             first = runs[0][0] if runs else 0
-            entry = _dir_entry(meta["raw11"], ATTR_ARCHIVE, first, f.size)
-            pending_entries[f.parent].append(("file", f, meta["lfns"], entry))
+            raw11, lfns = file_83[f.path]
+            off, lfn_offsets = place(
+                f.parent, lfns, _dir_entry(raw11, ATTR_ARCHIVE, first, f.size))
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
                 first_cluster=first, clusters=runs,
-                entry_offset=-1,  # patched when directories materialize
-            )
+                entry_offset=off, lfn_offsets=lfn_offsets)
 
-        truth_dirs: dict[str, DirTruth] = {}
-        self._lay_entries(w, pending_entries[""], root_blocks,
-                          truth_files, truth_dirs, dir_info)
-        for name in dir_names:
-            info = dir_info[name]
-            head = [("raw", e) for e in info["entries"]]
-            self._lay_entries(w, head + pending_entries[name],
-                              self._dir_capacity_blocks(info["runs"]),
-                              truth_files, truth_dirs, {})
-
-        geom = self.geometry_dict()
-        geom["root_cluster"] = self.root_cluster
-        boot = _fat_boot_sector(self.kind, geom, self.serial,
-                                self.spec.volume_label)
+        for name, block in slots.items():
+            w.write(base[name], b"".join(block))
         # Every cluster from the cursor up is still free.
-        _write_fat_system_areas(w, self.kind, boot, self.fat_offsets,
-                                self.clusters + 2 - self.cursor, self.cursor)
-        geometry = self.geometry_dict()
+        _write_fat_system_areas(w, desc, spec.volume_label,
+                                desc.cluster_count + 2 - self.cursor,
+                                self.cursor)
+        # The sidecar's geometry is the descriptor's, field for field.
+        geometry = {"kind": kind.value, **{key: getattr(desc, key) for key in (
+            "bytes_per_sector", "sectors_per_cluster", "reserved_sectors",
+            "num_fats", "sectors_per_fat", "root_entries", "total_sectors",
+            "cluster_count", "first_data_sector", "cluster_size",
+            "root_cluster" if kind is FsKind.FAT32 else "root_dir_sector")}}
         internal = {
             "fat_offsets": self.fat_offsets,
-            "fat_bytes": self.fat_sectors * self.bps,
-            "root_blocks": root_blocks,
+            "fat_bytes": desc.sectors_per_fat * desc.bytes_per_sector,
+            "root_blocks": [(base[""], root_bytes)],
         }
         return GroundTruth(
-            filesystem=self.kind.value,
+            filesystem=kind.value,
             total_size=spec.total_size,
             geometry=geometry,
             files=truth_files,
@@ -765,45 +722,6 @@ class _FatBuilder:
             volume_label=spec.volume_label,
             seed=spec.seed,
         )
-
-    def _dir_capacity_blocks(self, runs):
-        return [(self._cluster_off(first), count * self.cs)
-                for first, count in runs]
-
-    def _lay_entries(self, w, items, blocks, truth_files, truth_dirs,
-                     dir_info):
-        slots = []
-        for base, length in blocks:
-            for pos in range(0, length, DIR_ENTRY_SIZE):
-                slots.append(base + pos)
-        cursor = 0
-
-        def place(raw: bytes) -> int:
-            nonlocal cursor
-            if cursor >= len(slots):
-                raise ForgeError("directory overflows its allocation")
-            off = slots[cursor]
-            w.write(off, raw)
-            cursor += 1
-            return off
-
-        for item in items:
-            if item[0] in ("raw", "label"):
-                place(item[1])
-            elif item[0] == "dir":
-                _, name, lfns, entry = item
-                lfn_offsets = [place(raw) for raw in lfns]
-                off = place(entry)
-                runs = dir_info[name]["runs"]
-                truth_dirs[name] = DirTruth(
-                    path=name, first_cluster=runs[0][0], clusters=runs,
-                    entry_offset=off, lfn_offsets=lfn_offsets)
-            else:
-                _, f, lfns, entry = item
-                lfn_offsets = [place(raw) for raw in lfns]
-                off = place(entry)
-                truth_files[f.path].entry_offset = off
-                truth_files[f.path].lfn_offsets = lfn_offsets
 
 
 def _put_fat12(raw: bytearray, pos: int, index: int, value: int) -> None:
@@ -817,17 +735,24 @@ def _put_fat12(raw: bytearray, pos: int, index: int, value: int) -> None:
         raw[pos + 1] = (value >> 4) & 0xFF
 
 
-def _write_fat_system_areas(w: _Writer, kind: FsKind, boot: bytes,
-                            fat_offsets, free: int, next_free: int) -> None:
+def _fat_offsets(desc: VolumeDescriptor) -> list[int]:
+    return [(desc.reserved_sectors + i * desc.sectors_per_fat)
+            * desc.bytes_per_sector for i in range(desc.num_fats)]
+
+
+def _write_fat_system_areas(w: _Writer, desc: VolumeDescriptor, label: str,
+                            free: int, next_free: int) -> None:
     """The boot sector, on FAT32 the FSInfo sector and both backups, and
     the two reserved entries at the head of every FAT copy."""
+    kind = desc.kind
+    boot = _fat_boot_sector(desc, label)
     w.write(0, boot)
     if kind is FsKind.FAT32:
         info = _fsinfo_sector(free, next_free)
         w.write(SECTOR, info)
         w.write(6 * SECTOR, boot)
         w.write(7 * SECTOR, info)
-    w.fat_entries(fat_offsets, kind, 0,
+    w.fat_entries(_fat_offsets(desc), kind, 0,
                   [(_EOC[kind] & ~0xFF) | MEDIA_FIXED, _EOC[kind]])
 
 
@@ -977,33 +902,59 @@ def _record_bytes(index: int, flags: int, attrs: list[bytes],
     return bytes(raw)
 
 
-def _ntfs_boot_sector(bps, spc, total_sectors, mft_lcn, mirror_lcn,
-                      record_size, serial) -> bytes:
+def _dir_record(index: int, name: str, record_size: int) -> bytes:
+    """An empty directory's record, named ``name`` in the root."""
+    return _record_bytes(
+        index, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
+        _std_and_fn(name, ROOT_RECORD, 0, 0, True) + [
+            _resident_attr(ATTR_INDEX_ROOT, _index_root_value(), "$I30")],
+        record_size)
+
+
+def _file_record(index: int, name: str, parent: int, data: bytes, runs,
+                 cluster_size: int, record_size: int):
+    """A file's record and the (first, count) runs its data occupies.
+    The data stays resident, and occupies no run, when it fits the
+    record beside the file's names; otherwise it lives in ``runs``."""
+    alloc = (sum(count for _, count in runs) * cluster_size if runs
+             else _align8(len(data)))
+    attrs = _std_and_fn(name, parent, len(data), alloc, False)
+    free = record_size - 0x30 - sum(len(a) for a in attrs) - 0x18 - 8
+    if len(data) <= free:
+        attrs.append(_resident_attr(ATTR_DATA, data))
+        runs = []
+    else:
+        attrs.append(_nonresident_attr(ATTR_DATA, runs, len(data),
+                                       cluster_size))
+    return _record_bytes(index, RECORD_FLAG_IN_USE, attrs, record_size), runs
+
+
+def _ntfs_boot_sector(desc: VolumeDescriptor, mirror_lcn: int) -> bytes:
     boot = bytearray(SECTOR)
     boot[0:3] = b"\xeb\x52\x90"
     boot[3:11] = NTFS_OEM
-    struct.pack_into("<H", boot, 0x0B, bps)
-    boot[0x0D] = spc
+    struct.pack_into("<H", boot, 0x0B, desc.bytes_per_sector)
+    boot[0x0D] = desc.sectors_per_cluster
     boot[0x15] = MEDIA_FIXED
     struct.pack_into("<H", boot, 0x18, 63)
     struct.pack_into("<H", boot, 0x1A, 255)
-    struct.pack_into("<Q", boot, 0x28, total_sectors)
-    struct.pack_into("<Q", boot, 0x30, mft_lcn)
+    struct.pack_into("<Q", boot, 0x28, desc.total_sectors)
+    struct.pack_into("<Q", boot, 0x30, desc.mft_lcn)
     struct.pack_into("<Q", boot, 0x38, mirror_lcn)
-    cs = bps * spc
-    if record_size >= cs:
-        boot[0x40] = record_size // cs
+    rs, cs = desc.mft_record_size, desc.cluster_size
+    if rs >= cs:
+        boot[0x40] = rs // cs
     else:
-        boot[0x40] = (256 - (record_size.bit_length() - 1)) & 0xFF
+        boot[0x40] = (256 - (rs.bit_length() - 1)) & 0xFF
     boot[0x44] = 1
-    struct.pack_into("<Q", boot, 0x48, serial & (1 << 64) - 1)
+    struct.pack_into("<Q", boot, 0x48, desc.volume_serial)
     boot[510:512] = BOOT_SIGNATURE
     return bytes(boot)
 
 
-def _system_records(record_size, cluster_size, mft_runs, mft_slots,
-                    mft_bitmap_bits: bytes, bitmap_runs, bitmap_real,
-                    mirror_runs, label: str):
+def _system_records(record_size, cluster_size, mft_run, mft_slots,
+                    mft_bitmap_bits: bytes, bitmap_run, bitmap_real,
+                    mirror_run, label: str):
     """Records 0..15 of a fresh volume.  Returns (records, offset of the
     MFT allocation bitmap's value within record 0)."""
     rs, cs = record_size, cluster_size
@@ -1011,7 +962,8 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
 
     mft_attrs = _std_and_fn("$MFT", ROOT_RECORD, mft_slots * rs,
                             mft_slots * rs, False)
-    mft_attrs.append(_nonresident_attr(ATTR_DATA, mft_runs, mft_slots * rs, cs))
+    mft_attrs.append(_nonresident_attr(ATTR_DATA, [mft_run], mft_slots * rs,
+                                       cs))
     bitmap_attr_off = 0x30 + sum(len(a) for a in mft_attrs)
     mft_attrs.append(_resident_attr(ATTR_BITMAP, mft_bitmap_bits))
     mft_bitmap_value_off = bitmap_attr_off + 0x18
@@ -1022,7 +974,7 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
     mirror_real = 4 * rs
     recs.append(_record_bytes(1, RECORD_FLAG_IN_USE, _std_and_fn(
         "$MFTMirr", ROOT_RECORD, mirror_real, mirror_real, False) + [
-        _nonresident_attr(ATTR_DATA, mirror_runs, mirror_real, cs)], rs))
+        _nonresident_attr(ATTR_DATA, [mirror_run], mirror_real, cs)], rs))
     recs.append(_record_bytes(2, RECORD_FLAG_IN_USE, _std_and_fn(
         "$LogFile", ROOT_RECORD, 0, 0, False) + [
         _resident_attr(ATTR_DATA, b"")], rs))
@@ -1034,13 +986,10 @@ def _system_records(record_size, cluster_size, mft_runs, mft_slots,
     recs.append(_record_bytes(4, RECORD_FLAG_IN_USE, _std_and_fn(
         "$AttrDef", ROOT_RECORD, 0, 0, False) + [
         _resident_attr(ATTR_DATA, b"")], rs))
-    recs.append(_record_bytes(
-        ROOT_RECORD, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
-        _std_and_fn(".", ROOT_RECORD, 0, 0, True) + [
-            _resident_attr(ATTR_INDEX_ROOT, _index_root_value(), "$I30")], rs))
+    recs.append(_dir_record(ROOT_RECORD, ".", rs))
     recs.append(_record_bytes(6, RECORD_FLAG_IN_USE, _std_and_fn(
         "$Bitmap", ROOT_RECORD, bitmap_real, bitmap_real, False) + [
-        _nonresident_attr(ATTR_DATA, bitmap_runs, bitmap_real, cs)], rs))
+        _nonresident_attr(ATTR_DATA, [bitmap_run], bitmap_real, cs)], rs))
     boot_clusters = -(-8192 // cs)
     recs.append(_record_bytes(7, RECORD_FLAG_IN_USE, _std_and_fn(
         "$Boot", ROOT_RECORD, 8192, boot_clusters * cs, False) + [
@@ -1075,145 +1024,128 @@ def _set_bits(bits: bytearray, runs, on: bool = True) -> None:
                 bits[i // 8] &= ~(1 << (i % 8))
 
 
+def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
+                         mft_clusters: int, bitmap_lcn: int, label: str,
+                         records: dict | None = None, data_runs=()) -> int:
+    """Lay the NTFS metadata of ``desc``'s volume, the one way both the
+    build and a quick format do it (Carrier, *File System Forensic
+    Analysis*, ch. 11-13): the boot sector; an MFT of ``mft_clusters``
+    clusters at the boot sector's LCN holding records 0-15 and then the
+    caller's ``records`` (index -> bytes, each in use); the cluster
+    bitmap at ``bitmap_lcn`` with the metadata's own clusters and
+    ``data_runs`` allocated; and the mirror of records 0-3 in the middle
+    cluster.  Slots past the last record are not written.  Returns the
+    byte offset of the record-allocation bitmap's value in record 0."""
+    rs, cs, cc = desc.mft_record_size, desc.cluster_size, desc.total_clusters
+    records = records or {}
+    mft_slots = mft_clusters * cs // rs
+    bitmap_real = -(-cc // 8)
+    mft_run = (desc.mft_lcn, mft_clusters)
+    bitmap_run = (bitmap_lcn, -(-bitmap_real // cs))
+    mirror_run = (cc // 2, -(-4 * rs // cs))
+    used = bytearray(max(8, _align8(-(-mft_slots // 8))))
+    _set_bits(used, [(0, SYSTEM_RECORDS), *((i, 1) for i in records)])
+    system, value_off = _system_records(
+        rs, cs, mft_run, mft_slots, bytes(used), bitmap_run, bitmap_real,
+        mirror_run, label)
+    last = max(records, default=SYSTEM_RECORDS - 1)
+    table = system + [records.get(i, bytes(rs))
+                      for i in range(SYSTEM_RECORDS, last + 1)]
+    # Boot code, system files, padding past the last cluster, the rest.
+    clusters = bytearray(bitmap_real)
+    _set_bits(clusters, [(0, -(-8192 // cs)), mft_run, bitmap_run,
+                         mirror_run, (cc, bitmap_real * 8 - cc), *data_runs])
+    w.write(0, _ntfs_boot_sector(desc, mirror_run[0]))
+    w.write(desc.mft_lcn * cs, b"".join(table))
+    w.write(bitmap_lcn * cs, clusters)
+    w.write(mirror_run[0] * cs, b"".join(system[:4]))
+    return value_off
+
+
 class _NtfsBuilder:
     def __init__(self, spec: CorpusSpec):
-        self.spec = spec
-        self.bps = spec.bytes_per_sector
-        self.spc = spec.sectors_per_cluster or 8
-        self.cs = self.bps * self.spc
-        self.rs = NTFS_RECORD_SIZE
-        if self.cs < self.rs:
+        bps = spec.bytes_per_sector
+        spc = spec.sectors_per_cluster or 8
+        if bps * spc < NTFS_RECORD_SIZE:
             raise ForgeError("cluster size below record size is unsupported")
-        self.total_sectors = spec.total_size // self.bps
-        self.cluster_count = self.total_sectors // self.spc
-        self.mft_lcn = 4
-        self.serial = (0x4E54_0000_0000_0000 ^
-                       (spec.seed * 0x9E3779B97F4A7C15)) & ((1 << 64) - 1)
+        self.spec = spec
+        self.desc = VolumeDescriptor(
+            kind=FsKind.NTFS, bytes_per_sector=bps, sectors_per_cluster=spc,
+            total_sectors=spec.total_size // bps, mft_lcn=4,
+            mft_record_size=NTFS_RECORD_SIZE,
+            volume_serial=(0x4E54_0000_0000_0000 ^
+                           (spec.seed * 0x9E3779B97F4A7C15)) & ((1 << 64) - 1))
 
     def build(self, w: _Writer) -> GroundTruth:
-        spec = self.spec
+        spec, desc = self.spec, self.desc
         files = spec.resolved_files()
         dirs = spec.all_dirs()
-        rs, cs = self.rs, self.cs
-        per_cluster = cs // rs
+        rs, cs, cc = desc.mft_record_size, desc.cluster_size, desc.total_clusters
 
         slots_needed = NTFS_FIRST_USER_RECORD + len(dirs) + len(files)
-        mft_clusters = max(16, -(-slots_needed // per_cluster))
-        mft_slots = mft_clusters * per_cluster
-        bitmap_real = -(-self.cluster_count // 8)
-        bitmap_clusters = -(-bitmap_real // cs)
-        bitmap_lcn = self.mft_lcn + mft_clusters
-        mirror_clusters = -(-4 * rs // cs)
-        mirror_lcn = self.cluster_count // 2
-        cursor = [bitmap_lcn + bitmap_clusters]
-        if mft_clusters * per_cluster < slots_needed:
-            raise ForgeError("corpus does not fit the MFT")
+        mft_clusters = max(16, -(-slots_needed // (cs // rs)))
+        bitmap_lcn = desc.mft_lcn + mft_clusters
+        cursor = bitmap_lcn + -(-cc // (8 * cs))    # past the cluster bitmap
 
         def allocate(n: int) -> int:
-            start = cursor[0]
-            if start + n > min(mirror_lcn, self.cluster_count):
+            nonlocal cursor
+            # Data stays below the mirror, which sits in the middle cluster.
+            if cursor + n > cc // 2:
                 raise ForgeError("corpus does not fit volume")
-            cursor[0] = start + n
-            return start
+            cursor += n
+            return cursor - n
 
         plan = _plan_file_clusters(files, cs, spec.fragment_pairs, allocate)
 
-        # Record index assignment: directories first, then files.
-        dir_index = {name: NTFS_FIRST_USER_RECORD + i
-                     for i, name in enumerate(dirs)}
-        first_file_index = NTFS_FIRST_USER_RECORD + len(dirs)
-
-        used_bits = bytearray(max(8, _align8(-(-mft_slots // 8))))
-        _set_bits(used_bits, [(0, SYSTEM_RECORDS),
-                              (first_file_index, len(files))]
-                  + [(idx, 1) for idx in dir_index.values()])
-
-        mft_runs = [(self.mft_lcn, mft_clusters)]
-        bitmap_runs = [(bitmap_lcn, bitmap_clusters)]
-        mirror_runs = [(mirror_lcn, mirror_clusters)]
-        system, mft_bitmap_value_off = _system_records(
-            rs, cs, mft_runs, mft_slots, bytes(used_bits), bitmap_runs,
-            bitmap_real, mirror_runs, spec.volume_label)
-
-        slots: list[bytes | None] = [None] * mft_slots
-        for i, rec in enumerate(system):
-            slots[i] = rec
-
+        # Record numbers: directories first, then files.
+        mft_base = desc.mft_lcn * cs
+        records: dict[int, bytes] = {}
         truth_dirs: dict[str, DirTruth] = {}
-        mft_base = self.mft_lcn * cs
-        for name, idx in dir_index.items():
-            rec = _record_bytes(
-                idx, RECORD_FLAG_IN_USE | RECORD_FLAG_DIRECTORY,
-                _std_and_fn(name, ROOT_RECORD, 0, 0, True) + [
-                    _resident_attr(ATTR_INDEX_ROOT, _index_root_value(),
-                                   "$I30")], rs)
-            slots[idx] = rec
+        for idx, name in enumerate(dirs, NTFS_FIRST_USER_RECORD):
+            records[idx] = _dir_record(idx, name, rs)
             truth_dirs[name] = DirTruth(
                 path=name, first_cluster=0, clusters=[],
                 entry_offset=mft_base + idx * rs, record_index=idx)
 
         truth_files: dict[str, FileTruth] = {}
-        for i, f in enumerate(files):
-            idx = first_file_index + i
-            parent = dir_index.get(f.parent, ROOT_RECORD)
+        for idx, f in enumerate(files, NTFS_FIRST_USER_RECORD + len(dirs)):
+            parent = (truth_dirs[f.parent].record_index if f.parent
+                      else ROOT_RECORD)
             data = content_bytes(f.file_class, f.size, f.seed)
-            runs = plan[f.path]
-            base_attrs = _std_and_fn(
-                f.name, parent, f.size,
-                sum(n for _, n in runs) * cs if runs else _align8(f.size),
-                False)
-            free = rs - 0x30 - sum(len(a) for a in base_attrs) - 0x18 - 8
-            resident = f.size <= free
-            if resident:
-                attrs = base_attrs + [_resident_attr(ATTR_DATA, data)]
-                runs = []
-            else:
-                attrs = base_attrs + [_nonresident_attr(
-                    ATTR_DATA, runs, f.size, cs)]
-                w.write_runs(runs, data, cs, lambda lcn: lcn * cs)
-            slots[idx] = _record_bytes(idx, RECORD_FLAG_IN_USE, attrs, rs)
+            records[idx], runs = _file_record(idx, f.name, parent, data,
+                                              plan[f.path], cs, rs)
+            w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
                 first_cluster=runs[0][0] if runs else 0, clusters=runs,
                 entry_offset=mft_base + idx * rs,
-                resident=resident, record_index=idx)
+                resident=not runs, record_index=idx)
 
-        # Lay the table, the cluster bitmap, the mirror, and the boot code.
-        w.write(mft_base, b"".join(rec or bytes(rs) for rec in slots))
-
-        # Boot code, system files, padding past the last cluster, corpus.
-        cluster_bits = bytearray(bitmap_real)
-        cc = self.cluster_count
-        _set_bits(cluster_bits, [(0, -(-8192 // cs)), *mft_runs, *bitmap_runs,
-                                 *mirror_runs, (cc, bitmap_real * 8 - cc)]
-                  + [run for runs in plan.values() for run in runs])
-        w.write(bitmap_lcn * cs, cluster_bits)
-
-        w.write(mirror_lcn * cs, b"".join(slots[:4]))
-        w.write(0, _ntfs_boot_sector(self.bps, self.spc, self.total_sectors,
-                                     self.mft_lcn, mirror_lcn, rs,
-                                     self.serial))
+        # A resident file's planned clusters are marked in use all the same.
+        value_off = _write_ntfs_metadata(
+            w, desc, mft_clusters, bitmap_lcn, spec.volume_label, records,
+            [run for runs in plan.values() for run in runs])
 
         geometry = {
             "kind": "NTFS",
-            "bytes_per_sector": self.bps,
-            "sectors_per_cluster": self.spc,
+            "bytes_per_sector": desc.bytes_per_sector,
+            "sectors_per_cluster": desc.sectors_per_cluster,
             "cluster_size": cs,
-            "total_sectors": self.total_sectors,
-            "cluster_count": self.cluster_count,
-            "mft_lcn": self.mft_lcn,
+            "total_sectors": desc.total_sectors,
+            "cluster_count": cc,
+            "mft_lcn": desc.mft_lcn,
             "mft_clusters": mft_clusters,
             "record_size": rs,
-            "mirror_lcn": mirror_lcn,
+            "mirror_lcn": cc // 2,
         }
         internal = {
             "mft_base": mft_base,
             "record_size": rs,
-            "mft_slots": mft_slots,
-            "mft_bitmap_value_abs": mft_base + mft_bitmap_value_off,
+            "mft_slots": mft_clusters * cs // rs,
+            "mft_bitmap_value_abs": mft_base + value_off,
             "cluster_bitmap_abs": bitmap_lcn * cs,
-            "cluster_bitmap_bytes": bitmap_real,
+            "cluster_bitmap_bytes": -(-cc // 8),
         }
         return GroundTruth(
             filesystem="NTFS", total_size=spec.total_size,
@@ -1329,101 +1261,42 @@ def quick_format(image_path) -> None:
     """Re-initialize metadata in place with the same geometry: fresh boot
     record, empty allocation structures, empty root.  The data area is
     not touched, which is the whole forensic point."""
-    with open_image(image_path) as img:
-        desc = detect_filesystem(img)
-    if desc.kind is FsKind.NTFS:
-        _ntfs_quick_format(image_path, desc)
-    else:
-        _fat_quick_format(image_path, desc)
-
-
-def _fat_quick_format(image_path, desc: VolumeDescriptor) -> None:
-    kind = desc.kind
-    geom = {
-        "bytes_per_sector": desc.bytes_per_sector,
-        "sectors_per_cluster": desc.sectors_per_cluster,
-        "reserved_sectors": desc.reserved_sectors,
-        "num_fats": desc.num_fats,
-        "sectors_per_fat": desc.sectors_per_fat,
-        "root_entries": desc.root_entries or 0,
-        "total_sectors": desc.total_sectors,
-        "root_cluster": desc.root_cluster,
-    }
-    # Keep the serial: formatting twice must equal formatting once.
-    serial = (desc.volume_serial or 0) & 0xFFFFFFFF
-    boot = _fat_boot_sector(kind, geom, serial, "NO NAME")
-    bps = desc.bytes_per_sector
-    fat_offsets = _fat_offsets(desc)
-    with _Writer(image_path) as w:
-        for off in fat_offsets:
-            w.zero(off, desc.sectors_per_fat * bps)
-        # The fresh root takes one cluster; the next free is the one after.
-        _write_fat_system_areas(w, kind, boot, fat_offsets,
-                                desc.cluster_count - 1, 3)
-        if kind is FsKind.FAT32:
-            w.fat_chain(fat_offsets, kind, [(desc.root_cluster, 1)])
-            w.zero(cluster_offset(desc, desc.root_cluster), desc.cluster_size)
-        else:
-            w.zero(desc.root_dir_sector * bps,
-                   desc.root_entries * DIR_ENTRY_SIZE)
-
-
-def _fat_offsets(desc: VolumeDescriptor) -> list[int]:
-    return [(desc.reserved_sectors + i * desc.sectors_per_fat)
-            * desc.bytes_per_sector for i in range(desc.num_fats)]
-
-
-def _ntfs_quick_format(image_path, desc: VolumeDescriptor) -> None:
-    rs = desc.mft_record_size
-    cs = desc.cluster_size
-    cc = desc.total_clusters
-    mft_lcn = desc.mft_lcn
-    fresh_clusters = -(-SYSTEM_RECORDS * rs // cs)
-    bitmap_lcn = mft_lcn + fresh_clusters
-    bitmap_real = -(-cc // 8)
-    bitmap_clusters = -(-bitmap_real // cs)
-    mirror_clusters = -(-4 * rs // cs)
-    mirror_lcn = cc // 2
-    # Keep the serial: formatting twice must equal formatting once.
-    serial = (desc.volume_serial or 0) & ((1 << 64) - 1)
-
-    used = bytearray(8)
-    _set_bits(used, [(0, SYSTEM_RECORDS)])
-    mft_run = (mft_lcn, fresh_clusters)
-    bitmap_run = (bitmap_lcn, bitmap_clusters)
-    mirror_run = (mirror_lcn, mirror_clusters)
-    recs, _ = _system_records(
-        rs, cs, [mft_run], SYSTEM_RECORDS, bytes(used), [bitmap_run],
-        bitmap_real, [mirror_run], "")
-
-    cluster_bits = bytearray(bitmap_real)
-    _set_bits(cluster_bits, [(0, -(-8192 // cs)), mft_run, bitmap_run,
-                             mirror_run, (cc, bitmap_real * 8 - cc)])
-
-    boot = _ntfs_boot_sector(desc.bytes_per_sector, desc.sectors_per_cluster,
-                             desc.total_sectors, mft_lcn, mirror_lcn, rs,
-                             serial)
-    with _Writer(image_path) as w:
-        w.write(0, boot)
-        w.write(mft_lcn * cs, b"".join(recs))
-        w.write(bitmap_lcn * cs, cluster_bits)
-        w.write(mirror_lcn * cs, b"".join(recs[:4]))
+    _format(image_path, overwrite=False)
 
 
 def full_overwrite(image_path) -> None:
     """Zero the data area, then re-initialize the metadata (a one-pass
     sanitizing format)."""
+    _format(image_path, overwrite=True)
+
+
+def _format(image_path, overwrite: bool) -> None:
     with open_image(image_path) as img:
         desc = detect_filesystem(img)
-    if desc.kind is FsKind.NTFS:
-        start = 2 * desc.cluster_size
-        end = desc.total_clusters * desc.cluster_size
-    else:
-        start = desc.first_data_sector * desc.bytes_per_sector
-        end = start + desc.cluster_count * desc.cluster_size
+    cs = desc.cluster_size
     with _Writer(image_path) as w:
-        w.zero(start, end - start)
-    quick_format(image_path)
+        if desc.kind is FsKind.NTFS:
+            if overwrite:
+                w.zero(2 * cs, (desc.total_clusters - 2) * cs)
+            # Records 0-15 only, in the clusters they fill.  The serial
+            # stays: formatting twice must equal formatting once.
+            fresh = -(-SYSTEM_RECORDS * desc.mft_record_size // cs)
+            _write_ntfs_metadata(w, desc, fresh, desc.mft_lcn + fresh, "")
+            return
+        if overwrite:
+            w.zero(desc.first_data_sector * desc.bytes_per_sector,
+                   desc.cluster_count * cs)
+        fat_offsets = _fat_offsets(desc)
+        for off in fat_offsets:
+            w.zero(off, desc.sectors_per_fat * desc.bytes_per_sector)
+        # The fresh root takes one cluster; the next free is the one after.
+        _write_fat_system_areas(w, desc, "NO NAME", desc.cluster_count - 1, 3)
+        if desc.kind is FsKind.FAT32:
+            w.fat_chain(fat_offsets, desc.kind, [(desc.root_cluster, 1)])
+            w.zero(cluster_offset(desc, desc.root_cluster), cs)
+        else:
+            w.zero(desc.root_dir_sector * desc.bytes_per_sector,
+                   desc.root_entries * DIR_ENTRY_SIZE)
 
 
 MUTATIONS = ("delete", "delete-all", "quick-format", "full-overwrite")
@@ -1543,17 +1416,33 @@ def _ntfs_record_slots(img, desc):
             idx += 1
 
 
+def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
+    """(first cluster, byte length) of the cluster allocation bitmap,
+    which is the first run of record 6's unnamed data stream."""
+    rs = desc.mft_record_size
+    first = None
+    for idx, off in _ntfs_record_slots(img, desc):
+        if idx == 6:
+            rec = read_record(img.read_at(off, rs), off, idx)
+            for attr in parse_attributes(rec.data, rec.header).attributes:
+                if attr.is_unnamed_data and not attr.resident:
+                    runs = decode_data_runs(attr.run_bytes)
+                    first = runs[0][0] if runs else None
+                    length = attr.real_size
+            break
+    # No run, or a sparse first run: the bitmap has no clusters.
+    if first is None:
+        raise ForgeError("volume lacks an allocation bitmap")
+    return first, length
+
+
 def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     rs = desc.mft_record_size
     cs = desc.cluster_size
 
-    slot_index = slot_off = rec0_off = rec6_off = None
+    slot_index = slot_off = None
     for idx, off in _ntfs_record_slots(img, desc):
-        if idx == 0:
-            rec0_off = off
-        elif idx == 6:
-            rec6_off = off
-        elif idx >= SYSTEM_RECORDS:
+        if idx >= SYSTEM_RECORDS:
             head = img.read_at(off, 0x18)
             flags, = struct.unpack_from("<H", head, 0x16)
             if head[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
@@ -1561,41 +1450,17 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
                 break
     if slot_index is None:
         raise ForgeError("no free record slot")
-    if rec6_off is None or rec0_off is None:
-        raise ForgeError("volume lacks an allocation bitmap")
 
-    # The cluster allocation bitmap is record 6's unnamed data stream.
-    rec6 = read_record(img.read_at(rec6_off, rs), rec6_off, 6)
-    bitmap_first = None
-    bitmap_real = 0
-    for attr in parse_attributes(rec6.data, rec6.header).attributes:
-        if attr.is_unnamed_data and not attr.resident:
-            bitmap_runs = decode_data_runs(attr.run_bytes)
-            bitmap_first = bitmap_runs[0][0] if bitmap_runs else None
-            bitmap_real = attr.real_size
-    # No run, or a sparse first run: the bitmap has no clusters to update.
-    if bitmap_first is None:
-        raise ForgeError("volume lacks an allocation bitmap")
+    bitmap_first, bitmap_real = _ntfs_cluster_bitmap(img, desc)
     bitmap_abs = bitmap_first * cs
     bits = bytearray(img.read_at(bitmap_abs, bitmap_real))
-
-    count = -(-len(data) // cs)
     runs = _lowest_free_runs(lambda c: not bits[c // 8] >> (c % 8) & 1,
-                             2, desc.total_clusters, count)
-
-    base_attrs = _std_and_fn(name, ROOT_RECORD, len(data),
-                             count * cs if runs else _align8(len(data)),
-                             False)
-    free = rs - 0x30 - sum(len(a) for a in base_attrs) - 0x18 - 8
-    if len(data) <= free:
-        attrs = base_attrs + [_resident_attr(ATTR_DATA, data)]
-        runs = []
-    else:
-        attrs = base_attrs + [_nonresident_attr(
-            ATTR_DATA, runs, len(data), cs)]
-    rec = _record_bytes(slot_index, RECORD_FLAG_IN_USE, attrs, rs)
+                             2, desc.total_clusters, -(-len(data) // cs))
+    rec, runs = _file_record(slot_index, name, ROOT_RECORD, data, runs,
+                             cs, rs)
 
     # The record-allocation bitmap is record 0's resident $BITMAP value.
+    rec0_off = desc.mft_lcn * cs
     rec0 = read_record(img.read_at(rec0_off, rs), rec0_off, 0)
     walk0 = parse_attributes(rec0.data, rec0.header)
     mft_bits = next((a for a in walk0.attributes
