@@ -1273,6 +1273,11 @@ def full_overwrite(image_path) -> None:
 def _format(image_path, overwrite: bool) -> None:
     with open_image(image_path) as img:
         desc = detect_filesystem(img)
+        if desc.kind is FsKind.NTFS:
+            # The fresh cluster bitmap goes where the volume keeps it,
+            # read before any zeroing; right after the fresh records it
+            # would land on the old table's records.
+            bitmap_lcn, _ = _ntfs_cluster_bitmap(img, desc)
     cs = desc.cluster_size
     with _Writer(image_path) as w:
         if desc.kind is FsKind.NTFS:
@@ -1281,7 +1286,7 @@ def _format(image_path, overwrite: bool) -> None:
             # Records 0-15 only, in the clusters they fill.  The serial
             # stays: formatting twice must equal formatting once.
             fresh = -(-SYSTEM_RECORDS * desc.mft_record_size // cs)
-            _write_ntfs_metadata(w, desc, fresh, desc.mft_lcn + fresh, "")
+            _write_ntfs_metadata(w, desc, fresh, bitmap_lcn, "")
             return
         if overwrite:
             w.zero(desc.first_data_sector * desc.bytes_per_sector,
@@ -1433,6 +1438,9 @@ def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
     # No run, or a sparse first run: the bitmap has no clusters.
     if first is None:
         raise ForgeError("volume lacks an allocation bitmap")
+    cc = desc.total_clusters
+    if first + -(-cc // (8 * desc.cluster_size)) > cc:
+        raise ForgeError("allocation bitmap lies outside the volume")
     return first, length
 
 

@@ -13,6 +13,7 @@ from remnant import fat as fatmod
 from remnant import filetypes
 from remnant import forge
 from remnant import ntfs as ntfsmod
+from remnant.undelete import recover_all, scan_volume
 from remnant.volume import (FsKind, cluster_extents, detect_filesystem,
                             open_image)
 from test_forge_bytes import STEPS, fragmented_corpus
@@ -218,6 +219,63 @@ def test_quick_format_is_idempotent(image_copy):
     once = path.read_bytes()
     forge.apply_mutation(path, "quick-format", truth=truth)
     assert path.read_bytes() == once
+
+
+@pytest.mark.parametrize("size", [1 << 30, 8 << 30], ids=["1GiB", "8GiB"])
+def test_ntfs_quick_format_at_media_size_keeps_every_file(tmp_path, size):
+    """At the paper's media sizes a quick-formatted NTFS volume still
+    yields every file of the standard corpus byte for byte, and the
+    audit agrees.  The fresh $Bitmap is rewritten where record 6 keeps
+    it; laid right after the fresh records instead, a bitmap over 16 KiB
+    (a volume over 512 MiB) covers the old table's user records."""
+    path = tmp_path / "big.img"
+    truth = forge.build_image(forge.standard_corpus("ntfs", size), path)
+    forge.apply_mutation(path, "quick-format", truth=truth)
+    assert os.stat(path).st_blocks * 512 < 64 * MiB     # still sparse
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        recovered, errors = recover_all(img, scan_volume(img, desc, deep=True))
+    assert errors == []
+    got = {rf.sha256 for rf in recovered}
+    assert sum(t.sha256 in got for t in truth.files.values()) == 15
+    assert forge.audit_image(path, truth)["recoverable_files"] == 15
+
+
+def _rewrite_bitmap_run_list(path, truth, run_list: bytes) -> None:
+    """Write ``run_list`` over the start of record 6's $DATA run list."""
+    rec6 = truth.internal["mft_base"] + 6 * truth.internal["record_size"]
+    with open_image(path) as img:
+        rec = ntfsmod.read_record(
+            img.read_at(rec6, truth.internal["record_size"]), rec6, 6)
+    attr, = [a for a in ntfsmod.parse_attributes(rec.data, rec.header)
+             .attributes if a.is_unnamed_data]
+    encoded = forge.encode_data_runs(ntfsmod.decode_data_runs(attr.run_bytes))
+    raw = bytearray(path.read_bytes()[rec6:rec6 + len(rec.data)])
+    assert raw.count(encoded) == 1
+    at = raw.index(encoded)
+    raw[at:at + len(run_list)] = run_list
+    with open(path, "r+b") as fh:
+        fh.seek(rec6)
+        fh.write(raw)
+
+
+# 16 MiB at 4 KiB clusters: LCNs 0-4095, a one-cluster bitmap.
+@pytest.mark.parametrize("run_list, message", [
+    (b"\x00", "lacks an allocation bitmap"),
+    (b"\x01\x01\x00", "lacks an allocation bitmap"),
+    (forge.encode_data_runs([(4096, 1)]), "outside the volume"),
+], ids=["empty", "sparse", "outside"])
+@pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
+def test_ntfs_format_needs_the_cluster_bitmap_inside_the_volume(
+        tmp_path, run_list, message, action):
+    path = tmp_path / "n.img"
+    truth = forge.build_image(
+        forge.standard_corpus("ntfs", total_size=16 * MiB), path)
+    _rewrite_bitmap_run_list(path, truth, run_list)
+    before = path.read_bytes()
+    with pytest.raises(forge.ForgeError, match=message):
+        forge.apply_mutation(path, action, truth=truth)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("fs", ALL_FS)
@@ -447,20 +505,7 @@ def test_add_file_needs_a_cluster_bitmap_with_clusters(tmp_path, run_list):
     spec = forge.standard_corpus("ntfs", total_size=16 * MiB)
     path = tmp_path / "n.img"
     truth = forge.build_image(spec, path)
-    rec6 = truth.internal["mft_base"] + 6 * truth.internal["record_size"]
-    with open_image(path) as img:
-        rec = ntfsmod.read_record(
-            img.read_at(rec6, truth.internal["record_size"]), rec6, 6)
-    attr, = [a for a in ntfsmod.parse_attributes(rec.data, rec.header)
-             .attributes if a.is_unnamed_data]
-    encoded = forge.encode_data_runs(ntfsmod.decode_data_runs(attr.run_bytes))
-    raw = bytearray(path.read_bytes()[rec6:rec6 + len(rec.data)])
-    assert raw.count(encoded) == 1
-    at = raw.index(encoded)
-    raw[at:at + len(run_list)] = run_list
-    with open(path, "r+b") as fh:
-        fh.seek(rec6)
-        fh.write(raw)
+    _rewrite_bitmap_run_list(path, truth, run_list)
     with pytest.raises(forge.ForgeError, match="lacks an allocation bitmap"):
         forge.add_file(path, "NEW.BIN", b"\xA5" * 5000)
 

@@ -8,7 +8,10 @@ one fragmented corpus per filesystem, and ``add_file`` over freed space
 that is split into several runs.  The eight NTFS image hashes were
 recorded again when the NTFS build time was corrected from 2020-01-02
 to 2020-01-01 12:00:00; that moved only the $STANDARD_INFORMATION and
-$FILE_NAME time fields.
+$FILE_NAME time fields.  The three NTFS quick-format, full-overwrite
+and delete-all+quick-format image hashes were recorded again when the
+NTFS quick format began to rewrite $Bitmap where record 6 keeps it
+(cluster 20) instead of at cluster 8; that moved clusters 5, 8 and 20.
 """
 
 import hashlib
@@ -87,13 +90,13 @@ PINNED = {
         '0a9521f7fbe77b5610cac97358e4e76509fd6ce442c5d17d911bd8a1a41ff026',
         '93e896602066ba5aa8b40bcb5f47c28fbc744c843d7b4486fb0c9aa380f66bdf'),
     'standard/ntfs/quick-format': (
-        '5a4249fdd6f4506ee871d1531f22dfaf5776541158c89b92cc9397ce8d34cccd',
+        '8fd658f0ba804321a1c6e7853b5bb5fc4c462f6003b065d94ed7ba122a6fd0fe',
         '1b89db3115e75cd41f70b3ab0b5b32f5c8a62647a532aa06acba9c566e88827d'),
     'standard/ntfs/full-overwrite': (
-        '7bde1bd865c8a5181d76889e06219721d7db493b1f3c919513a74330676e5fac',
+        '06122e01219af8afa8d05cce310f4547dbac8f1c3dc525b6c6209952823ac8bc',
         'c83cb54538d6786ebcb830dac4e19ce912db84c4e0cdc0632f9726ebdb1fde15'),
     'standard/ntfs/delete-all+quick-format': (
-        '4975d23cac3a31cb292a2cf4f6d2b90c0d67866f5400b275bd0d3165bea38e89',
+        '0a45148e34445c8eab2b3b4b9b303c8c518776aa9333f470363b6db7d418494b',
         '683c30a376df73021077961d64c564fba5c0d0c86a7b332fa45a32265a030818'),
     'fragmented/fat12/build': (
         'aa2e9d7964c7f91e1e8e02fcb87a9dee2990891f7368d8de11edb42e1cf5814c',
