@@ -167,6 +167,8 @@ def cmd_forge(args) -> int:
         try:
             res = forgemod.apply_mutation(args.image, args.apply,
                                           truth=truth, target=args.target)
+        except forgemod.SidecarMismatch as exc:
+            return _fail(EXIT_SIDECAR_MISMATCH, str(exc))
         except forgemod.ForgeError as exc:
             return _fail(EXIT_BAD_CONFIG, str(exc))
         if truth is not None:

@@ -97,6 +97,10 @@ class ForgeError(Exception):
     """Base error for image forging."""
 
 
+class SidecarMismatch(ForgeError):
+    """A ground truth used with an image it does not describe."""
+
+
 def content_bytes(file_class: str, size: int, seed: int) -> bytes:
     """Deterministic file content: genuine magic prefix, seeded body."""
     if size < 0:
@@ -1310,7 +1314,11 @@ MUTATIONS = ("delete", "delete-all", "quick-format", "full-overwrite")
 def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
                    target: str | None = None) -> dict:
     """One named mutation against a forged image.  Returns a small
-    summary of what was changed."""
+    summary of what was changed.  A ``truth`` that does not describe the
+    image raises SidecarMismatch before anything is written."""
+    if truth is not None:
+        with open_image(image_path) as img:
+            _check_sidecar(img, truth)
     if action == "delete":
         if truth is None or target is None:
             raise ForgeError("delete needs a ground truth and a target path")
@@ -1499,15 +1507,7 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
     counts a partial file's surviving bytes.
     """
     with open_image(image_path) as img:
-        if img.size != truth.total_size:
-            raise ForgeError(
-                "ground truth describes a %d-byte volume, image is %d"
-                % (truth.total_size, img.size))
-        desc = detect_filesystem(img)
-        if desc.kind.value != truth.filesystem:
-            raise ForgeError(
-                "ground truth is for %s, image is %s"
-                % (truth.filesystem, desc.kind.value))
+        desc = _check_sidecar(img, truth)
         rows = []
         for key in sorted(truth.files):
             t = truth.files[key]
@@ -1527,6 +1527,21 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
         "sanitized_files": counts["SANITIZED"],
         "verdict": "RECOVERABLE" if recoverable else "SANITIZED",
     }
+
+
+def _check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
+    """The image's descriptor, once the image has the size and the
+    filesystem that ``truth`` describes."""
+    if img.size != truth.total_size:
+        raise SidecarMismatch(
+            "ground truth describes a %d-byte volume, image is %d"
+            % (truth.total_size, img.size))
+    desc = detect_filesystem(img)
+    if desc.kind.value != truth.filesystem:
+        raise SidecarMismatch(
+            "ground truth is for %s, image is %s"
+            % (truth.filesystem, desc.kind.value))
+    return desc
 
 
 def _audit_one(img, desc, t: FileTruth) -> dict:

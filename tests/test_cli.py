@@ -305,6 +305,25 @@ def test_audit_sidecar_mismatch_is_exit_4(small_image, tmp_path, capsys):
     assert code == 4
 
 
+def test_forge_apply_with_a_mismatched_sidecar_is_exit_4(tmp_path, capsys):
+    """A 64 MiB FAT32 sidecar's delete-all against an 8 MiB NTFS image
+    writes nothing and exits 4, as audit does."""
+    img, other = tmp_path / "n.img", tmp_path / "f.img"
+    forge.build_image(forge.standard_corpus("ntfs", total_size=8 * MiB), img)
+    forge.build_image(forge.standard_corpus("fat32", total_size=64 * MiB),
+                      other, truth_path=str(other) + ".truth.json")
+    before = img.read_bytes()
+    for action in forge.MUTATIONS:
+        code, _, err = run(capsys, "forge", str(img), "--apply", action,
+                           "--truth", str(other) + ".truth.json",
+                           "--target", "DATA/TINY.TXT")
+        assert code == 4, action
+        assert "67108864-byte volume" in err
+    assert img.read_bytes() == before
+    truth = forge.GroundTruth.load(str(other) + ".truth.json")
+    assert truth.mutations == []
+
+
 # --------------------------------------------------------------- simulate
 
 def _sim_config(tmp_path, experiment, **extra):

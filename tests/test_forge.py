@@ -554,6 +554,28 @@ def test_audit_refuses_a_mismatched_sidecar(base_images, image_copy):
         forge.audit_image(fat_img, ntfs_truth)
 
 
+@pytest.mark.parametrize("action", forge.MUTATIONS)
+def test_a_mutation_refuses_a_mismatched_sidecar(tmp_path, action):
+    """The same size and filesystem check as the audit's, made before
+    any byte is written."""
+    ntfs_img, fat_img = tmp_path / "n.img", tmp_path / "f.img"
+    forge.build_image(forge.standard_corpus("ntfs", total_size=8 * MiB),
+                      ntfs_img)
+    truth = forge.build_image(forge.standard_corpus("fat16"), fat_img)
+    same_size = forge.build_image(
+        forge.standard_corpus("ntfs", total_size=16 * MiB), tmp_path / "s.img")
+    before = ntfs_img.read_bytes()
+    with pytest.raises(forge.SidecarMismatch, match="-byte volume"):
+        forge.apply_mutation(ntfs_img, action, truth=truth,
+                             target="DATA/TINY.TXT")
+    assert ntfs_img.read_bytes() == before
+    before = fat_img.read_bytes()
+    with pytest.raises(forge.SidecarMismatch, match="is for NTFS"):
+        forge.apply_mutation(fat_img, action, truth=same_size,
+                             target="DATA/TINY.TXT")
+    assert fat_img.read_bytes() == before
+
+
 def test_audit_never_modifies_the_image(image_copy):
     path, truth = image_copy("fat32", "quick-format")
     before = hashlib.sha256(path.read_bytes()).hexdigest()
