@@ -3,10 +3,10 @@
 Building an image is cheap (a sparse file written in cluster runs), but
 the 64 MiB ones are worth reusing, so the pristine copies are
 session-scoped and every test that wants to mutate an image works on a
-private copy.
+private copy, which keeps the image's holes.
 """
 
-import shutil
+import os
 
 import pytest
 
@@ -22,6 +22,41 @@ IMAGE_SIZES = {
     "fat32": 64 * 1024 * 1024,
     "ntfs": 64 * 1024 * 1024,
 }
+
+
+def data_extents(path):
+    """(offset, length) of every data extent the file system reports."""
+    extents = []
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        pos = 0
+        while pos < size:
+            try:
+                start = os.lseek(fd, pos, os.SEEK_DATA)
+            except OSError:             # ENXIO: only holes remain
+                break
+            pos = os.lseek(fd, start, os.SEEK_HOLE)
+            extents.append((start, pos - start))
+    finally:
+        os.close(fd)
+    return extents
+
+
+def sparse_copy(src, dst) -> None:
+    """Copy ``src`` to ``dst`` byte for byte, copying only its data
+    extents, so every hole stays a hole."""
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        fout.truncate(os.fstat(fin.fileno()).st_size)
+        for offset, length in data_extents(src):
+            fin.seek(offset)
+            fout.seek(offset)
+            while length:
+                block = fin.read(min(length, 1 << 20))
+                if not block:
+                    break
+                fout.write(block)
+                length -= len(block)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +79,7 @@ def image_copy(base_images, tmp_path):
     def make(fs, mutation=None, target=None):
         src, _ = base_images[fs]
         dst = tmp_path / src.name
-        shutil.copy(src, dst)
+        sparse_copy(src, dst)
         truth = forge.GroundTruth.load(str(src) + ".truth.json")
         if mutation is not None:
             forge.apply_mutation(dst, mutation, truth=truth, target=target)

@@ -15,10 +15,10 @@ NTFS quick format began to rewrite $Bitmap where record 6 keeps it
 """
 
 import hashlib
-import shutil
 
 import pytest
 
+from conftest import sparse_copy
 from remnant import forge
 
 MiB = 1 << 20
@@ -195,7 +195,7 @@ def case_digests(name: str, root, standard) -> tuple[str, str]:
     else:
         img, sidecar = root / "v.img", root / "v.img.truth.json"
         for src, dst in zip(standard(fs), (img, sidecar)):
-            shutil.copy(src, dst)
+            sparse_copy(src, dst)
     if kind == "add-file":
         _add_over_holes(img, sidecar, "Intruder file.bin")
     else:

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from conftest import FS_KINDS
+from conftest import FS_KINDS, data_extents
 from remnant import fat as fatmod
 from remnant import forge, ntfs
 from remnant.undelete import scan_volume
@@ -38,25 +38,6 @@ def formatted(tmp_path_factory):
         forge.apply_mutation(path, "quick-format", truth=truth)
         paths[fs] = path
     return paths
-
-
-def _data_extents(path):
-    """(offset, length) of every data extent the file system reports."""
-    extents = []
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        pos = 0
-        while pos < size:
-            try:
-                start = os.lseek(fd, pos, os.SEEK_DATA)
-            except OSError:             # ENXIO: only holes remain
-                break
-            pos = os.lseek(fd, start, os.SEEK_HOLE)
-            extents.append((start, pos - start))
-    finally:
-        os.close(fd)
-    return extents
 
 
 def _write_sparse(path, data):
@@ -132,7 +113,7 @@ def test_file_record_after_a_hole_is_carved(base_images, formatted, tmp_path,
 
 @pytest.mark.parametrize("fs", FS_KINDS)
 def test_deep_carve_reads_only_the_data_extents(formatted, fs):
-    extents = _data_extents(formatted[fs])
+    extents = data_extents(formatted[fs])
     with open_image(formatted[fs]) as img:
         desc = detect_filesystem(img)
         live = bytearray(desc.max_cluster + 1)
@@ -152,3 +133,13 @@ def test_deep_carve_reads_only_the_data_extents(formatted, fs):
     bound = (sum(n for _, n in extents)
              + len(extents) * (desc.cluster_size + STREAM_CHUNK))
     assert sum(read) <= bound
+
+
+@pytest.mark.parametrize("fs", FS_KINDS)
+def test_an_image_copy_keeps_the_holes(base_images, image_copy, fs):
+    """A private copy holds the same bytes in about the same blocks: a
+    copy that writes every byte allocates the whole volume."""
+    src, _ = base_images[fs]
+    dst, _ = image_copy(fs)
+    assert dst.read_bytes() == src.read_bytes()
+    assert os.stat(dst).st_blocks <= os.stat(src).st_blocks * 1.1 + 64
