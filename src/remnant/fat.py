@@ -36,9 +36,6 @@ END_MARK = 0x00
 KANJI_LEAD = 0x05          # stored stand-in for a real leading 0xE5
 DELETED_SUBSTITUTE = "_"   # what we print for the lost first character
 
-ATTR_READ_ONLY = 0x01
-ATTR_HIDDEN = 0x02
-ATTR_SYSTEM = 0x04
 ATTR_VOLUME_ID = 0x08
 ATTR_DIRECTORY = 0x10
 ATTR_ARCHIVE = 0x20
@@ -89,7 +86,6 @@ class FatDirEntry:
 
     raw_name: bytes
     attr: int
-    nt_reserved: int
     created_time: int
     created_date: int
     modified_time: int
@@ -190,7 +186,6 @@ def parse_dir_slots(slots, dir_path: str, kind: FsKind, orphaned: bool = False):
         entries.append(FatDirEntry(
             raw_name=bytes(raw[0:11]),
             attr=attr,
-            nt_reserved=raw[12],
             created_time=time_c,
             created_date=date_c,
             modified_time=time_m,

@@ -165,7 +165,6 @@ class ParsedAttribute:
 class AttributeWalk:
     attributes: list[ParsedAttribute]
     corrupt: bool = False
-    note: str = ""
 
 
 def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
@@ -181,19 +180,16 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
     while True:
         if pos + 4 > limit:
             walk.corrupt = True
-            walk.note = "attribute walk overrun"
             break
         type_code, = struct.unpack_from("<I", record, pos)
         if type_code == ATTR_END:
             break
         if pos + 16 > limit:
             walk.corrupt = True
-            walk.note = "attribute walk overrun"
             break
         length, = struct.unpack_from("<I", record, pos + 4)
         if length == 0 or length % 8 or pos + length > limit:
             walk.corrupt = True
-            walk.note = "attribute walk overrun"
             break
         non_resident = record[pos + 8]
         name_len = record[pos + 9]
@@ -205,13 +201,11 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
         if not non_resident:
             if pos + 0x18 > limit:
                 walk.corrupt = True
-                walk.note = "attribute walk overrun"
                 break
             value_len, = struct.unpack_from("<I", record, pos + 0x10)
             value_off, = struct.unpack_from("<H", record, pos + 0x14)
             if value_off + value_len > length:
                 walk.corrupt = True
-                walk.note = "resident value overrun"
                 break
             walk.attributes.append(ParsedAttribute(
                 type_code=type_code, name=name, resident=True,
@@ -221,7 +215,6 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
         else:
             if pos + 0x40 > limit:
                 walk.corrupt = True
-                walk.note = "attribute walk overrun"
                 break
             runs_off, = struct.unpack_from("<H", record, pos + 0x20)
             real, = struct.unpack_from("<Q", record, pos + 0x30)

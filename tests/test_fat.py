@@ -38,7 +38,6 @@ def _entry(raw_name, attr=ATTR_ARCHIVE, first_cluster=2, size=0, offset=0x1000):
     return FatDirEntry(
         raw_name=raw_name,
         attr=attr,
-        nt_reserved=0,
         created_time=0,
         created_date=0,
         modified_time=0,

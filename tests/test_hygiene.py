@@ -1,7 +1,8 @@
-"""No dead code in the package: every function, class and method defined
-under src/remnant is named somewhere outside the tests, and every
-module-level import of a package module is used by that module.  Every
-on-disk bytes value the package names is written by that name only."""
+"""No dead code in the package: every function, class, method and
+module-level constant defined under src/remnant is named somewhere
+outside the tests, and every module-level import of a package module is
+used by that module.  Every on-disk bytes value the package names is
+written by that name only."""
 
 import ast
 from collections import Counter
@@ -60,6 +61,30 @@ def test_every_definition_is_named_outside_itself():
             inside = sum(1 for n in _names(node) if n == name)
             if uses[name] <= inside:
                 unused.append(_where(path, node, name))
+    assert unused == []
+
+
+def test_every_module_constant_is_named_outside_its_assignment():
+    uses = Counter()
+    for _, tree in _trees(SEARCHED):
+        uses.update(_names(tree))
+    unused = []
+    for path, tree in _trees([PACKAGE]):
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if not isinstance(target, ast.Name) \
+                        or target.id.startswith("__") \
+                        and target.id.endswith("__"):
+                    continue
+                inside = sum(1 for n in _names(node) if n == target.id)
+                if uses[target.id] <= inside:
+                    unused.append(_where(path, node, target.id))
     assert unused == []
 
 
