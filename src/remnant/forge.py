@@ -484,7 +484,7 @@ def _dir_entry(raw11: bytes, attr: int, cluster: int, size: int) -> bytes:
 # -- FAT image builder ----------------------------------------------------
 
 
-def _pick_fat_spc(kind: str, total_sectors: int, bps: int) -> int:
+def _pick_fat_spc(kind: str, total_sectors: int) -> int:
     """Smallest power-of-two cluster size that lands in the right
     cluster-count window for the requested FAT width."""
     limit = {"fat12": FAT12_CLUSTER_LIMIT, "fat16": FAT16_CLUSTER_LIMIT}
@@ -574,8 +574,8 @@ class _FatBuilder:
         kind_name = spec.filesystem
         bps = spec.bytes_per_sector
         total_sectors = spec.total_size // bps
-        spc = spec.sectors_per_cluster or _pick_fat_spc(
-            kind_name, total_sectors, bps)
+        spc = spec.sectors_per_cluster or _pick_fat_spc(kind_name,
+                                                        total_sectors)
         reserved = 32 if kind_name == "fat32" else 4
         root_entries = 0 if kind_name == "fat32" else 512
         fat_sectors, clusters = _solve_fat_sectors(
@@ -1029,19 +1029,22 @@ def _set_bits(bits: bytearray, runs, on: bool = True) -> None:
 
 
 def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
-                         mft_clusters: int, bitmap_lcn: int, label: str,
-                         records: dict | None = None, data_runs=()) -> int:
+                         bitmap_lcn: int, label: str,
+                         records: dict | None = None, data_runs=(),
+                         mft_clusters: int = 0) -> int:
     """Lay the NTFS metadata of ``desc``'s volume, the one way both the
     build and a quick format do it (Carrier, *File System Forensic
-    Analysis*, ch. 11-13): the boot sector; an MFT of ``mft_clusters``
-    clusters at the boot sector's LCN holding records 0-15 and then the
-    caller's ``records`` (index -> bytes, each in use); the cluster
-    bitmap at ``bitmap_lcn`` with the metadata's own clusters and
-    ``data_runs`` allocated; and the mirror of records 0-3 in the middle
-    cluster.  Slots past the last record are not written.  Returns the
-    byte offset of the record-allocation bitmap's value in record 0."""
+    Analysis*, ch. 11-13): the boot sector; an MFT at the boot sector's
+    LCN of ``mft_clusters`` clusters, never fewer than records 0-15
+    fill, holding records 0-15 and then the caller's ``records`` (index
+    -> bytes, each in use); the cluster bitmap at ``bitmap_lcn`` with
+    the metadata's own clusters and ``data_runs`` allocated; and the
+    mirror of records 0-3 in the middle cluster.  Slots past the last
+    record are not written.  Returns the byte offset of the
+    record-allocation bitmap's value in record 0."""
     rs, cs, cc = desc.mft_record_size, desc.cluster_size, desc.total_clusters
     records = records or {}
+    mft_clusters = max(mft_clusters, -(-SYSTEM_RECORDS * rs // cs))
     mft_slots = mft_clusters * cs // rs
     bitmap_real = -(-cc // 8)
     mft_run = (desc.mft_lcn, mft_clusters)
@@ -1128,8 +1131,8 @@ class _NtfsBuilder:
 
         # A resident file's planned clusters are marked in use all the same.
         value_off = _write_ntfs_metadata(
-            w, desc, mft_clusters, bitmap_lcn, spec.volume_label, records,
-            [run for runs in plan.values() for run in runs])
+            w, desc, bitmap_lcn, spec.volume_label, records,
+            [run for runs in plan.values() for run in runs], mft_clusters)
 
         geometry = {
             "kind": "NTFS",
@@ -1282,30 +1285,33 @@ def _format(image_path, overwrite: bool) -> None:
             # read before any zeroing; right after the fresh records it
             # would land on the old table's records.
             bitmap_lcn, _ = _ntfs_cluster_bitmap(img, desc)
-    cs = desc.cluster_size
-    with _Writer(image_path) as w:
-        if desc.kind is FsKind.NTFS:
-            if overwrite:
-                w.zero(2 * cs, (desc.total_clusters - 2) * cs)
-            # Records 0-15 only, in the clusters they fill.  The serial
-            # stays: formatting twice must equal formatting once.
-            fresh = -(-SYSTEM_RECORDS * desc.mft_record_size // cs)
-            _write_ntfs_metadata(w, desc, fresh, bitmap_lcn, "")
-            return
-        if overwrite:
-            w.zero(desc.first_data_sector * desc.bytes_per_sector,
-                   desc.cluster_count * cs)
-        fat_offsets = _fat_offsets(desc)
-        for off in fat_offsets:
-            w.zero(off, desc.sectors_per_fat * desc.bytes_per_sector)
-        # The fresh root takes one cluster; the next free is the one after.
-        _write_fat_system_areas(w, desc, "NO NAME", desc.cluster_count - 1, 3)
-        if desc.kind is FsKind.FAT32:
-            w.fat_chain(fat_offsets, desc.kind, [(desc.root_cluster, 1)])
-            w.zero(cluster_offset(desc, desc.root_cluster), cs)
+            data = (2 * desc.cluster_size,
+                    (desc.total_clusters - 2) * desc.cluster_size)
         else:
-            w.zero(desc.root_dir_sector * desc.bytes_per_sector,
-                   desc.root_entries * DIR_ENTRY_SIZE)
+            data = (desc.first_data_sector * desc.bytes_per_sector,
+                    desc.cluster_count * desc.cluster_size)
+    with _Writer(image_path) as w:
+        if overwrite:
+            w.zero(*data)
+        # The serial stays: formatting twice must equal formatting once.
+        if desc.kind is FsKind.NTFS:
+            _write_ntfs_metadata(w, desc, bitmap_lcn, "")
+        else:
+            _fat_quick_format(w, desc)
+
+
+def _fat_quick_format(w: _Writer, desc: VolumeDescriptor) -> None:
+    bps = desc.bytes_per_sector
+    fat_offsets = _fat_offsets(desc)
+    for off in fat_offsets:
+        w.zero(off, desc.sectors_per_fat * bps)
+    # The fresh root takes one cluster; the next free is the one after.
+    _write_fat_system_areas(w, desc, "NO NAME", desc.cluster_count - 1, 3)
+    if desc.kind is FsKind.FAT32:
+        w.fat_chain(fat_offsets, desc.kind, [(desc.root_cluster, 1)])
+        w.zero(cluster_offset(desc, desc.root_cluster), desc.cluster_size)
+    else:
+        w.zero(desc.root_dir_sector * bps, desc.root_entries * DIR_ENTRY_SIZE)
 
 
 MUTATIONS = ("delete", "delete-all", "quick-format", "full-overwrite")
