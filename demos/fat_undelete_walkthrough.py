@@ -8,6 +8,7 @@ byte-for-byte comparison against the original.
 """
 
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -64,9 +65,11 @@ def main() -> None:
                   % (free, held))
 
             from remnant.fat import recover_file
-            rec = recover_file(img, desc, entry)
-            got = hashlib.sha256(rec.data).hexdigest()
-            print("\nrecovered %d bytes, sha256 %s..." % (len(rec.data), got[:12]))
+            sink = io.BytesIO()
+            recover_file(img, desc, entry, sink)
+            got = hashlib.sha256(sink.getvalue()).hexdigest()
+            print("\nrecovered %d bytes, sha256 %s..."
+                  % (len(sink.getvalue()), got[:12]))
             print("byte-identical to the original: %s"
                   % ("YES" if got == original.sha256 else "NO"))
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .report import RecoveredFile
 from .volume import (
     DIR_ENTRY_SIZE,
-    STREAM_CHUNK,
     CorruptBootRecord,
     FsKind,
     VolumeDescriptor,
@@ -28,6 +27,7 @@ from .volume import (
     VolumeImage,
     cluster_extents,
     cluster_offset,
+    find_signatures,
     mark_runs,
 )
 
@@ -406,40 +406,21 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
 def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     """Yield (cluster, slots) for every orphaned directory in the heap.
 
-    Every readable cluster is read once, in 4 MiB batches, except those
-    in the image's holes, which read as zeros and so cannot open with a
-    '.'.  One strided slice takes the first byte of each cluster, and
-    ``find`` walks it for the '.' that opens a directory, so Python work
-    grows with the candidates, not the clusters.  Candidates are taken
-    in ascending order and each carved directory's clusters are marked
-    in the ``consumed`` bitmap.
+    ``find_signatures`` reads the heap once and meets the clusters that
+    open with a '.' in ascending order; each carved directory's clusters
+    are marked in the ``consumed`` bitmap before the next is sought.
     """
     cs = desc.cluster_size
-    batch = max(1, STREAM_CHUNK // cs)
     heap = cluster_offset(desc, 2)
     # A truncated image is carved up to its last whole cluster.
-    readable = max(0, img.size - heap) // cs
-    last = min(desc.max_cluster, readable + 1)
-    dot = DOT_NAME[0]
-    c = 2
-    while c <= last:
-        c = 2 + (img.next_data(cluster_offset(desc, c)) - heap) // cs
-        if c > last:
-            break
-        count = min(batch, last - c + 1)
-        chunk = img.read_at(cluster_offset(desc, c), count * cs)
-        heads = chunk[::cs]
-        i = heads.find(dot)
-        while i != -1:
-            cluster = c + i
-            if (chunk.startswith(DOT_NAME, i * cs)
-                    and not live_clusters[cluster]
-                    and not consumed[cluster]
-                    and _qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs])):
-                yield cluster, _collect_orphan_dir(
-                    img, desc, fat, cluster, live_clusters, consumed)
-            i = heads.find(dot, i + 1)
-        c += count
+    last = min(desc.max_cluster, max(0, img.size - heap) // cs + 1)
+    for offset, head in find_signatures(img, heap, heap + (last - 1) * cs,
+                                        cs, DOT_NAME, cs):
+        cluster = 2 + (offset - heap) // cs
+        if (not live_clusters[cluster] and not consumed[cluster]
+                and _qualifies_as_orphan_dir(head)):
+            yield cluster, _collect_orphan_dir(
+                img, desc, fat, cluster, live_clusters, consumed)
 
 
 def survey(img: VolumeImage, desc: VolumeDescriptor,
@@ -466,6 +447,14 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                         "results" % exc)
     seen_offsets: set[int] = set()
 
+    def admit(entry: FatDirEntry) -> bool:
+        """List ``entry`` unless it is a dot, a label or met before."""
+        if entry.is_dot or entry.is_label or entry.entry_offset in seen_offsets:
+            return False
+        seen_offsets.add(entry.entry_offset)
+        entries.append(entry)
+        return True
+
     queue: deque[tuple[str, list]] = deque(
         [("", _root_blocks(img, desc, fat, live_clusters))])
     visited_dirs: set[int] = set()
@@ -474,15 +463,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         slots = list(_dir_slots_from_blocks(img, blocks))
         parsed, _ = parse_dir_slots(slots, path, desc.kind)
         for entry in parsed:
-            if entry.entry_offset in seen_offsets:
-                continue
-            seen_offsets.add(entry.entry_offset)
-            if entry.is_dot:
-                continue
-            if entry.is_label:
-                continue
-            entries.append(entry)
-            if entry.deleted:
+            if not admit(entry) or entry.deleted:
                 continue
             runs, ok = fat.chain_from(entry.first_cluster)
             if entry.is_directory:
@@ -520,13 +501,8 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         # own first byte says, so they carry the orphaned flag too.
         parsed, _ = parse_dir_slots(slots, parent, desc.kind, orphaned=True)
         for sub in parsed:
-            if sub.is_dot or sub.entry_offset in seen_offsets:
-                continue
-            seen_offsets.add(sub.entry_offset)
-            if sub.is_label:
-                continue
-            entries.append(sub)
-            if sub.is_directory and fat.in_heap(sub.first_cluster):
+            if (admit(sub) and sub.is_directory
+                    and fat.in_heap(sub.first_cluster)):
                 pending.append(sub)
 
     if deep:
@@ -535,12 +511,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             parsed, _ = parse_dir_slots(slots, "orphan-%d" % cluster,
                                         desc.kind, orphaned=True)
             for sub in parsed:
-                if sub.is_dot or sub.is_label:
-                    continue
-                if sub.entry_offset in seen_offsets:
-                    continue
-                seen_offsets.add(sub.entry_offset)
-                entries.append(sub)
+                admit(sub)
 
     return FatSurvey(entries=entries, fat=fat, live_clusters=live_clusters,
                      warnings=warnings)
@@ -551,7 +522,6 @@ class DeletedFatEntry:
     name: str
     lfn_name: str | None
     dir_path: str
-    attr: int
     is_directory: bool
     first_cluster: int
     size: int
@@ -649,7 +619,6 @@ def find_deleted(surv: FatSurvey, desc: VolumeDescriptor) -> list[DeletedFatEntr
             name=entry.short_name,
             lfn_name=entry.lfn_name,
             dir_path=entry.dir_path,
-            attr=entry.attr,
             is_directory=entry.is_directory,
             first_cluster=entry.first_cluster,
             size=entry.size,
@@ -697,5 +666,5 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
 def recover_file(img: VolumeImage, desc: VolumeDescriptor,
                  entry: DeletedFatEntry, sink=None) -> RecoveredFile:
     """Stream a deleted file's hypothesized chain into ``sink``, a
-    writable object; with none the payload is kept in memory."""
+    writable object; with none the payload is only hashed."""
     return plan_file(img, desc, entry).stream(img, sink)

@@ -67,6 +67,7 @@ from .volume import (
     detect_filesystem,
     merge_runs,
     open_image,
+    read_extents,
     stream_extents,
 )
 
@@ -1562,18 +1563,14 @@ def _audit_one(img, desc, t: FileTruth) -> dict:
         matching = 0
         pos = 0
         cs = desc.cluster_size
-        batch = max(1, STREAM_CHUNK // cs)
-        for start, length in t.clusters:
-            for first in range(start, start + length, batch):
-                count = min(batch, start + length - first)
-                (offset, _), = cluster_extents(img, desc, [(first, count)])
-                want = original[pos:pos + count * cs]
-                disk = img.read_at(offset, len(want))
-                # A chunk that differs is compared cluster by cluster.
-                matching += len(want) if disk == want else sum(
-                    len(want[i:i + cs]) for i in range(0, len(want), cs)
-                    if disk[i:i + cs] == want[i:i + cs])
-                pos += len(want)
+        extents = cluster_extents(img, desc, t.clusters)
+        for disk in read_extents(img, extents, t.size):
+            want = original[pos:pos + len(disk)]
+            # A chunk that differs is compared cluster by cluster.
+            matching += len(want) if disk == want else sum(
+                len(want[i:i + cs]) for i in range(0, len(want), cs)
+                if disk[i:i + cs] == want[i:i + cs])
+            pos += len(want)
     if t.size == 0 or matching == t.size:
         verdict = "RECOVERABLE"
     elif matching == 0:

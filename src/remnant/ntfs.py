@@ -17,13 +17,13 @@ from datetime import datetime, timedelta, timezone
 
 from .report import RecoveredFile
 from .volume import (
-    STREAM_CHUNK,
     FsKind,
     VolumeDescriptor,
     VolumeError,
     VolumeImage,
     cluster_extents,
     cluster_offset,
+    find_signatures,
     mark_runs,
     merge_runs,
 )
@@ -363,43 +363,44 @@ def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
              stats: MftScanStats | None = None):
     """Yield every record slot of the live MFT, fixups applied.
 
-    Slots with a blank or foreign signature are skipped and counted;
-    slots whose fixup fails are counted as corrupt.
+    A record's index is its position in the $MFT data stream, sparse
+    runs included.  A sparse run holds no records, and a record it cuts
+    is lost, not stitched onto the next real run.  Slots with a blank
+    or foreign signature are skipped and counted; slots whose fixup
+    fails are counted as corrupt.
     """
     _require_ntfs(desc)
     if stats is None:
         stats = MftScanStats()
     extent = mft_extent(img, desc)
     record_size = desc.mft_record_size
-    index = 0
-    pending = b""
+    stream_pos = 0        # where the run starts in the $MFT data stream
+    pending = b""         # the head of a record that straddles runs
     pending_offset = 0
     for first, count in extent:
         if first is None:
-            continue  # a sparse MFT extent holds no records
+            stream_pos += count * desc.cluster_size
+            pending = b""
+            continue
         # Validated at its two ends before any read: a hostile length
         # costs O(1), not one step per claimed cluster.
         (base, length), = cluster_extents(img, desc, [(first, count)])
         chunk = img.read_at(base, length)
+        pos = -stream_pos % record_size   # the first record starting here
         if pending:
-            # a record straddling two runs: stitch it together
-            need = record_size - len(pending)
-            buf = pending + chunk[:need]
-            chunk = chunk[need:]
-            base_here = pending_offset
-            pending = b""
-            yield from _emit_record(buf, base_here, index, stats)
-            index += 1
-            base += need
-        pos = 0
-        while pos + record_size <= len(chunk):
-            yield from _emit_record(chunk[pos:pos + record_size],
-                                    base + pos, index, stats)
-            index += 1
+            pending += chunk[:pos]
+            if len(pending) == record_size:
+                yield from _emit_record(pending, pending_offset,
+                                        stream_pos // record_size, stats)
+                pending = b""
+        while pos + record_size <= length:
+            yield from _emit_record(chunk[pos:pos + record_size], base + pos,
+                                    (stream_pos + pos) // record_size, stats)
             pos += record_size
-        if pos < len(chunk):
+        if pos < length:
             pending = chunk[pos:]
             pending_offset = base + pos
+        stream_pos += length
 
 
 def _emit_record(buf: bytes, offset: int, index: int, stats: MftScanStats):
@@ -421,58 +422,26 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
                   stats: MftScanStats):
     """Deep scan: find FILE records outside the live MFT extent.
 
-    Quick-format leaves the old MFT as anonymous clusters; this walks
-    every cluster not marked in the ``skip_clusters`` allocation bitmap
-    (one byte per cluster number) and validates any
-    record-aligned FILE signature it meets.  Every readable cluster is
-    read once, in 4 MiB batches, except those in the image's holes,
-    which read as zeros and so cannot open with 'FILE'; one strided
-    slice takes the first byte of each record slot, and ``find`` walks
-    it for the 'F', so Python work grows with the candidates, not the
-    slots.
+    Quick-format leaves the old MFT as anonymous clusters; this reads
+    every record-aligned FILE signature that ``find_signatures`` meets
+    in a cluster not marked in the ``skip_clusters`` allocation bitmap
+    (one byte per cluster number) and validates it.
     """
     _require_ntfs(desc)
     record_size = desc.mft_record_size
     cs = desc.cluster_size
-    step = min(record_size, cs)
     # A truncated image is carved up to its last whole cluster.
-    total = min(desc.total_clusters, img.size // cs)
-    batch_clusters = max(1, STREAM_CHUNK // cs)
-    lead = FILE_SIGNATURE[0]
-    start = 0
-    while start < total:
-        start = img.next_data(cluster_offset(desc, start)) // cs
-        if start >= total:
-            break
-        count = min(batch_clusters, total - start)
-        base = cluster_offset(desc, start)
-        chunk = img.read_at(base, count * cs)
-        heads = chunk[::step]
-        i = heads.find(lead)
-        while i != -1:
-            pos = i * step
-            i = heads.find(lead, i + 1)
-            if not chunk.startswith(FILE_SIGNATURE, pos):
-                continue
-            if skip_clusters[start + pos // cs]:
-                continue
-            abs_off = base + pos
-            if abs_off in known_offsets:
-                continue
-            buf = chunk[pos:pos + record_size]
-            if len(buf) < record_size:
-                try:
-                    buf += img.read_at(abs_off + len(buf),
-                                       record_size - len(buf))
-                except VolumeError:
-                    continue  # slot runs off the end of the volume
-            try:
-                rec = read_record(buf, abs_off, orphaned=True)
-            except MftError:
-                continue
-            stats.carve_candidates += 1
-            yield rec
-        start += count
+    stop = min(desc.total_clusters, img.size // cs) * cs
+    for offset, buf in find_signatures(img, 0, stop, min(record_size, cs),
+                                       FILE_SIGNATURE, record_size):
+        if skip_clusters[offset // cs] or offset in known_offsets:
+            continue
+        try:
+            rec = read_record(buf, offset, orphaned=True)
+        except MftError:
+            continue
+        stats.carve_candidates += 1
+        yield rec
 
 
 @dataclass
@@ -682,5 +651,5 @@ def recover_file(img: VolumeImage, desc: VolumeDescriptor,
                  entry: NtfsEntry, sink=None,
                  live_clusters: bytearray | None = None) -> RecoveredFile:
     """Stream a deleted file's content into ``sink``, a writable object;
-    with none the payload is kept in memory."""
+    with none the payload is only hashed."""
     return plan_file(img, desc, entry, live_clusters).stream(img, sink)

@@ -8,7 +8,6 @@ output forms cannot drift apart.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -50,7 +49,6 @@ class RecoveredFile:
     flags: list[str] = field(default_factory=list)
     output_path: str | None = None
     byte_identical: bool | None = None
-    data: bytes | None = None           # in-memory payload, never serialized
     extents: list = field(default_factory=list)  # never serialized
 
     def to_dict(self) -> dict:
@@ -68,15 +66,12 @@ class RecoveredFile:
         }
 
     def stream(self, img: VolumeImage, sink=None) -> RecoveredFile:
-        """Read the payload into ``sink`` (any object with ``write``) and
-        fill in the hash and the class; without a sink the payload is
-        kept in memory as ``data``."""
-        out = io.BytesIO() if sink is None else sink
-        self.sha256, head = stream_extents(img, self.extents, self.size, out)
+        """Read the payload into ``sink`` (any object with ``write``), or
+        only hash it when ``sink`` is None, and fill in the hash and the
+        class."""
+        self.sha256, head = stream_extents(img, self.extents, self.size, sink)
         self.file_class = classify(head, self.name)
         self.output_path = getattr(sink, "name", None)
-        if sink is None:
-            self.data = out.getvalue()
         return self
 
 

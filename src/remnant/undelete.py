@@ -199,11 +199,8 @@ def plan_one(img: VolumeImage, scan: ScanResult,
 
 
 def recover_one(img: VolumeImage, plan: RecoveredFile,
-                dest: str | None = None) -> RecoveredFile:
-    """Stream one planned file into a new file at ``dest``, or into
-    memory when there is none."""
-    if dest is None:
-        return plan.stream(img)
+                dest: str) -> RecoveredFile:
+    """Stream one planned file into a new file at ``dest``."""
     with open(dest, "wb") as fh:
         return plan.stream(img, fh)
 
@@ -250,9 +247,9 @@ def check_out_dir(img: VolumeImage, out_dir: str,
             "later writes can destroy what is being recovered")
 
 
-def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str | None = None,
+def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
                 jobs: int = 1, truth_hashes: set[str] | None = None):
-    """Recover every non-directory candidate.
+    """Recover every non-directory candidate into ``out_dir``.
 
     Returns (recovered, errors) where errors is a list of
     (candidate, message) for entries whose metadata no longer supports
@@ -268,12 +265,10 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str | None = None,
         except VolumeError as exc:
             errors.append((cand, str(exc)))
 
-    dests: list[str | None] = [None] * len(plans)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        taken: set[str] = set()
-        dests = [os.path.join(out_dir, output_name(p.path, p.name, taken))
-                 for p in plans]
+    os.makedirs(out_dir, exist_ok=True)
+    taken: set[str] = set()
+    dests = [os.path.join(out_dir, output_name(p.path, p.name, taken))
+             for p in plans]
 
     if jobs > 1 and len(plans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

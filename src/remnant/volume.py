@@ -2,7 +2,10 @@
 
 Everything else in the package sits on top of this module: it opens an
 image strictly read-only, decides what filesystem the boot record claims
-to be, and turns cluster numbers into byte offsets.
+to be, and turns cluster numbers into byte offsets.  It also owns every
+chunked read of the image, at most STREAM_CHUNK bytes at a time:
+``find_signatures`` serves both deep carves, and ``read_extents`` serves
+recovery and the audit (``stream_extents`` hashes and sinks over it).
 """
 
 from __future__ import annotations
@@ -173,7 +176,6 @@ class VolumeDescriptor:
     cluster_count: int | None = None     # count of data clusters
     # NTFS-only fields
     mft_lcn: int | None = None
-    mft_mirror_lcn: int | None = None
     mft_record_size: int | None = None
     volume_serial: int | None = None
 
@@ -220,7 +222,6 @@ def _parse_ntfs_boot(boot: bytes) -> VolumeDescriptor:
     spc = boot[0x0D]
     total_sectors, = struct.unpack_from("<Q", boot, 0x28)
     mft_lcn, = struct.unpack_from("<Q", boot, 0x30)
-    mirror_lcn, = struct.unpack_from("<Q", boot, 0x38)
     clusters_per_record = struct.unpack_from("<b", boot, 0x40)[0]
     serial, = struct.unpack_from("<Q", boot, 0x48)
 
@@ -249,7 +250,6 @@ def _parse_ntfs_boot(boot: bytes) -> VolumeDescriptor:
         sectors_per_cluster=spc,
         total_sectors=total_sectors,
         mft_lcn=mft_lcn,
-        mft_mirror_lcn=mirror_lcn,
         mft_record_size=record_size,
         volume_serial=serial,
     )
@@ -395,19 +395,66 @@ def cluster_extents(img: VolumeImage, desc: VolumeDescriptor,
     return extents
 
 
-def _extent_chunks(img: VolumeImage, extent, limit: int):
-    """The first ``limit`` bytes of one extent, at most STREAM_CHUNK at
-    a time."""
-    if isinstance(extent, bytes):
-        yield extent[:limit]
-        return
-    offset, length = extent
-    length = min(length, limit)
-    if offset is None:
-        zeros = memoryview(bytes(min(length, STREAM_CHUNK)))
-    for pos in range(0, length, STREAM_CHUNK):
-        n = min(STREAM_CHUNK, length - pos)
-        yield zeros[:n] if offset is None else img.read_at(offset + pos, n)
+def find_signatures(img: VolumeImage, start: int, stop: int, step: int,
+                    signature: bytes, length: int):
+    """Yield (offset, the ``length`` bytes there) for each offset
+    ``start + k * step`` below ``stop``, which lies within the image,
+    whose bytes open with ``signature``, in ascending order and one hit
+    at a time, so a caller may act on a hit before the next is sought.
+
+    The span is read once, STREAM_CHUNK at a time, except the image's
+    holes, which read as zeros and so cannot open with a signature.  One
+    strided slice takes the first byte of each slot, and ``find`` walks
+    it for the signature's first byte, so Python work grows with the
+    candidates, not the slots.  A hit whose bytes cross a batch edge
+    reads its tail; one whose bytes run past the image is passed over.
+    """
+    batch = max(1, STREAM_CHUNK // step) * step
+    lead = signature[0]
+    pos = start
+    while pos < stop:
+        pos += (img.next_data(pos) - pos) // step * step
+        if pos >= stop:
+            break
+        chunk = img.read_at(pos, min(batch, stop - pos))
+        heads = chunk[::step]
+        i = heads.find(lead)
+        while i != -1:
+            at = i * step
+            i = heads.find(lead, i + 1)
+            hit = chunk[at:at + length]
+            if len(hit) < length:
+                if pos + at + length > img.size:
+                    continue
+                hit += img.read_at(pos + at + len(hit), length - len(hit))
+            if hit.startswith(signature):
+                yield pos + at, hit
+        pos += len(chunk)
+
+
+def read_extents(img: VolumeImage, extents, size: int):
+    """The first ``size`` bytes across ``extents``, at most STREAM_CHUNK
+    at a time.
+
+    An extent is a volume span (offset, length), a zero-fill run
+    (None, length), or ``bytes`` taken as they are (resident data).  No
+    read or zero chunk exceeds STREAM_CHUNK bytes, so memory stays
+    bounded whatever length the extents claim.
+    """
+    left = size
+    for extent in extents:
+        if isinstance(extent, bytes):
+            yield extent[:left]
+            left -= min(len(extent), left)
+            continue
+        offset, length = extent
+        length = min(length, left)
+        if offset is None:
+            zeros = memoryview(bytes(min(length, STREAM_CHUNK)))
+        for pos in range(0, length, STREAM_CHUNK):
+            n = min(STREAM_CHUNK, length - pos)
+            yield zeros[:n] if offset is None else img.read_at(offset + pos, n)
+        left -= length
 
 
 def stream_extents(img: VolumeImage, extents, size: int,
@@ -415,23 +462,16 @@ def stream_extents(img: VolumeImage, extents, size: int,
     """Write the first ``size`` bytes of ``extents`` to ``sink``, or
     only hash them when ``sink`` is None.
 
-    An extent is a volume span (offset, length), a zero-fill run
-    (None, length), or ``bytes`` taken as they are (resident data).  No
-    read or zero chunk exceeds STREAM_CHUNK bytes, so memory stays
-    bounded whatever length the extents claim.  Each chunk goes to one
-    sha256 and to ``sink.write``.  Returns the hex digest and the first
-    HEAD_BYTES bytes.
+    Each ``read_extents`` chunk goes to one sha256 and to ``sink.write``.
+    Returns the hex digest and the first HEAD_BYTES bytes.
     """
     digest = hashlib.sha256()
     head = b""
-    left = size
-    for extent in extents:
-        for chunk in _extent_chunks(img, extent, left):
-            digest.update(chunk)
-            if sink is not None:
-                sink.write(chunk)
-            if len(head) < HEAD_BYTES:
-                head += chunk[:HEAD_BYTES - len(head)]
-            left -= len(chunk)
-            del chunk  # free it before the next read, not after
+    for chunk in read_extents(img, extents, size):
+        digest.update(chunk)
+        if sink is not None:
+            sink.write(chunk)
+        if len(head) < HEAD_BYTES:
+            head += chunk[:HEAD_BYTES - len(head)]
+        del chunk  # free it before the next read, not after
     return digest.hexdigest(), head

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from remnant import fat as fatmod
-from remnant import forge
+from remnant import forge, volume
 from remnant.fat import (
     ATTR_ARCHIVE,
     ATTR_DIRECTORY,
@@ -527,8 +527,7 @@ def test_recover_refuses_directories(image_copy):
     with open_image(path) as img:
         desc = detect_filesystem(img)
         entry = fatmod.DeletedFatEntry(
-            name="_UBDIR", lfn_name=None, dir_path="", attr=ATTR_DIRECTORY,
-            is_directory=True, first_cluster=2, size=0, created=None,
+            name="_UBDIR", lfn_name=None, dir_path="", is_directory=True, first_cluster=2, size=0, created=None,
             modified=None, chain=[], confidence="exact", entry_offset=0x2000)
         with pytest.raises(fatmod.FatError):
             recover_file(img, desc, entry)
@@ -773,7 +772,8 @@ def test_audit_counts_a_partial_overwrite_like_the_per_cluster_reference(
         fh.seek(cluster_offset(desc, start + 4))
         fh.write(bytes(cs))
     if chunk_clusters:
-        monkeypatch.setattr(forge, "STREAM_CHUNK", chunk_clusters * cs)
+        # The audit's miss path reads through volume.read_extents.
+        monkeypatch.setattr(volume, "STREAM_CHUNK", chunk_clusters * cs)
     row = next(r for r in forge.audit_image(path, truth)["files"]
                if r["path"] == t.path)
     with open_image(path) as img:

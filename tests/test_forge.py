@@ -236,7 +236,8 @@ def test_ntfs_quick_format_at_media_size_keeps_every_file(tmp_path, size):
     assert os.stat(path).st_blocks * 512 < 64 * MiB     # still sparse
     with open_image(path) as img:
         desc = detect_filesystem(img)
-        recovered, errors = recover_all(img, scan_volume(img, desc, deep=True))
+        recovered, errors = recover_all(img, scan_volume(img, desc, deep=True),
+                                        str(tmp_path / "out"))
     assert errors == []
     got = {rf.sha256 for rf in recovered}
     assert sum(t.sha256 in got for t in truth.files.values()) == 15

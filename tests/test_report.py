@@ -106,9 +106,10 @@ def test_summary_of_nothing():
 def test_recovered_file_dict_never_leaks_payload_bytes():
     f = RecoveredFile(name="A", size=3, sha256="h", file_class="document",
                       confidence="exact", source={"entry": "record-9"},
-                      data=b"\x00\x01\x02")
+                      extents=[b"\x00\x01\x02"])
     d = f.to_dict()
-    assert "data" not in d
+    assert "extents" not in d
+    assert b"\x00\x01\x02" not in json.dumps(d).encode()
     assert d["source"]["entry"] == "record-9"
     json.dumps(d)  # everything serializable
 

@@ -99,20 +99,23 @@ def test_recover_all_reports_truth_hits(image_copy, tmp_path):
     assert len(recovered) >= len(truth.files)
     assert sum(1 for r in recovered if r.byte_identical) == len(truth.files)
     for r in recovered:
-        assert (out / r.output_path).is_file()
-        assert r.data is None          # payload dropped once written
+        written = (out / r.output_path).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == r.sha256
 
 
-def test_recover_all_without_out_dir_keeps_payloads(image_copy):
+def test_a_plan_streamed_without_a_sink_is_only_hashed(image_copy,
+                                                       tmp_path):
     path, _ = image_copy("fat16", "delete-all")
     with open_image(path) as img:
         desc = detect_filesystem(img)
         scan = scan_volume(img, desc)
-        recovered, errors = recover_all(img, scan)
+        written, errors = recover_all(img, scan, out_dir=str(tmp_path / "out"))
+        hashed = [undelete.plan_one(img, scan, c).stream(img)
+                  for c in scan.files]
     assert errors == []
-    assert all(r.output_path is None for r in recovered)
-    assert all(r.data is not None for r in recovered)
-    assert all(r.byte_identical is None for r in recovered)
+    assert [r.sha256 for r in hashed] == [r.sha256 for r in written]
+    assert all(r.output_path is None for r in hashed)
+    assert all(r.byte_identical is None for r in written)
 
 
 def test_parallel_recovery_preserves_scan_order(image_copy, tmp_path):
@@ -213,17 +216,19 @@ def _recover_buffered(img, scan, cand):
 # A full overwrite leaves no candidate to compare.
 @pytest.mark.parametrize("mutation", ["delete-all", "quick-format"])
 def test_streamed_recovery_matches_the_buffered_reference(image_copy, fs,
-                                                          mutation):
+                                                          mutation, tmp_path):
     path, _ = image_copy(fs, mutation)
+    dest = tmp_path / "out.bin"
     with open_image(path) as img:
         desc = detect_filesystem(img)
         scan = scan_volume(img, desc, deep=True)
         assert scan.files
         for cand in scan.files:
             want = _recover_buffered(img, scan, cand)
-            got = undelete.recover_one(img, undelete.plan_one(img, scan, cand))
+            got = undelete.recover_one(img, undelete.plan_one(img, scan, cand),
+                                       str(dest))
             assert (got.sha256, got.size, got.flags, got.confidence,
-                    got.source, got.file_class, got.data) == (
+                    got.source, got.file_class, dest.read_bytes()) == (
                 want["sha256"], want["size"], want["flags"],
                 want["confidence"], want["source"], want["class"],
                 want["data"]), cand.entry_id

@@ -1,13 +1,14 @@
-"""Boot-record detection and cluster addressing."""
+"""Boot-record detection, cluster addressing and the chunked readers."""
 
 import errno
 import os
 import struct
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from remnant import forge
+from remnant import forge, volume
 from remnant.volume import (
     ClusterRangeError,
     FsKind,
@@ -18,9 +19,12 @@ from remnant.volume import (
     cluster_extents,
     cluster_offset,
     detect_filesystem,
+    find_signatures,
     merge_runs,
     open_image,
+    read_extents,
 )
+from test_sparse_carve import _write_sparse
 
 MiB = 1024 * 1024
 
@@ -251,7 +255,6 @@ def _ntfs_desc(total_sectors=65536):
         sectors_per_cluster=8,
         total_sectors=total_sectors,
         mft_lcn=4,
-        mft_mirror_lcn=total_sectors // 16,
         mft_record_size=1024,
         volume_serial=1,
     )
@@ -393,3 +396,105 @@ def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters):
     img.reads.clear()
     assert _read_clusters(img, desc, flat) == want
     assert img.reads == old_reads
+
+
+# ------------------------------------------------------- chunked readers
+
+_SIGNATURE = b"SIG"
+
+
+@st.composite
+def _signature_image(draw):
+    """Bytes with signatures, their lead byte alone and runs of zeros
+    planted, and a find over them: start, stop, step, hit length and
+    the batch size it reads in."""
+    size = draw(st.integers(min_value=512, max_value=6 * 4096))
+    buf = bytearray(size)
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        pos = draw(st.integers(min_value=0, max_value=size - 1))
+        blob = draw(st.sampled_from([_SIGNATURE, b"S", b"SI", b"xSIG",
+                                     b"\x01" * 4096]))
+        buf[pos:pos + len(blob)] = blob[:size - pos]
+    step = draw(st.sampled_from([1, 3, 32, 512, 4096]))
+    start = draw(st.integers(min_value=0, max_value=size))
+    stop = draw(st.integers(min_value=start, max_value=size))
+    length = draw(st.integers(min_value=len(_SIGNATURE), max_value=2 * step + 8))
+    chunk = draw(st.sampled_from([1, step, 2 * step + 1, 4096, 1 << 20]))
+    return bytes(buf), start, stop, step, length, chunk
+
+
+def _after_a_hole(offset, start, step):
+    data = bytearray(3 * 4096)
+    data[offset:offset + len(_SIGNATURE)] = _SIGNATURE
+    return bytes(data), start, len(data), step, len(_SIGNATURE), 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_signature_image(), sparse=st.booleans())
+@example(case=_after_a_hole(4098, 0, 3), sparse=True)
+@example(case=_after_a_hole(2 * 4096 + 1, 1, 512), sparse=True)
+def test_find_signatures_matches_the_per_offset_reference(case, sparse):
+    """Every slot at or past ``start`` and below ``stop`` that opens with
+    the signature, and whose ``length`` bytes lie in the image, in
+    ascending order, whatever the batch size and wherever the holes."""
+    data, start, stop, step, length, chunk = case
+    want = [(o, data[o:o + length])
+            for o in range(start, stop, step)
+            if data.startswith(_SIGNATURE, o) and o + length <= len(data)]
+    real, volume.STREAM_CHUNK = volume.STREAM_CHUNK, chunk
+    try:
+        if sparse:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "img")
+                _write_sparse(path, data)
+                with open_image(path) as img:
+                    got = list(find_signatures(img, start, stop, step,
+                                               _SIGNATURE, length))
+        else:
+            got = list(find_signatures(VolumeImage.from_bytes(data), start,
+                                       stop, step, _SIGNATURE, length))
+    finally:
+        volume.STREAM_CHUNK = real
+    assert got == want
+
+
+def test_find_signatures_reads_no_further_than_the_hit_it_yields(
+        monkeypatch):
+    """A caller acts on a hit before the next is sought (the FAT carve
+    marks the clusters it consumed), so a batch is read only when the
+    search reaches it."""
+    data = bytearray(4 * 4096)
+    data[0:3] = data[3 * 4096:3 * 4096 + 3] = _SIGNATURE
+    img = _CountingImage(buffer=bytes(data))
+    monkeypatch.setattr(volume, "STREAM_CHUNK", 4096)
+    hits = find_signatures(img, 0, len(data), 512, _SIGNATURE, 512)
+    assert next(hits)[0] == 0
+    assert img.reads == [(0, 4096)]
+    assert next(hits)[0] == 3 * 4096
+    assert next(hits, None) is None
+    assert len(img.reads) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(extents=st.lists(st.one_of(
+           st.binary(max_size=40),
+           st.tuples(st.none(), st.integers(min_value=0, max_value=300)),
+           st.tuples(st.integers(min_value=0, max_value=1000),
+                     st.integers(min_value=0, max_value=24))), max_size=6),
+       size=st.integers(min_value=0, max_value=700),
+       chunk=st.integers(min_value=1, max_value=64))
+def test_read_extents_matches_the_joined_extents(extents, size, chunk):
+    data = bytes(range(256)) * 4 + bytes(24)
+    img = VolumeImage.from_bytes(data)
+    want = b"".join(e if isinstance(e, bytes)
+                    else bytes(e[1]) if e[0] is None
+                    else data[e[0]:e[0] + e[1]] for e in extents)[:size]
+    real, volume.STREAM_CHUNK = volume.STREAM_CHUNK, chunk
+    try:
+        got = list(read_extents(img, extents, size))
+    finally:
+        volume.STREAM_CHUNK = real
+    assert b"".join(got) == want
+    # Only resident bytes, yielded whole, may exceed STREAM_CHUNK.
+    assert max(map(len, got), default=0) <= max(
+        [chunk] + [len(e) for e in extents if isinstance(e, bytes)])
