@@ -49,7 +49,7 @@ from .ntfs import (
     UPDATE_SEQUENCE_STRIDE,
     MftError,
     decode_data_runs,
-    mft_extent,
+    mft_slots,
     parse_attributes,
     read_record,
 )
@@ -957,7 +957,7 @@ def _ntfs_boot_sector(desc: VolumeDescriptor, mirror_lcn: int) -> bytes:
     return bytes(boot)
 
 
-def _system_records(record_size, cluster_size, mft_run, mft_slots,
+def _system_records(record_size, cluster_size, mft_run, slot_count,
                     mft_bitmap_bits: bytes, bitmap_run, bitmap_real,
                     mirror_run, label: str):
     """Records 0..15 of a fresh volume.  Returns (records, offset of the
@@ -965,9 +965,9 @@ def _system_records(record_size, cluster_size, mft_run, mft_slots,
     rs, cs = record_size, cluster_size
     recs: list[bytes] = []
 
-    mft_attrs = _std_and_fn("$MFT", ROOT_RECORD, mft_slots * rs,
-                            mft_slots * rs, False)
-    mft_attrs.append(_nonresident_attr(ATTR_DATA, [mft_run], mft_slots * rs,
+    mft_attrs = _std_and_fn("$MFT", ROOT_RECORD, slot_count * rs,
+                            slot_count * rs, False)
+    mft_attrs.append(_nonresident_attr(ATTR_DATA, [mft_run], slot_count * rs,
                                        cs))
     bitmap_attr_off = 0x30 + sum(len(a) for a in mft_attrs)
     mft_attrs.append(_resident_attr(ATTR_BITMAP, mft_bitmap_bits))
@@ -1046,15 +1046,15 @@ def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
     rs, cs, cc = desc.mft_record_size, desc.cluster_size, desc.total_clusters
     records = records or {}
     mft_clusters = max(mft_clusters, -(-SYSTEM_RECORDS * rs // cs))
-    mft_slots = mft_clusters * cs // rs
+    slot_count = mft_clusters * cs // rs
     bitmap_real = -(-cc // 8)
     mft_run = (desc.mft_lcn, mft_clusters)
     bitmap_run = (bitmap_lcn, -(-bitmap_real // cs))
     mirror_run = (cc // 2, -(-4 * rs // cs))
-    used = bytearray(max(8, _align8(-(-mft_slots // 8))))
+    used = bytearray(max(8, _align8(-(-slot_count // 8))))
     _set_bits(used, [(0, SYSTEM_RECORDS), *((i, 1) for i in records)])
     system, value_off = _system_records(
-        rs, cs, mft_run, mft_slots, bytes(used), bitmap_run, bitmap_real,
+        rs, cs, mft_run, slot_count, bytes(used), bitmap_run, bitmap_real,
         mirror_run, label)
     last = max(records, default=SYSTEM_RECORDS - 1)
     table = system + [records.get(i, bytes(rs))
@@ -1420,30 +1420,13 @@ def _lowest_free_runs(is_free, start: int, stop: int,
     return merge_runs((c, 1) for c in found)
 
 
-def _ntfs_record_slots(img, desc):
-    """(index, byte offset) of every slot in the MFT extent."""
-    rs = desc.mft_record_size
-    cs = desc.cluster_size
-    extent = mft_extent(img, desc)
-    idx = 0
-    for first, count in extent:
-        if first is None:
-            idx += count * cs // rs
-            continue
-        base = cluster_offset(desc, first)
-        for k in range(count * cs // rs):
-            yield idx, base + k * rs
-            idx += 1
-
-
 def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
     """(first cluster, byte length) of the cluster allocation bitmap,
     which is the first run of record 6's unnamed data stream."""
-    rs = desc.mft_record_size
     first = None
-    for idx, off in _ntfs_record_slots(img, desc):
+    for idx, off, buf in mft_slots(img, desc):
         if idx == 6:
-            rec = read_record(img.read_at(off, rs), off, idx)
+            rec = read_record(buf, off, idx)
             for attr in parse_attributes(rec.data, rec.header).attributes:
                 if attr.is_unnamed_data and not attr.resident:
                     runs = decode_data_runs(attr.run_bytes)
@@ -1464,11 +1447,10 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     cs = desc.cluster_size
 
     slot_index = slot_off = None
-    for idx, off in _ntfs_record_slots(img, desc):
+    for idx, off, buf in mft_slots(img, desc):
         if idx >= SYSTEM_RECORDS:
-            head = img.read_at(off, 0x18)
-            flags, = struct.unpack_from("<H", head, 0x16)
-            if head[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
+            flags, = struct.unpack_from("<H", buf, 0x16)
+            if buf[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
                 slot_index, slot_off = idx, off
                 break
     if slot_index is None:

@@ -26,6 +26,7 @@ from .volume import (
     find_signatures,
     mark_runs,
     merge_runs,
+    read_extents,
 )
 
 FILE_SIGNATURE = b"FILE"
@@ -359,62 +360,68 @@ def mft_extent(img: VolumeImage,
     raise MftError("MFT unreadable: record 0 has no data extent")
 
 
-def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
-             stats: MftScanStats | None = None):
-    """Yield every record slot of the live MFT, fixups applied.
+def mft_slots(img: VolumeImage, desc: VolumeDescriptor):
+    """Yield (index, byte offset, bytes) of every record slot that the
+    real runs of the $MFT data stream hold whole: the one walk of the
+    runs ``mft_extent`` returns.
 
-    A record's index is its position in the $MFT data stream, sparse
-    runs included.  A sparse run holds no records, and a record it cuts
-    is lost, not stitched onto the next real run.  Slots with a blank
-    or foreign signature are skipped and counted; slots whose fixup
-    fails are counted as corrupt.
+    A slot's index is its place in the stream, sparse runs included.  A
+    slot that crosses a run edge or a chunk edge is stitched; a sparse
+    run holds no slots, and a slot it cuts is lost, not stitched onto
+    the next real run.  Each run is read through ``read_extents``, so no
+    read holds more than STREAM_CHUNK bytes.
     """
-    _require_ntfs(desc)
-    if stats is None:
-        stats = MftScanStats()
-    extent = mft_extent(img, desc)
-    record_size = desc.mft_record_size
-    stream_pos = 0        # where the run starts in the $MFT data stream
-    pending = b""         # the head of a record that straddles runs
-    pending_offset = 0
-    for first, count in extent:
+    rs = desc.mft_record_size
+    at = 0                # where the next chunk starts in the stream
+    pending = b""         # the head of a slot that crosses an edge
+    for first, count in mft_extent(img, desc):
         if first is None:
-            stream_pos += count * desc.cluster_size
+            at += count * desc.cluster_size
             pending = b""
             continue
         # Validated at its two ends before any read: a hostile length
         # costs O(1), not one step per claimed cluster.
-        (base, length), = cluster_extents(img, desc, [(first, count)])
-        chunk = img.read_at(base, length)
-        pos = -stream_pos % record_size   # the first record starting here
-        if pending:
-            pending += chunk[:pos]
-            if len(pending) == record_size:
-                yield from _emit_record(pending, pending_offset,
-                                        stream_pos // record_size, stats)
-                pending = b""
-        while pos + record_size <= length:
-            yield from _emit_record(chunk[pos:pos + record_size], base + pos,
-                                    (stream_pos + pos) // record_size, stats)
-            pos += record_size
-        if pos < length:
-            pending = chunk[pos:]
-            pending_offset = base + pos
-        stream_pos += length
+        extent = cluster_extents(img, desc, [(first, count)])
+        offset = extent[0][0]
+        for chunk in read_extents(img, extent, extent[0][1]):
+            pos = -at % rs            # the first slot starting here
+            if pending:
+                pending += chunk[:pos]
+                if len(pending) == rs:
+                    yield pending_index, pending_offset, pending
+                    pending = b""
+            while pos + rs <= len(chunk):
+                yield (at + pos) // rs, offset + pos, chunk[pos:pos + rs]
+                pos += rs
+            if pos < len(chunk):
+                pending = chunk[pos:]
+                pending_index, pending_offset = (at + pos) // rs, offset + pos
+            at += len(chunk)
+            offset += len(chunk)
+            del chunk  # free it before the next read, not after
 
 
-def _emit_record(buf: bytes, offset: int, index: int, stats: MftScanStats):
-    stats.records_seen += 1
-    if buf[0:4] != FILE_SIGNATURE:
-        stats.skipped += 1
-        return
-    try:
-        rec = read_record(buf, offset, index)
-    except MftError:
-        stats.corrupt += 1
-        return
-    stats.file_records += 1
-    yield rec
+def scan_mft(img: VolumeImage, desc: VolumeDescriptor,
+             stats: MftScanStats | None = None):
+    """Yield every record of the live MFT, fixups applied, in
+    ``mft_slots`` order and numbering.  Slots with a blank or foreign
+    signature are skipped and counted; slots whose fixup fails are
+    counted as corrupt.
+    """
+    if stats is None:
+        stats = MftScanStats()
+    for index, offset, buf in mft_slots(img, desc):
+        stats.records_seen += 1
+        if buf[0:4] != FILE_SIGNATURE:
+            stats.skipped += 1
+            continue
+        try:
+            rec = read_record(buf, offset, index)
+        except MftError:
+            stats.corrupt += 1
+            continue
+        stats.file_records += 1
+        yield rec
 
 
 def carve_records(img: VolumeImage, desc: VolumeDescriptor,

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 import shutil
 import struct
 import time
@@ -15,6 +16,7 @@ from remnant import cli
 from remnant import forge
 from remnant import ntfs
 from remnant import undelete
+from remnant import volume
 from remnant.ntfs import (
     ATTR_DATA,
     ATTR_FILE_NAME,
@@ -254,6 +256,108 @@ def test_a_record_cut_by_a_sparse_mft_run_is_not_stitched(monkeypatch):
     assert [(r.header.record_index, r.offset) for r in records] == \
         [(0, 0)] + [(i, i * 1024) for i in range(2, 8)]
     assert (stats.records_seen, stats.corrupt, stats.skipped) == (7, 0, 0)
+
+
+def _slots_per_record(img, desc, extent):
+    """Reference: map each $MFT stream cluster to its volume cluster,
+    then read each record whole, dropping one that touches a sparse
+    run or runs past the stream's end."""
+    rs, cs = desc.mft_record_size, desc.cluster_size
+    lcns = [None if first is None else first + k
+            for first, count in extent for k in range(count)]
+    out = []
+    for index in range(len(lcns) * cs // rs):
+        pieces = []
+        for vcn in range(index * rs // cs, -(-(index + 1) * rs // cs)):
+            if lcns[vcn] is None:
+                break
+            lo = max(index * rs, vcn * cs) - vcn * cs
+            hi = min((index + 1) * rs, (vcn + 1) * cs) - vcn * cs
+            pieces.append(img.read_at(lcns[vcn] * cs + lo, hi - lo))
+        else:
+            start = lcns[index * rs // cs] * cs + index * rs % cs
+            out.append((index, start, b"".join(pieces)))
+    return out
+
+
+_MFT_CLUSTERS = 48
+
+
+@st.composite
+def _mft_layout(draw):
+    """A cluster size, a seed for the volume's bytes, and an $MFT run
+    list with sparse runs over the volume."""
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        count = draw(st.integers(min_value=1, max_value=9))
+        if draw(st.booleans()):
+            runs.append((None, count))
+        else:
+            runs.append((draw(st.integers(min_value=0,
+                                          max_value=_MFT_CLUSTERS - count)),
+                         count))
+    return draw(st.sampled_from([512, 1024, 4096])), draw(st.integers(0, 99)), runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_mft_layout())
+@example(layout=(512, 0, [(0, 3), (None, 1), (4, 12)]))
+def test_mft_slots_match_the_per_record_reference(layout):
+    """Chunks of 1.5 records put chunk edges mid-record, on top of the
+    run edges and sparse runs the layout draws."""
+    cs, seed, extent = layout
+    desc = VolumeDescriptor(kind=FsKind.NTFS, bytes_per_sector=512,
+                            sectors_per_cluster=cs // 512,
+                            total_sectors=_MFT_CLUSTERS * cs // 512,
+                            mft_lcn=0, mft_record_size=1024)
+    img = VolumeImage.from_bytes(
+        random.Random(seed).randbytes(_MFT_CLUSTERS * cs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ntfs, "mft_extent", lambda img, desc: extent)
+        mp.setattr(volume, "STREAM_CHUNK", 1536)
+        got = [(i, off, bytes(buf))
+               for i, off, buf in ntfs.mft_slots(img, desc)]
+    assert got == _slots_per_record(img, desc, extent)
+
+
+def test_forge_reads_the_bitmap_from_the_slot_scan_mft_numbers_6():
+    """Record 0's $MFT run list is [(0, 3), (None, 1), (4, 12)] over
+    512 B clusters, so the sparse cluster at VCN 3 stands for half a
+    record and the record at byte 6144 is record 6 (stream offset
+    6 KiB).  The forge's lookup of the cluster bitmap must read it."""
+    rs, cs = 1024, 512
+
+    def record(index, runs, real):
+        return forge._record_bytes(index, RECORD_FLAG_IN_USE, [
+            forge._nonresident_attr(ATTR_DATA, runs, real, cs)], rs)
+
+    desc, buf = _ntfs_volume(cs, [
+        (0, record(0, [(0, 3), (None, 1), (4, 12)], 16 * cs)),
+        (6144, record(6, [(100, 3)], 1029)),
+        (7168, record(7, [(200, 3)], 1029))])
+    img = VolumeImage.from_bytes(buf)
+    by_index = {r.header.record_index: r.offset for r in scan_mft(img, desc)}
+    assert by_index[6] == 6144
+    assert forge._ntfs_cluster_bitmap(img, desc) == (100, 1029)
+
+
+def test_a_volume_sized_mft_run_is_read_a_chunk_at_a_time(base_images,
+                                                          monkeypatch):
+    path, truth = base_images["ntfs"]
+    img, desc = _open(path)
+    with img:
+        want = {r.offset for r in scan_mft(img, desc)}
+        monkeypatch.setattr(ntfs, "mft_extent", lambda img, desc: [
+            (desc.mft_lcn, desc.total_clusters - desc.mft_lcn)])
+        tracemalloc.start()
+        try:
+            got = {r.offset for r in scan_mft(img, desc)}
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert img.size > 4 * volume.STREAM_CHUNK
+    assert peak <= 2 * volume.STREAM_CHUNK
+    assert want <= got
 
 
 def test_zeroed_mft_head_is_fatal(base_images, tmp_path):
