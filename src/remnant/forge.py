@@ -1130,10 +1130,10 @@ class _NtfsBuilder:
                 entry_offset=mft_base + idx * rs,
                 resident=not runs, record_index=idx)
 
-        # A resident file's planned clusters are marked in use all the same.
         value_off = _write_ntfs_metadata(
             w, desc, bitmap_lcn, spec.volume_label, records,
-            [run for runs in plan.values() for run in runs], mft_clusters)
+            [run for t in truth_files.values() for run in t.clusters],
+            mft_clusters)
 
         geometry = {
             "kind": "NTFS",

@@ -244,6 +244,29 @@ def test_ntfs_quick_format_at_media_size_keeps_every_file(tmp_path, size):
     assert forge.audit_image(path, truth)["recoverable_files"] == 15
 
 
+def test_ntfs_bitmap_marks_the_metadata_and_the_truth_runs_only(tmp_path):
+    """The built $Bitmap holds the metadata's clusters (boot code, the
+    MFT, the bitmap itself, the mirror, the padding past the last
+    cluster) and every file's truth runs; a resident file holds none."""
+    path = tmp_path / "n.img"
+    truth = forge.build_image(
+        forge.standard_corpus("ntfs", total_size=16 * MiB), path)
+    geo, internal = truth.geometry, truth.internal
+    cs, cc = geo["cluster_size"], geo["cluster_count"]
+    at, nbytes = internal["cluster_bitmap_abs"], internal["cluster_bitmap_bytes"]
+    runs = [(0, -(-8192 // cs)), (geo["mft_lcn"], geo["mft_clusters"]),
+            (at // cs, -(-nbytes // cs)),
+            (geo["mirror_lcn"], -(-4 * geo["record_size"] // cs)),
+            (cc, 8 * nbytes - cc)]
+    runs += [run for t in truth.files.values() for run in t.clusters]
+    want = {c for first, count in runs for c in range(first, first + count)}
+    with open_image(path) as img:
+        bits = img.read_at(at, nbytes)
+    got = {c for c in range(8 * nbytes) if bits[c // 8] >> (c % 8) & 1}
+    assert any(t.resident for t in truth.files.values())
+    assert got == want
+
+
 def _rewrite_bitmap_run_list(path, truth, run_list: bytes) -> None:
     """Write ``run_list`` over the start of record 6's $DATA run list."""
     rec6 = truth.internal["mft_base"] + 6 * truth.internal["record_size"]

@@ -12,6 +12,10 @@ $FILE_NAME time fields.  The three NTFS quick-format, full-overwrite
 and delete-all+quick-format image hashes were recorded again when the
 NTFS quick format began to rewrite $Bitmap where record 6 keeps it
 (cluster 20) instead of at cluster 8; that moved clusters 5, 8 and 20.
+The NTFS build, delete-all and add-file image hashes were recorded again
+when the build stopped marking in $Bitmap the clusters planned for files
+that stay resident; that moved only bitmap bits (and, for add-file, the
+clusters the added file takes).
 """
 
 import hashlib
@@ -84,10 +88,10 @@ PINNED = {
         '7a7d9f41dbb666b23c5f7bf3ddb79945c59dcc93f757b9970befe7647e98d240',
         '60f01ddeb9453301efab455c1de68723a266214ba9003de98a62fe082db9594b'),
     'standard/ntfs/build': (
-        '7f7f7db81d811d106e8d93dbcde4b463b8abd7365c89408393102991bbd43f08',
+        'e689e6310430a1bb649342084981313679989a7fa2e4b3a76fcb19a7c4eb1ed2',
         'c20f5f7e49e6be90e08bc0269e021d2dc4ef9393703a23642d89f5fae6610b16'),
     'standard/ntfs/delete-all': (
-        '0a9521f7fbe77b5610cac97358e4e76509fd6ce442c5d17d911bd8a1a41ff026',
+        'b44c5fd84a83c3a955a6bef39bfe22228157dd129c072a8a3883f70871e605b2',
         '93e896602066ba5aa8b40bcb5f47c28fbc744c843d7b4486fb0c9aa380f66bdf'),
     'standard/ntfs/quick-format': (
         '8fd658f0ba804321a1c6e7853b5bb5fc4c462f6003b065d94ed7ba122a6fd0fe',
@@ -117,10 +121,10 @@ PINNED = {
         '5d6afc1d9a92398400f69a5de73bbb5dbf3c83f2ee6ebc3c9bd57fed22bf292d',
         'a0ff9cb648beb5109ca10a0644756161572665fa0ec607914fa69e136d07f0a4'),
     'fragmented/ntfs/build': (
-        '7dd1327d3525e1074a59ee0558f5215766e94db3e7b5ade4de5eff3662622fb3',
+        'f86b5e8174bc8820f6ccce67e123463583b87eff05e07ac400ab45b79163ed4c',
         'a21252021521a9c4c7f025ad5b7fff651f0da96e88c9b9e0440acc60869143db'),
     'fragmented/ntfs/delete-all': (
-        '5bca7fbe3e2a03a454bec978b13eb2656368f8912cb9697f16e4518a8d18c899',
+        'e3d5b3fdd08ea6671596c6019033e01925d166c1fb74a7b4c85b227f051a1df8',
         'dff815adba50412b30d4fac00c9ec909214653dbd3d652dbf09db70175ed3030'),
     'add-file/fat12/holes': (
         'adf5c91df908e9183fcdd5211e1413716d3211619d49ece24393b089d274a445',
@@ -129,7 +133,7 @@ PINNED = {
         'c71de468bc50c3257db4e79d93a48a6f4112d71309cfdf3cecc899cab54b261b',
         '474df08abddd2bcafeb832517c33f66df128f3da2fc07c888c89866e4b1c5391'),
     'add-file/ntfs/holes': (
-        '1f1ef493e153e5389afdf513728ff27e475efe36410f667605d8c45c01612553',
+        '8a33d64b0129196cb4681ba22310f84beaddca85d8cab7b02e47ae423e63d51e',
         'c20f5f7e49e6be90e08bc0269e021d2dc4ef9393703a23642d89f5fae6610b16'),
 }
 
