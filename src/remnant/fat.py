@@ -29,6 +29,7 @@ from .volume import (
     cluster_offset,
     find_signatures,
     mark_runs,
+    read_extents,
 )
 
 DELETED_MARK = 0xE5
@@ -248,31 +249,36 @@ class FatTable:
 
 def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
     """Decode the first FAT copy: an unsigned array on FAT16/32, a list
-    of ints on FAT12; either indexes by cluster number."""
+    of ints on FAT12; either indexes by cluster number.  Only the bytes
+    the entries occupy are read, STREAM_CHUNK at a time, and each chunk
+    is decoded into the one array."""
     if desc.kind is FsKind.NTFS:
         raise FatError("not a FAT volume descriptor")
     bps = desc.bytes_per_sector
-    raw = img.read_at(desc.reserved_sectors * bps, desc.sectors_per_fat * bps)
     n = desc.cluster_count + 2
     need = _ceil_div(n * _ENTRY_BITS[desc.kind], 8)
-    if len(raw) < need:
+    if desc.sectors_per_fat * bps < need:
         raise CorruptBootRecord("corrupt boot record: FAT holds fewer "
                                 "than %d entries" % n)
+    chunks = read_extents(img, [(desc.reserved_sectors * bps, need)], need)
     if desc.kind is FsKind.FAT12:
+        raw = b"".join(chunks)
         values = []
         for i in range(n):
             o = i * 3 // 2
             pair = raw[o] | (raw[o + 1] << 8)
             values.append((pair >> 4) if i & 1 else (pair & 0xFFF))
         return FatTable(desc.kind, values)
-    if desc.kind is FsKind.FAT16:
-        values = array("H", raw[:need])
-    else:
-        # The top nibble of each little-endian entry's last byte is
-        # reserved: clear it in one C-level pass over every fourth byte.
-        buf = bytearray(raw[:need])
-        buf[3::4] = buf[3::4].translate(_FAT32_HIGH_BYTE)
-        values = array("I", buf)
+    values = array("H" if desc.kind is FsKind.FAT16 else "I")
+    for chunk in chunks:
+        if desc.kind is FsKind.FAT32:
+            # The top nibble of each little-endian entry's last byte is
+            # reserved: clear it in one C-level pass over every fourth
+            # byte.  A chunk holds whole entries.
+            chunk = bytearray(chunk)
+            chunk[3::4] = chunk[3::4].translate(_FAT32_HIGH_BYTE)
+        values.frombytes(chunk)
+        del chunk  # free it before the next read, not after
     if sys.byteorder == "big":
         values.byteswap()
     return FatTable(desc.kind, values)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -707,9 +708,13 @@ def _table_volume(kind, raw, n):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), fat32=st.booleans(),
-       tail=st.binary(max_size=9))
-@example(data=None, fat32=True, tail=b"\xff" * 4)
-def test_table_decode_matches_the_per_entry_reference(data, fat32, tail):
+       tail=st.binary(max_size=9),
+       chunk=st.sampled_from([64, volume.STREAM_CHUNK]))
+@example(data=None, fat32=True, tail=b"\xff" * 4, chunk=64)
+def test_table_decode_matches_the_per_entry_reference(data, fat32, tail,
+                                                      chunk):
+    """A 64-byte chunk splits the table into many pieces, each of whole
+    entries as a STREAM_CHUNK piece is."""
     kind = FsKind.FAT32 if fat32 else FsKind.FAT16
     width = 4 if fat32 else 2
     if data is None:        # every reserved bit set
@@ -720,8 +725,30 @@ def test_table_decode_matches_the_per_entry_reference(data, fat32, tail):
             min_size=2, max_size=700))
     raw = b"".join(v.to_bytes(width, "little") for v in values) + tail
     img, desc = _table_volume(kind, raw, len(values))
-    got = fatmod.load_fat(img, desc).entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volume, "STREAM_CHUNK", chunk)
+        got = fatmod.load_fat(img, desc).entries
     assert list(got) == _load_fat_per_entry(raw, kind, len(values))
+
+
+def test_fat32_table_decodes_in_one_table_of_memory(tmp_path):
+    """8 GiB of 512 B clusters is 16.5M entries, a 63 MiB table.  The
+    table is decoded a chunk at a time into one array, so the traced
+    peak is that array and a few chunk-sized buffers, not three
+    copies of the table."""
+    path = tmp_path / "big.img"
+    forge.build_image(forge.standard_corpus("fat32", 8 << 30), path)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        tracemalloc.start()
+        try:
+            table = fatmod.load_fat(img, desc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert desc.cluster_count > 16_000_000
+    assert len(table.entries) == desc.cluster_count + 2
+    assert peak < 4 * len(table.entries) + 3 * volume.STREAM_CHUNK
 
 
 def test_table_shorter_than_the_heap_is_reported():
