@@ -754,9 +754,10 @@ def _write_fat_system_areas(w: _Writer, desc: VolumeDescriptor, label: str,
     w.write(0, boot)
     if kind is FsKind.FAT32:
         info = _fsinfo_sector(free, next_free)
-        w.write(SECTOR, info)
-        w.write(6 * SECTOR, boot)
-        w.write(7 * SECTOR, info)
+        bps = desc.bytes_per_sector
+        w.write(bps, info)
+        w.write(6 * bps, boot)
+        w.write(7 * bps, info)
     w.fat_entries(_fat_offsets(desc), kind, 0,
                   [(_EOC[kind] & ~0xFF) | MEDIA_FIXED, _EOC[kind]])
 

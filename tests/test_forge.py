@@ -213,6 +213,25 @@ def test_metadata_only_delete_leaves_payload_clusters_alone(image_copy, fs):
                     "delete touched data cluster %d of %s" % (c, rec.path))
 
 
+@pytest.mark.parametrize("bps, size", [(1024, 128 * MiB), (2048, 256 * MiB)])
+def test_fat32_system_sectors_sit_at_sector_offsets(tmp_path, bps, size):
+    """The boot sector names sector 1 for FSInfo and sector 6 for the
+    backup boot sector; with sectors over 512 B those are not bytes 512
+    and 3072.  The quick format rewrites them in the same places."""
+    path = tmp_path / "big-sectors.img"
+    truth = forge.build_image(forge.CorpusSpec(
+        filesystem="fat32", total_size=size, bytes_per_sector=bps), path)
+    for step in ("build", "quick-format"):
+        if step == "quick-format":
+            forge.apply_mutation(path, step, truth=truth)
+        with open_image(path) as img:
+            boot = img.read_at(0, 512)
+            assert struct.unpack_from("<HH", boot, 0x30) == (1, 6)
+            assert img.read_at(512, 4) == bytes(4)
+            assert img.read_at(bps, 4) == img.read_at(7 * bps, 4) == b"RRaA"
+            assert img.read_at(6 * bps, 512) == boot
+
+
 def test_quick_format_is_idempotent(image_copy):
     # NTFS: the second format finds $Bitmap where the first one left it.
     for fs in ("fat32", "ntfs"):
