@@ -148,19 +148,17 @@ def _lfn_fragment_text(raw: bytes) -> str:
 def parse_dir_slots(slots, dir_path: str, kind: FsKind, orphaned: bool = False):
     """Parse a sequence of (absolute_offset, 32-byte slot) pairs.
 
-    Returns (entries, saw_end_marker).  Long-name fragments are folded
-    into the following short entry.  Fragments in front of a deleted
+    Returns the entries up to the end marker.  Long-name fragments are
+    folded into the following short entry.  Fragments in front of a deleted
     entry lose their sequence byte to the 0xE5 marker, so they are
     reassembled in reverse physical order on a best-effort basis.
     """
     entries: list[FatDirEntry] = []
     live_fragments: dict[int, str] = {}
     deleted_fragments: list[str] = []
-    saw_end = False
     for offset, raw in slots:
         first = raw[0]
         if first == END_MARK:
-            saw_end = True
             break
         attr = raw[11]
         if attr == ATTR_LFN:
@@ -198,7 +196,7 @@ def parse_dir_slots(slots, dir_path: str, kind: FsKind, orphaned: bool = False):
             lfn_name=lfn,
             orphaned=orphaned,
         ))
-    return entries, saw_end
+    return entries
 
 
 @dataclass
@@ -467,7 +465,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     while queue:
         path, blocks = queue.popleft()
         slots = list(_dir_slots_from_blocks(img, blocks))
-        parsed, _ = parse_dir_slots(slots, path, desc.kind)
+        parsed = parse_dir_slots(slots, path, desc.kind)
         for entry in parsed:
             if not admit(entry) or entry.deleted:
                 continue
@@ -505,7 +503,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             if entry.dir_path else entry.display_name
         # Children of a deleted directory are unreachable whatever their
         # own first byte says, so they carry the orphaned flag too.
-        parsed, _ = parse_dir_slots(slots, parent, desc.kind, orphaned=True)
+        parsed = parse_dir_slots(slots, parent, desc.kind, orphaned=True)
         for sub in parsed:
             if (admit(sub) and sub.is_directory
                     and fat.in_heap(sub.first_cluster)):
@@ -514,8 +512,8 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     if deep:
         for cluster, slots in _carve_orphan_dirs(img, desc, fat, live_clusters,
                                                  consumed):
-            parsed, _ = parse_dir_slots(slots, "orphan-%d" % cluster,
-                                        desc.kind, orphaned=True)
+            parsed = parse_dir_slots(slots, "orphan-%d" % cluster,
+                                     desc.kind, orphaned=True)
             for sub in parsed:
                 admit(sub)
 

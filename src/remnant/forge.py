@@ -171,20 +171,6 @@ class CorpusSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ForgeError("bad corpus spec: %s" % exc) from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "filesystem": self.filesystem,
-            "total_size": self.total_size,
-            "files": [{"name": f.name, "class": f.file_class, "size": f.size,
-                       "seed": f.seed, "parent": f.parent} for f in self.files],
-            "dirs": list(self.dirs),
-            "volume_label": self.volume_label,
-            "seed": self.seed,
-            "bytes_per_sector": self.bytes_per_sector,
-            "sectors_per_cluster": self.sectors_per_cluster,
-            "fragment_pairs": [list(p) for p in self.fragment_pairs],
-        }
-
 
 @dataclass
 class FileTruth:
@@ -1378,7 +1364,7 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     # FAT names are case-blind: a live entry that already answers to the
     # name, long or short, is a collision, and a derived short name must
     # differ from every live one.
-    live = [e for e in parse_dir_slots(slots, "", desc.kind)[0]
+    live = [e for e in parse_dir_slots(slots, "", desc.kind)
             if not e.deleted and not e.is_label]
     wanted = name.upper()
     if any(wanted in (e.short_name.upper(), (e.lfn_name or "").upper())

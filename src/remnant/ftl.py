@@ -116,9 +116,6 @@ class PageDump:
     lpn: int | None
     timestamp: int
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.payload).hexdigest()
-
 
 class FtlState:
     """The whole device: geometry, page array, mapping table, wear."""

@@ -101,8 +101,7 @@ def test_lfn_fragments_fold_into_following_entry():
                 struct.pack("<11sBBBHHHHHHHI", b"QUARTE~1PDF", ATTR_ARCHIVE,
                             0, 0, 0, 0, 0, 0, 0, 0, 3, 100)),
     ]
-    entries, saw_end = parse_dir_slots(slots, "", FsKind.FAT16)
-    assert not saw_end
+    entries = parse_dir_slots(slots, "", FsKind.FAT16)
     assert len(entries) == 1
     assert entries[0].lfn_name == name
     assert entries[0].display_name == name
@@ -117,7 +116,7 @@ def test_deleted_lfn_fragments_reassemble_in_reverse_order():
     f2[0] = f1[0] = DELETED_MARK
     short = struct.pack("<11sBBBHHHHHHHI", b"\xE5UMMER~1JPE", ATTR_ARCHIVE,
                         0, 0, 0, 0, 0, 0, 0, 0, 9, 4096)
-    entries, _ = parse_dir_slots(
+    entries = parse_dir_slots(
         [(0, bytes(f2)), (32, bytes(f1)), (64, short)], "", FsKind.FAT16)
     assert len(entries) == 1
     assert entries[0].deleted
@@ -130,8 +129,7 @@ def test_end_marker_stops_the_walk():
     gone = struct.pack("<11sBBBHHHHHHHI", b"LOST    TXT", ATTR_ARCHIVE,
                        0, 0, 0, 0, 0, 0, 0, 0, 3, 10)
     slots = [(0, live), (32, b"\x00" * 32), (64, gone)]
-    entries, saw_end = parse_dir_slots(slots, "", FsKind.FAT16)
-    assert saw_end
+    entries = parse_dir_slots(slots, "", FsKind.FAT16)
     assert [e.short_name for e in entries] == ["KEEP.TXT"]
 
 
@@ -139,10 +137,10 @@ def test_fat32_entries_use_the_high_cluster_word():
     raw = bytearray(struct.pack("<11sBBBHHHHHHHI", b"BIG     BIN",
                                 ATTR_ARCHIVE, 0, 0, 0, 0, 0, 0, 0, 0, 5, 64))
     struct.pack_into("<H", raw, 0x14, 0x0002)  # high word
-    entries, _ = parse_dir_slots([(0, bytes(raw))], "", FsKind.FAT32)
+    entries = parse_dir_slots([(0, bytes(raw))], "", FsKind.FAT32)
     assert entries[0].first_cluster == (2 << 16) | 5
     # ... but FAT16 must ignore it (the field is repurposed there)
-    entries, _ = parse_dir_slots([(0, bytes(raw))], "", FsKind.FAT16)
+    entries = parse_dir_slots([(0, bytes(raw))], "", FsKind.FAT16)
     assert entries[0].first_cluster == 5
 
 

@@ -1,7 +1,6 @@
 """Image forging, deletion modalities, and the sanitization audit."""
 
 import hashlib
-import json
 import os
 import struct
 import tracemalloc
@@ -631,10 +630,14 @@ def test_audit_never_modifies_the_image(image_copy):
 # ------------------------------------------------- spec (de)serialization
 
 def test_corpus_spec_round_trips_through_dict():
-    spec = forge.standard_corpus("ntfs", seed=9)
-    back = forge.CorpusSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert back.filesystem == spec.filesystem
-    assert back.total_size == spec.total_size
-    assert back.seed == spec.seed
-    assert [f.name for f in back.files] == [f.name for f in spec.files]
-    assert [f.size for f in back.files] == [f.size for f in spec.files]
+    """A spec read from its dict form keeps every field the dict names."""
+    back = forge.CorpusSpec.from_dict({
+        "filesystem": "ntfs", "total_size": 8 * MiB, "seed": 9,
+        "files": [{"name": "A.TXT", "class": "document", "size": 10},
+                  {"name": "B.JPG", "class": "image", "size": 5000,
+                   "parent": "DCIM"}]})
+    assert back.filesystem == "ntfs"
+    assert back.total_size == 8 * MiB
+    assert back.seed == 9
+    assert [f.name for f in back.files] == ["A.TXT", "B.JPG"]
+    assert [f.size for f in back.files] == [10, 5000]
