@@ -5,7 +5,8 @@ image strictly read-only, decides what filesystem the boot record claims
 to be, and turns cluster numbers into byte offsets.  It also owns every
 chunked read of the image, at most STREAM_CHUNK bytes at a time:
 ``find_signatures`` serves both deep carves, and ``read_extents`` serves
-recovery and the audit (``stream_extents`` hashes and sinks over it).
+recovery and the audit (``stream_extents`` hashes and sinks over it),
+the $MFT walk and the FAT decode.
 """
 
 from __future__ import annotations
