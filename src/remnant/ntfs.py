@@ -382,8 +382,8 @@ def mft_slots(img: VolumeImage, desc: VolumeDescriptor):
         # Validated at its two ends before any read: a hostile length
         # costs O(1), not one step per claimed cluster.
         extent = cluster_extents(img, desc, [(first, count)])
-        offset = extent[0][0]
-        for chunk in read_extents(img, extent, extent[0][1]):
+        (offset, length), = extent
+        for chunk in read_extents(img, extent, length):
             pos = -at % rs            # the first slot starting here
             if pending:
                 pending += chunk[:pos]
