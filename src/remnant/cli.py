@@ -114,6 +114,8 @@ def cmd_recover(args) -> int:
     truth = forgemod.GroundTruth.load(args.truth) if args.truth else None
     img, desc = _open_volume(args)
     with img:
+        if truth:
+            forgemod.check_sidecar(img, truth)
         warning = undelete.check_out_dir(img, args.out, args.same_media)
         if warning:
             sys.stderr.write("remnant: %s\n" % warning)
@@ -140,10 +142,7 @@ def cmd_recover(args) -> int:
 
 def cmd_audit(args) -> int:
     truth = forgemod.GroundTruth.load(args.sidecar)
-    try:
-        audit = forgemod.audit_image(args.image, truth)
-    except forgemod.ForgeError as exc:
-        return _fail(EXIT_SIDECAR_MISMATCH, str(exc))
+    audit = forgemod.audit_image(args.image, truth)
     meta = {
         "command": "audit",
         "image": args.image,
@@ -164,13 +163,8 @@ def cmd_forge(args) -> int:
 
     if args.apply:
         truth = forgemod.GroundTruth.load(args.truth) if args.truth else None
-        try:
-            res = forgemod.apply_mutation(args.image, args.apply,
-                                          truth=truth, target=args.target)
-        except forgemod.SidecarMismatch as exc:
-            return _fail(EXIT_SIDECAR_MISMATCH, str(exc))
-        except forgemod.ForgeError as exc:
-            return _fail(EXIT_BAD_CONFIG, str(exc))
+        res = forgemod.apply_mutation(args.image, args.apply, truth=truth,
+                                      target=args.target)
         if truth is not None:
             truth.mutations.append(args.apply)
             truth.save(args.truth)
@@ -187,7 +181,7 @@ def cmd_forge(args) -> int:
             truth_path = args.truth or args.image + ".truth.json"
             truth = forgemod.build_image(spec, args.image,
                                          truth_path=truth_path)
-        except (forgemod.ForgeError, ValueError, KeyError) as exc:
+        except (forgemod.ForgeError, VolumeError, ValueError, KeyError) as exc:
             return _fail(EXIT_BAD_CONFIG, "bad corpus spec: %s" % exc)
         meta["filesystem"] = truth.filesystem
         meta["size"] = truth.total_size
@@ -387,6 +381,10 @@ def main(argv=None) -> int:
     except VolumeError as exc:
         return _fail(EXIT_UNRECOGNIZED, str(exc))
     except undelete.UndeleteError as exc:
+        return _fail(EXIT_BAD_CONFIG, str(exc))
+    except forgemod.SidecarMismatch as exc:
+        return _fail(EXIT_SIDECAR_MISMATCH, str(exc))
+    except forgemod.ForgeError as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))
     except json.JSONDecodeError as exc:
         return _fail(EXIT_BAD_CONFIG, "bad JSON: %s" % exc)

@@ -62,6 +62,7 @@ from .volume import (
     STREAM_CHUNK,
     FsKind,
     VolumeDescriptor,
+    VolumeImage,
     cluster_extents,
     cluster_offset,
     detect_filesystem,
@@ -236,14 +237,18 @@ class GroundTruth:
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
         raw = json.loads(text)
-        files = {k: FileTruth(**v) for k, v in raw["files"].items()}
-        dirs = {k: DirTruth(**v) for k, v in raw["dirs"].items()}
-        return cls(filesystem=raw["filesystem"], total_size=raw["total_size"],
-                   geometry=raw["geometry"], files=files, dirs=dirs,
-                   internal=raw["internal"],
-                   volume_label=raw.get("volume_label", ""),
-                   seed=raw.get("seed", 0),
-                   mutations=list(raw.get("mutations", [])))
+        try:
+            files = {k: FileTruth(**v) for k, v in raw["files"].items()}
+            dirs = {k: DirTruth(**v) for k, v in raw["dirs"].items()}
+            return cls(filesystem=raw["filesystem"],
+                       total_size=raw["total_size"],
+                       geometry=raw["geometry"], files=files, dirs=dirs,
+                       internal=raw["internal"],
+                       volume_label=raw.get("volume_label", ""),
+                       seed=raw.get("seed", 0),
+                       mutations=list(raw.get("mutations", [])))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ForgeError("bad ground truth: %s" % exc) from exc
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
@@ -258,34 +263,40 @@ class GroundTruth:
 # -- the image writer ------------------------------------------------------
 
 
-class _Writer:
-    """The one way the forge changes an image: the file, opened once
-    (``flags`` are added to ``O_RDWR``) and written with ``pwrite`` at
-    byte offsets."""
+class _Writer(VolumeImage):
+    """The one way the forge changes an image: the image opened
+    read-write, read through the readers' checked ``read_at`` and
+    written with ``pwrite`` at volume offsets that ``check_span`` has
+    checked, so a write never grows the file."""
 
-    def __init__(self, path, flags: int = 0):
-        self.fd = os.open(path, os.O_RDWR | flags, 0o666)
-
-    def __enter__(self) -> "_Writer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        os.close(self.fd)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return os.pread(self.fd, length, offset)
+    OPEN_FLAGS = os.O_RDWR
 
     def write(self, offset: int, data) -> None:
         view = memoryview(data)
+        self.check_span(offset, len(view))
+        offset += self.base_offset
         while view:
-            n = os.pwrite(self.fd, view, offset)
+            n = os.pwrite(self._fd, view, offset)
             view, offset = view[n:], offset + n
 
     def zero(self, offset: int, length: int) -> None:
-        """Write real zeros over ``length`` bytes, STREAM_CHUNK at a time."""
+        """Make ``length`` bytes at ``offset`` read as zeros, writing at
+        most STREAM_CHUNK at a time.  A hole already reads as zero, so
+        only the data extents are written; where the system cannot
+        report holes, that is the whole span."""
+        end = offset + length
         zeros = memoryview(bytes(min(length, STREAM_CHUNK)))
-        for pos in range(0, length, STREAM_CHUNK):
-            self.write(offset + pos, zeros[:min(STREAM_CHUNK, length - pos)])
+        pos = self.next_data(offset)
+        while pos < end:
+            try:
+                hole = os.lseek(self._fd, self.base_offset + pos,
+                                os.SEEK_HOLE) - self.base_offset
+            except OSError:
+                hole = end
+            stop = min(hole, end)
+            for at in range(pos, stop, STREAM_CHUNK):
+                self.write(at, zeros[:min(STREAM_CHUNK, stop - at)])
+            pos = self.next_data(stop)
 
     def write_runs(self, runs, data: bytes, cluster_size: int,
                    offset_of) -> None:
@@ -303,7 +314,7 @@ class _Writer:
         per run."""
         for first, count in runs:
             lo, hi = first // 8, -(-(first + count) // 8)
-            raw = bytearray(self.read(base + lo, hi - lo))
+            raw = bytearray(self.read_at(base + lo, hi - lo))
             _set_bits(raw, [(first - 8 * lo, count)], on)
             self.write(base + lo, raw)
 
@@ -324,13 +335,13 @@ class _Writer:
             keep = int.from_bytes(b"\0\0\0\xf0" * n, "little")
         for fat_off in fat_offsets:
             if kind is FsKind.FAT12:
-                raw = bytearray(self.read(fat_off + lo, span))
+                raw = bytearray(self.read_at(fat_off + lo, span))
                 for index, value in enumerate(values, first):
                     _put_fat12(raw, index * 3 // 2 - lo, index, value)
             elif kind is FsKind.FAT16:
                 raw = new
             else:
-                old = int.from_bytes(self.read(fat_off + lo, span), "little")
+                old = int.from_bytes(self.read_at(fat_off + lo, span), "little")
                 raw = (old & keep | int.from_bytes(new, "little")).to_bytes(
                     span, "little")
             self.write(fat_off + lo, raw)
@@ -1162,15 +1173,16 @@ def build_image(spec: CorpusSpec, image_path, truth_path=None) -> GroundTruth:
         builder = _NtfsBuilder(spec)
     else:
         raise ForgeError("unknown filesystem %r" % spec.filesystem)
-    with _Writer(image_path, os.O_CREAT | os.O_TRUNC) as w:
-        try:
-            # Sized, not filled: every byte never written stays a hole
-            # that reads as zero, and no volume-sized buffer exists.
-            os.ftruncate(w.fd, spec.total_size)
+    open(image_path, "wb").close()
+    try:
+        # Sized, not filled: every byte never written stays a hole that
+        # reads as zero, and no volume-sized buffer exists.
+        os.truncate(image_path, spec.total_size)
+        with _Writer(path=image_path) as w:
             truth = builder.build(w)
-        except BaseException:
-            os.unlink(image_path)   # no half-built image is left behind
-            raise
+    except BaseException:
+        os.unlink(image_path)   # no half-built image is left behind
+        raise
     if truth_path is not None:
         truth.save(truth_path)
     return truth
@@ -1213,23 +1225,9 @@ def standard_corpus(filesystem: str, total_size: int | None = None,
 # -- deletion modalities ---------------------------------------------------
 
 
-def delete_metadata_only(image_path, truth: GroundTruth, path: str) -> None:
-    """Delete one file (or directory) the way the filesystem driver does:
-    mark its directory metadata unused and free its allocation, touching
-    no content byte."""
-    if path in truth.files:
-        t = truth.files[path]
-    elif path in truth.dirs:
-        t = truth.dirs[path]
-    else:
-        raise ForgeError("no such path in ground truth: %r" % path)
-    with _Writer(image_path) as w:
-        _delete(w, truth, t)
-
-
 def _delete(w: _Writer, truth: GroundTruth, t) -> None:
     if truth.filesystem == "NTFS":
-        flags = struct.unpack("<H", w.read(t.entry_offset + 0x16, 2))[0]
+        flags = struct.unpack("<H", w.read_at(t.entry_offset + 0x16, 2))[0]
         w.write(t.entry_offset + 0x16,
                 struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
         w.set_bits(truth.internal["mft_bitmap_value_abs"],
@@ -1244,48 +1242,24 @@ def _delete(w: _Writer, truth: GroundTruth, t) -> None:
                           [0] * count)
 
 
-def delete_all(image_path, truth: GroundTruth) -> list[str]:
-    paths = sorted(truth.files)
-    with _Writer(image_path) as w:
-        for path in paths:
-            _delete(w, truth, truth.files[path])
-    return paths
-
-
-def quick_format(image_path) -> None:
-    """Re-initialize metadata in place with the same geometry: fresh boot
-    record, empty allocation structures, empty root.  The data area is
-    not touched, which is the whole forensic point."""
-    _format(image_path, overwrite=False)
-
-
-def full_overwrite(image_path) -> None:
-    """Zero the data area, then re-initialize the metadata (a one-pass
-    sanitizing format)."""
-    _format(image_path, overwrite=True)
-
-
-def _format(image_path, overwrite: bool) -> None:
-    with open_image(image_path) as img:
-        desc = detect_filesystem(img)
-        if desc.kind is FsKind.NTFS:
-            # The fresh cluster bitmap goes where the volume keeps it,
-            # read before any zeroing; right after the fresh records it
-            # would land on the old table's records.
-            bitmap_lcn, _ = _ntfs_cluster_bitmap(img, desc)
-            data = (2 * desc.cluster_size,
-                    (desc.total_clusters - 2) * desc.cluster_size)
-        else:
-            data = (desc.first_data_sector * desc.bytes_per_sector,
-                    desc.cluster_count * desc.cluster_size)
-    with _Writer(image_path) as w:
-        if overwrite:
-            w.zero(*data)
-        # The serial stays: formatting twice must equal formatting once.
-        if desc.kind is FsKind.NTFS:
-            _write_ntfs_metadata(w, desc, bitmap_lcn, "")
-        else:
-            _fat_quick_format(w, desc)
+def _format(w: _Writer, desc: VolumeDescriptor, overwrite: bool) -> None:
+    if desc.kind is FsKind.NTFS:
+        # The fresh cluster bitmap goes where the volume keeps it, read
+        # before any zeroing; right after the fresh records it would land
+        # on the old table's records.
+        bitmap_lcn, _ = _ntfs_cluster_bitmap(w, desc)
+        data = (2 * desc.cluster_size,
+                (desc.total_clusters - 2) * desc.cluster_size)
+    else:
+        data = (desc.first_data_sector * desc.bytes_per_sector,
+                desc.cluster_count * desc.cluster_size)
+    if overwrite:
+        w.zero(*data)
+    # The serial stays: formatting twice must equal formatting once.
+    if desc.kind is FsKind.NTFS:
+        _write_ntfs_metadata(w, desc, bitmap_lcn, "")
+    else:
+        _fat_quick_format(w, desc)
 
 
 def _fat_quick_format(w: _Writer, desc: VolumeDescriptor) -> None:
@@ -1307,28 +1281,40 @@ MUTATIONS = ("delete", "delete-all", "quick-format", "full-overwrite")
 
 def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
                    target: str | None = None) -> dict:
-    """One named mutation against a forged image.  Returns a small
-    summary of what was changed.  A ``truth`` that does not describe the
-    image raises SidecarMismatch before anything is written."""
-    if truth is not None:
-        with open_image(image_path) as img:
-            _check_sidecar(img, truth)
-    if action == "delete":
-        if truth is None or target is None:
-            raise ForgeError("delete needs a ground truth and a target path")
-        delete_metadata_only(image_path, truth, target)
-        return {"action": action, "paths": [target]}
-    if action == "delete-all":
-        if truth is None:
-            raise ForgeError("delete-all needs a ground truth")
-        return {"action": action, "paths": delete_all(image_path, truth)}
-    if action == "quick-format":
-        quick_format(image_path)
+    """One named mutation against a forged image, made through one
+    read-write handle.  Returns a small summary of what was changed.  A
+    ``truth`` that does not describe the image raises SidecarMismatch
+    before anything is written."""
+    if action not in MUTATIONS:
+        raise ForgeError("unknown mutation %r" % action)
+    if action == "delete" and (truth is None or target is None):
+        raise ForgeError("delete needs a ground truth and a target path")
+    if action == "delete-all" and truth is None:
+        raise ForgeError("delete-all needs a ground truth")
+    with _Writer(path=image_path) as w:
+        desc = (detect_filesystem(w) if truth is None
+                else check_sidecar(w, truth))
+        if action == "delete":
+            # One file (or directory), the way the filesystem driver
+            # deletes it: its directory metadata marked unused and its
+            # allocation freed, no content byte touched.
+            t = truth.files.get(target) or truth.dirs.get(target)
+            if t is None:
+                raise ForgeError("no such path in ground truth: %r" % target)
+            _delete(w, truth, t)
+            return {"action": action, "paths": [target]}
+        if action == "delete-all":
+            paths = sorted(truth.files)
+            for path in paths:
+                _delete(w, truth, truth.files[path])
+            return {"action": action, "paths": paths}
+        # A quick format re-initializes the metadata in place with the
+        # same geometry: fresh boot record, empty allocation structures,
+        # empty root.  The data area is not touched, which is the whole
+        # forensic point.  A full overwrite first zeroes the data area
+        # (a one-pass sanitizing format).
+        _format(w, desc, overwrite=action == "full-overwrite")
         return {"action": action, "paths": []}
-    if action == "full-overwrite":
-        full_overwrite(image_path)
-        return {"action": action, "paths": []}
-    raise ForgeError("unknown mutation %r" % action)
 
 
 # -- writing into a live volume (the same-media hazard) --------------------
@@ -1338,15 +1324,15 @@ def add_file(image_path, name: str, data: bytes) -> dict:
     """Create a new file on the volume through normal allocation.  This
     is deliberately destructive to remnants: new content claims the
     lowest free clusters, exactly where deleted files linger."""
-    with open_image(image_path) as img:
-        desc = detect_filesystem(img)
+    with _Writer(path=image_path) as w:
+        desc = detect_filesystem(w)
         if desc.kind is FsKind.NTFS:
-            return _ntfs_add_file(image_path, img, desc, name, data)
-        return _fat_add_file(image_path, img, desc, name, data)
+            return _ntfs_add_file(w, desc, name, data)
+        return _fat_add_file(w, desc, name, data)
 
 
-def _fat_add_file(image_path, img, desc, name, data) -> dict:
-    fat = load_fat(img, desc)
+def _fat_add_file(w: _Writer, desc, name, data) -> dict:
+    fat = load_fat(w, desc)
     cs = desc.cluster_size
     if desc.kind is FsKind.FAT32:
         root_runs, _ = fat.chain_from(desc.root_cluster)
@@ -1357,7 +1343,7 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
                    desc.root_entries * DIR_ENTRY_SIZE)]
     slots = []
     for base, length in blocks:
-        block = img.read_at(base, length)
+        block = w.read_at(base, length)
         slots += [(base + pos, block[pos:pos + DIR_ENTRY_SIZE])
                   for pos in range(0, length, DIR_ENTRY_SIZE)]
 
@@ -1388,11 +1374,10 @@ def _fat_add_file(image_path, img, desc, name, data) -> dict:
     else:
         raise ForgeError("no room in the root directory")
 
-    with _Writer(image_path) as w:
-        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
-        w.fat_chain(_fat_offsets(desc), desc.kind, runs)
-        for off, raw in zip(slot_offs, lfns + [entry]):
-            w.write(off, raw)
+    w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+    w.fat_chain(_fat_offsets(desc), desc.kind, runs)
+    for off, raw in zip(slot_offs, lfns + [entry]):
+        w.write(off, raw)
     return {"path": name, "clusters": runs}
 
 
@@ -1429,12 +1414,12 @@ def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
     return first, length
 
 
-def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
+def _ntfs_add_file(w: _Writer, desc, name, data) -> dict:
     rs = desc.mft_record_size
     cs = desc.cluster_size
 
     slot_index = slot_off = None
-    for idx, off, buf in mft_slots(img, desc):
+    for idx, off, buf in mft_slots(w, desc):
         if idx >= SYSTEM_RECORDS:
             flags, = struct.unpack_from("<H", buf, 0x16)
             if buf[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
@@ -1443,9 +1428,9 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
     if slot_index is None:
         raise ForgeError("no free record slot")
 
-    bitmap_first, bitmap_real = _ntfs_cluster_bitmap(img, desc)
+    bitmap_first, bitmap_real = _ntfs_cluster_bitmap(w, desc)
     bitmap_abs = bitmap_first * cs
-    bits = bytearray(img.read_at(bitmap_abs, bitmap_real))
+    bits = bytearray(w.read_at(bitmap_abs, bitmap_real))
     runs = _lowest_free_runs(lambda c: not bits[c // 8] >> (c % 8) & 1,
                              2, desc.total_clusters, -(-len(data) // cs))
     rec, runs = _file_record(slot_index, name, ROOT_RECORD, data, runs,
@@ -1453,18 +1438,17 @@ def _ntfs_add_file(image_path, img, desc, name, data) -> dict:
 
     # The record-allocation bitmap is record 0's resident $BITMAP value.
     rec0_off = desc.mft_lcn * cs
-    rec0 = read_record(img.read_at(rec0_off, rs), rec0_off, 0)
+    rec0 = read_record(w.read_at(rec0_off, rs), rec0_off, 0)
     walk0 = parse_attributes(rec0.data, rec0.header)
     mft_bits = next((a for a in walk0.attributes
                      if a.type_code == ATTR_BITMAP and a.resident), None)
     if mft_bits is None:
         raise ForgeError("record 0 lacks a record-allocation bitmap")
 
-    with _Writer(image_path) as w:
-        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
-        w.set_bits(bitmap_abs, runs, True)
-        w.write(slot_off, rec)
-        w.set_bits(rec0_off + mft_bits.value_offset, [(slot_index, 1)], True)
+    w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+    w.set_bits(bitmap_abs, runs, True)
+    w.write(slot_off, rec)
+    w.set_bits(rec0_off + mft_bits.value_offset, [(slot_index, 1)], True)
     return {"path": name, "clusters": runs}
 
 
@@ -1483,7 +1467,7 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
     counts a partial file's surviving bytes.
     """
     with open_image(image_path) as img:
-        desc = _check_sidecar(img, truth)
+        desc = check_sidecar(img, truth)
         rows = []
         for key in sorted(truth.files):
             t = truth.files[key]
@@ -1505,7 +1489,7 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
     }
 
 
-def _check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
+def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
     """The image's descriptor, once the image has the size and the
     filesystem that ``truth`` describes."""
     if img.size != truth.total_size:

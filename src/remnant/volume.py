@@ -1,8 +1,9 @@
 """Raw volume images and boot-record geometry for FAT and NTFS volumes.
 
 Everything else in the package sits on top of this module: it opens an
-image strictly read-only, decides what filesystem the boot record claims
-to be, and turns cluster numbers into byte offsets.  It also owns every
+image (read-only for every analysis; the forge's writer is a read-write
+subclass), decides what filesystem the boot record claims to be, and
+turns cluster numbers into byte offsets.  It also owns every
 chunked read of the image, at most STREAM_CHUNK bytes at a time:
 ``find_signatures`` serves both deep carves, and ``read_extents`` serves
 recovery and the audit (``stream_extents`` hashes and sinks over it),
@@ -63,12 +64,17 @@ class FsKind(Enum):
 
 
 class VolumeImage:
-    """A read-only window onto a disk image file or byte buffer.
+    """A window onto a disk image file or byte buffer.
 
     The window starts ``base_offset`` bytes into the backing store (for
     images that carry a partition table in front of the volume).  Reads
     are positional, so one image can be shared by concurrent readers.
+    A file is opened with ``OPEN_FLAGS``: read-only here, and analysis
+    opens only through ``open_image``; the forge's writer is the one
+    subclass that opens read-write.
     """
+
+    OPEN_FLAGS = os.O_RDONLY
 
     def __init__(self, *, path=None, buffer=None, base_offset=0):
         if (path is None) == (buffer is None):
@@ -81,7 +87,7 @@ class VolumeImage:
             self._buffer = bytes(buffer)
             backing = len(self._buffer)
         else:
-            self._fd = os.open(self.path, os.O_RDONLY)
+            self._fd = os.open(self.path, self.OPEN_FLAGS)
             backing = os.fstat(self._fd).st_size
         if base_offset < 0 or base_offset >= backing:
             self.close()
@@ -96,7 +102,8 @@ class VolumeImage:
         return cls(buffer=data, base_offset=base_offset)
 
     def check_span(self, offset: int, length: int) -> None:
-        """Raise VolumeError unless [offset, offset + length) is readable."""
+        """Raise VolumeError unless [offset, offset + length) lies inside
+        the volume."""
         if offset < 0 or length < 0 or offset + length > self.size:
             raise VolumeError(
                 "read [%d:%d) outside volume of %d bytes"
@@ -121,7 +128,8 @@ class VolumeImage:
         A hole in a sparse backing file reads as zeros, so a scan for
         nonzero bytes may skip it.  A buffer, or a file whose holes the
         system cannot report, returns ``offset``: every byte may matter.
-        The seek moves the file's own offset, which no read uses.
+        The seek moves the file's own offset, which no read or write
+        uses.
         """
         if self._fd is None:
             return offset

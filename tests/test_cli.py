@@ -324,6 +324,82 @@ def test_forge_apply_with_a_mismatched_sidecar_is_exit_4(tmp_path, capsys):
     assert truth.mutations == []
 
 
+def test_recover_with_a_mismatched_sidecar_is_exit_4(small_image, tmp_path,
+                                                     capsys):
+    """recover checks the sidecar as audit and forge do, before the scan
+    and before the output directory exists."""
+    img, _ = small_image
+    _mutate(img, "delete-all")
+    other = tmp_path / "other.img"
+    forge.build_image(forge.standard_corpus("ntfs"), other,
+                      truth_path=str(other) + ".truth.json")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "recover", str(img), "--out", str(out),
+                            "--truth", str(other) + ".truth.json")
+    assert code == 4
+    assert "67108864-byte volume" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", ['{"filesystem": "FAT12"}', "[1]"],
+                         ids=["no-files", "a-list"])
+@pytest.mark.parametrize("command", ["audit", "recover", "forge"])
+def test_a_malformed_sidecar_is_exit_5(small_image, tmp_path, capsys,
+                                       command, sidecar):
+    img, _ = small_image
+    bad = tmp_path / "bad.json"
+    bad.write_text(sidecar)
+    out = tmp_path / "out"
+    argv = {"audit": ["audit", str(img), str(bad)],
+            "recover": ["recover", str(img), "--out", str(out),
+                        "--truth", str(bad)],
+            "forge": ["forge", str(img), "--apply", "delete-all",
+                      "--truth", str(bad)]}[command]
+    before = img.read_bytes()
+    code, _, err = run(capsys, *argv)
+    assert code == 5
+    assert "bad ground truth" in err
+    assert img.read_bytes() == before
+    assert bad.read_text() == sidecar
+    assert not out.exists()
+
+
+def test_forge_never_writes_outside_the_volume(small_image, tmp_path,
+                                               capsys):
+    """A sidecar that places the FAT past the end of the image stops the
+    mutation at that write, which leaves the file at its size."""
+    img, _ = small_image
+    raw = json.loads(img.with_name(img.name + ".truth.json").read_text())
+    raw["internal"]["fat_offsets"] = [1 << 34]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    size = img.stat().st_size
+    code, _, err = run(capsys, "forge", str(img), "--apply", "delete-all",
+                       "--truth", str(bad))
+    assert code == 2
+    assert "outside volume of %d bytes" % size in err
+    assert img.stat().st_size == size
+    assert forge.GroundTruth.load(str(bad)).mutations == []
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Each `remnant` line of the README's quick start exits 0."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    quick = readme[readme.index("## Quick start"):]
+    block = quick[quick.index("```sh\n") + 6:]
+    block = block[:block.index("```")]
+    lines = [line.split() for line in block.splitlines()
+             if line.startswith("remnant ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+
+
 # --------------------------------------------------------------- simulate
 
 def _sim_config(tmp_path, experiment, **extra):

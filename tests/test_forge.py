@@ -1,5 +1,6 @@
 """Image forging, deletion modalities, and the sanitization audit."""
 
+import errno
 import hashlib
 import os
 import struct
@@ -15,7 +16,7 @@ from remnant import ntfs as ntfsmod
 from remnant.undelete import recover_all, scan_volume
 from remnant.volume import (FsKind, cluster_extents, detect_filesystem,
                             open_image)
-from test_forge_bytes import STEPS, fragmented_corpus
+from test_forge_bytes import STEPS, _sha, fragmented_corpus
 
 MiB = 1024 * 1024
 ALL_FS = ("fat12", "fat16", "fat32", "ntfs")
@@ -335,6 +336,32 @@ def test_full_overwrite_destroys_every_payload(image_copy, fs):
     with open_image(path) as img:
         desc = detect_filesystem(img)
     assert desc.kind.value == truth.filesystem
+
+
+@pytest.mark.parametrize("fs, size, action", [
+    ("fat32", 128 * MiB, "quick-format"), ("ntfs", 16 * MiB, "full-overwrite"),
+])
+def test_a_format_keeps_a_sparse_image_sparse(tmp_path, monkeypatch, fs,
+                                              size, action):
+    """A hole already reads as zero, so zeroing writes only the image's
+    data extents: the format allocates at most 1 MiB more than the build
+    did.  Where the system cannot report holes every byte is written,
+    and the image reads the same."""
+    spec = forge.standard_corpus(fs, size)
+    sparse, dense = tmp_path / "s.img", tmp_path / "d.img"
+    truth = forge.build_image(spec, sparse)
+    forge.build_image(spec, dense)
+    built = os.stat(sparse).st_blocks * 512
+    forge.apply_mutation(sparse, action, truth=truth)
+    assert os.stat(sparse).st_blocks * 512 <= built + MiB
+
+    def no_hole_reports(fd, pos, how):
+        raise OSError(errno.EINVAL, "cannot report holes")
+
+    monkeypatch.setattr(os, "lseek", no_hole_reports)
+    forge.apply_mutation(dense, action, truth=truth)
+    monkeypatch.undo()
+    assert _sha(dense) == _sha(sparse)
 
 
 # ------------------------------------------------------------ the audit
