@@ -273,7 +273,7 @@ class _Writer(VolumeImage):
 
     def write(self, offset: int, data) -> None:
         view = memoryview(data)
-        self.check_span(offset, len(view))
+        self.check_span(offset, len(view), "write")
         offset += self.base_offset
         while view:
             n = os.pwrite(self._fd, view, offset)
@@ -313,8 +313,8 @@ class _Writer(VolumeImage):
         LSB-first bitmap at byte offset ``base``, one read and one write
         per run."""
         for first, count in runs:
-            lo, hi = first // 8, -(-(first + count) // 8)
-            raw = bytearray(self.read_at(base + lo, hi - lo))
+            lo, span = _bits_span(first, count)
+            raw = bytearray(self.read_at(base + lo, span))
             _set_bits(raw, [(first - 8 * lo, count)], on)
             self.write(base + lo, raw)
 
@@ -325,12 +325,9 @@ class _Writer(VolumeImage):
         keeps each entry's reserved top nibble; FAT12 entries share
         bytes, so their span is patched entry by entry."""
         n = len(values)
-        if kind is FsKind.FAT12:
-            lo = first * 3 // 2
-            span = (first + n - 1) * 3 // 2 + 2 - lo
-        else:
-            width, code = (2, "H") if kind is FsKind.FAT16 else (4, "I")
-            lo, span = first * width, n * width
+        lo, span = _fat_span(kind, first, n)
+        if kind is not FsKind.FAT12:
+            code = "H" if kind is FsKind.FAT16 else "I"
             new = struct.pack("<%d%s" % (n, code), *values)
             keep = int.from_bytes(b"\0\0\0\xf0" * n, "little")
         for fat_off in fat_offsets:
@@ -354,6 +351,23 @@ class _Writer(VolumeImage):
             last = runs[i + 1][0] if i + 1 < len(runs) else _EOC[kind]
             self.fat_entries(fat_offsets, kind, first,
                              [*range(first + 1, first + count), last])
+
+
+def _bits_span(first: int, count: int) -> tuple[int, int]:
+    """(byte offset, byte length) of the bits ``first`` to
+    ``first + count - 1`` in an LSB-first bitmap."""
+    lo = first // 8
+    return lo, -(-(first + count) // 8) - lo
+
+
+def _fat_span(kind: FsKind, first: int, n: int) -> tuple[int, int]:
+    """(byte offset, byte length) of FAT entries ``first`` to
+    ``first + n - 1`` within one table; FAT12 entries share bytes."""
+    if kind is FsKind.FAT12:
+        lo = first * 3 // 2
+        return lo, (first + n - 1) * 3 // 2 + 2 - lo
+    width = 2 if kind is FsKind.FAT16 else 4
+    return first * width, n * width
 
 
 # -- run-list encoding ---------------------------------------------------
@@ -1092,6 +1106,9 @@ class _NtfsBuilder:
         mft_clusters = max(16, -(-slots_needed // (cs // rs)))
         bitmap_lcn = desc.mft_lcn + mft_clusters
         cursor = bitmap_lcn + -(-cc // (8 * cs))    # past the cluster bitmap
+        if cursor > cc // 2:
+            # The MFT and the bitmap must end below the mirror.
+            raise ForgeError("volume too small")
 
         def allocate(n: int) -> int:
             nonlocal cursor
@@ -1225,6 +1242,26 @@ def standard_corpus(filesystem: str, total_size: int | None = None,
 # -- deletion modalities ---------------------------------------------------
 
 
+def _delete_spans(truth: GroundTruth, t):
+    """Every (offset, length) span that ``_delete`` writes for ``t``."""
+    if truth.filesystem == "NTFS":
+        yield t.entry_offset + 0x16, 2
+        for base, runs in ((truth.internal["mft_bitmap_value_abs"],
+                            [(t.record_index, 1)]),
+                           (truth.internal["cluster_bitmap_abs"], t.clusters)):
+            for first, count in runs:
+                lo, span = _bits_span(first, count)
+                yield base + lo, span
+    else:
+        for off in [t.entry_offset, *t.lfn_offsets]:
+            yield off, 1
+        kind = FsKind(truth.filesystem)
+        for first, count in t.clusters:
+            lo, span = _fat_span(kind, first, count)
+            for fat_off in truth.internal["fat_offsets"]:
+                yield fat_off + lo, span
+
+
 def _delete(w: _Writer, truth: GroundTruth, t) -> None:
     if truth.filesystem == "NTFS":
         flags = struct.unpack("<H", w.read_at(t.entry_offset + 0x16, 2))[0]
@@ -1294,19 +1331,26 @@ def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
     with _Writer(path=image_path) as w:
         desc = (detect_filesystem(w) if truth is None
                 else check_sidecar(w, truth))
-        if action == "delete":
-            # One file (or directory), the way the filesystem driver
+        if action in ("delete", "delete-all"):
+            # Each file (or directory), the way the file system itself
             # deletes it: its directory metadata marked unused and its
             # allocation freed, no content byte touched.
-            t = truth.files.get(target) or truth.dirs.get(target)
-            if t is None:
-                raise ForgeError("no such path in ground truth: %r" % target)
-            _delete(w, truth, t)
-            return {"action": action, "paths": [target]}
-        if action == "delete-all":
-            paths = sorted(truth.files)
-            for path in paths:
-                _delete(w, truth, truth.files[path])
+            if action == "delete":
+                t = truth.files.get(target) or truth.dirs.get(target)
+                if t is None:
+                    raise ForgeError(
+                        "no such path in ground truth: %r" % target)
+                paths, targets = [target], [t]
+            else:
+                paths = sorted(truth.files)
+                targets = [truth.files[path] for path in paths]
+            # Every span is checked before the first write, so a sidecar
+            # that points outside the image changes nothing.
+            for t in targets:
+                for offset, length in _delete_spans(truth, t):
+                    w.check_span(offset, length, "write")
+            for t in targets:
+                _delete(w, truth, t)
             return {"action": action, "paths": paths}
         # A quick format re-initializes the metadata in place with the
         # same geometry: fresh boot record, empty allocation structures,

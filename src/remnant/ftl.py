@@ -9,6 +9,7 @@ Garbage collection is the only operation that destroys a stale payload.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -141,6 +142,9 @@ class FtlState:
         # replacement and take no writes until a retirement pulls one in.
         self.allocatable = list(range(g.active_blocks))
         self.reserve_pool = list(range(g.active_blocks, g.block_count))
+        # The allocator's whole view: the free pages of the allocatable
+        # blocks, and those blocks with a free page ordered by wear.
+        self.free_active, self.open_blocks = self._recount()
         self.op_counter = 1
         self.read_only = False
         self.gc_runs = 0
@@ -156,14 +160,29 @@ class FtlState:
         return range(start, start + self.geometry.pages_per_block)
 
     def free_pages_active(self) -> int:
-        return sum(self.free_count[b] for b in self.allocatable)
+        return self.free_active
+
+    def _wear(self, block: int) -> tuple[int, int]:
+        return (self.blocks[block].erase_count, block)
+
+    def _recount(self) -> tuple[int, list[int]]:
+        """The free-page total of the allocatable blocks and the open
+        blocks among them (those with a free page) in ``_wear`` order,
+        counted afresh from the per-block tallies."""
+        return (sum(self.free_count[b] for b in self.allocatable),
+                sorted((b for b in self.allocatable if self.free_count[b]),
+                       key=self._wear))
 
     def active_capacity(self) -> int:
         return len(self.allocatable) * self.geometry.pages_per_block
 
     def check_conservation(self) -> bool:
-        """Recount every block against its tallies and cursor, and check
-        that each mapping entry names a VALID page carrying that lpn."""
+        """Recount every block against its tallies and cursor, the
+        free-page total and the open-block index against the tallies,
+        and check that each mapping entry names a VALID page carrying
+        that lpn."""
+        if (self.free_active, self.open_blocks) != self._recount():
+            return False
         ppb = self.geometry.pages_per_block
         for b in range(self.geometry.block_count):
             states = [p.state for p in self.pages[b * ppb:(b + 1) * ppb]]
@@ -178,14 +197,11 @@ class FtlState:
     def _allocate(self, exclude: int | None = None) -> int | None:
         """Greedy wear-leveling: the lowest free page in the
         lowest-erase-count allocatable block; ties break to the lowest
-        block index."""
-        best = None
-        for b in self.allocatable:
-            if (b != exclude and self.free_count[b]
-                    and (best is None or self.blocks[b].erase_count
-                         < self.blocks[best].erase_count)):
-                best = b
-        if best is None:
+        block index.  That is the first open block not ``exclude``."""
+        for best in self.open_blocks:
+            if best != exclude:
+                break
+        else:
             return None
         base = self._ppn(best, 0)
         offset = self.free_cursor[best]
@@ -203,7 +219,11 @@ class FtlState:
         page.lpn = lpn
         page.timestamp = self.op_counter
         self.op_counter += 1
-        self.free_count[ppn // self.geometry.pages_per_block] -= 1
+        block = ppn // self.geometry.pages_per_block
+        self.free_count[block] -= 1
+        self.free_active -= 1
+        if not self.free_count[block]:
+            self.open_blocks.remove(block)
         self.mapping[lpn] = ppn
 
     def _mark_stale(self, ppn: int) -> None:
@@ -293,10 +313,15 @@ class FtlState:
             page.payload = erased
             page.lpn = None
             page.timestamp = 0
+        if self.free_count[victim]:
+            self.open_blocks.remove(victim)
+        self.free_active += (self.geometry.pages_per_block
+                             - self.free_count[victim])
         self.free_count[victim] = self.geometry.pages_per_block
         self.stale_count[victim] = 0
         self.free_cursor[victim] = 0
         self.blocks[victim].erase_count += 1
+        bisect.insort(self.open_blocks, victim, key=self._wear)
         self.gc_runs += 1
         return True
 
@@ -318,17 +343,19 @@ class FtlState:
             self.read_only = True
             return False
         repl = self.reserve_pool.pop(0)
-        ppb = self.geometry.pages_per_block
-        for offset in range(ppb):
-            src = self.pages[self._ppn(block, offset)]
-            if src.state is PageState.VALID:
-                self._program(self._ppn(repl, offset), src.payload, src.lpn)
         blk.retired = True
         blk.replacement = repl
         # The forgone final erase is what wore the block out; account it.
         blk.erase_count = max(blk.erase_count, self.geometry.endurance_limit)
         self.allocatable = sorted(set(self.allocatable) - {block} | {repl})
         self.retired_count += 1
+        # The replacement joins before its copies are programmed, so
+        # _program keeps the total and the index current for it too.
+        self.free_active, self.open_blocks = self._recount()
+        for offset in range(self.geometry.pages_per_block):
+            src = self.pages[self._ppn(block, offset)]
+            if src.state is PageState.VALID:
+                self._program(self._ppn(repl, offset), src.payload, src.lpn)
         return True
 
     # -- forensic interface --------------------------------------------

@@ -101,13 +101,14 @@ class VolumeImage:
     def from_bytes(cls, data, base_offset=0) -> "VolumeImage":
         return cls(buffer=data, base_offset=base_offset)
 
-    def check_span(self, offset: int, length: int) -> None:
+    def check_span(self, offset: int, length: int,
+                   access: str = "read") -> None:
         """Raise VolumeError unless [offset, offset + length) lies inside
-        the volume."""
+        the volume; the message names the refused ``access``."""
         if offset < 0 or length < 0 or offset + length > self.size:
             raise VolumeError(
-                "read [%d:%d) outside volume of %d bytes"
-                % (offset, offset + length, self.size)
+                "%s [%d:%d) outside volume of %d bytes"
+                % (access, offset, offset + length, self.size)
             )
 
     def read_at(self, offset: int, length: int) -> bytes:

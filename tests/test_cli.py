@@ -65,6 +65,18 @@ def test_forge_apply_records_the_modality(small_image, capsys):
     assert truth.mutations == ["delete-all"]
 
 
+def test_forge_refuses_an_ntfs_volume_too_small_for_its_metadata(
+        tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"filesystem": "ntfs", "total_size": 65536}))
+    img = tmp_path / "t.img"
+    code, _, err = run(capsys, "forge", str(img), "--spec", str(spec))
+    assert code == 5
+    assert "volume too small" in err
+    assert "Traceback" not in err
+    assert not img.exists()
+
+
 def test_forge_needs_exactly_one_mode(tmp_path, capsys):
     code, _, err = run(capsys, "forge", str(tmp_path / "x.img"))
     assert code == 5

@@ -14,8 +14,8 @@ from remnant import filetypes
 from remnant import forge
 from remnant import ntfs as ntfsmod
 from remnant.undelete import recover_all, scan_volume
-from remnant.volume import (FsKind, cluster_extents, detect_filesystem,
-                            open_image)
+from remnant.volume import (FsKind, VolumeError, cluster_extents,
+                            detect_filesystem, open_image)
 from test_forge_bytes import STEPS, _sha, fragmented_corpus
 
 MiB = 1024 * 1024
@@ -645,6 +645,45 @@ def test_a_mutation_refuses_a_mismatched_sidecar(tmp_path, action):
         forge.apply_mutation(fat_img, action, truth=same_size,
                              target="DATA/TINY.TXT")
     assert fat_img.read_bytes() == before
+
+
+def _last_file(truth):
+    return truth.files[max(truth.files)]
+
+
+@pytest.mark.parametrize("fs, corrupt", [
+    ("fat16", lambda t: t.internal.update(fat_offsets=[1 << 34])),
+    ("fat16", lambda t: setattr(_last_file(t), "entry_offset", t.total_size)),
+    ("ntfs", lambda t: t.internal.update(mft_bitmap_value_abs=1 << 34)),
+    ("ntfs", lambda t: setattr(_last_file(t), "clusters",
+                               [[8 * t.total_size, 1]])),
+], ids=["fat-table", "last-entry", "mft-bitmap", "last-run"])
+def test_a_refused_mutation_writes_nothing(tmp_path, fs, corrupt):
+    """Every span a deletion would write is checked before the first
+    write, so a sidecar that points one of them outside the volume
+    leaves the image as it was, even where the earlier files are fine."""
+    img = tmp_path / "v.img"
+    truth = forge.build_image(forge.standard_corpus(fs, total_size=8 * MiB),
+                              img)
+    corrupt(truth)
+    before = _sha(img)
+    with pytest.raises(VolumeError, match=r"^write \[.* outside volume"):
+        forge.apply_mutation(img, "delete-all", truth=truth)
+    assert _sha(img) == before
+
+
+def test_ntfs_volume_must_hold_its_own_metadata(tmp_path):
+    # 4 KiB clusters: the MFT (16 clusters at LCN 4) and a one-cluster
+    # bitmap end at cluster 21, which must lie below the mirror at
+    # cluster count // 2.
+    forge.build_image(forge.CorpusSpec(filesystem="ntfs",
+                                       total_size=42 * 4096),
+                      tmp_path / "fits.img")
+    with pytest.raises(forge.ForgeError, match="volume too small"):
+        forge.build_image(forge.CorpusSpec(filesystem="ntfs",
+                                           total_size=41 * 4096),
+                          tmp_path / "short.img")
+    assert not (tmp_path / "short.img").exists()
 
 
 def test_audit_never_modifies_the_image(image_copy):

@@ -84,6 +84,20 @@ def test_read_at_rejects_out_of_range(tmp_path):
             img.read_at(1020, 8)  # crosses the end
 
 
+def test_a_refused_span_names_its_access(tmp_path):
+    path = tmp_path / "raw.img"
+    path.write_bytes(b"\x00" * 1024)
+    with open_image(path) as img:
+        with pytest.raises(VolumeError) as refused:
+            img.read_at(1020, 8)
+    assert str(refused.value) == "read [1020:1028) outside volume of 1024 bytes"
+    with forge._Writer(path=path) as w:
+        with pytest.raises(VolumeError) as refused:
+            w.write(1020, bytes(8))
+    assert str(refused.value) == "write [1020:1028) outside volume of 1024 bytes"
+    assert path.read_bytes() == b"\x00" * 1024
+
+
 def test_from_bytes_matches_file_backed(tmp_path):
     data = bytes(range(256)) * 4
     path = tmp_path / "raw.img"
