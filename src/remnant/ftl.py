@@ -5,6 +5,11 @@ the old physical page, it only remaps.  Stale payloads survive until
 garbage collection erases their block, and a block that reaches its
 erase-endurance limit is retired with every payload frozen in place.
 Garbage collection is the only operation that destroys a stale payload.
+
+The page store is columnar: one state byte per page, an ``lpn`` and a
+program stamp per page in two integer arrays, and a payload dict that
+holds programmed pages only, so a device costs about 17 bytes per page
+before its first write.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 ERASED_BYTE = 0xFF
 
@@ -40,8 +47,10 @@ class PageState(Enum):
     STALE = "stale"
 
 
-# The byte each state hashes as in FtlState.state_hash (its ordinal).
-_STATE_CODE = {state: i for i, state in enumerate(PageState)}
+# PageState ordinals: the codes FtlState.state holds and state_hash
+# digests, and the dump tag of each.
+_FREE, _VALID, _STALE = range(3)
+_TAGS = [state.value for state in PageState]
 
 
 @dataclass(frozen=True)
@@ -92,14 +101,6 @@ def desk_geometry() -> FlashGeometry:
 
 
 @dataclass
-class PhysicalPage:
-    state: PageState
-    payload: bytes
-    lpn: int | None = None
-    timestamp: int = 0
-
-
-@dataclass
 class BlockState:
     erase_count: int = 0
     retired: bool = False
@@ -119,7 +120,13 @@ class PageDump:
 
 
 class FtlState:
-    """The whole device: geometry, page array, mapping table, wear."""
+    """The whole device: geometry, page columns, mapping table, wear.
+
+    Physical page ``ppn`` is ``state[ppn]`` (a PageState ordinal),
+    ``lpn[ppn]`` (-1 for none), ``stamp[ppn]`` (the op counter when it
+    was programmed, 0 when erased) and ``payload.get(ppn)``; a page
+    with no payload entry reads as ``geometry.erased_page``.
+    """
 
     def __init__(self, geometry: FlashGeometry | None = None, seed: int = 0,
                  gc_enabled: bool = True, gc_threshold: float = 0.125):
@@ -128,23 +135,25 @@ class FtlState:
         self.gc_enabled = gc_enabled
         self.gc_threshold = gc_threshold
         g = self.geometry
-        erased = g.erased_page
-        self.pages = [PhysicalPage(PageState.FREE, erased)
-                      for _ in range(g.total_pages)]
+        self.state = bytearray(g.total_pages)
+        self.lpn = array("q", [-1]) * g.total_pages
+        self.stamp = array("q", [0]) * g.total_pages
+        self.payload: dict[int, bytes] = {}
         self.blocks = [BlockState() for _ in range(g.block_count)]
-        # Per-block page tallies, kept current wherever a page changes
-        # state, and the offset below which a block has no FREE page.
-        self.free_count = [g.pages_per_block] * g.block_count
+        # Stale pages per block, kept current wherever a page goes stale
+        # or its block is erased.
         self.stale_count = [0] * g.block_count
-        self.free_cursor = [0] * g.block_count
         self.mapping: dict[int, int] = {}
         # The highest-numbered blocks are held back for bad-block
         # replacement and take no writes until a retirement pulls one in.
         self.allocatable = list(range(g.active_blocks))
         self.reserve_pool = list(range(g.active_blocks, g.block_count))
         # The allocator's whole view: the free pages of the allocatable
-        # blocks, and those blocks with a free page ordered by wear.
-        self.free_active, self.open_blocks = self._recount()
+        # blocks, and those blocks with a free page ordered by wear; and
+        # the stale pages of the allocatable blocks, which a collection
+        # needs before it looks for a victim.
+        self.free_active, self.stale_active, self.open_blocks = \
+            self._recount()
         self.op_counter = 1
         self.read_only = False
         self.gc_runs = 0
@@ -152,12 +161,13 @@ class FtlState:
 
     # -- bookkeeping -------------------------------------------------
 
-    def _ppn(self, block: int, page: int) -> int:
-        return block * self.geometry.pages_per_block + page
-
-    def block_pages(self, block: int):
+    def _span(self, block: int) -> tuple[int, int]:
+        """The first and one-past-last physical page of ``block``."""
         start = block * self.geometry.pages_per_block
-        return range(start, start + self.geometry.pages_per_block)
+        return start, start + self.geometry.pages_per_block
+
+    def _free_in(self, block: int) -> int:
+        return self.state.count(_FREE, *self._span(block))
 
     def free_pages_active(self) -> int:
         return self.free_active
@@ -165,33 +175,35 @@ class FtlState:
     def _wear(self, block: int) -> tuple[int, int]:
         return (self.blocks[block].erase_count, block)
 
-    def _recount(self) -> tuple[int, list[int]]:
-        """The free-page total of the allocatable blocks and the open
-        blocks among them (those with a free page) in ``_wear`` order,
-        counted afresh from the per-block tallies."""
-        return (sum(self.free_count[b] for b in self.allocatable),
-                sorted((b for b in self.allocatable if self.free_count[b]),
+    def _recount(self) -> tuple[int, int, list[int]]:
+        """The free- and stale-page totals of the allocatable blocks and
+        the open blocks among them (those with a free page) in ``_wear``
+        order, counted afresh from the state column and the stale
+        tallies."""
+        free = {b: self._free_in(b) for b in self.allocatable}
+        return (sum(free.values()),
+                sum(self.stale_count[b] for b in self.allocatable),
+                sorted((b for b in self.allocatable if free[b]),
                        key=self._wear))
 
     def active_capacity(self) -> int:
         return len(self.allocatable) * self.geometry.pages_per_block
 
     def check_conservation(self) -> bool:
-        """Recount every block against its tallies and cursor, the
-        free-page total and the open-block index against the tallies,
-        and check that each mapping entry names a VALID page carrying
-        that lpn."""
-        if (self.free_active, self.open_blocks) != self._recount():
+        """Recount every block's stale pages against its tally, the
+        totals and the open-block index against the state column, check
+        that exactly the programmed pages hold a payload, and that each
+        mapping entry names a VALID page carrying that lpn."""
+        if ((self.free_active, self.stale_active, self.open_blocks)
+                != self._recount()):
             return False
-        ppb = self.geometry.pages_per_block
-        for b in range(self.geometry.block_count):
-            states = [p.state for p in self.pages[b * ppb:(b + 1) * ppb]]
-            if (states.count(PageState.FREE) != self.free_count[b]
-                    or states.count(PageState.STALE) != self.stale_count[b]
-                    or PageState.FREE in states[:self.free_cursor[b]]):
-                return False
-        return all(self.pages[ppn].state is PageState.VALID
-                   and self.pages[ppn].lpn == lpn
+        if any(self.state.count(_STALE, *self._span(b)) != self.stale_count[b]
+               for b in range(self.geometry.block_count)):
+            return False
+        if (len(self.payload) != len(self.state) - self.state.count(_FREE)
+                or any(self.state[ppn] == _FREE for ppn in self.payload)):
+            return False
+        return all(self.state[ppn] == _VALID and self.lpn[ppn] == lpn
                    for lpn, ppn in self.mapping.items())
 
     def _allocate(self, exclude: int | None = None) -> int | None:
@@ -203,32 +215,30 @@ class FtlState:
                 break
         else:
             return None
-        base = self._ppn(best, 0)
-        offset = self.free_cursor[best]
-        while self.pages[base + offset].state is not PageState.FREE:
-            offset += 1
-        self.free_cursor[best] = offset
-        return base + offset
+        ppb = self.geometry.pages_per_block
+        return self.state.index(_FREE, best * ppb, (best + 1) * ppb)
 
     def _program(self, ppn: int, payload: bytes, lpn: int) -> None:
-        """Fill a FREE page with a VALID copy of ``payload`` and map
-        ``lpn`` to it."""
-        page = self.pages[ppn]
-        page.state = PageState.VALID
-        page.payload = payload
-        page.lpn = lpn
-        page.timestamp = self.op_counter
+        """Fill a FREE page of an allocatable block with a VALID copy of
+        ``payload`` and map ``lpn`` to it."""
+        self.state[ppn] = _VALID
+        self.payload[ppn] = payload
+        self.lpn[ppn] = lpn
+        self.stamp[ppn] = self.op_counter
         self.op_counter += 1
-        block = ppn // self.geometry.pages_per_block
-        self.free_count[block] -= 1
         self.free_active -= 1
-        if not self.free_count[block]:
+        ppb = self.geometry.pages_per_block
+        block = ppn // ppb
+        if self.state.find(_FREE, block * ppb, (block + 1) * ppb) < 0:
             self.open_blocks.remove(block)
         self.mapping[lpn] = ppn
 
     def _mark_stale(self, ppn: int) -> None:
-        self.pages[ppn].state = PageState.STALE
+        """Only mapped pages go stale, and every mapped page lies in an
+        allocatable block."""
+        self.state[ppn] = _STALE
         self.stale_count[ppn // self.geometry.pages_per_block] += 1
+        self.stale_active += 1
 
     # -- host-facing operations ---------------------------------------
 
@@ -265,7 +275,7 @@ class FtlState:
         ppn = self.mapping.get(lpn)
         if ppn is None:
             return self.geometry.erased_page
-        return bytes(self.pages[ppn].payload)
+        return self.payload[ppn]
 
     def trim(self, lpn: int) -> None:
         """Drop the mapping; the physical payload stays put as stale."""
@@ -281,45 +291,43 @@ class FtlState:
         """Reclaim the block with the most stale pages (ties: lowest
         index).  Valid pages are relocated first, leaving stale copies
         behind until the erase itself.  A block whose next erase would
-        reach the endurance limit is retired instead of erased."""
+        reach the endurance limit is retired instead of erased.  With no
+        stale page in the allocatable blocks there is no victim, and
+        none is looked for."""
+        if not self.stale_active:
+            return False
         victim = None
         victim_stale = 0
         for b in self.allocatable:
             if self.stale_count[b] > victim_stale:
                 victim, victim_stale = b, self.stale_count[b]
-        if victim is None:
-            return False
         if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
             return self.retire_block(victim)
         # Start no collection that cannot finish: the victim's valid
         # pages must fit the free pages of the other blocks.
-        valid = (self.geometry.pages_per_block - self.free_count[victim]
-                 - victim_stale)
-        if valid > self.free_pages_active() - self.free_count[victim]:
+        ppb = self.geometry.pages_per_block
+        free = self._free_in(victim)
+        if ppb - free - victim_stale > self.free_pages_active() - free:
             return False
-        for p in self.block_pages(victim):
-            src = self.pages[p]
-            if src.state is not PageState.VALID:
+        start, end = self._span(victim)
+        for p in range(start, end):
+            if self.state[p] != _VALID:
                 continue
             target = self._allocate(exclude=victim)
             if target is None:
                 raise DeviceFull("no room to relocate during collection")
-            self._program(target, src.payload, src.lpn)
+            self._program(target, self.payload[p], self.lpn[p])
             self._mark_stale(p)
-        erased = self.geometry.erased_page
-        for p in self.block_pages(victim):
-            page = self.pages[p]
-            page.state = PageState.FREE
-            page.payload = erased
-            page.lpn = None
-            page.timestamp = 0
-        if self.free_count[victim]:
+        self.state[start:end] = bytes(ppb)
+        self.lpn[start:end] = array("q", [-1]) * ppb
+        self.stamp[start:end] = array("q", [0]) * ppb
+        for p in range(start, end):
+            self.payload.pop(p, None)
+        if free:
             self.open_blocks.remove(victim)
-        self.free_active += (self.geometry.pages_per_block
-                             - self.free_count[victim])
-        self.free_count[victim] = self.geometry.pages_per_block
+        self.free_active += ppb - free
+        self.stale_active -= self.stale_count[victim]
         self.stale_count[victim] = 0
-        self.free_cursor[victim] = 0
         self.blocks[victim].erase_count += 1
         bisect.insort(self.open_blocks, victim, key=self._wear)
         self.gc_runs += 1
@@ -350,12 +358,13 @@ class FtlState:
         self.allocatable = sorted(set(self.allocatable) - {block} | {repl})
         self.retired_count += 1
         # The replacement joins before its copies are programmed, so
-        # _program keeps the total and the index current for it too.
-        self.free_active, self.open_blocks = self._recount()
-        for offset in range(self.geometry.pages_per_block):
-            src = self.pages[self._ppn(block, offset)]
-            if src.state is PageState.VALID:
-                self._program(self._ppn(repl, offset), src.payload, src.lpn)
+        # _program keeps the totals and the index current for it too.
+        self.free_active, self.stale_active, self.open_blocks = \
+            self._recount()
+        shift = (repl - block) * self.geometry.pages_per_block
+        for src in range(*self._span(block)):
+            if self.state[src] == _VALID:
+                self._program(src + shift, self.payload[src], self.lpn[src])
         return True
 
     # -- forensic interface --------------------------------------------
@@ -364,18 +373,17 @@ class FtlState:
         """Every physical page, payload verbatim.  Pages in retired
         blocks are tagged 'retired' whatever their frozen state was."""
         out = []
-        ppb = self.geometry.pages_per_block
-        for b in range(self.geometry.block_count):
-            retired = self.blocks[b].retired
-            for p in range(ppb):
-                page = self.pages[self._ppn(b, p)]
+        erased = self.geometry.erased_page
+        payload = self.payload.get
+        for b, blk in enumerate(self.blocks):
+            start, end = self._span(b)
+            for ppn in range(start, end):
+                lpn = self.lpn[ppn]
                 out.append(PageDump(
-                    block=b, page=p,
-                    tag="retired" if retired else page.state.value,
-                    payload=page.payload,
-                    lpn=page.lpn,
-                    timestamp=page.timestamp,
-                ))
+                    b, ppn - start,
+                    "retired" if blk.retired else _TAGS[self.state[ppn]],
+                    payload(ppn, erased), None if lpn < 0 else lpn,
+                    self.stamp[ppn]))
         return out
 
     def state_hash(self) -> str:
@@ -384,11 +392,13 @@ class FtlState:
         g = self.geometry
         h.update(struct.pack("<5q", g.block_count, g.pages_per_block,
                              g.page_size, g.reserve_blocks, g.endurance_limit))
-        for page in self.pages:
-            h.update(struct.pack(
-                "<bqq", _STATE_CODE[page.state],
-                -1 if page.lpn is None else page.lpn, page.timestamp))
-            h.update(page.payload)
+        rows = map(struct.Struct("<bqq").pack, self.state, self.lpn,
+                   self.stamp)
+        payloads = map(self.payload.get, range(g.total_pages),
+                       repeat(g.erased_page))
+        for row, payload in zip(rows, payloads):
+            h.update(row)
+            h.update(payload)
         for blk in self.blocks:
             h.update(struct.pack(
                 "<qbq", blk.erase_count, blk.retired,

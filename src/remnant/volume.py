@@ -64,7 +64,7 @@ class FsKind(Enum):
 
 
 class VolumeImage:
-    """A window onto a disk image file or byte buffer.
+    """A window onto a disk image file.
 
     The window starts ``base_offset`` bytes into the backing store (for
     images that carry a partition table in front of the volume).  Reads
@@ -76,19 +76,11 @@ class VolumeImage:
 
     OPEN_FLAGS = os.O_RDONLY
 
-    def __init__(self, *, path=None, buffer=None, base_offset=0):
-        if (path is None) == (buffer is None):
-            raise ValueError("exactly one of path/buffer required")
-        self.path = os.fspath(path) if path is not None else None
+    def __init__(self, *, path, base_offset=0):
+        self.path = os.fspath(path)
         self.base_offset = base_offset
-        self._buffer = None
-        self._fd = None
-        if buffer is not None:
-            self._buffer = bytes(buffer)
-            backing = len(self._buffer)
-        else:
-            self._fd = os.open(self.path, self.OPEN_FLAGS)
-            backing = os.fstat(self._fd).st_size
+        self._fd = os.open(self.path, self.OPEN_FLAGS)
+        backing = os.fstat(self._fd).st_size
         if base_offset < 0 or base_offset >= backing:
             self.close()
             raise VolumeError("offset beyond end of image")
@@ -96,10 +88,6 @@ class VolumeImage:
         if self.size < MIN_IMAGE_BYTES:
             self.close()
             raise VolumeError("image smaller than one sector")
-
-    @classmethod
-    def from_bytes(cls, data, base_offset=0) -> "VolumeImage":
-        return cls(buffer=data, base_offset=base_offset)
 
     def check_span(self, offset: int, length: int,
                    access: str = "read") -> None:
@@ -114,10 +102,7 @@ class VolumeImage:
     def read_at(self, offset: int, length: int) -> bytes:
         """Read exactly ``length`` bytes at ``offset`` (volume-relative)."""
         self.check_span(offset, length)
-        pos = self.base_offset + offset
-        if self._buffer is not None:
-            return self._buffer[pos:pos + length]
-        out = os.pread(self._fd, length, pos)
+        out = os.pread(self._fd, length, self.base_offset + offset)
         if len(out) != length:
             raise VolumeError("short read from backing file")
         return out
@@ -127,13 +112,10 @@ class VolumeImage:
         byte, or ``size`` when only holes remain.
 
         A hole in a sparse backing file reads as zeros, so a scan for
-        nonzero bytes may skip it.  A buffer, or a file whose holes the
-        system cannot report, returns ``offset``: every byte may matter.
-        The seek moves the file's own offset, which no read or write
-        uses.
+        nonzero bytes may skip it.  A file whose holes the system cannot
+        report returns ``offset``: every byte may matter.  The seek moves
+        the file's own offset, which no read or write uses.
         """
-        if self._fd is None:
-            return offset
         try:
             pos = os.lseek(self._fd, self.base_offset + offset, os.SEEK_DATA)
         except OSError as exc:
@@ -152,8 +134,7 @@ class VolumeImage:
         self.close()
 
     def __repr__(self) -> str:
-        src = self.path if self.path is not None else "<buffer>"
-        return f"VolumeImage({src!r}, base_offset={self.base_offset}, size={self.size})"
+        return f"VolumeImage({self.path!r}, base_offset={self.base_offset}, size={self.size})"
 
 
 def open_image(path, base_offset: int = 0) -> VolumeImage:

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from remnant import forge
+from remnant.volume import VolumeImage
 
 FS_KINDS = ("fat12", "fat16", "fat32", "ntfs")
 
@@ -70,6 +71,23 @@ def base_images(tmp_path_factory):
         truth = forge.build_image(spec, img, truth_path=str(img) + ".truth.json")
         images[fs] = (img, truth)
     return images
+
+
+@pytest.fixture(scope="session")
+def image_of(tmp_path_factory):
+    """Factory: ``data`` written to a file and opened as ``cls`` (a
+    VolumeImage unless given).  Each call replaces the one file's
+    directory entry, so an image still open keeps its bytes and a
+    hypothesis test leaves one file behind, however many examples it
+    runs.  Close each image, or open it in a ``with`` block."""
+    path = tmp_path_factory.mktemp("bytes") / "image.bin"
+
+    def make(data, base_offset=0, cls=VolumeImage):
+        path.unlink(missing_ok=True)
+        path.write_bytes(data)
+        return cls(path=path, base_offset=base_offset)
+
+    return make
 
 
 @pytest.fixture

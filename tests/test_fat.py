@@ -27,7 +27,6 @@ from remnant.volume import (
     CorruptBootRecord,
     FsKind,
     VolumeDescriptor,
-    VolumeImage,
     cluster_offset,
     detect_filesystem,
     merge_runs,
@@ -670,16 +669,17 @@ def _planted_heap(draw):
                       (_BATCH + 6, 0, _dir_head(_NAMES[:2])),
                       (_BATCH + 7, 0, _dir_head(_NAMES[:2]))]),
                {_BATCH + 7}, set()))
-def test_strided_carve_matches_the_per_cluster_reference(heap):
+def test_strided_carve_matches_the_per_cluster_reference(heap, image_of):
     buf, live, consumed = heap
     desc = _desc16(cluster_count=_HEAP)
     lead = desc.first_data_sector * desc.bytes_per_sector
-    img = VolumeImage.from_bytes(bytes(lead) + buf)
     fat = _table(cluster_count=_HEAP)
     live = _bitmap(desc, live)
     want_consumed, got_consumed = _bitmap(desc, consumed), _bitmap(desc, consumed)
-    want = _carve_per_cluster(img, desc, fat, live, want_consumed)
-    got = list(fatmod._carve_orphan_dirs(img, desc, fat, live, got_consumed))
+    with image_of(bytes(lead) + buf) as img:
+        want = _carve_per_cluster(img, desc, fat, live, want_consumed)
+        got = list(fatmod._carve_orphan_dirs(img, desc, fat, live,
+                                             got_consumed))
     assert got == want
     assert got_consumed == want_consumed
 
@@ -693,15 +693,14 @@ def _load_fat_per_entry(raw, kind, n):
     return [v & 0x0FFFFFFF for v in struct.unpack_from("<%dI" % n, raw, 0)]
 
 
-def _table_volume(kind, raw, n):
+def _table_volume(image_of, kind, raw, n):
     sectors = -(-len(raw) // 512)
     desc = VolumeDescriptor(
         kind=kind, bytes_per_sector=512, sectors_per_cluster=1,
         total_sectors=1 + sectors + n, reserved_sectors=1, num_fats=1,
         sectors_per_fat=sectors, first_data_sector=1 + sectors,
         cluster_count=n - 2)
-    return VolumeImage.from_bytes(bytes(512) + raw.ljust(sectors * 512,
-                                                         b"\0")), desc
+    return image_of(bytes(512) + raw.ljust(sectors * 512, b"\0")), desc
 
 
 @settings(max_examples=150, deadline=None)
@@ -710,7 +709,7 @@ def _table_volume(kind, raw, n):
        chunk=st.sampled_from([64, volume.STREAM_CHUNK]))
 @example(data=None, fat32=True, tail=b"\xff" * 4, chunk=64)
 def test_table_decode_matches_the_per_entry_reference(data, fat32, tail,
-                                                      chunk):
+                                                      chunk, image_of):
     """A 64-byte chunk splits the table into many pieces, each of whole
     entries as a STREAM_CHUNK piece is."""
     kind = FsKind.FAT32 if fat32 else FsKind.FAT16
@@ -722,8 +721,8 @@ def test_table_decode_matches_the_per_entry_reference(data, fat32, tail,
             st.integers(min_value=0, max_value=(1 << 8 * width) - 1),
             min_size=2, max_size=700))
     raw = b"".join(v.to_bytes(width, "little") for v in values) + tail
-    img, desc = _table_volume(kind, raw, len(values))
-    with pytest.MonkeyPatch.context() as mp:
+    img, desc = _table_volume(image_of, kind, raw, len(values))
+    with img, pytest.MonkeyPatch.context() as mp:
         mp.setattr(volume, "STREAM_CHUNK", chunk)
         got = fatmod.load_fat(img, desc).entries
     assert list(got) == _load_fat_per_entry(raw, kind, len(values))
@@ -749,14 +748,14 @@ def test_fat32_table_decodes_in_one_table_of_memory(tmp_path):
     assert peak < 4 * len(table.entries) + 3 * volume.STREAM_CHUNK
 
 
-def test_table_shorter_than_the_heap_is_reported():
+def test_table_shorter_than_the_heap_is_reported(image_of):
     # 600 clusters need 1,204 table bytes; one sector holds 512.
     desc = _desc16(cluster_count=600)
-    img = VolumeImage.from_bytes(bytes(desc.total_sectors * 512))
-    with pytest.raises(CorruptBootRecord):
-        fatmod.load_fat(img, desc)
-    assert any("allocation table unreadable" in w
-               for w in survey(img, desc).warnings)
+    with image_of(bytes(desc.total_sectors * 512)) as img:
+        with pytest.raises(CorruptBootRecord):
+            fatmod.load_fat(img, desc)
+        assert any("allocation table unreadable" in w
+                   for w in survey(img, desc).warnings)
 
 
 # ---------------------------------------------------- run-at-a-time audit

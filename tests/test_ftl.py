@@ -1,7 +1,11 @@
 """Flash translation layer: out-of-place writes, remnants, retirement."""
 
 import hashlib
+import importlib.util
+import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,9 @@ from remnant.ftl import (
     run_retirement_experiment,
 )
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 PAGE = 2048
+FREE = list(PageState).index(PageState.FREE)     # its code in FtlState.state
 
 
 def _state(**kw):
@@ -476,9 +482,10 @@ def test_collection_that_cannot_finish_is_not_started():
     apply_random_operations(s, 2000, random.Random(0))
 
     def snapshot():
-        return (s.op_counter, list(s.stale_count), list(s.free_count),
-                s.gc_runs, [b.erase_count for b in s.blocks],
-                [p.state for p in s.pages], dict(s.mapping))
+        return (s.op_counter, list(s.stale_count), s.gc_runs,
+                [b.erase_count for b in s.blocks], bytes(s.state),
+                s.lpn.tobytes(), s.stamp.tobytes(), dict(s.payload),
+                dict(s.mapping))
 
     failed = 0
     for i in range(300):
@@ -535,9 +542,6 @@ def test_conservation_catches_drifted_tallies_and_mappings():
     s.stale_count[0] += 1
     assert not s.check_conservation()
     s.stale_count[0] -= 1
-    s.free_cursor[0] = 3                   # page 2 below it is still FREE
-    assert not s.check_conservation()
-    s.free_cursor[0] = 2
     s.mapping[0] = 0                       # the stale copy, not the live one
     assert not s.check_conservation()
 
@@ -549,6 +553,12 @@ def test_conservation_catches_a_drifted_total_and_index():
     s.free_active += 1
     assert not s.check_conservation()
     s.free_active -= 1
+    s.stale_active += 1
+    assert not s.check_conservation()
+    s.stale_active -= 1
+    s.payload[5] = _payload(1)             # a FREE page with a payload
+    assert not s.check_conservation()
+    del s.payload[5]
     dropped = s.open_blocks.pop(0)         # block 0 still has free pages
     assert not s.check_conservation()
     s.open_blocks.insert(0, dropped)
@@ -559,28 +569,33 @@ def test_conservation_catches_a_drifted_total_and_index():
 
 # ------------------------------------- the allocator against the old scans
 
+def _free_pages(s, block):
+    """Count the FREE pages of ``block`` in the state column."""
+    ppb = s.geometry.pages_per_block
+    return s.state[block * ppb:(block + 1) * ppb].count(FREE)
+
+
 class _ScanningFtl(FtlState):
     """The allocator before the running free-page total and the
-    open-block index: both scan every allocatable block."""
+    open-block index: both scan every allocatable block, and the page
+    is found by walking the block from its first page."""
 
     def free_pages_active(self):
-        return sum(self.free_count[b] for b in self.allocatable)
+        return sum(_free_pages(self, b) for b in self.allocatable)
 
     def _allocate(self, exclude=None):
         best = None
         for b in self.allocatable:
-            if (b != exclude and self.free_count[b]
+            if (b != exclude and _free_pages(self, b)
                     and (best is None or self.blocks[b].erase_count
                          < self.blocks[best].erase_count)):
                 best = b
         if best is None:
             return None
-        base = self._ppn(best, 0)
-        offset = self.free_cursor[best]
-        while self.pages[base + offset].state is not PageState.FREE:
-            offset += 1
-        self.free_cursor[best] = offset
-        return base + offset
+        ppn = best * self.geometry.pages_per_block
+        while self.state[ppn] != FREE:
+            ppn += 1
+        return ppn
 
 
 class _AllocationLog:
@@ -590,7 +605,7 @@ class _AllocationLog:
     def _allocate(self, exclude=None):
         ppn = super()._allocate(exclude)
         self.allocated.append(ppn)
-        if exclude is not None and self.free_count[exclude]:
+        if exclude is not None and _free_pages(self, exclude):
             self.skipped_open_victim = True
         return ppn
 
@@ -767,3 +782,65 @@ def test_filling_a_volume_sized_device_reproduces_recorded_state():
     assert s.state_hash() == ("8a2a2b153c0fa35be8935ef98d1fe331"
                               "0d1a71794dfb6e97d5d2a1a2770ab742")
     assert s.check_conservation()
+
+
+# ------------------------------------------------------------- costs
+
+def test_a_volume_sized_page_store_is_small():
+    # 4,160 x 64 x 2 KiB (520 MiB of flash): one state byte and two
+    # 8-byte columns per page come to 4.3 MiB; a page object each traced
+    # 29.4 MiB.  A fresh device holds no payload.
+    g = FlashGeometry(block_count=4160, pages_per_block=64, page_size=2048)
+    tracemalloc.start()
+    try:
+        s = FtlState(geometry=g)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 8 << 20
+    assert not s.payload
+
+
+class _ReadCountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_a_sequential_fill_never_scans_for_a_victim():
+    # Each logical page written once leaves no stale page, so the
+    # collections the threshold triggers have nothing to reclaim and
+    # must not read a block's stale tally looking for a victim.
+    s = _state(gc_threshold=0.25)
+    s.stale_count = _ReadCountingList(s.stale_count)
+    triggered = 0
+    for lpn in range(s.geometry.logical_pages):
+        if s.free_pages_active() < 0.25 * s.active_capacity():
+            triggered += 1
+        s.write(lpn, _payload(lpn))
+    assert triggered
+    assert s.stale_count.reads == 0
+    assert s.gc_runs == 0
+    assert s.check_conservation()
+
+
+# ------------------------------------------ the benchmark's FTL contract
+
+def test_benchmark_churn_reproduces_its_recorded_toy_runs():
+    # bench/probe.py drives the simulator through its public API and
+    # bench/expected_ftl.json records what each seed must give.
+    spec = importlib.util.spec_from_file_location("bench_probe",
+                                                  BENCH / "probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    expected = json.loads((BENCH / "expected_ftl.json").read_text())["toy"]
+    assert sorted(expected, key=int) == [str(seed) for seed in range(10)]
+    for seed in range(10):
+        got = probe.run_ftl(seed, "toy", None)
+        assert got["conserved"] and not got["read_mismatches"]
+        assert {key: got[key] for key in expected[str(seed)]} \
+            == expected[str(seed)]

@@ -39,7 +39,6 @@ from remnant.volume import (
     FsKind,
     VolumeDescriptor,
     VolumeError,
-    VolumeImage,
     cluster_offset,
     detect_filesystem,
     open_image,
@@ -244,7 +243,8 @@ def test_records_keep_their_index_across_a_sparse_mft_run(base_images,
                for index, offset in by_index.items())
 
 
-def test_a_record_cut_by_a_sparse_mft_run_is_not_stitched(monkeypatch):
+def test_a_record_cut_by_a_sparse_mft_run_is_not_stitched(monkeypatch,
+                                                           image_of):
     """With 512 B clusters a 1 KiB record spans two clusters.  The
     sparse cluster at VCN 3 cuts record 1 in half; the run after it
     opens with record 2, read whole at its own index."""
@@ -252,7 +252,8 @@ def test_a_record_cut_by_a_sparse_mft_run_is_not_stitched(monkeypatch):
     monkeypatch.setattr(ntfs, "mft_extent", lambda img, desc:
                         [(0, 3), (None, 1), (4, 12)])
     stats = MftScanStats()
-    records = list(scan_mft(VolumeImage.from_bytes(buf), desc, stats))
+    with image_of(buf) as img:
+        records = list(scan_mft(img, desc, stats))
     assert [(r.header.record_index, r.offset) for r in records] == \
         [(0, 0)] + [(i, i * 1024) for i in range(2, 8)]
     assert (stats.records_seen, stats.corrupt, stats.skipped) == (7, 0, 0)
@@ -302,7 +303,7 @@ def _mft_layout(draw):
 @settings(max_examples=200, deadline=None)
 @given(layout=_mft_layout())
 @example(layout=(512, 0, [(0, 3), (None, 1), (4, 12)]))
-def test_mft_slots_match_the_per_record_reference(layout):
+def test_mft_slots_match_the_per_record_reference(layout, image_of):
     """Chunks of 1.5 records put chunk edges mid-record, on top of the
     run edges and sparse runs the layout draws."""
     cs, seed, extent = layout
@@ -310,17 +311,16 @@ def test_mft_slots_match_the_per_record_reference(layout):
                             sectors_per_cluster=cs // 512,
                             total_sectors=_MFT_CLUSTERS * cs // 512,
                             mft_lcn=0, mft_record_size=1024)
-    img = VolumeImage.from_bytes(
-        random.Random(seed).randbytes(_MFT_CLUSTERS * cs))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ntfs, "mft_extent", lambda img, desc: extent)
-        mp.setattr(volume, "STREAM_CHUNK", 1536)
-        got = [(i, off, bytes(buf))
-               for i, off, buf in ntfs.mft_slots(img, desc)]
-    assert got == _slots_per_record(img, desc, extent)
+    with image_of(random.Random(seed).randbytes(_MFT_CLUSTERS * cs)) as img:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntfs, "mft_extent", lambda img, desc: extent)
+            mp.setattr(volume, "STREAM_CHUNK", 1536)
+            got = [(i, off, bytes(buf))
+                   for i, off, buf in ntfs.mft_slots(img, desc)]
+        assert got == _slots_per_record(img, desc, extent)
 
 
-def test_forge_reads_the_bitmap_from_the_slot_scan_mft_numbers_6():
+def test_forge_reads_the_bitmap_from_the_slot_scan_mft_numbers_6(image_of):
     """Record 0's $MFT run list is [(0, 3), (None, 1), (4, 12)] over
     512 B clusters, so the sparse cluster at VCN 3 stands for half a
     record and the record at byte 6144 is record 6 (stream offset
@@ -335,10 +335,11 @@ def test_forge_reads_the_bitmap_from_the_slot_scan_mft_numbers_6():
         (0, record(0, [(0, 3), (None, 1), (4, 12)], 16 * cs)),
         (6144, record(6, [(100, 3)], 1029)),
         (7168, record(7, [(200, 3)], 1029))])
-    img = VolumeImage.from_bytes(buf)
-    by_index = {r.header.record_index: r.offset for r in scan_mft(img, desc)}
-    assert by_index[6] == 6144
-    assert forge._ntfs_cluster_bitmap(img, desc) == (100, 1029)
+    with image_of(buf) as img:
+        by_index = {r.header.record_index: r.offset
+                    for r in scan_mft(img, desc)}
+        assert by_index[6] == 6144
+        assert forge._ntfs_cluster_bitmap(img, desc) == (100, 1029)
 
 
 def test_a_volume_sized_mft_run_is_read_a_chunk_at_a_time(base_images,
@@ -829,14 +830,14 @@ _RECORD = bytes(_blank_record())
 @example(volume=(_ntfs_volume(4096, [(_BATCH_END - 1024, _RECORD),
                                      (_BATCH_END + 3072, _RECORD)]),
                  set(), {_BATCH_END // 4096}))
-def test_strided_carve_matches_the_per_slot_reference(volume):
+def test_strided_carve_matches_the_per_slot_reference(volume, image_of):
     (desc, buf), known, skip_set = volume
     skip = bytearray(desc.total_clusters)
     for cluster in skip_set:
         skip[cluster] = 1
-    img = VolumeImage.from_bytes(buf)
     want_stats, got_stats = MftScanStats(), MftScanStats()
-    want = list(_carve_per_slot(img, desc, known, skip, want_stats))
-    got = list(ntfs.carve_records(img, desc, known, skip, got_stats))
+    with image_of(buf) as img:
+        want = list(_carve_per_slot(img, desc, known, skip, want_stats))
+        got = list(ntfs.carve_records(img, desc, known, skip, got_stats))
     assert got == want
     assert got_stats == want_stats

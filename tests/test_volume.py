@@ -98,18 +98,12 @@ def test_a_refused_span_names_its_access(tmp_path):
     assert path.read_bytes() == b"\x00" * 1024
 
 
-def test_from_bytes_matches_file_backed(tmp_path):
-    data = bytes(range(256)) * 4
-    path = tmp_path / "raw.img"
-    path.write_bytes(data)
-    mem = VolumeImage.from_bytes(data)
-    with open_image(path) as disk:
-        assert mem.read_at(100, 50) == disk.read_at(100, 50)
-
-
-def test_next_data_of_a_buffer_is_the_offset():
-    img = VolumeImage.from_bytes(bytes(2048))
-    assert [img.next_data(off) for off in (0, 700, 2048)] == [0, 700, 2048]
+def test_next_data_of_a_dense_file_is_the_offset(tmp_path):
+    path = tmp_path / "dense.img"
+    path.write_bytes(b"\xAA" * 2048)
+    with open_image(path) as img:
+        assert [img.next_data(off) for off in (0, 700)] == [0, 700]
+        assert img.next_data(2048) == 2048
 
 
 def test_next_data_past_the_last_extent_is_the_size(tmp_path):
@@ -138,18 +132,19 @@ def test_next_data_when_holes_cannot_be_told_is_the_offset(tmp_path,
 
 # ----------------------------------------------------------- detection
 
-def test_detect_rejects_all_zero_sector():
-    img = VolumeImage.from_bytes(b"\x00" * MiB)
-    with pytest.raises(UnrecognizedVolume):
-        detect_filesystem(img)
+def test_detect_rejects_all_zero_sector(image_of):
+    with image_of(b"\x00" * MiB) as img:
+        with pytest.raises(UnrecognizedVolume):
+            detect_filesystem(img)
 
 
-def test_detect_requires_boot_signature(base_images):
+def test_detect_requires_boot_signature(base_images, image_of):
     path, _ = base_images["fat32"]
     raw = bytearray(path.read_bytes())
     raw[510:512] = b"\x00\x00"  # clobber the 0x55AA marker
-    with pytest.raises(UnrecognizedVolume):
-        detect_filesystem(VolumeImage.from_bytes(bytes(raw)))
+    with image_of(bytes(raw)) as img:
+        with pytest.raises(UnrecognizedVolume):
+            detect_filesystem(img)
 
 
 @pytest.mark.parametrize("fs", ["fat12", "fat16", "fat32", "ntfs"])
@@ -292,16 +287,15 @@ def _read_clusters(img, desc, clusters):
     return b"".join(img.read_at(offset, length) for offset, length in extents)
 
 
-def test_read_clusters_concatenates_in_call_order():
+def test_read_clusters_concatenates_in_call_order(image_of):
     desc = _ntfs_desc(total_sectors=8 * 8)  # 8 clusters of 4 KiB
     buf = bytearray()
     for i in range(8):
         buf += bytes([i]) * 4096
-    img = VolumeImage.from_bytes(bytes(buf))
-
-    out = _read_clusters(img, desc, [3, 5, 4])
-    assert out == b"\x03" * 4096 + b"\x05" * 4096 + b"\x04" * 4096
-    assert _read_clusters(img, desc, []) == b""
+    with image_of(bytes(buf)) as img:
+        out = _read_clusters(img, desc, [3, 5, 4])
+        assert out == b"\x03" * 4096 + b"\x05" * 4096 + b"\x04" * 4096
+        assert _read_clusters(img, desc, []) == b""
 
 
 # -------------------------------------------- run-at-a-time cluster reads
@@ -345,10 +339,10 @@ def _small_fat32():
         root_cluster=2, first_data_sector=1, cluster_count=8)
 
 
-def _numbered_image(clusters, cluster_size, lead=0):
+def _numbered_image(image_of, clusters, cluster_size, lead=0):
     buf = bytes(lead) + b"".join(bytes([i]) * cluster_size
                                  for i in range(clusters))
-    return _CountingImage(buffer=buf)
+    return image_of(buf, cls=_CountingImage)
 
 
 @pytest.mark.parametrize("clusters, bad", [
@@ -357,22 +351,22 @@ def _numbered_image(clusters, cluster_size, lead=0):
     ([2, 3, -1, 0, 1], -1),
 ])
 def test_read_clusters_names_the_first_bad_member_and_reads_nothing(
-        clusters, bad):
+        clusters, bad, image_of):
     desc = _small_fat32()
-    img = _numbered_image(10, 512, lead=512)
-    with pytest.raises(ClusterRangeError) as new:
-        _read_clusters(img, desc, clusters)
-    assert str(new.value) == "cluster %d outside heap" % bad
-    with pytest.raises(ClusterRangeError) as old:
-        _read_clusters_per_cluster(img, desc, clusters)
+    with _numbered_image(image_of, 10, 512, lead=512) as img:
+        with pytest.raises(ClusterRangeError) as new:
+            _read_clusters(img, desc, clusters)
+        assert str(new.value) == "cluster %d outside heap" % bad
+        with pytest.raises(ClusterRangeError) as old:
+            _read_clusters_per_cluster(img, desc, clusters)
     assert str(new.value) == str(old.value)
     assert img.reads == []
 
 
-def test_read_clusters_issues_one_read_per_run():
+def test_read_clusters_issues_one_read_per_run(image_of):
     desc = _ntfs_desc(total_sectors=8 * 8)
-    img = _numbered_image(8, 4096)
-    out = _read_clusters(img, desc, range(1, 7))
+    with _numbered_image(image_of, 8, 4096) as img:
+        out = _read_clusters(img, desc, range(1, 7))
     assert out == b"".join(bytes([i]) * 4096 for i in range(1, 7))
     assert img.reads == [(4096, 6 * 4096)]
 
@@ -384,7 +378,8 @@ def test_read_clusters_issues_one_read_per_run():
            st.tuples(st.integers(min_value=-2, max_value=12),
                      st.integers(min_value=1, max_value=6))),
            max_size=8))
-def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters):
+def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters,
+                                                         image_of):
     flat = []
     for item in clusters:                 # tuples expand to runs
         if isinstance(item, tuple):
@@ -393,22 +388,23 @@ def test_read_clusters_matches_the_per_cluster_reference(ntfs_kind, clusters):
             flat.append(item)
     if ntfs_kind:
         desc = _ntfs_desc(total_sectors=10 * 8)
-        img = _numbered_image(10, 4096)
+        img = _numbered_image(image_of, 10, 4096)
     else:
         desc = _small_fat32()
-        img = _numbered_image(10, 512, lead=512)
-    try:
-        want = _read_clusters_per_cluster(img, desc, flat)
-    except ClusterRangeError as exc:
+        img = _numbered_image(image_of, 10, 512, lead=512)
+    with img:
+        try:
+            want = _read_clusters_per_cluster(img, desc, flat)
+        except ClusterRangeError as exc:
+            img.reads.clear()
+            with pytest.raises(ClusterRangeError) as got:
+                _read_clusters(img, desc, flat)
+            assert str(got.value) == str(exc)
+            assert img.reads == []
+            return
+        old_reads = list(img.reads)
         img.reads.clear()
-        with pytest.raises(ClusterRangeError) as got:
-            _read_clusters(img, desc, flat)
-        assert str(got.value) == str(exc)
-        assert img.reads == []
-        return
-    old_reads = list(img.reads)
-    img.reads.clear()
-    assert _read_clusters(img, desc, flat) == want
+        assert _read_clusters(img, desc, flat) == want
     assert img.reads == old_reads
 
 
@@ -447,7 +443,8 @@ def _after_a_hole(offset, start, step):
 @given(case=_signature_image(), sparse=st.booleans())
 @example(case=_after_a_hole(4098, 0, 3), sparse=True)
 @example(case=_after_a_hole(2 * 4096 + 1, 1, 512), sparse=True)
-def test_find_signatures_matches_the_per_offset_reference(case, sparse):
+def test_find_signatures_matches_the_per_offset_reference(case, sparse,
+                                                          image_of):
     """Every slot at or past ``start`` and below ``stop`` that opens with
     the signature, and whose ``length`` bytes lie in the image, in
     ascending order, whatever the batch size and wherever the holes."""
@@ -465,27 +462,28 @@ def test_find_signatures_matches_the_per_offset_reference(case, sparse):
                     got = list(find_signatures(img, start, stop, step,
                                                _SIGNATURE, length))
         else:
-            got = list(find_signatures(VolumeImage.from_bytes(data), start,
-                                       stop, step, _SIGNATURE, length))
+            with image_of(data) as img:
+                got = list(find_signatures(img, start, stop, step,
+                                           _SIGNATURE, length))
     finally:
         volume.STREAM_CHUNK = real
     assert got == want
 
 
 def test_find_signatures_reads_no_further_than_the_hit_it_yields(
-        monkeypatch):
+        monkeypatch, image_of):
     """A caller acts on a hit before the next is sought (the FAT carve
     marks the clusters it consumed), so a batch is read only when the
     search reaches it."""
     data = bytearray(4 * 4096)
     data[0:3] = data[3 * 4096:3 * 4096 + 3] = _SIGNATURE
-    img = _CountingImage(buffer=bytes(data))
     monkeypatch.setattr(volume, "STREAM_CHUNK", 4096)
-    hits = find_signatures(img, 0, len(data), 512, _SIGNATURE, 512)
-    assert next(hits)[0] == 0
-    assert img.reads == [(0, 4096)]
-    assert next(hits)[0] == 3 * 4096
-    assert next(hits, None) is None
+    with image_of(bytes(data), cls=_CountingImage) as img:
+        hits = find_signatures(img, 0, len(data), 512, _SIGNATURE, 512)
+        assert next(hits)[0] == 0
+        assert img.reads == [(0, 4096)]
+        assert next(hits)[0] == 3 * 4096
+        assert next(hits, None) is None
     assert len(img.reads) == 4
 
 
@@ -497,15 +495,16 @@ def test_find_signatures_reads_no_further_than_the_hit_it_yields(
                      st.integers(min_value=0, max_value=24))), max_size=6),
        size=st.integers(min_value=0, max_value=700),
        chunk=st.integers(min_value=1, max_value=64))
-def test_read_extents_matches_the_joined_extents(extents, size, chunk):
+def test_read_extents_matches_the_joined_extents(extents, size, chunk,
+                                                 image_of):
     data = bytes(range(256)) * 4 + bytes(24)
-    img = VolumeImage.from_bytes(data)
     want = b"".join(e if isinstance(e, bytes)
                     else bytes(e[1]) if e[0] is None
                     else data[e[0]:e[0] + e[1]] for e in extents)[:size]
     real, volume.STREAM_CHUNK = volume.STREAM_CHUNK, chunk
     try:
-        got = list(read_extents(img, extents, size))
+        with image_of(data) as img:
+            got = list(read_extents(img, extents, size))
     finally:
         volume.STREAM_CHUNK = real
     assert b"".join(got) == want
