@@ -249,8 +249,7 @@ def _run_simulation(cfg: dict, seed: int) -> dict:
             ftlmod.apply_random_operations(state, post,
                                            random.Random(seed + 1))
         dump = state.forensic_dump()
-        retired_payloads = sorted({d.payload for d in dump
-                                   if d.tag == "retired"})
+        retired_payloads = sorted(dump.held("retired"))
         rep = ftlmod.remanence_audit(dump, retired_payloads)
         return {
             "experiment": "retirement",

@@ -8,8 +8,9 @@ Garbage collection is the only operation that destroys a stale payload.
 
 The page store is columnar: one state byte per page, an ``lpn`` and a
 program stamp per page in two integer arrays, and a payload dict that
-holds programmed pages only, so a device costs about 17 bytes per page
-before its first write.
+holds programmed pages only, so a device costs about 13 bytes per page
+before its first write.  ``forensic_dump`` snapshots those columns with
+C-level copies.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class PageState(Enum):
 
 
 # PageState ordinals: the codes FtlState.state holds and state_hash
-# digests, and the dump tag of each.
-_FREE, _VALID, _STALE = range(3)
-_TAGS = [state.value for state in PageState]
+# digests.  A ChipDump's tag column holds them too, and a fourth code
+# for every page of a retired block; _TAGS names each code.
+_FREE, _VALID, _STALE, _RETIRED = range(4)
+_TAGS = [state.value for state in PageState] + ["retired"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,9 @@ class FlashGeometry:
             raise FlashRangeError("reserve must be smaller than the device")
         if self.block_count - self.reserve_blocks < 2:
             raise FlashRangeError("need at least two active blocks")
+        # The lpn columns hold 4-byte signed ints.
+        if self.logical_pages >= 2 ** 31:
+            raise FlashRangeError("logical pages must stay below 2**31")
 
     @property
     def total_pages(self) -> int:
@@ -100,7 +105,7 @@ def desk_geometry() -> FlashGeometry:
                          reserve_blocks=1, endurance_limit=10)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockState:
     erase_count: int = 0
     retired: bool = False
@@ -117,6 +122,58 @@ class PageDump:
     payload: bytes
     lpn: int | None
     timestamp: int
+
+
+@dataclass
+class ChipDump:
+    """Every physical page of a device at one instant, in columns.
+
+    Page ``ppn`` has the tag code ``tag[ppn]`` (free, valid, stale or
+    retired), ``lpn[ppn]`` (-1 for none), ``stamp[ppn]`` and
+    ``payload.get(ppn)``; a page with no payload entry reads as
+    ``geometry.erased_page``.  Iterating or indexing yields PageDump
+    rows, one per page in physical order."""
+
+    geometry: FlashGeometry
+    tag: bytearray
+    payload: dict[int, bytes]
+    lpn: array
+    stamp: array
+
+    def __len__(self) -> int:
+        return len(self.tag)
+
+    def __getitem__(self, ppn: int) -> PageDump:
+        ppn = range(len(self.tag))[ppn]
+        return self._row(ppn, self.geometry.erased_page)
+
+    def __iter__(self):
+        erased = self.geometry.erased_page
+        return (self._row(ppn, erased) for ppn in range(len(self.tag)))
+
+    def _row(self, ppn: int, erased: bytes) -> PageDump:
+        block, page = divmod(ppn, self.geometry.pages_per_block)
+        lpn = self.lpn[ppn]
+        return PageDump(block, page, _TAGS[self.tag[ppn]],
+                        self.payload.get(ppn, erased),
+                        None if lpn < 0 else lpn, self.stamp[ppn])
+
+    def blank_retired(self) -> int:
+        """The retired pages with no payload entry: frozen while free,
+        each reads as the erased pattern."""
+        tag = self.tag
+        return tag.count(_RETIRED) - sum(tag[ppn] == _RETIRED
+                                         for ppn in self.payload)
+
+    def held(self, *tags: str) -> set[bytes]:
+        """The distinct payloads of the pages tagged with one of
+        ``tags``, none of which may be 'free'."""
+        codes = {_TAGS.index(t) for t in tags}
+        tag = self.tag
+        out = {p for ppn, p in self.payload.items() if tag[ppn] in codes}
+        if _RETIRED in codes and self.blank_retired():
+            out.add(self.geometry.erased_page)
+        return out
 
 
 class FtlState:
@@ -136,7 +193,7 @@ class FtlState:
         self.gc_threshold = gc_threshold
         g = self.geometry
         self.state = bytearray(g.total_pages)
-        self.lpn = array("q", [-1]) * g.total_pages
+        self.lpn = array("i", [-1]) * g.total_pages
         self.stamp = array("q", [0]) * g.total_pages
         self.payload: dict[int, bytes] = {}
         self.blocks = [BlockState() for _ in range(g.block_count)]
@@ -319,7 +376,7 @@ class FtlState:
             self._program(target, self.payload[p], self.lpn[p])
             self._mark_stale(p)
         self.state[start:end] = bytes(ppb)
-        self.lpn[start:end] = array("q", [-1]) * ppb
+        self.lpn[start:end] = array("i", [-1]) * ppb
         self.stamp[start:end] = array("q", [0]) * ppb
         for p in range(start, end):
             self.payload.pop(p, None)
@@ -369,22 +426,18 @@ class FtlState:
 
     # -- forensic interface --------------------------------------------
 
-    def forensic_dump(self) -> list[PageDump]:
-        """Every physical page, payload verbatim.  Pages in retired
-        blocks are tagged 'retired' whatever their frozen state was."""
-        out = []
-        erased = self.geometry.erased_page
-        payload = self.payload.get
+    def forensic_dump(self) -> ChipDump:
+        """Every physical page, payload verbatim, as a snapshot that
+        later operations leave unchanged.  Pages in retired blocks are
+        tagged 'retired' whatever their frozen state was."""
+        tag = bytearray(self.state)
+        retired = bytes([_RETIRED]) * self.geometry.pages_per_block
         for b, blk in enumerate(self.blocks):
-            start, end = self._span(b)
-            for ppn in range(start, end):
-                lpn = self.lpn[ppn]
-                out.append(PageDump(
-                    b, ppn - start,
-                    "retired" if blk.retired else _TAGS[self.state[ppn]],
-                    payload(ppn, erased), None if lpn < 0 else lpn,
-                    self.stamp[ppn]))
-        return out
+            if blk.retired:
+                start, end = self._span(b)
+                tag[start:end] = retired
+        return ChipDump(self.geometry, tag, dict(self.payload),
+                        self.lpn[:], self.stamp[:])
 
     def state_hash(self) -> str:
         """Stable digest of the complete device state."""
@@ -451,7 +504,7 @@ class RemanenceReport:
         }
 
 
-def remanence_audit(dump: list[PageDump], history) -> RemanenceReport:
+def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
     """Count the physical copies of every historical payload.
 
     ``history`` is the experiment's write log: (lpn, payload) pairs or
@@ -471,15 +524,20 @@ def remanence_audit(dump: list[PageDump], history) -> RemanenceReport:
         if lpn is not None:
             lpns[rank[payload]].add(lpn)
 
-    # One pass over the dump tallies live, stale and retired copies per
-    # history payload.  FREE pages count for nothing, even when the
-    # erased pattern is in the history.
-    slot = {"valid": 0, "stale": 1, "retired": 2}
+    # One pass over the programmed pages tallies live, stale and retired
+    # copies per history payload: tag codes 1-3 are those three slots.
+    # FREE pages hold no payload and count for nothing, even when the
+    # erased pattern is in the history; a retired page with no payload
+    # is a retired copy of that pattern.
     copies = [0] * (3 * len(lpns))
-    for d in dump:
-        i = rank.get(d.payload)
-        if i is not None and d.tag in slot:
-            copies[3 * i + slot[d.tag]] += 1
+    tag = dump.tag
+    for ppn, payload in dump.payload.items():
+        i = rank.get(payload)
+        if i is not None:
+            copies[3 * i + tag[ppn] - 1] += 1
+    i = rank.get(dump.geometry.erased_page)
+    if i is not None:
+        copies[3 * i + 2] += dump.blank_retired()
 
     rows = []
     live_total = stale_total = retired_total = 0
@@ -554,8 +612,7 @@ def run_cycle_experiment(state: FtlState, payloads: list[bytes],
     for it in range(1, iterations + 1):
         if force_gc:
             state.garbage_collect()
-        present = {d.payload for d in state.forensic_dump()
-                   if d.tag in ("valid", "stale", "retired")}
+        present = state.forensic_dump().held("valid", "stale", "retired")
         recovered = [lpn for lpn, p in history if p in present]
         try:
             for lpn in recovered:

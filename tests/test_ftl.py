@@ -5,12 +5,14 @@ import importlib.util
 import json
 import random
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remnant.ftl import (
+    ChipDump,
     DeviceFull,
     FlashGeometry,
     FlashRangeError,
@@ -30,6 +32,7 @@ from remnant.ftl import (
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PAGE = 2048
 FREE = list(PageState).index(PageState.FREE)     # its code in FtlState.state
+TAGS = ["free", "valid", "stale", "retired"]      # a ChipDump's tag codes
 
 
 def _state(**kw):
@@ -63,6 +66,17 @@ def test_geometry_validation():
         FlashGeometry(block_count=3, reserve_blocks=2)  # one active block
     with pytest.raises(FlashRangeError):
         FlashGeometry(page_size=-1)
+
+
+def test_geometry_keeps_logical_pages_below_2_31():
+    # The lpn columns hold 4-byte ints.  Geometries are checked before
+    # any device is built, so neither of these allocates one.
+    fits = FlashGeometry(block_count=2 ** 25, pages_per_block=64,
+                         reserve_blocks=0)
+    assert fits.logical_pages == 2 ** 31 - 64
+    with pytest.raises(FlashRangeError):
+        FlashGeometry(block_count=2 ** 25 + 1, pages_per_block=64,
+                      reserve_blocks=0)
 
 
 def test_fresh_device_is_fully_erased():
@@ -306,6 +320,56 @@ def test_exhausted_reserve_makes_the_device_read_only():
     assert s.read(0) == bytes([1]) * 64
 
 
+# ------------------------------------------------------------ chip dumps
+
+def test_a_dump_is_a_snapshot():
+    s = _state(gc_enabled=False)
+    for lpn in range(40):
+        s.write(lpn, _payload(lpn))
+    for lpn in range(10):
+        s.write(lpn, _payload(100 + lpn))      # ten stale pages in block 0
+    dump = s.forensic_dump()
+    rows = list(dump)
+    s.write(50, _payload(50))
+    s.trim(20)
+    assert s.garbage_collect() is True         # erases block 0
+    s.blocks[1].erase_count = s.geometry.endurance_limit - 1
+    assert s.retire_block(1) is True
+    assert list(dump) == rows
+    assert list(s.forensic_dump()) != rows
+
+
+def _reference_rows(s):
+    """The dump built page by page from the live columns."""
+    ppb = s.geometry.pages_per_block
+    rows = []
+    for ppn in range(s.geometry.total_pages):
+        block, lpn = ppn // ppb, s.lpn[ppn]
+        rows.append(PageDump(
+            block, ppn % ppb,
+            "retired" if s.blocks[block].retired
+            else list(PageState)[s.state[ppn]].value,
+            s.payload.get(ppn, s.geometry.erased_page),
+            None if lpn < 0 else lpn, s.stamp[ppn]))
+    return rows
+
+
+def test_dump_rows_match_the_live_columns():
+    s = _state()
+    run_retirement_experiment(s)
+    apply_random_operations(s, 500, random.Random(3))
+    assert s.retired_count == 1
+    dump = s.forensic_dump()
+    rows = _reference_rows(s)
+    assert {row.tag for row in rows} == set(TAGS)
+    assert len(dump) == len(rows) == s.geometry.total_pages
+    assert list(dump) == rows
+    assert [dump[ppn] for ppn in range(len(rows))] == rows
+    assert dump[-1] == rows[-1]
+    with pytest.raises(IndexError):
+        dump[len(rows)]
+
+
 # ------------------------------------------------------- remanence audits
 
 def test_audit_counts_every_stranded_copy():
@@ -361,23 +425,38 @@ def _reference_audit(dump, history):
             "retired_copies": retired_t, "recoverable_bytes": recoverable}
 
 
-# A tiny alphabet so payloads repeat; b"\xFF" * 4 plays the erased pattern.
+# A tiny alphabet so payloads repeat; b"\xFF" * 4 is the erased pattern
+# of a 4-byte page.  A free page holds no payload, a valid or stale page
+# holds one, and a retired page may hold either: with none, it reads as
+# the erased pattern.
 _payloads = st.sampled_from([b"\xFF" * 4, b"\x00" * 4, b"ab", b"abc", b"z"])
+_page = st.one_of(
+    st.tuples(st.just("free"), st.none()),
+    st.tuples(st.sampled_from(["valid", "stale", "retired"]), _payloads),
+    st.tuples(st.just("retired"), st.none()))
 
 
 @settings(max_examples=200, deadline=None)
-@given(pages=st.lists(st.tuples(_payloads, st.sampled_from(
-           ["free", "valid", "stale", "retired"])), max_size=40),
+@given(pages=st.integers(2, 5).flatmap(
+           lambda blocks: st.lists(_page, min_size=8 * blocks,
+                                   max_size=8 * blocks)),
        history=st.lists(st.one_of(
            _payloads, _payloads.map(bytearray),
            st.tuples(st.integers(0, 7), _payloads)), max_size=20))
 def test_audit_matches_the_pairwise_reference(pages, history):
+    geometry = FlashGeometry(block_count=len(pages) // 8, pages_per_block=8,
+                             page_size=4, reserve_blocks=0)
     # Equal but distinct payload objects, as a real dump holds.
-    dump = [PageDump(block=i // 8, page=i % 8, tag=tag,
-                     payload=bytes(bytearray(payload)), lpn=None, timestamp=0)
-            for i, (payload, tag) in enumerate(pages)]
+    dump = ChipDump(geometry, bytearray(TAGS.index(tag) for tag, _ in pages),
+                    {ppn: bytes(bytearray(payload))
+                     for ppn, (_, payload) in enumerate(pages)
+                     if payload is not None},
+                    array("i", [-1]) * len(pages),
+                    array("q", [0]) * len(pages))
     assert (remanence_audit(dump, history).as_dict()
-            == _reference_audit(dump, history))
+            == _reference_audit(list(dump), history))
+    for tags in (["retired"], ["valid", "stale", "retired"]):
+        assert dump.held(*tags) == {d.payload for d in dump if d.tag in tags}
 
 
 def test_collection_destroys_remnants():
@@ -787,9 +866,11 @@ def test_filling_a_volume_sized_device_reproduces_recorded_state():
 # ------------------------------------------------------------- costs
 
 def test_a_volume_sized_page_store_is_small():
-    # 4,160 x 64 x 2 KiB (520 MiB of flash): one state byte and two
-    # 8-byte columns per page come to 4.3 MiB; a page object each traced
-    # 29.4 MiB.  A fresh device holds no payload.
+    # 4,160 x 64 x 2 KiB (520 MiB of flash): a state byte, a 4-byte lpn
+    # and an 8-byte stamp per page come to 3.3 MiB of the 3.9 MiB
+    # traced; a page object each traced 29.4 MiB, and two 8-byte columns
+    # beside unslotted block records 5.1 MiB.  A fresh device holds no
+    # payload.
     g = FlashGeometry(block_count=4160, pages_per_block=64, page_size=2048)
     tracemalloc.start()
     try:
@@ -797,8 +878,24 @@ def test_a_volume_sized_page_store_is_small():
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traced < 8 << 20
+    assert traced < 5 << 20
     assert not s.payload
+
+
+def test_a_dump_of_a_volume_sized_device_is_small():
+    # A tag byte, a 4-byte lpn and an 8-byte stamp per page come to
+    # 3.3 MiB on 4,160 x 64 x 2 KiB; a row object per page traced
+    # 34.8 MiB.  A fresh device has no payload to copy.
+    s = FtlState(geometry=FlashGeometry(block_count=4160, pages_per_block=64,
+                                        page_size=2048))
+    tracemalloc.start()
+    try:
+        dump = s.forensic_dump()
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 4 << 20
+    assert not dump.payload
 
 
 class _ReadCountingList(list):
@@ -830,17 +927,29 @@ def test_a_sequential_fill_never_scans_for_a_victim():
 
 # ------------------------------------------ the benchmark's FTL contract
 
-def test_benchmark_churn_reproduces_its_recorded_toy_runs():
-    # bench/probe.py drives the simulator through its public API and
-    # bench/expected_ftl.json records what each seed must give.
+def _check_bench_runs(size, seeds):
+    """bench/probe.py drives the simulator through its public API, and
+    bench/expected_ftl.json records what each seed must give at ``size``:
+    the state hash, collections, relocations and stale copies."""
     spec = importlib.util.spec_from_file_location("bench_probe",
                                                   BENCH / "probe.py")
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
-    expected = json.loads((BENCH / "expected_ftl.json").read_text())["toy"]
+    expected = json.loads((BENCH / "expected_ftl.json").read_text())[size]
     assert sorted(expected, key=int) == [str(seed) for seed in range(10)]
-    for seed in range(10):
-        got = probe.run_ftl(seed, "toy", None)
+    for seed in seeds:
+        want = expected[str(seed)]
+        assert set(want) == {"state_hash", "gc_runs", "relocations",
+                             "stale_copies"}
+        got = probe.run_ftl(seed, size, None)
         assert got["conserved"] and not got["read_mismatches"]
-        assert {key: got[key] for key in expected[str(seed)]} \
-            == expected[str(seed)]
+        assert {key: got[key] for key in want} == want
+
+
+def test_benchmark_churn_reproduces_its_recorded_toy_runs():
+    _check_bench_runs("toy", range(10))
+
+
+def test_benchmark_churn_reproduces_its_recorded_full_runs():
+    # The ftl-churn workload itself: 64 x 64 x 2 KiB, 3,000 ops.
+    _check_bench_runs("full", (0, 1))
