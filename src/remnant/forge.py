@@ -16,7 +16,6 @@ import os
 import random
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .fat import (
     ATTR_ARCHIVE,
@@ -26,10 +25,7 @@ from .fat import (
     DELETED_MARK,
     DOT_NAME,
     DOTDOT_NAME,
-    END_MARK,
     LFN_LAST_FLAG,
-    load_fat,
-    parse_dir_slots,
 )
 from .filetypes import magic_for
 from .ntfs import (
@@ -187,12 +183,6 @@ class FileTruth:
     resident: bool | None = None
     record_index: int | None = None
 
-    def cluster_list(self) -> list[int]:
-        out = []
-        for start, length in self.clusters:
-            out.extend(range(start, start + length))
-        return out
-
 
 @dataclass
 class DirTruth:
@@ -308,14 +298,13 @@ class _Writer(VolumeImage):
             self.write(offset_of(first), view[pos:pos + count * cluster_size])
             pos += count * cluster_size
 
-    def set_bits(self, base: int, runs, on: bool) -> None:
-        """Set or clear the bits that (first, count) runs cover in the
-        LSB-first bitmap at byte offset ``base``, one read and one write
-        per run."""
+    def clear_bits(self, base: int, runs) -> None:
+        """Clear the bits that (first, count) runs cover in the LSB-first
+        bitmap at byte offset ``base``, one read and one write per run."""
         for first, count in runs:
             lo, span = _bits_span(first, count)
             raw = bytearray(self.read_at(base + lo, span))
-            _set_bits(raw, [(first - 8 * lo, count)], on)
+            _set_bits(raw, [(first - 8 * lo, count)], on=False)
             self.write(base + lo, raw)
 
     def fat_entries(self, fat_offsets, kind: FsKind, first: int,
@@ -1267,9 +1256,9 @@ def _delete(w: _Writer, truth: GroundTruth, t) -> None:
         flags = struct.unpack("<H", w.read_at(t.entry_offset + 0x16, 2))[0]
         w.write(t.entry_offset + 0x16,
                 struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
-        w.set_bits(truth.internal["mft_bitmap_value_abs"],
-                   [(t.record_index, 1)], False)
-        w.set_bits(truth.internal["cluster_bitmap_abs"], t.clusters, False)
+        w.clear_bits(truth.internal["mft_bitmap_value_abs"],
+                     [(t.record_index, 1)])
+        w.clear_bits(truth.internal["cluster_bitmap_abs"], t.clusters)
     else:
         for off in [t.entry_offset, *t.lfn_offsets]:
             w.write(off, bytes([DELETED_MARK]))
@@ -1356,84 +1345,11 @@ def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
         # same geometry: fresh boot record, empty allocation structures,
         # empty root.  The data area is not touched, which is the whole
         # forensic point.  A full overwrite first zeroes the data area
-        # (a one-pass sanitizing format).
+        # (a one-pass sanitizing format).  Every format write lies inside
+        # the volume, so a volume that overruns its image changes nothing.
+        w.check_span(0, desc.total_sectors * desc.bytes_per_sector, "write")
         _format(w, desc, overwrite=action == "full-overwrite")
         return {"action": action, "paths": []}
-
-
-# -- writing into a live volume (the same-media hazard) --------------------
-
-
-def add_file(image_path, name: str, data: bytes) -> dict:
-    """Create a new file on the volume through normal allocation.  This
-    is deliberately destructive to remnants: new content claims the
-    lowest free clusters, exactly where deleted files linger."""
-    with _Writer(path=image_path) as w:
-        desc = detect_filesystem(w)
-        if desc.kind is FsKind.NTFS:
-            return _ntfs_add_file(w, desc, name, data)
-        return _fat_add_file(w, desc, name, data)
-
-
-def _fat_add_file(w: _Writer, desc, name, data) -> dict:
-    fat = load_fat(w, desc)
-    cs = desc.cluster_size
-    if desc.kind is FsKind.FAT32:
-        root_runs, _ = fat.chain_from(desc.root_cluster)
-        blocks = [(cluster_offset(desc, first), count * cs)
-                  for first, count in root_runs]
-    else:
-        blocks = [(desc.root_dir_sector * desc.bytes_per_sector,
-                   desc.root_entries * DIR_ENTRY_SIZE)]
-    slots = []
-    for base, length in blocks:
-        block = w.read_at(base, length)
-        slots += [(base + pos, block[pos:pos + DIR_ENTRY_SIZE])
-                  for pos in range(0, length, DIR_ENTRY_SIZE)]
-
-    # FAT names are case-blind: a live entry that already answers to the
-    # name, long or short, is a collision, and a derived short name must
-    # differ from every live one.
-    live = [e for e in parse_dir_slots(slots, "", desc.kind)
-            if not e.deleted and not e.is_label]
-    wanted = name.upper()
-    if any(wanted in (e.short_name.upper(), (e.lfn_name or "").upper())
-           for e in live):
-        raise ForgeError("%r already exists in the root directory" % name)
-    raw11, needs_lfn = _to_83(name, {e.raw_name for e in live})
-    lfns = _lfn_entries(name, raw11) if needs_lfn else []
-
-    runs = _lowest_free_runs(fat.is_free, 2, desc.cluster_count + 2,
-                             -(-len(data) // cs))
-    entry = _dir_entry(raw11, ATTR_ARCHIVE, runs[0][0] if runs else 0,
-                       len(data))
-    slot_offs: list[int] = []
-    for off, raw in slots:
-        if raw[0] in (END_MARK, DELETED_MARK):
-            slot_offs.append(off)
-            if len(slot_offs) == len(lfns) + 1:
-                break
-        else:
-            slot_offs = []
-    else:
-        raise ForgeError("no room in the root directory")
-
-    w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
-    w.fat_chain(_fat_offsets(desc), desc.kind, runs)
-    for off, raw in zip(slot_offs, lfns + [entry]):
-        w.write(off, raw)
-    return {"path": name, "clusters": runs}
-
-
-def _lowest_free_runs(is_free, start: int, stop: int,
-                      count: int) -> list[list[int]]:
-    """The lowest ``count`` clusters in [start, stop) that ``is_free``
-    accepts, as [first, count] runs; the walk stops at the last one
-    needed."""
-    found = list(islice(filter(is_free, range(start, stop)), count))
-    if len(found) < count:
-        raise ForgeError("volume full")
-    return merge_runs((c, 1) for c in found)
 
 
 def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
@@ -1456,44 +1372,6 @@ def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
     if first + -(-cc // (8 * desc.cluster_size)) > cc:
         raise ForgeError("allocation bitmap lies outside the volume")
     return first, length
-
-
-def _ntfs_add_file(w: _Writer, desc, name, data) -> dict:
-    rs = desc.mft_record_size
-    cs = desc.cluster_size
-
-    slot_index = slot_off = None
-    for idx, off, buf in mft_slots(w, desc):
-        if idx >= SYSTEM_RECORDS:
-            flags, = struct.unpack_from("<H", buf, 0x16)
-            if buf[0:4] != FILE_SIGNATURE or not flags & RECORD_FLAG_IN_USE:
-                slot_index, slot_off = idx, off
-                break
-    if slot_index is None:
-        raise ForgeError("no free record slot")
-
-    bitmap_first, bitmap_real = _ntfs_cluster_bitmap(w, desc)
-    bitmap_abs = bitmap_first * cs
-    bits = bytearray(w.read_at(bitmap_abs, bitmap_real))
-    runs = _lowest_free_runs(lambda c: not bits[c // 8] >> (c % 8) & 1,
-                             2, desc.total_clusters, -(-len(data) // cs))
-    rec, runs = _file_record(slot_index, name, ROOT_RECORD, data, runs,
-                             cs, rs)
-
-    # The record-allocation bitmap is record 0's resident $BITMAP value.
-    rec0_off = desc.mft_lcn * cs
-    rec0 = read_record(w.read_at(rec0_off, rs), rec0_off, 0)
-    walk0 = parse_attributes(rec0.data, rec0.header)
-    mft_bits = next((a for a in walk0.attributes
-                     if a.type_code == ATTR_BITMAP and a.resident), None)
-    if mft_bits is None:
-        raise ForgeError("record 0 lacks a record-allocation bitmap")
-
-    w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
-    w.set_bits(bitmap_abs, runs, True)
-    w.write(slot_off, rec)
-    w.set_bits(rec0_off + mft_bits.value_offset, [(slot_index, 1)], True)
-    return {"path": name, "clusters": runs}
 
 
 # -- sanitization audit ----------------------------------------------------

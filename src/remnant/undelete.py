@@ -232,8 +232,6 @@ def check_out_dir(img: VolumeImage, out_dir: str,
     With the override the refusal becomes a returned warning string so
     the caller can print it and continue.
     """
-    if img.path is None:
-        return None
     img_real = os.path.realpath(img.path)
     out_real = os.path.realpath(out_dir)
     on_image = out_real == img_real or out_real.startswith(img_real + os.sep)

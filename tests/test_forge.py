@@ -9,13 +9,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from remnant import fat as fatmod
+from remnant import cli
 from remnant import filetypes
 from remnant import forge
 from remnant import ntfs as ntfsmod
 from remnant.undelete import recover_all, scan_volume
 from remnant.volume import (FsKind, VolumeError, cluster_extents,
-                            detect_filesystem, open_image)
+                            cluster_offset, detect_filesystem, open_image)
 from test_forge_bytes import STEPS, _sha, fragmented_corpus
 
 MiB = 1024 * 1024
@@ -202,7 +202,6 @@ def test_metadata_only_delete_leaves_payload_clusters_alone(image_copy, fs):
     with open_image(path) as img:
         desc = detect_filesystem(img)
     cs = desc.cluster_size
-    from remnant.volume import cluster_offset
     for rec in truth.files.values():
         if rec.resident:
             continue
@@ -406,14 +405,16 @@ def test_audit_reports_partial_files(image_copy):
     # head is gone, and the verdict must say so.
     path, truth = image_copy("fat16")
     victim = max((r for r in truth.files.values() if not r.resident),
-                 key=lambda r: len(r.cluster_list()))
+                 key=lambda r: sum(count for _, count in r.clusters))
     forge.apply_mutation(path, "delete", truth=truth, target=victim.path)
+    (first, count), = victim.clusters
+    half = count // 2
+    assert half >= 1
     with open_image(path) as img:
         desc = detect_filesystem(img)
-    half = len(victim.cluster_list()) // 2
-    assert half >= 1
-    forge.add_file(path, "INTRUDER.BIN",
-                   b"\x5A" * (half * desc.cluster_size))
+    with open(path, "r+b") as fh:
+        fh.seek(cluster_offset(desc, first))
+        fh.write(b"\x5A" * (half * desc.cluster_size))
 
     rep = forge.audit_image(path, truth)
     row = next(r for r in rep["files"] if r["path"] == victim.path)
@@ -536,49 +537,20 @@ def test_sidecar_hashes_are_the_hashes_of_the_content(base_images, tmp_path):
             assert t.sha256 == hashlib.sha256(original).hexdigest(), t.path
 
 
-def test_add_file_memory_follows_the_fat_not_the_heap(image_copy):
-    """The new file takes the lowest free clusters and the search stops
-    at the last one needed: no list of every free cluster is built."""
-    path, truth = image_copy("fat32", "quick-format")
-    assert truth.geometry["cluster_size"] == 512
-    tracemalloc.start()
-    try:
-        got = forge.add_file(path, "NEW.TXT", b"hello")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got["clusters"] == [[3, 1]]
-    assert peak < 4 * truth.internal["fat_bytes"]
-
-
-def test_add_file_keeps_root_names_unique(image_copy):
-    """A live root name, long or short and in any case, is not added
-    twice, and derived short names differ from the live ones."""
-    path, _ = image_copy("fat12")
-    forge.add_file(path, "NEW.TXT", b"one")
-    for again in ("NEW.TXT", "new.txt"):
-        with pytest.raises(forge.ForgeError, match="already exists"):
-            forge.add_file(path, again, b"two")
-    forge.add_file(path, "Long name here.txt", b"three")
-    forge.add_file(path, "Long name there.txt", b"four")
-    with open_image(path) as img:
-        surv = fatmod.survey(img, detect_filesystem(img))
-    root = [e for e in surv.entries
-            if e.dir_path == "" and not (e.deleted or e.is_label)]
-    assert sorted(e.display_name for e in root) == [
-        "DATA", "Long name here.txt", "Long name there.txt", "NEW.TXT"]
-    assert len({e.raw_name for e in root}) == len(root)
-
-
 @pytest.mark.parametrize("run_list", [b"\x00", b"\x01\x01\x00"],
                          ids=["empty", "sparse"])
-def test_add_file_needs_a_cluster_bitmap_with_clusters(tmp_path, run_list):
+def test_quick_format_without_a_sidecar_needs_a_cluster_bitmap(tmp_path,
+                                                               run_list):
+    """The volume alone, with no sidecar to check it against, is refused
+    before anything is written when record 6 gives $Bitmap no clusters."""
     spec = forge.standard_corpus("ntfs", total_size=16 * MiB)
     path = tmp_path / "n.img"
     truth = forge.build_image(spec, path)
     _rewrite_bitmap_run_list(path, truth, run_list)
+    before = _sha(path)
     with pytest.raises(forge.ForgeError, match="lacks an allocation bitmap"):
-        forge.add_file(path, "NEW.BIN", b"\xA5" * 5000)
+        forge.apply_mutation(path, "quick-format")
+    assert _sha(path) == before
 
 
 def test_delete_keeps_the_reserved_fat32_nibble(image_copy):
@@ -670,6 +642,40 @@ def test_a_refused_mutation_writes_nothing(tmp_path, fs, corrupt):
     with pytest.raises(VolumeError, match=r"^write \[.* outside volume"):
         forge.apply_mutation(img, "delete-all", truth=truth)
     assert _sha(img) == before
+
+
+def _overrun_image(path, fs) -> None:
+    """Double the sector count in the boot sector of a FAT32 or NTFS
+    image, so the volume it describes runs past the end of the image."""
+    at, code = (0x28, "<Q") if fs == "ntfs" else (0x20, "<I")
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        total, = struct.unpack(code, fh.read(struct.calcsize(code)))
+        fh.seek(at)
+        fh.write(struct.pack(code, 2 * total))
+
+
+@pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
+@pytest.mark.parametrize("fs", ["fat32", "ntfs"])
+def test_a_format_past_the_image_writes_nothing(image_copy, tmp_path, fs,
+                                               action):
+    """Every format write lies inside the volume, so a volume that
+    overruns its image is refused, with or without a sidecar, before
+    the first write; ``remnant forge --apply`` exits 2."""
+    path, truth = image_copy(fs)
+    sidecar = tmp_path / "v.truth.json"
+    truth.save(sidecar)
+    _overrun_image(path, fs)
+    before = _sha(path)
+    for given_truth in (truth, None):
+        with pytest.raises(VolumeError,
+                           match=r"^write \[0:%d\) outside volume"
+                           % (2 * truth.total_size)):
+            forge.apply_mutation(path, action, truth=given_truth)
+    for extra in (["--truth", str(sidecar)], []):
+        assert cli.main(["forge", str(path), "--apply", action, *extra]) == 2
+    assert _sha(path) == before
+    assert forge.GroundTruth.load(sidecar).mutations == []
 
 
 def test_ntfs_volume_must_hold_its_own_metadata(tmp_path):

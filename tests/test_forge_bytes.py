@@ -2,20 +2,18 @@
 
 Every image and sidecar below hashes to a value recorded before the
 forge's writer was rebuilt over cluster runs; any change to how the
-forge lays out, deletes, formats, overwrites or adds files shows here.
-The cases cover the standard corpora at their default sizes (seed 0),
-one fragmented corpus per filesystem, and ``add_file`` over freed space
-that is split into several runs.  The eight NTFS image hashes were
+forge lays out, deletes, formats or overwrites files shows here.  The
+cases cover the standard corpora at their default sizes (seed 0) and
+one fragmented corpus per filesystem.  The eight NTFS image hashes were
 recorded again when the NTFS build time was corrected from 2020-01-02
 to 2020-01-01 12:00:00; that moved only the $STANDARD_INFORMATION and
 $FILE_NAME time fields.  The three NTFS quick-format, full-overwrite
 and delete-all+quick-format image hashes were recorded again when the
 NTFS quick format began to rewrite $Bitmap where record 6 keeps it
 (cluster 20) instead of at cluster 8; that moved clusters 5, 8 and 20.
-The NTFS build, delete-all and add-file image hashes were recorded again
-when the build stopped marking in $Bitmap the clusters planned for files
-that stay resident; that moved only bitmap bits (and, for add-file, the
-clusters the added file takes).
+The NTFS build and delete-all image hashes were recorded again when the
+build stopped marking in $Bitmap the clusters planned for files that
+stay resident; that moved only bitmap bits.
 """
 
 import hashlib
@@ -126,15 +124,6 @@ PINNED = {
     'fragmented/ntfs/delete-all': (
         'e3d5b3fdd08ea6671596c6019033e01925d166c1fb74a7b4c85b227f051a1df8',
         'dff815adba50412b30d4fac00c9ec909214653dbd3d652dbf09db70175ed3030'),
-    'add-file/fat12/holes': (
-        'adf5c91df908e9183fcdd5211e1413716d3211619d49ece24393b089d274a445',
-        '418e1b1e49e2932748af9301a1d68e4210afc2e4ec0bd68499400c32332c743b'),
-    'add-file/fat32/holes': (
-        'c71de468bc50c3257db4e79d93a48a6f4112d71309cfdf3cecc899cab54b261b',
-        '474df08abddd2bcafeb832517c33f66df128f3da2fc07c888c89866e4b1c5391'),
-    'add-file/ntfs/holes': (
-        '8a33d64b0129196cb4681ba22310f84beaddca85d8cab7b02e47ae423e63d51e',
-        'c20f5f7e49e6be90e08bc0269e021d2dc4ef9393703a23642d89f5fae6610b16'),
 }
 
 
@@ -177,18 +166,6 @@ def _mutate(img, sidecar, steps):
         truth.save(sidecar)
 
 
-def _add_over_holes(img, sidecar, name):
-    """Delete two files that are not neighbours, then add one that needs
-    more clusters than the lower hole holds."""
-    truth = forge.GroundTruth.load(sidecar)
-    for path in ("DATA/REPORT.PDF", "DATA/PHOTO.JPG"):
-        forge.apply_mutation(img, "delete", truth=truth, target=path)
-    cs = truth.geometry["cluster_size"]
-    got = forge.add_file(img, name, b"\xA5" * (20 * cs + 7))
-    assert len(got["clusters"]) >= 2
-    return got
-
-
 def case_digests(name: str, root, standard) -> tuple[str, str]:
     """Run case ``name`` in directory ``root``; ``standard(fs)`` gives a
     built standard image and its sidecar.  Returns the sha256 of the
@@ -200,17 +177,13 @@ def case_digests(name: str, root, standard) -> tuple[str, str]:
         img, sidecar = root / "v.img", root / "v.img.truth.json"
         for src, dst in zip(standard(fs), (img, sidecar)):
             sparse_copy(src, dst)
-    if kind == "add-file":
-        _add_over_holes(img, sidecar, "Intruder file.bin")
-    else:
-        _mutate(img, sidecar, STEPS[what])
+    _mutate(img, sidecar, STEPS[what])
     return _sha(img), _sha(sidecar)
 
 
 CASES = ([("standard/%s/%s" % (fs, s)) for fs in FS for s in STEPS]
          + [("fragmented/%s/%s" % (fs, s)) for fs in FS
-            for s in ("build", "delete-all")]
-         + [("add-file/%s/holes" % fs) for fs in ("fat12", "fat32", "ntfs")])
+            for s in ("build", "delete-all")])
 
 
 @pytest.fixture(scope="module")

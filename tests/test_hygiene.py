@@ -14,8 +14,6 @@ PACKAGE = ROOT / "src" / "remnant"
 SEARCHED = [ROOT / d for d in ("src", "demos", "bench")]
 # Overrides that a base class from outside the package calls by name.
 CALLED_BY_BASE = {"error"}      # cli.Parser.error, argparse's usage hook
-# The forge's test-facing API: tests build their scenarios with these.
-TEST_FACING = {"add_file", "cluster_list"}
 
 
 def _trees(dirs):
@@ -56,8 +54,8 @@ def test_every_definition_is_named_outside_itself():
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__") \
-                    or name in CALLED_BY_BASE or name in TEST_FACING:
-                continue        # called by the language, a base class or tests
+                    or name in CALLED_BY_BASE:
+                continue        # called by the language or a base class
             inside = sum(1 for n in _names(node) if n == name)
             if uses[name] <= inside:
                 unused.append(_where(path, node, name))
@@ -105,6 +103,26 @@ def test_every_module_import_is_used():
                 continue
             unused += [_where(path, node, b) for b in bound if b not in used]
     assert unused == []
+
+
+def test_forge_takes_only_constants_from_the_fat_reader():
+    """The forge is the oracle the FAT reader is tested against, so it
+    lays its bytes with its own encoders: from ``remnant.fat`` it takes
+    on-disk constants (UPPER_CASE names), never a decoder or the module
+    itself."""
+    tree = ast.parse((PACKAGE / "forge.py").read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if a.name == "remnant.fat"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "remnant" if node.level else ""
+            module = ".".join(filter(None, [module, node.module]))
+            taken += [a.name for a in node.names
+                      if module == "remnant.fat"
+                      or "%s.%s" % (module, a.name) == "remnant.fat"]
+    assert taken, "forge.py no longer imports from remnant.fat"
+    assert [name for name in taken if not name.isupper()] == []
 
 
 def test_named_bytes_values_are_not_spelled_out_again():

@@ -564,8 +564,9 @@ def test_live_and_deleted_records_list_the_same_name(tmp_path, namespaces):
 
 
 def test_reused_clusters_flag_overwritten_risk(tmp_path):
-    # Delete BIG.BIN, then land NEW.BIN on its clusters: recovery of the
-    # stale record must admit the content is at risk.
+    # Delete BIG.BIN, then lay a live NEW.BIN record, and its content,
+    # on BIG.BIN's freed run: recovery of the stale record must admit
+    # the content is at risk.
     spec = forge.CorpusSpec(
         filesystem="ntfs", total_size=8 * 1024 * 1024,
         files=[forge.FileSpec(name="BIG.BIN", file_class="video",
@@ -573,7 +574,18 @@ def test_reused_clusters_flag_overwritten_risk(tmp_path):
     img_path = tmp_path / "o.img"
     truth = forge.build_image(spec, img_path)
     forge.apply_mutation(img_path, "delete", truth=truth, target="BIG.BIN")
-    forge.add_file(img_path, "NEW.BIN", b"\xA5" * 40_000)
+    big = truth.files["BIG.BIN"]
+    index = big.record_index + 1
+    assert index < truth.internal["mft_slots"]
+    data = b"\xA5" * 40_000
+    with forge._Writer(path=img_path) as w:
+        desc = detect_filesystem(w)
+        cs, rs = desc.cluster_size, desc.mft_record_size
+        rec, runs = forge._file_record(index, "NEW.BIN", ntfs.ROOT_RECORD,
+                                       data, big.clusters, cs, rs)
+        assert runs == big.clusters
+        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+        w.write(truth.internal["mft_base"] + index * rs, rec)
 
     img, desc = _open(img_path)
     with img:
