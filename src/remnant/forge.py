@@ -230,6 +230,9 @@ class GroundTruth:
         try:
             files = {k: FileTruth(**v) for k, v in raw["files"].items()}
             dirs = {k: DirTruth(**v) for k, v in raw["dirs"].items()}
+            if not isinstance(raw["geometry"], dict):
+                raise ForgeError("bad ground truth: geometry is not an "
+                                 "object")
             return cls(filesystem=raw["filesystem"],
                        total_size=raw["total_size"],
                        geometry=raw["geometry"], files=files, dirs=dirs,
@@ -1412,8 +1415,11 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
 
 
 def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
-    """The image's descriptor, once the image has the size and the
-    filesystem that ``truth`` describes."""
+    """The image's descriptor, once the image has the size, the
+    filesystem and the geometry that ``truth`` describes.  Every
+    geometry key the boot record fixes is compared, in the descriptor's
+    field order; NTFS ``mft_clusters`` and ``mirror_lcn`` are not
+    descriptor fields and are not compared."""
     if img.size != truth.total_size:
         raise SidecarMismatch(
             "ground truth describes a %d-byte volume, image is %d"
@@ -1423,6 +1429,15 @@ def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
         raise SidecarMismatch(
             "ground truth is for %s, image is %s"
             % (truth.filesystem, desc.kind.value))
+    found = {**vars(desc), "kind": desc.kind.value,
+             "cluster_size": desc.cluster_size,
+             "cluster_count": desc.total_clusters,
+             "record_size": desc.mft_record_size}
+    for key, value in found.items():
+        if key in truth.geometry and truth.geometry[key] != value:
+            raise SidecarMismatch(
+                "ground truth records %s %r, image has %r"
+                % (key, truth.geometry[key], value))
     return desc
 
 

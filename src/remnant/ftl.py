@@ -21,7 +21,9 @@ import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
+from itertools import count, repeat
+from operator import add, mul
 
 ERASED_BYTE = 0xFF
 
@@ -158,20 +160,15 @@ class ChipDump:
                         self.payload.get(ppn, erased),
                         None if lpn < 0 else lpn, self.stamp[ppn])
 
-    def blank_retired(self) -> int:
-        """The retired pages with no payload entry: frozen while free,
-        each reads as the erased pattern."""
-        tag = self.tag
-        return tag.count(_RETIRED) - sum(tag[ppn] == _RETIRED
-                                         for ppn in self.payload)
-
     def held(self, *tags: str) -> set[bytes]:
         """The distinct payloads of the pages tagged with one of
-        ``tags``, none of which may be 'free'."""
+        ``tags``, none of which may be 'free'.  A retired page with no
+        payload entry, frozen while free, reads as the erased pattern."""
         codes = {_TAGS.index(t) for t in tags}
         tag = self.tag
         out = {p for ppn, p in self.payload.items() if tag[ppn] in codes}
-        if _RETIRED in codes and self.blank_retired():
+        if _RETIRED in codes and tag.count(_RETIRED) > sum(
+                tag[ppn] == _RETIRED for ppn in self.payload):
             out.add(self.geometry.erased_page)
         return out
 
@@ -486,13 +483,35 @@ class PayloadAudit:
                 "copies": self.copies}
 
 
-@dataclass
 class RemanenceReport:
-    payloads: list[PayloadAudit]
-    live_copies: int
-    stale_copies: int
-    retired_copies: int
-    recoverable_bytes: int
+    """The copies of every history payload on one dump.
+
+    The four totals are counted when the report is made.  The rows, one
+    PayloadAudit per distinct payload in order of first appearance, are
+    built (a sha256 digest and the sorted lpns of each) the first time
+    ``payloads`` or ``as_dict()`` is read, and kept.  The report owns
+    its payloads and lpns, so later changes to the history leave it as
+    it was."""
+
+    def __init__(self, lpns: dict[bytes, set[int]], copies: list[int]):
+        # lpns: payload -> its lpns, in order of first appearance;
+        # copies: the live, stale and retired copies of each in turn.
+        self._lpns = lpns
+        self._copies = copies
+        stale, retired = copies[1::3], copies[2::3]
+        self.live_copies = sum(copies[0::3])
+        self.stale_copies = sum(stale)
+        self.retired_copies = sum(retired)
+        self.recoverable_bytes = sum(map(mul, map(add, stale, retired),
+                                         map(len, lpns)))
+
+    @cached_property
+    def payloads(self) -> list[PayloadAudit]:
+        copies = self._copies
+        return [PayloadAudit(hashlib.sha256(payload).hexdigest(),
+                             sorted(lpns), *copies[i:i + 3])
+                for i, (payload, lpns) in zip(count(0, 3),
+                                              self._lpns.items())]
 
     def as_dict(self) -> dict:
         return {
@@ -510,56 +529,38 @@ def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
     ``history`` is the experiment's write log: (lpn, payload) pairs or
     bare payloads.  Recoverable bytes counts stale and retired copies —
     data the host can no longer address but a chip-level dump still
-    yields."""
-    rank: dict[bytes, int] = {}       # payload -> order of first appearance
-    lpns: list[set] = []
+    yields.  The cost is one pass over the history and one over the
+    programmed pages; no payload is digested until a row is read."""
+    lpns: dict[bytes, set[int]] = {}  # in order of first appearance
     for item in history:
         if isinstance(item, (bytes, bytearray)):
             lpn, payload = None, bytes(item)
         else:
             lpn, payload = item[0], bytes(item[1])
-        if payload not in rank:
-            rank[payload] = len(lpns)
-            lpns.append(set())
+        held = lpns.get(payload)
+        if held is None:
+            held = lpns[payload] = set()
         if lpn is not None:
-            lpns[rank[payload]].add(lpn)
+            held.add(lpn)
 
     # One pass over the programmed pages tallies live, stale and retired
-    # copies per history payload: tag codes 1-3 are those three slots.
-    # FREE pages hold no payload and count for nothing, even when the
-    # erased pattern is in the history; a retired page with no payload
-    # is a retired copy of that pattern.
-    copies = [0] * (3 * len(lpns))
+    # copies per rank, in slot 3 * rank + tag - 1: tag codes 1-3 are
+    # those three.  Pages of no history payload fill the three slots
+    # past the last rank.  FREE pages hold no payload and count for
+    # nothing, even when the erased pattern is in the history; a retired
+    # page with no payload, which the pass never sees, is a retired copy
+    # of that pattern.
+    end = 3 * len(lpns)
+    base = dict(zip(lpns, count(-1, 3)))     # payload -> 3 * rank - 1
+    copies = [0] * (end + 3)
     tag = dump.tag
     for ppn, payload in dump.payload.items():
-        i = rank.get(payload)
-        if i is not None:
-            copies[3 * i + tag[ppn] - 1] += 1
-    i = rank.get(dump.geometry.erased_page)
-    if i is not None:
-        copies[3 * i + 2] += dump.blank_retired()
-
-    rows = []
-    live_total = stale_total = retired_total = 0
-    recoverable = 0
-    for payload, i in rank.items():
-        live, stale, retired = copies[3 * i:3 * i + 3]
-        rows.append(PayloadAudit(
-            digest=hashlib.sha256(payload).hexdigest(),
-            lpns=sorted(lpns[i]),
-            live=live, stale=stale, retired=retired,
-        ))
-        live_total += live
-        stale_total += stale
-        retired_total += retired
-        recoverable += (stale + retired) * len(payload)
-    return RemanenceReport(
-        payloads=rows,
-        live_copies=live_total,
-        stale_copies=stale_total,
-        retired_copies=retired_total,
-        recoverable_bytes=recoverable,
-    )
+        copies[base.get(payload, end - 1) + tag[ppn]] += 1
+    erased = base.get(dump.geometry.erased_page)
+    if erased is not None:
+        copies[erased + _RETIRED] += tag.count(_RETIRED) - sum(copies[2::3])
+    del copies[end:]
+    return RemanenceReport(lpns, copies)
 
 
 # -- canned experiments -------------------------------------------------

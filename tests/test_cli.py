@@ -354,8 +354,11 @@ def test_recover_with_a_mismatched_sidecar_is_exit_4(small_image, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sidecar", ['{"filesystem": "FAT12"}', "[1]"],
-                         ids=["no-files", "a-list"])
+@pytest.mark.parametrize("sidecar", [
+    '{"filesystem": "FAT12"}', "[1]",
+    '{"filesystem": "FAT12", "total_size": 0, "geometry": "FAT12", '
+    '"files": {}, "dirs": {}, "internal": {}}',
+], ids=["no-files", "a-list", "geometry-a-string"])
 @pytest.mark.parametrize("command", ["audit", "recover", "forge"])
 def test_a_malformed_sidecar_is_exit_5(small_image, tmp_path, capsys,
                                        command, sidecar):

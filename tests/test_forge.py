@@ -657,23 +657,67 @@ def _overrun_image(path, fs) -> None:
 
 @pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
 @pytest.mark.parametrize("fs", ["fat32", "ntfs"])
-def test_a_format_past_the_image_writes_nothing(image_copy, tmp_path, fs,
-                                               action):
-    """Every format write lies inside the volume, so a volume that
-    overruns its image is refused, with or without a sidecar, before
-    the first write; ``remnant forge --apply`` exits 2."""
+def test_a_format_past_the_image_writes_nothing(image_copy, fs, action):
+    """Every format write lies inside the volume, so with no sidecar a
+    volume that overruns its image is refused before the first write;
+    ``remnant forge --apply`` exits 2."""
+    path, truth = image_copy(fs)
+    _overrun_image(path, fs)
+    before = _sha(path)
+    with pytest.raises(VolumeError,
+                       match=r"^write \[0:%d\) outside volume"
+                       % (2 * truth.total_size)):
+        forge.apply_mutation(path, action)
+    assert cli.main(["forge", str(path), "--apply", action]) == 2
+    assert _sha(path) == before
+
+
+@pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
+@pytest.mark.parametrize("fs", ["fat32", "ntfs"])
+def test_a_format_past_the_image_mismatches_its_sidecar(image_copy, tmp_path,
+                                                        fs, action):
+    """The sidecar records the sector count the image was built with,
+    so the same overrun volume with its sidecar is a sidecar mismatch
+    (exit 4), refused before the first write."""
     path, truth = image_copy(fs)
     sidecar = tmp_path / "v.truth.json"
     truth.save(sidecar)
     _overrun_image(path, fs)
     before = _sha(path)
-    for given_truth in (truth, None):
-        with pytest.raises(VolumeError,
-                           match=r"^write \[0:%d\) outside volume"
-                           % (2 * truth.total_size)):
-            forge.apply_mutation(path, action, truth=given_truth)
-    for extra in (["--truth", str(sidecar)], []):
-        assert cli.main(["forge", str(path), "--apply", action, *extra]) == 2
+    with pytest.raises(forge.SidecarMismatch,
+                       match=r"^ground truth records total_sectors"):
+        forge.apply_mutation(path, action, truth=truth)
+    assert cli.main(["forge", str(path), "--apply", action,
+                     "--truth", str(sidecar)]) == 4
+    assert _sha(path) == before
+    assert forge.GroundTruth.load(sidecar).mutations == []
+
+
+@pytest.mark.parametrize("fs, key", [
+    ("fat12", "sectors_per_cluster"),
+    ("fat16", "sectors_per_fat"),
+    ("fat32", "root_cluster"),
+    ("ntfs", "mft_lcn"),
+])
+def test_a_sidecar_with_other_geometry_is_a_mismatch(image_copy, tmp_path,
+                                                     capsys, fs, key):
+    """One geometry field of the sidecar off by one is a mismatch for
+    every command that takes a sidecar, and none of them writes."""
+    path, truth = image_copy(fs)
+    truth.geometry[key] += 1
+    sidecar = tmp_path / "v.truth.json"
+    truth.save(sidecar)
+    before = _sha(path)
+    with pytest.raises(forge.SidecarMismatch,
+                       match=r"^ground truth records %s " % key):
+        forge.audit_image(path, truth)
+    for argv in (["forge", str(path), "--apply", "delete-all",
+                  "--truth", str(sidecar)],
+                 ["recover", str(path), "--out", str(tmp_path / "out"),
+                  "--truth", str(sidecar)],
+                 ["audit", str(path), str(sidecar)]):
+        assert cli.main(argv) == 4
+        assert "ground truth records %s" % key in capsys.readouterr().err
     assert _sha(path) == before
     assert forge.GroundTruth.load(sidecar).mutations == []
 

@@ -453,10 +453,67 @@ def test_audit_matches_the_pairwise_reference(pages, history):
                      if payload is not None},
                     array("i", [-1]) * len(pages),
                     array("q", [0]) * len(pages))
-    assert (remanence_audit(dump, history).as_dict()
-            == _reference_audit(list(dump), history))
+    report = remanence_audit(dump, history)
+    assert report.as_dict() == _reference_audit(list(dump), history)
+    rows = report.payloads
+    assert report.live_copies == sum(p.live for p in rows)
+    assert report.stale_copies == sum(p.stale for p in rows)
+    assert report.retired_copies == sum(p.retired for p in rows)
+    distinct = dict.fromkeys(
+        bytes(item if isinstance(item, (bytes, bytearray)) else item[1])
+        for item in history)
+    assert report.recoverable_bytes == sum(
+        (p.stale + p.retired) * len(payload)
+        for p, payload in zip(rows, distinct, strict=True))
     for tags in (["retired"], ["valid", "stale", "retired"]):
         assert dump.held(*tags) == {d.payload for d in dump if d.tag in tags}
+
+
+def _churned_audit():
+    """A dump of ten writes over four lpns, seven distinct payloads, and
+    its history with every payload a bytearray."""
+    s = _state(gc_enabled=False)
+    history = [(i % 4, bytearray(_payload(i % 7))) for i in range(10)]
+    for lpn, payload in history:
+        s.write(lpn, bytes(payload))
+    return s.forensic_dump(), history
+
+
+def test_a_report_is_a_snapshot_of_its_history():
+    dump, history = _churned_audit()
+    read = remanence_audit(dump, history)
+    rows, doc = read.payloads, read.as_dict()
+    unread = remanence_audit(dump, history)
+    history.append((5, _payload(99)))
+    history[0][1][:] = _payload(50)
+    assert remanence_audit(dump, history).as_dict() != doc
+    assert read.payloads is rows and read.as_dict() == doc
+    assert unread.as_dict() == doc
+
+
+def test_rows_are_digested_only_when_read(monkeypatch):
+    import remnant.ftl as ftl
+
+    real = ftl.hashlib.sha256
+    digested = []
+
+    def counting(data=b""):
+        digested.append(bytes(data))
+        return real(data)
+
+    dump, history = _churned_audit()
+    distinct = list(dict.fromkeys(bytes(p) for _, p in history))
+    monkeypatch.setattr(ftl.hashlib, "sha256", counting)
+    report = remanence_audit(dump, history)
+    assert report.stale_copies == 6
+    assert report.recoverable_bytes == 6 * PAGE
+    assert digested == []
+    rows = report.payloads
+    assert report.payloads is rows
+    report.as_dict()
+    assert sorted(digested) == sorted(distinct)
+    assert [row.digest for row in rows] == [real(p).hexdigest()
+                                            for p in distinct]
 
 
 def test_collection_destroys_remnants():
