@@ -160,14 +160,14 @@ def cmd_forge(args) -> int:
         return _fail(EXIT_BAD_CONFIG,
                      "pick exactly one of --fs, --spec, --apply")
     meta: dict = {"command": "forge", "image": args.image}
+    truth_path = args.truth or args.image + ".truth.json"
 
     if args.apply:
-        truth = forgemod.GroundTruth.load(args.truth) if args.truth else None
-        res = forgemod.apply_mutation(args.image, args.apply, truth=truth,
+        truth = forgemod.GroundTruth.load(truth_path)
+        res = forgemod.apply_mutation(args.image, args.apply, truth,
                                       target=args.target)
-        if truth is not None:
-            truth.mutations.append(args.apply)
-            truth.save(args.truth)
+        truth.mutations.append(args.apply)
+        truth.save(truth_path)
         meta["action"] = res["action"]
         meta["targets"] = res["paths"]
     else:
@@ -178,7 +178,6 @@ def cmd_forge(args) -> int:
             else:
                 spec = forgemod.standard_corpus(args.fs, total_size=args.size,
                                                 seed=args.seed)
-            truth_path = args.truth or args.image + ".truth.json"
             truth = forgemod.build_image(spec, args.image,
                                          truth_path=truth_path)
         except (forgemod.ForgeError, VolumeError, ValueError, KeyError) as exc:
@@ -355,7 +354,9 @@ def build_parser() -> Parser:
     f.add_argument("--spec", metavar="PATH",
                    help="corpus description JSON instead of --fs")
     f.add_argument("--truth", metavar="PATH",
-                   help="sidecar path (default: IMAGE.truth.json)")
+                   help="sidecar that a build writes and that --apply "
+                        "plans from and updates (default: "
+                        "IMAGE.truth.json)")
     f.add_argument("--apply", choices=forgemod.MUTATIONS,
                    help="mutate an existing image instead of building")
     f.add_argument("--target", metavar="VOLPATH",

@@ -44,8 +44,6 @@ from .ntfs import (
     SYSTEM_RECORDS,
     UPDATE_SEQUENCE_STRIDE,
     MftError,
-    decode_data_runs,
-    mft_slots,
     parse_attributes,
     read_record,
 )
@@ -233,10 +231,19 @@ class GroundTruth:
             if not isinstance(raw["geometry"], dict):
                 raise ForgeError("bad ground truth: geometry is not an "
                                  "object")
+            # The offsets the mutations read, as the writer needs them.
+            internal = raw["internal"]
+            offsets = ([internal[key] for key in (
+                "mft_bitmap_value_abs", "cluster_bitmap_abs")]
+                if raw["filesystem"] == "NTFS" else internal["fat_offsets"])
+            if not isinstance(offsets, list) \
+                    or any(type(value) is not int for value in offsets):
+                raise ForgeError("bad ground truth: internal offsets are "
+                                 "not ints")
             return cls(filesystem=raw["filesystem"],
                        total_size=raw["total_size"],
                        geometry=raw["geometry"], files=files, dirs=dirs,
-                       internal=raw["internal"],
+                       internal=internal,
                        volume_label=raw.get("volume_label", ""),
                        seed=raw.get("seed", 0),
                        mutations=list(raw.get("mutations", [])))
@@ -938,7 +945,7 @@ def _file_record(index: int, name: str, parent: int, data: bytes, runs,
     return _record_bytes(index, RECORD_FLAG_IN_USE, attrs, record_size), runs
 
 
-def _ntfs_boot_sector(desc: VolumeDescriptor, mirror_lcn: int) -> bytes:
+def _ntfs_boot_sector(desc: VolumeDescriptor) -> bytes:
     boot = bytearray(SECTOR)
     boot[0:3] = b"\xeb\x52\x90"
     boot[3:11] = NTFS_OEM
@@ -949,7 +956,7 @@ def _ntfs_boot_sector(desc: VolumeDescriptor, mirror_lcn: int) -> bytes:
     struct.pack_into("<H", boot, 0x1A, 255)
     struct.pack_into("<Q", boot, 0x28, desc.total_sectors)
     struct.pack_into("<Q", boot, 0x30, desc.mft_lcn)
-    struct.pack_into("<Q", boot, 0x38, mirror_lcn)
+    struct.pack_into("<Q", boot, 0x38, desc.mirror_lcn)
     rs, cs = desc.mft_record_size, desc.cluster_size
     if rs >= cs:
         boot[0x40] = rs // cs
@@ -1044,8 +1051,8 @@ def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
     fill, holding records 0-15 and then the caller's ``records`` (index
     -> bytes, each in use); the cluster bitmap at ``bitmap_lcn`` with
     the metadata's own clusters and ``data_runs`` allocated; and the
-    mirror of records 0-3 in the middle cluster.  Slots past the last
-    record are not written.  Returns the byte offset of the
+    mirror of records 0-3 at the boot sector's mirror LCN.  Slots past
+    the last record are not written.  Returns the byte offset of the
     record-allocation bitmap's value in record 0."""
     rs, cs, cc = desc.mft_record_size, desc.cluster_size, desc.total_clusters
     records = records or {}
@@ -1054,7 +1061,7 @@ def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
     bitmap_real = -(-cc // 8)
     mft_run = (desc.mft_lcn, mft_clusters)
     bitmap_run = (bitmap_lcn, -(-bitmap_real // cs))
-    mirror_run = (cc // 2, -(-4 * rs // cs))
+    mirror_run = (desc.mirror_lcn, -(-4 * rs // cs))
     used = bytearray(max(8, _align8(-(-slot_count // 8))))
     _set_bits(used, [(0, SYSTEM_RECORDS), *((i, 1) for i in records)])
     system, value_off = _system_records(
@@ -1067,7 +1074,7 @@ def _write_ntfs_metadata(w: _Writer, desc: VolumeDescriptor,
     clusters = bytearray(bitmap_real)
     _set_bits(clusters, [(0, -(-8192 // cs)), mft_run, bitmap_run,
                          mirror_run, (cc, bitmap_real * 8 - cc), *data_runs])
-    w.write(0, _ntfs_boot_sector(desc, mirror_run[0]))
+    w.write(0, _ntfs_boot_sector(desc))
     w.write(desc.mft_lcn * cs, b"".join(table))
     w.write(bitmap_lcn * cs, clusters)
     w.write(mirror_run[0] * cs, b"".join(system[:4]))
@@ -1084,6 +1091,8 @@ class _NtfsBuilder:
         self.desc = VolumeDescriptor(
             kind=FsKind.NTFS, bytes_per_sector=bps, sectors_per_cluster=spc,
             total_sectors=spec.total_size // bps, mft_lcn=4,
+            # The mirror sits in the middle cluster.
+            mirror_lcn=spec.total_size // bps // spc // 2,
             mft_record_size=NTFS_RECORD_SIZE,
             volume_serial=(0x4E54_0000_0000_0000 ^
                            (spec.seed * 0x9E3779B97F4A7C15)) & ((1 << 64) - 1))
@@ -1098,14 +1107,14 @@ class _NtfsBuilder:
         mft_clusters = max(16, -(-slots_needed // (cs // rs)))
         bitmap_lcn = desc.mft_lcn + mft_clusters
         cursor = bitmap_lcn + -(-cc // (8 * cs))    # past the cluster bitmap
-        if cursor > cc // 2:
+        if cursor > desc.mirror_lcn:
             # The MFT and the bitmap must end below the mirror.
             raise ForgeError("volume too small")
 
         def allocate(n: int) -> int:
             nonlocal cursor
-            # Data stays below the mirror, which sits in the middle cluster.
-            if cursor + n > cc // 2:
+            # Data stays below the mirror.
+            if cursor + n > desc.mirror_lcn:
                 raise ForgeError("corpus does not fit volume")
             cursor += n
             return cursor - n
@@ -1152,7 +1161,7 @@ class _NtfsBuilder:
             "mft_lcn": desc.mft_lcn,
             "mft_clusters": mft_clusters,
             "record_size": rs,
-            "mirror_lcn": cc // 2,
+            "mirror_lcn": desc.mirror_lcn,
         }
         internal = {
             "mft_base": mft_base,
@@ -1271,12 +1280,17 @@ def _delete(w: _Writer, truth: GroundTruth, t) -> None:
                           [0] * count)
 
 
-def _format(w: _Writer, desc: VolumeDescriptor, overwrite: bool) -> None:
+def _format(w: _Writer, desc: VolumeDescriptor, truth: GroundTruth,
+            overwrite: bool) -> None:
     if desc.kind is FsKind.NTFS:
-        # The fresh cluster bitmap goes where the volume keeps it, read
-        # before any zeroing; right after the fresh records it would land
-        # on the old table's records.
-        bitmap_lcn, _ = _ntfs_cluster_bitmap(w, desc)
+        # The fresh cluster bitmap goes where the sidecar records it
+        # (right after the fresh records it would land on the old
+        # table's records) and the mirror where the boot sector does;
+        # both spans are checked before the first write.
+        bitmap_lcn = truth.internal["cluster_bitmap_abs"] // desc.cluster_size
+        for lcn, length in ((bitmap_lcn, -(-desc.total_clusters // 8)),
+                            (desc.mirror_lcn, 4 * desc.mft_record_size)):
+            w.check_span(lcn * desc.cluster_size, length, "write")
         data = (2 * desc.cluster_size,
                 (desc.total_clusters - 2) * desc.cluster_size)
     else:
@@ -1308,21 +1322,17 @@ def _fat_quick_format(w: _Writer, desc: VolumeDescriptor) -> None:
 MUTATIONS = ("delete", "delete-all", "quick-format", "full-overwrite")
 
 
-def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
+def apply_mutation(image_path, action: str, truth: GroundTruth,
                    target: str | None = None) -> dict:
-    """One named mutation against a forged image, made through one
-    read-write handle.  Returns a small summary of what was changed.  A
-    ``truth`` that does not describe the image raises SidecarMismatch
-    before anything is written."""
+    """One named mutation against a forged image, planned from its
+    sidecar ``truth`` and made through one read-write handle.  Returns a
+    small summary of what was changed.  A ``truth`` that does not
+    describe the image raises SidecarMismatch before anything is
+    written."""
     if action not in MUTATIONS:
         raise ForgeError("unknown mutation %r" % action)
-    if action == "delete" and (truth is None or target is None):
-        raise ForgeError("delete needs a ground truth and a target path")
-    if action == "delete-all" and truth is None:
-        raise ForgeError("delete-all needs a ground truth")
     with _Writer(path=image_path) as w:
-        desc = (detect_filesystem(w) if truth is None
-                else check_sidecar(w, truth))
+        desc = check_sidecar(w, truth)
         if action in ("delete", "delete-all"):
             # Each file (or directory), the way the file system itself
             # deletes it: its directory metadata marked unused and its
@@ -1351,30 +1361,8 @@ def apply_mutation(image_path, action: str, truth: GroundTruth | None = None,
         # (a one-pass sanitizing format).  Every format write lies inside
         # the volume, so a volume that overruns its image changes nothing.
         w.check_span(0, desc.total_sectors * desc.bytes_per_sector, "write")
-        _format(w, desc, overwrite=action == "full-overwrite")
+        _format(w, desc, truth, overwrite=action == "full-overwrite")
         return {"action": action, "paths": []}
-
-
-def _ntfs_cluster_bitmap(img, desc) -> tuple[int, int]:
-    """(first cluster, byte length) of the cluster allocation bitmap,
-    which is the first run of record 6's unnamed data stream."""
-    first = None
-    for idx, off, buf in mft_slots(img, desc):
-        if idx == 6:
-            rec = read_record(buf, off, idx)
-            for attr in parse_attributes(rec.data, rec.header).attributes:
-                if attr.is_unnamed_data and not attr.resident:
-                    runs = decode_data_runs(attr.run_bytes)
-                    first = runs[0][0] if runs else None
-                    length = attr.real_size
-            break
-    # No run, or a sparse first run: the bitmap has no clusters.
-    if first is None:
-        raise ForgeError("volume lacks an allocation bitmap")
-    cc = desc.total_clusters
-    if first + -(-cc // (8 * desc.cluster_size)) > cc:
-        raise ForgeError("allocation bitmap lies outside the volume")
-    return first, length
 
 
 # -- sanitization audit ----------------------------------------------------
@@ -1418,8 +1406,8 @@ def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
     """The image's descriptor, once the image has the size, the
     filesystem and the geometry that ``truth`` describes.  Every
     geometry key the boot record fixes is compared, in the descriptor's
-    field order; NTFS ``mft_clusters`` and ``mirror_lcn`` are not
-    descriptor fields and are not compared."""
+    field order; NTFS ``mft_clusters``, which no boot field fixes, is
+    not compared."""
     if img.size != truth.total_size:
         raise SidecarMismatch(
             "ground truth describes a %d-byte volume, image is %d"

@@ -167,6 +167,7 @@ class VolumeDescriptor:
     cluster_count: int | None = None     # count of data clusters
     # NTFS-only fields
     mft_lcn: int | None = None
+    mirror_lcn: int | None = None        # $MFTMirr, which no reader uses
     mft_record_size: int | None = None
     volume_serial: int | None = None
 
@@ -212,7 +213,7 @@ def _parse_ntfs_boot(boot: bytes) -> VolumeDescriptor:
     bps, = struct.unpack_from("<H", boot, 0x0B)
     spc = boot[0x0D]
     total_sectors, = struct.unpack_from("<Q", boot, 0x28)
-    mft_lcn, = struct.unpack_from("<Q", boot, 0x30)
+    mft_lcn, mirror_lcn = struct.unpack_from("<QQ", boot, 0x30)
     clusters_per_record = struct.unpack_from("<b", boot, 0x40)[0]
     serial, = struct.unpack_from("<Q", boot, 0x48)
 
@@ -241,6 +242,7 @@ def _parse_ntfs_boot(boot: bytes) -> VolumeDescriptor:
         sectors_per_cluster=spc,
         total_sectors=total_sectors,
         mft_lcn=mft_lcn,
+        mirror_lcn=mirror_lcn,
         mft_record_size=record_size,
         volume_serial=serial,
     )

@@ -65,6 +65,26 @@ def test_forge_apply_records_the_modality(small_image, capsys):
     assert truth.mutations == ["delete-all"]
 
 
+@pytest.mark.parametrize("fs", ["fat16", "ntfs"])
+def test_forge_apply_defaults_to_the_image_sidecar(tmp_path, capsys, fs):
+    """Without --truth, --apply plans from IMAGE.truth.json and records
+    the mutation there; with no such file it exits 5 and writes
+    nothing."""
+    img = tmp_path / "vol.img"
+    sidecar = tmp_path / "vol.img.truth.json"
+    forge.build_image(forge.standard_corpus(fs, total_size=8 * MiB), img,
+                      truth_path=sidecar)
+    code, _, err = run(capsys, "forge", str(img), "--apply", "quick-format")
+    assert code == 0, err
+    assert forge.GroundTruth.load(sidecar).mutations == ["quick-format"]
+    sidecar.unlink()
+    before = img.read_bytes()
+    code, _, err = run(capsys, "forge", str(img), "--apply", "quick-format")
+    assert code == 5
+    assert "truth.json" in err
+    assert img.read_bytes() == before
+
+
 def test_forge_refuses_an_ntfs_volume_too_small_for_its_metadata(
         tmp_path, capsys):
     spec = tmp_path / "spec.json"
@@ -358,7 +378,12 @@ def test_recover_with_a_mismatched_sidecar_is_exit_4(small_image, tmp_path,
     '{"filesystem": "FAT12"}', "[1]",
     '{"filesystem": "FAT12", "total_size": 0, "geometry": "FAT12", '
     '"files": {}, "dirs": {}, "internal": {}}',
-], ids=["no-files", "a-list", "geometry-a-string"])
+    '{"filesystem": "NTFS", "total_size": 0, "geometry": {}, '
+    '"files": {}, "dirs": {}, "internal": {}}',
+    '{"filesystem": "FAT16", "total_size": 0, "geometry": {}, '
+    '"files": {}, "dirs": {}, "internal": "x"}',
+], ids=["no-files", "a-list", "geometry-a-string", "internal-empty",
+        "internal-a-string"])
 @pytest.mark.parametrize("command", ["audit", "recover", "forge"])
 def test_a_malformed_sidecar_is_exit_5(small_image, tmp_path, capsys,
                                        command, sidecar):

@@ -232,7 +232,7 @@ def test_fat32_system_sectors_sit_at_sector_offsets(tmp_path, bps, size):
 
 
 def test_quick_format_is_idempotent(image_copy):
-    # NTFS: the second format finds $Bitmap where the first one left it.
+    # NTFS: both formats write $Bitmap where the sidecar records it.
     for fs in ("fat32", "ntfs"):
         path, truth = image_copy(fs)
         forge.apply_mutation(path, "quick-format", truth=truth)
@@ -245,9 +245,10 @@ def test_quick_format_is_idempotent(image_copy):
 def test_ntfs_quick_format_at_media_size_keeps_every_file(tmp_path, size):
     """At the paper's media sizes a quick-formatted NTFS volume still
     yields every file of the standard corpus byte for byte, and the
-    audit agrees.  The fresh $Bitmap is rewritten where record 6 keeps
-    it; laid right after the fresh records instead, a bitmap over 16 KiB
-    (a volume over 512 MiB) covers the old table's user records."""
+    audit agrees.  The fresh $Bitmap is rewritten where the sidecar
+    records it; laid right after the fresh records instead, a bitmap
+    over 16 KiB (a volume over 512 MiB) covers the old table's user
+    records."""
     path = tmp_path / "big.img"
     truth = forge.build_image(forge.standard_corpus("ntfs", size), path)
     forge.apply_mutation(path, "quick-format", truth=truth)
@@ -285,41 +286,47 @@ def test_ntfs_bitmap_marks_the_metadata_and_the_truth_runs_only(tmp_path):
     assert got == want
 
 
-def _rewrite_bitmap_run_list(path, truth, run_list: bytes) -> None:
-    """Write ``run_list`` over the start of record 6's $DATA run list."""
-    rec6 = truth.internal["mft_base"] + 6 * truth.internal["record_size"]
-    with open_image(path) as img:
-        rec = ntfsmod.read_record(
-            img.read_at(rec6, truth.internal["record_size"]), rec6, 6)
-    attr, = [a for a in ntfsmod.parse_attributes(rec.data, rec.header)
-             .attributes if a.is_unnamed_data]
-    encoded = forge.encode_data_runs(ntfsmod.decode_data_runs(attr.run_bytes))
-    raw = bytearray(path.read_bytes()[rec6:rec6 + len(rec.data)])
-    assert raw.count(encoded) == 1
-    at = raw.index(encoded)
-    raw[at:at + len(run_list)] = run_list
-    with open(path, "r+b") as fh:
-        fh.seek(rec6)
-        fh.write(raw)
-
-
-# 16 MiB at 4 KiB clusters: LCNs 0-4095, a one-cluster bitmap.
-@pytest.mark.parametrize("run_list, message", [
-    (b"\x00", "lacks an allocation bitmap"),
-    (b"\x01\x01\x00", "lacks an allocation bitmap"),
-    (forge.encode_data_runs([(4096, 1)]), "outside the volume"),
-], ids=["empty", "sparse", "outside"])
+# 16 MiB at 1 KiB clusters: LCNs 0-16383, a 2 KiB bitmap.
+@pytest.mark.parametrize("lcn", [16384, 16383], ids=["outside", "straddling"])
 @pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
 def test_ntfs_format_needs_the_cluster_bitmap_inside_the_volume(
-        tmp_path, run_list, message, action):
+        tmp_path, lcn, action):
+    """A sidecar whose $Bitmap starts or ends past the image is refused
+    before the first write; ``remnant forge --apply`` exits 2.  The
+    span checked is the bitmap the boot sector sizes, whatever length
+    the sidecar records."""
+    spec = forge.standard_corpus("ntfs", total_size=16 * MiB)
+    spec.sectors_per_cluster = 2
     path = tmp_path / "n.img"
-    truth = forge.build_image(
-        forge.standard_corpus("ntfs", total_size=16 * MiB), path)
-    _rewrite_bitmap_run_list(path, truth, run_list)
-    before = path.read_bytes()
-    with pytest.raises(forge.ForgeError, match=message):
+    truth = forge.build_image(spec, path)
+    truth.internal.update(cluster_bitmap_abs=lcn * 1024,
+                          cluster_bitmap_bytes=1)
+    sidecar = tmp_path / "n.truth.json"
+    truth.save(sidecar)
+    before = _sha(path)
+    with pytest.raises(VolumeError, match=r"^write \[%d:" % (lcn * 1024)):
         forge.apply_mutation(path, action, truth=truth)
-    assert path.read_bytes() == before
+    assert cli.main(["forge", str(path), "--apply", action,
+                     "--truth", str(sidecar)]) == 2
+    assert _sha(path) == before
+    assert forge.GroundTruth.load(sidecar).mutations == []
+
+
+@pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
+def test_ntfs_format_needs_the_mirror_inside_the_volume(image_copy, action):
+    """The format rewrites $MFTMirr where the boot sector places it, so
+    a boot sector whose mirror lies past the image is refused before the
+    first write, also with a sidecar that does not record the mirror."""
+    path, truth = image_copy("ntfs")
+    with open(path, "r+b") as fh:
+        fh.seek(0x38)
+        fh.write(struct.pack("<Q", 1 << 30))
+    del truth.geometry["mirror_lcn"]
+    before = _sha(path)
+    with pytest.raises(VolumeError, match=r"^write \[%d:"
+                       % ((1 << 30) * truth.geometry["cluster_size"])):
+        forge.apply_mutation(path, action, truth=truth)
+    assert _sha(path) == before
 
 
 @pytest.mark.parametrize("fs", ALL_FS)
@@ -537,22 +544,6 @@ def test_sidecar_hashes_are_the_hashes_of_the_content(base_images, tmp_path):
             assert t.sha256 == hashlib.sha256(original).hexdigest(), t.path
 
 
-@pytest.mark.parametrize("run_list", [b"\x00", b"\x01\x01\x00"],
-                         ids=["empty", "sparse"])
-def test_quick_format_without_a_sidecar_needs_a_cluster_bitmap(tmp_path,
-                                                               run_list):
-    """The volume alone, with no sidecar to check it against, is refused
-    before anything is written when record 6 gives $Bitmap no clusters."""
-    spec = forge.standard_corpus("ntfs", total_size=16 * MiB)
-    path = tmp_path / "n.img"
-    truth = forge.build_image(spec, path)
-    _rewrite_bitmap_run_list(path, truth, run_list)
-    before = _sha(path)
-    with pytest.raises(forge.ForgeError, match="lacks an allocation bitmap"):
-        forge.apply_mutation(path, "quick-format")
-    assert _sha(path) == before
-
-
 def test_delete_keeps_the_reserved_fat32_nibble(image_copy):
     path, truth = image_copy("fat32")
     victim = max(truth.files.values(), key=lambda r: r.size)
@@ -657,19 +648,29 @@ def _overrun_image(path, fs) -> None:
 
 @pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
 @pytest.mark.parametrize("fs", ["fat32", "ntfs"])
-def test_a_format_past_the_image_writes_nothing(image_copy, fs, action):
-    """Every format write lies inside the volume, so with no sidecar a
-    volume that overruns its image is refused before the first write;
+def test_a_format_past_the_image_writes_nothing(image_copy, tmp_path, fs,
+                                                action):
+    """Every format write lies inside the volume, so a volume that
+    overruns its image is refused before the first write, even with a
+    sidecar whose geometry agrees with the overrun boot sector;
     ``remnant forge --apply`` exits 2."""
     path, truth = image_copy(fs)
     _overrun_image(path, fs)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+    truth.geometry.update(total_sectors=desc.total_sectors,
+                          cluster_count=desc.total_clusters)
+    sidecar = tmp_path / "v.truth.json"
+    truth.save(sidecar)
     before = _sha(path)
     with pytest.raises(VolumeError,
                        match=r"^write \[0:%d\) outside volume"
                        % (2 * truth.total_size)):
-        forge.apply_mutation(path, action)
-    assert cli.main(["forge", str(path), "--apply", action]) == 2
+        forge.apply_mutation(path, action, truth=truth)
+    assert cli.main(["forge", str(path), "--apply", action,
+                     "--truth", str(sidecar)]) == 2
     assert _sha(path) == before
+    assert forge.GroundTruth.load(sidecar).mutations == []
 
 
 @pytest.mark.parametrize("action", ["quick-format", "full-overwrite"])
@@ -698,6 +699,7 @@ def test_a_format_past_the_image_mismatches_its_sidecar(image_copy, tmp_path,
     ("fat16", "sectors_per_fat"),
     ("fat32", "root_cluster"),
     ("ntfs", "mft_lcn"),
+    ("ntfs", "mirror_lcn"),
 ])
 def test_a_sidecar_with_other_geometry_is_a_mismatch(image_copy, tmp_path,
                                                      capsys, fs, key):

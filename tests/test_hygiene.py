@@ -105,24 +105,51 @@ def test_every_module_import_is_used():
     assert unused == []
 
 
+def _forge_imports(reader):
+    """The forge's syntax tree and the names it imports from the
+    ``reader`` module (``remnant.fat`` or ``remnant.ntfs``), the module
+    itself included when it is imported whole."""
+    tree = ast.parse((PACKAGE / "forge.py").read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if a.name == reader]
+        elif isinstance(node, ast.ImportFrom):
+            module = "remnant" if node.level else ""
+            module = ".".join(filter(None, [module, node.module]))
+            taken += [a.name for a in node.names
+                      if module == reader
+                      or "%s.%s" % (module, a.name) == reader]
+    assert taken, "forge.py no longer imports from %s" % reader
+    return tree, taken
+
+
 def test_forge_takes_only_constants_from_the_fat_reader():
     """The forge is the oracle the FAT reader is tested against, so it
     lays its bytes with its own encoders: from ``remnant.fat`` it takes
     on-disk constants (UPPER_CASE names), never a decoder or the module
     itself."""
-    tree = ast.parse((PACKAGE / "forge.py").read_text(encoding="utf-8"))
-    taken = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            taken += [a.name for a in node.names if a.name == "remnant.fat"]
-        elif isinstance(node, ast.ImportFrom):
-            module = "remnant" if node.level else ""
-            module = ".".join(filter(None, [module, node.module]))
-            taken += [a.name for a in node.names
-                      if module == "remnant.fat"
-                      or "%s.%s" % (module, a.name) == "remnant.fat"]
-    assert taken, "forge.py no longer imports from remnant.fat"
+    _, taken = _forge_imports("remnant.fat")
     assert [name for name in taken if not name.isupper()] == []
+
+
+def test_forge_plans_no_ntfs_write_with_the_ntfs_reader():
+    """The forge is the oracle the NTFS reader is tested against: from
+    ``remnant.ntfs`` it takes on-disk constants, and the record reader
+    only for ``_audit_resident``, which reads the volume and encodes
+    nothing.  No other forge code names the reader."""
+    audit_only = {"read_record", "parse_attributes", "MftError"}
+    tree, taken = _forge_imports("remnant.ntfs")
+    assert [name for name in taken
+            if not name.isupper() and name not in audit_only] == []
+    audit = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_audit_resident")
+    inside = {id(node) for node in ast.walk(audit)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id in audit_only
+               and id(node) not in inside]
+    assert outside == []
 
 
 def test_named_bytes_values_are_not_spelled_out_again():
