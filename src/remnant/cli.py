@@ -68,7 +68,7 @@ def _emit(rep: dict, json_path: str | None) -> None:
     sys.stdout.write(reportmod.render_text(rep))
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(reportmod.dump_json(rep) + "\n")
+            reportmod.dump_json(rep, fh)
 
 
 def _open_volume(args):

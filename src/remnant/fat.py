@@ -28,6 +28,8 @@ from .volume import (
     cluster_extents,
     cluster_offset,
     find_signatures,
+    image_clusters,
+    is_marked,
     mark_runs,
     read_extents,
 )
@@ -204,7 +206,7 @@ class FatTable:
     """The decoded allocation table: one integer per cluster slot."""
 
     kind: FsKind
-    entries: list[int] | array
+    entries: list[int] | array | bytes     # bytes: an all-free table
 
     def in_heap(self, cluster: int) -> bool:
         return 2 <= cluster < len(self.entries)
@@ -248,8 +250,9 @@ class FatTable:
 def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
     """Decode the first FAT copy: an unsigned array on FAT16/32, a list
     of ints on FAT12; either indexes by cluster number.  Only the bytes
-    the entries occupy are read, STREAM_CHUNK at a time, and each chunk
-    is decoded into the one array."""
+    the entries occupy are read, STREAM_CHUNK at a time, once the span
+    is known to lie inside the image, and each chunk is copied into its
+    place in one array allocated up front, which never grows."""
     if desc.kind is FsKind.NTFS:
         raise FatError("not a FAT volume descriptor")
     bps = desc.bytes_per_sector
@@ -258,7 +261,9 @@ def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
     if desc.sectors_per_fat * bps < need:
         raise CorruptBootRecord("corrupt boot record: FAT holds fewer "
                                 "than %d entries" % n)
-    chunks = read_extents(img, [(desc.reserved_sectors * bps, need)], need)
+    start = desc.reserved_sectors * bps
+    img.check_span(start, need)
+    chunks = read_extents(img, [(start, need)], need)
     if desc.kind is FsKind.FAT12:
         raw = b"".join(chunks)
         values = []
@@ -267,19 +272,23 @@ def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:
             pair = raw[o] | (raw[o + 1] << 8)
             values.append((pair >> 4) if i & 1 else (pair & 0xFFF))
         return FatTable(desc.kind, values)
-    values = array("H" if desc.kind is FsKind.FAT16 else "I")
+    table = array("H" if desc.kind is FsKind.FAT16 else "I", [0]) * n
+    view = memoryview(table).cast("B")
+    pos = 0
     for chunk in chunks:
+        end = pos + len(chunk)
+        view[pos:end] = chunk
         if desc.kind is FsKind.FAT32:
             # The top nibble of each little-endian entry's last byte is
             # reserved: clear it in one C-level pass over every fourth
             # byte.  A chunk holds whole entries.
-            chunk = bytearray(chunk)
-            chunk[3::4] = chunk[3::4].translate(_FAT32_HIGH_BYTE)
-        values.frombytes(chunk)
+            view[pos + 3:end:4] = chunk[3::4].translate(_FAT32_HIGH_BYTE)
+        pos = end
         del chunk  # free it before the next read, not after
+    view.release()
     if sys.byteorder == "big":
-        values.byteswap()
-    return FatTable(desc.kind, values)
+        table.byteswap()
+    return FatTable(desc.kind, table)
 
 
 @dataclass
@@ -387,7 +396,8 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
     cs = desc.cluster_size
     slots = []
     c = start
-    while fat.in_heap(c) and not live_clusters[c] and not consumed[c]:
+    while fat.in_heap(c) and not is_marked(live_clusters, c) \
+            and not is_marked(consumed, c):
         buf = _read_or_none(img, cluster_offset(desc, c), cs)
         if buf is None:
             break
@@ -417,9 +427,8 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     cs = desc.cluster_size
     heap = cluster_offset(desc, 2)
     # A truncated image is carved up to its last whole cluster.
-    last = min(desc.max_cluster, max(0, img.size - heap) // cs + 1)
-    for offset, head in find_signatures(img, heap, heap + (last - 1) * cs,
-                                        cs, DOT_NAME, cs):
+    stop = heap + (image_clusters(img, desc) - 2) * cs
+    for offset, head in find_signatures(img, heap, stop, cs, DOT_NAME, cs):
         cluster = 2 + (offset - heap) // cs
         if (not live_clusters[cluster] and not consumed[cluster]
                 and _qualifies_as_orphan_dir(head)):
@@ -435,8 +444,10 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     allocation bitmap so the carve pass only ever looks at abandoned
     space.
     """
-    live_clusters = bytearray(desc.max_cluster + 1)
-    consumed = bytearray(desc.max_cluster + 1)
+    # Sized by the image, not the boot record: a cluster past the image
+    # cannot be read, and reads as neither live nor consumed.
+    live_clusters = bytearray(image_clusters(img, desc))
+    consumed = bytearray(len(live_clusters))
     entries: list[FatDirEntry] = []
     warnings: list[str] = []
     try:
@@ -445,8 +456,9 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
         raise                   # not a FAT volume at all
     except VolumeError as exc:
         # Truncated/damaged image: chains are gone, but the directory
-        # walk and the orphan carve can still run against what's left.
-        fat = FatTable(desc.kind, [0] * (desc.cluster_count + 2))
+        # walk and the orphan carve can still run against what's left,
+        # over a table that marks every cluster in the image free.
+        fat = FatTable(desc.kind, bytes(len(live_clusters)))
         warnings.append("allocation table unreadable (%s); carve-only "
                         "results" % exc)
     seen_offsets: set[int] = set()
@@ -491,7 +503,8 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                     and fat.in_heap(e.first_cluster))
     while pending:
         entry = pending.popleft()
-        if consumed[entry.first_cluster] or live_clusters[entry.first_cluster]:
+        if is_marked(consumed, entry.first_cluster) \
+                or is_marked(live_clusters, entry.first_cluster):
             continue
         head = _read_or_none(img, cluster_offset(desc, entry.first_cluster),
                              desc.cluster_size)
@@ -566,9 +579,10 @@ def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
     needed = _ceil_div(size, desc.cluster_size)
     if not fat.in_heap(first_cluster):
         return [], "fragmented-unknown", ["bad-first-cluster"]
-    top = desc.max_cluster
+    top = len(fat.entries) - 1
     if not fat.is_free(first_cluster):
-        if live_clusters is not None and not live_clusters[first_cluster]:
+        if live_clusters is not None \
+                and not is_marked(live_clusters, first_cluster):
             # The allocation is dangling, not owned by a live file: the
             # original chain is still written in the table.  Follow it.
             runs, ended = fat.chain_from(first_cluster, limit=needed)

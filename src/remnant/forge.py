@@ -47,6 +47,7 @@ from .ntfs import (
     parse_attributes,
     read_record,
 )
+from .report import write_json
 from .volume import (
     BOOT_SIGNATURE,
     DIR_ENTRY_SIZE,
@@ -204,7 +205,7 @@ class GroundTruth:
     seed: int
     mutations: list = field(default_factory=list)
 
-    def to_json(self) -> str:
+    def save(self, path) -> None:
         raw = {
             "filesystem": self.filesystem,
             "total_size": self.total_size,
@@ -216,11 +217,8 @@ class GroundTruth:
             "seed": self.seed,
             "mutations": list(self.mutations),
         }
-        return json.dumps(raw, indent=2, sort_keys=True)
-
-    def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            write_json(raw, fh)
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":

@@ -24,6 +24,7 @@ from .volume import (
     cluster_extents,
     cluster_offset,
     find_signatures,
+    image_clusters,
     mark_runs,
     merge_runs,
     read_extents,
@@ -438,7 +439,7 @@ def carve_records(img: VolumeImage, desc: VolumeDescriptor,
     record_size = desc.mft_record_size
     cs = desc.cluster_size
     # A truncated image is carved up to its last whole cluster.
-    stop = min(desc.total_clusters, img.size // cs) * cs
+    stop = image_clusters(img, desc) * cs
     for offset, buf in find_signatures(img, 0, stop, min(record_size, cs),
                                        FILE_SIGNATURE, record_size):
         if skip_clusters[offset // cs] or offset in known_offsets:
@@ -556,7 +557,9 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     stats = MftScanStats()
     live: list[NtfsEntry] = []
     deleted: list[NtfsEntry] = []
-    live_clusters = bytearray(desc.max_cluster + 1)
+    # Sized by the image, not the boot record: a cluster past the image
+    # cannot be read, and reads as not live.
+    live_clusters = bytearray(image_clusters(img, desc))
     known_offsets: set[int] = set()
 
     for rec in scan_mft(img, desc, stats):

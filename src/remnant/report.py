@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .filetypes import CLASSES, classify
 from .volume import VolumeImage, stream_extents
@@ -260,5 +261,113 @@ def render_text(report: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def dump_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+# -- JSON -------------------------------------------------------------------
+
+_INF = float("inf")
+JSON_BATCH = 2048   # pieces (about one line each) held before one write
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a scalar, or None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % value.__class__.__name__)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` coerces it: a string, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return '"%s"' % _float_text(key)
+    if key is True or key is False or key is None:
+        return '"%s"' % _scalar_text(key)
+    if isinstance(key, int):
+        return '"%s"' % int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % key.__class__.__name__)
+
+
+def _write_container(value, newline: str, out: list, fh) -> None:
+    """Append ``value``, a list, tuple or dict whose closing bracket
+    starts ``newline``, to ``out``; hand ``out`` to ``fh`` once it holds
+    JSON_BATCH pieces."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            text = _scalar_text(item)
+            if text is None:
+                out.append(lead + _key_text(key) + ": ")
+                _write_container(item, inner, out, fh)
+            else:
+                out.append(lead + _key_text(key) + ": " + text)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        if not value:
+            out.append("[]")
+            return
+        lead = "[" + inner
+        for item in value:
+            text = _scalar_text(item)
+            if text is None:
+                out.append(lead)
+                _write_container(item, inner, out, fh)
+            else:
+                out.append(lead + text)
+            lead = "," + inner
+        out.append(newline + "]")
+    if len(out) >= JSON_BATCH:
+        fh.write("".join(out))
+        out.clear()
+
+
+def write_json(value, fh) -> None:
+    """Write ``value`` to the text file ``fh`` as the bytes of
+    ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Scalars go through the stdlib's own C helpers, and the pieces go to
+    ``fh`` a batch at a time, so memory follows one batch of rows, not
+    the document (``json.dumps`` with ``indent`` holds every piece of the
+    document before one join).
+    """
+    text = _scalar_text(value)
+    if text is not None:
+        fh.write(text)
+        return
+    out: list[str] = []
+    _write_container(value, "\n", out, fh)
+    fh.write("".join(out))
+
+
+def dump_json(report: dict, fh) -> None:
+    """Write ``report`` to ``fh`` as JSON, one line break after it."""
+    write_json(report, fh)
+    fh.write("\n")

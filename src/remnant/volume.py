@@ -32,7 +32,7 @@ FAT16_CLUSTER_LIMIT = 65525  # below this: FAT16, else FAT32
 
 MIN_IMAGE_BYTES = 512
 
-STREAM_CHUNK = 4 << 20  # most bytes one read may hold while streaming
+STREAM_CHUNK = 1 << 20  # most bytes one read may hold while streaming
 HEAD_BYTES = 64         # leading payload bytes kept for classification
 
 
@@ -344,6 +344,23 @@ def merge_runs(runs) -> list[list[int]]:
         else:
             merged.append([first, count])
     return merged
+
+
+def image_clusters(img: VolumeImage, desc: VolumeDescriptor) -> int:
+    """The length of an allocation bitmap (one byte per cluster number)
+    that covers every cluster lying whole inside the image: at most
+    ``max_cluster + 1``, and never more than the image holds, whatever
+    size the boot record claims."""
+    first = 0 if desc.kind is FsKind.NTFS else 2
+    heap = cluster_offset(desc, first)
+    inside = first + max(0, img.size - heap) // desc.cluster_size
+    return min(desc.max_cluster + 1, inside)
+
+
+def is_marked(bitmap: bytearray, cluster: int) -> bool:
+    """Whether an allocation bitmap marks ``cluster``; a cluster past
+    the bitmap's end is not marked."""
+    return cluster < len(bitmap) and bitmap[cluster] != 0
 
 
 def mark_runs(bitmap: bytearray, runs) -> None:

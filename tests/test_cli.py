@@ -1,16 +1,21 @@
 """End-to-end command-line behavior, including every exit code."""
 
+import contextlib
 import hashlib
 import json
 import os
+import resource
 import shutil
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from remnant import cli
 from remnant import forge
+from remnant import report as reportmod
 from remnant.volume import detect_filesystem, open_image
 
 MiB = 1024 * 1024
@@ -173,6 +178,56 @@ def test_scan_zeroed_mft_head_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert "MFT unreadable" in err
     assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra=1 << 30):
+    """Cap this process's address space at its present size plus
+    ``extra``, so that a buffer sized by a corrupted field raises
+    MemoryError here instead of exhausting the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        now = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = now + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+# A boot field that claims a volume far larger than the image: FAT32's
+# totsec32 (then 4,294,965,968 clusters, with a table of 81,920 entries)
+# and one byte of NTFS's 8-byte sector count (438,086,696,960 sectors).
+@pytest.mark.parametrize("fs, size, field, value", [
+    pytest.param("fat32", 40 * MiB, 0x20, struct.pack("<I", 0xFFFFFFF0),
+                 id="fat32-totsec32"),
+    pytest.param("ntfs", 16 * MiB, 44, b"\x66", id="ntfs-total-sectors"),
+])
+@pytest.mark.parametrize("command", ["scan", "recover"])
+def test_a_boot_record_claiming_a_huge_volume_costs_only_the_image(
+        tmp_path, capsys, fs, size, field, value, command):
+    img = tmp_path / "vol.img"
+    truth = forge.build_image(forge.standard_corpus(fs, total_size=size),
+                              img)
+    forge.apply_mutation(img, "delete-all", truth=truth)
+    with open(img, "r+b") as fh:
+        fh.seek(field)
+        fh.write(value)
+    argv = [command, str(img), "--deep"]
+    if command == "recover":
+        argv += ["--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        with _address_space_cap():
+            code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < size // 2
 
 
 def test_scan_missing_file_is_a_config_error(tmp_path, capsys):
@@ -484,6 +539,46 @@ def test_simulate_rejects_unknown_experiments(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "simulate", str(bad))
     assert code == 5
+
+
+def test_every_json_document_has_the_bytes_of_json_dumps(
+        tmp_path, capsys, monkeypatch):
+    """Each report kind and both sidecars, as the CLI writes them, equal
+    ``json.dumps(indent=2, sort_keys=True)`` of what was written (a
+    report with one line break after it)."""
+    want = {}
+    real = reportmod.write_json
+
+    def recording(value, fh):
+        want[fh.name] = json.dumps(value, indent=2, sort_keys=True)
+        real(value, fh)
+
+    monkeypatch.setattr(reportmod, "write_json", recording)
+    monkeypatch.setattr(forge, "write_json", recording)
+    fat, ntfs = str(tmp_path / "fat.img"), str(tmp_path / "ntfs.img")
+    sim = _sim_config(tmp_path, "overwrite", k=3)
+    commands = [
+        ["forge", ntfs, "--fs", "ntfs", "--size", "8m"],
+        ["forge", fat, "--fs", "fat16", "--size", "8m"],
+        ["forge", fat, "--apply", "delete-all"],
+        ["scan", fat, "--deep"],
+        ["recover", fat, "--out", str(tmp_path / "out"),
+         "--truth", fat + ".truth.json"],
+        ["audit", fat, fat + ".truth.json"],
+        ["simulate", str(sim)],
+    ]
+    reports = []
+    for argv in commands:
+        reports.append(str(tmp_path / ("%s-%d.json" % (argv[0],
+                                                       len(reports)))))
+        code, _, err = run(capsys, *argv, "--json", reports[-1])
+        assert code == 0, err
+    sidecars = [ntfs + ".truth.json", fat + ".truth.json"]
+    assert sorted(want) == sorted(reports + sidecars)
+    for path in reports + sidecars:
+        tail = "\n" if path in reports else ""
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == want[path] + tail, path
 
 
 def test_disk_commands_do_not_load_the_simulator():

@@ -506,13 +506,13 @@ def _dir_head(names, end=True):
 
 
 def test_deep_scan_carves_the_readable_part_of_a_truncated_image(image_copy):
-    # Cut the image a few clusters into its second 4 MiB carve batch and
+    # Cut the image a few clusters into its second carve batch and
     # plant a directory head in that readable remainder.
     path, _ = image_copy("fat32", "quick-format")
     with open_image(path) as img:
         desc = detect_filesystem(img)
     cs = desc.cluster_size
-    first = 2 + (4 << 20) // cs           # opens the second batch
+    first = 2 + volume.STREAM_CHUNK // cs  # opens the second batch
     planted = first + 1
     data = bytearray(path.read_bytes()[:cluster_offset(desc, first + 3) + 100])
     head = _dir_head([b"PLANTED TXT"])
@@ -592,7 +592,7 @@ def test_delete_then_undelete_restores_every_payload(tmp_path_factory, spec):
 def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
     """Reference: the carve as one Python iteration per cluster."""
     cs = desc.cluster_size
-    batch = max(1, (4 << 20) // cs)
+    batch = max(1, volume.STREAM_CHUNK // cs)
     out = []
     c = 2
     while c <= desc.max_cluster:
@@ -612,7 +612,7 @@ def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
     return out
 
 
-_BATCH = (4 << 20) // 512
+_BATCH = volume.STREAM_CHUNK // 512
 _HEAP = _BATCH + 40                       # one full batch and a short one
 _MAX = _HEAP + 1
 _EDGE = [2, _BATCH, _BATCH + 1, _MAX - 1, _MAX]

@@ -2,7 +2,8 @@
 module-level constant defined under src/remnant is named somewhere
 outside the tests, and every module-level import of a package module is
 used by that module.  Every on-disk bytes value the package names is
-written by that name only."""
+written by that name only, and every indented JSON document goes through
+the one report writer."""
 
 import ast
 from collections import Counter
@@ -172,3 +173,18 @@ def test_named_bytes_values_are_not_spelled_out_again():
                 and isinstance(node.value, bytes)
                 and node.value in named and id(node) not in homes]
     assert repeated == []
+
+
+def test_indented_json_has_one_writer():
+    """``report.write_json`` writes every indented JSON document (reports
+    and sidecars) a batch at a time; no module asks ``json.dump`` or
+    ``json.dumps`` for ``indent``, which builds the whole document."""
+    calls = [_where(path, node, node.func.attr)
+             for path, tree in _trees([PACKAGE]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "json"
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []

@@ -392,7 +392,7 @@ def test_torn_record_is_skipped_and_counted(image_copy, base_images):
 
 def test_deep_scan_carves_the_readable_part_of_a_truncated_image(
         base_images, image_copy):
-    # Cut the image a few clusters into its second 4 MiB carve batch and
+    # Cut the image a few clusters into its second carve batch and
     # plant a corpus file's record in that readable remainder.
     src, truth = base_images["ntfs"]
     rec = next(iter(truth.files.values()))
@@ -400,7 +400,7 @@ def test_deep_scan_carves_the_readable_part_of_a_truncated_image(
     with img:
         record = img.read_at(rec.entry_offset, desc.mft_record_size)
     path, _ = image_copy("ntfs", "quick-format")
-    first = (4 << 20) // desc.cluster_size    # opens the second batch
+    first = volume.STREAM_CHUNK // desc.cluster_size  # opens batch two
     planted = cluster_offset(desc, first + 1)
     data = bytearray(path.read_bytes()[:cluster_offset(desc, first + 3) + 1000])
     data[planted:planted + len(record)] = record
@@ -738,7 +738,7 @@ def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
     cs = desc.cluster_size
     step = min(record_size, cs)
     total = desc.total_clusters
-    batch_clusters = max(1, (4 << 20) // cs)
+    batch_clusters = max(1, volume.STREAM_CHUNK // cs)
     for start in range(0, total, batch_clusters):
         count = min(batch_clusters, total - start)
         base = cluster_offset(desc, start)
@@ -776,9 +776,10 @@ def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
 
 
 def _ntfs_volume(cs, plants):
-    """Geometry and bytes of a volume of one 4 MiB batch plus 20 KiB of
-    ``cs``-byte clusters, 1 KiB records, (offset, bytes) planted."""
-    clusters = (4 << 20) // cs + 40 * 512 // cs
+    """Geometry and bytes of a volume of one STREAM_CHUNK batch plus
+    20 KiB of ``cs``-byte clusters, 1 KiB records, (offset, bytes)
+    planted."""
+    clusters = volume.STREAM_CHUNK // cs + 40 * 512 // cs
     buf = bytearray(clusters * cs)
     for pos, blob in plants:
         buf[pos:pos + len(blob)] = blob[:len(buf) - pos]
@@ -789,7 +790,7 @@ def _ntfs_volume(cs, plants):
     return desc, bytes(buf)
 
 
-_BATCH_END = 4 << 20
+_BATCH_END = volume.STREAM_CHUNK
 _VOLUME_END = _BATCH_END + 40 * 512
 
 

@@ -1,8 +1,12 @@
 """Report assembly: exact percentages, summaries, identical facts."""
 
+import io
 import json
+import os
+import tracemalloc
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from remnant.report import (
     RecoveredFile,
@@ -11,6 +15,7 @@ from remnant.report import (
     make_report,
     render_text,
     summarize,
+    write_json,
 )
 from remnant.volume import merge_runs
 
@@ -125,12 +130,18 @@ def test_make_report_fills_the_envelope():
     assert rep["simulation"] is None
 
 
+def _written(value, writer=write_json) -> str:
+    out = io.StringIO()
+    writer(value, out)
+    return out.getvalue()
+
+
 def test_json_and_text_carry_the_same_facts():
     truth = [{"path": "A.PDF", "class": "document", "size": 10, "sha256": "h1"}]
     files = [_rf("A.PDF", "document", 10, "h1")]
     rep = make_report({"command": "recover", "image": "x.img"},
                       summary=summarize(files, truth), files=files)
-    blob = json.loads(dump_json(rep))
+    blob = json.loads(_written(rep, dump_json))
     text = render_text(rep)
     # Every scalar fact in the machine report appears in the rendering.
     assert blob["meta"]["image"] in text
@@ -139,7 +150,8 @@ def test_json_and_text_carry_the_same_facts():
     assert blob["files"][0]["sha256"] in text
     assert blob["summary"]["totals"]["attempted"] == 1
     # And the JSON is stable under a round trip.
-    assert json.loads(dump_json(json.loads(dump_json(rep)))) == blob
+    assert json.loads(_written(json.loads(_written(rep, dump_json)),
+                               dump_json)) == blob
 
 
 def test_text_rendering_of_audit_and_simulation_sections():
@@ -170,3 +182,65 @@ def test_text_rendering_of_audit_and_simulation_sections():
     text = render_text(sim)
     assert "overwrite" in text
     assert "8192" in text or "8,192" in text
+
+
+# ------------------------------------------------------------ JSON writer
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"),
+                     float("-inf")]))
+
+
+def _containers(children):
+    """Lists, tuples, and dicts whose keys are of one kind each, so that
+    ``sort_keys`` can order them; non-str keys are coerced."""
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.integers() | st.booleans(), children, max_size=4),
+        st.dictionaries(st.floats(), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1))
+
+
+@given(value=st.recursive(_SCALARS, _containers, max_leaves=24))
+@example(value={"": [], "a": {}, "\u00e9\x01\n\"": ((), [[]], {1.5: None})})
+@example(value={True: -0.0, 3: [1e300, float("nan"), float("-inf")]})
+def test_the_writer_writes_the_bytes_of_json_dumps(value):
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1, 2: 3},              # keys sort_keys cannot order
+    {(1, 2): "tuple key"},
+    {"x": {1, 2}},
+    [b"raw bytes"],
+])
+def test_the_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _written(value)
+
+
+def _listing(rows: int) -> dict:
+    """A scan-shaped report of ``rows`` short rows."""
+    return make_report({"command": "scan"},
+                       files=[{"name": "F%05d.TXT" % i, "size": i}
+                              for i in range(rows)])
+
+
+def _writer_peak(report: dict) -> int:
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            dump_json(report, sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_the_writer_holds_a_batch_of_rows_not_the_document():
+    small, large = _listing(2_000), _listing(20_000)
+    assert _writer_peak(large) <= _writer_peak(small) + 64 * 1024

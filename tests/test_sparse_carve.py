@@ -5,6 +5,7 @@ MFT record ('FILE'); the carve skips the holes and must find exactly
 what a scan of a dense copy of the same bytes, which has no holes, finds.
 """
 
+import itertools
 import os
 from pathlib import Path
 
@@ -66,10 +67,17 @@ def _deep_scans(path, base_offset=0):
     return scans
 
 
-def _mid_batch_cluster(desc):
-    """A cluster inside the fourth 4 MiB carve batch, off its edges."""
+def _mid_batch_cluster(desc, data):
+    """A cluster 37 clusters past a STREAM_CHUNK carve-batch edge, off
+    the batch's edges: the first such cluster whose neighbourhood in
+    ``data`` is all zeros, so it lies inside a hole once written
+    sparse."""
     first = 2 if desc.kind.is_fat else 0
-    return first + 3 * (STREAM_CHUNK // desc.cluster_size) + 37
+    for batch in itertools.count(1):
+        cluster = first + batch * (STREAM_CHUNK // desc.cluster_size) + 37
+        off = cluster_offset(desc, cluster)
+        if not data[off - BLOCK:off + BLOCK].strip(b"\0"):
+            return cluster
 
 
 @pytest.mark.parametrize("fs", FS_KINDS)
@@ -84,7 +92,7 @@ def test_directory_head_after_a_hole_is_carved(formatted, tmp_path, lead):
     data = bytearray(formatted["fat32"].read_bytes())
     with open_image(formatted["fat32"]) as img:
         desc = detect_filesystem(img)
-    planted = _mid_batch_cluster(desc)
+    planted = _mid_batch_cluster(desc, data)
     off = cluster_offset(desc, planted)
     assert not data[off - BLOCK:off + BLOCK].strip(b"\0")  # inside a hole
     head = _dir_head([b"PLANTED TXT"])
@@ -106,7 +114,7 @@ def test_file_record_after_a_hole_is_carved(base_images, formatted, tmp_path,
         desc = detect_filesystem(img)
         record = img.read_at(rec.entry_offset, desc.mft_record_size)
     data = bytearray(formatted["ntfs"].read_bytes())
-    off = cluster_offset(desc, _mid_batch_cluster(desc))
+    off = cluster_offset(desc, _mid_batch_cluster(desc, data))
     assert not data[off - BLOCK:off + BLOCK].strip(b"\0")  # inside a hole
     data[off:off + len(record)] = record
     data = b"\xAA" * lead + bytes(data)
