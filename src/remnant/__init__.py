@@ -9,8 +9,9 @@ over these modules:
 - :mod:`remnant.fat` / :mod:`remnant.ntfs` — per-filesystem metadata
   parsing and single-file recovery
 - :mod:`remnant.undelete` — the filesystem-neutral pipeline
-- :mod:`remnant.forge` — corpus images with ground-truth sidecars, the
-  deletion mutations, and the sanitization audit
+- :mod:`remnant.forge` — ground-truth sidecars and the sanitization
+  audit; it loads :mod:`remnant.forge_write`, the corpus image writer and
+  the deletion mutations, on first use of the writer's names
 - :mod:`remnant.ftl` — flash remanence simulation
 - :mod:`remnant.report` — the one report shape both output forms share
 """

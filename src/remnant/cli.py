@@ -65,7 +65,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _emit(rep: dict, json_path: str | None) -> None:
-    sys.stdout.write(reportmod.render_text(rep))
+    reportmod.write_text(rep, sys.stdout)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             reportmod.dump_json(rep, fh)

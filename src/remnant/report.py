@@ -8,6 +8,7 @@ output forms cannot drift apart.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -17,6 +18,8 @@ from .volume import VolumeImage, stream_extents
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "remnant"
+# Pieces (about one line each) that either writer holds before one write.
+JSON_BATCH = 2048
 
 
 def exact_percent(numerator: int, denominator: int) -> float | None:
@@ -166,38 +169,38 @@ def _fmt_value(v) -> str:
     return json.dumps(v, sort_keys=True)
 
 
-def render_text(report: dict) -> str:
-    """Human-readable rendering of a report dict (same facts, no more)."""
-    out = []
+def _text_lines(report: dict):
+    """The lines of the human-readable rendering, each without its line
+    break."""
     meta = report["meta"]
-    out.append("%s %s" % (meta.get("tool", TOOL_NAME), meta.get("command", "")))
+    yield "%s %s" % (meta.get("tool", TOOL_NAME), meta.get("command", ""))
     for key in sorted(meta):
         if key in ("tool", "command", "schema_version"):
             continue
         if meta[key] is not None:
-            out.append("  %s: %s" % (key, _fmt_value(meta[key])))
+            yield "  %s: %s" % (key, _fmt_value(meta[key]))
 
     summary = report.get("summary")
     if summary:
-        out.append("")
-        out.append("%-12s %9s %7s %15s %9s"
-                   % ("class", "attempted", "listed", "byte-identical", "percent"))
+        yield ""
+        yield ("%-12s %9s %7s %15s %9s"
+               % ("class", "attempted", "listed", "byte-identical", "percent"))
         for row in summary["classes"]:
-            out.append("%-12s %9d %7d %15s %9s"
-                       % (row["class"], row["attempted"], row["listed"],
-                          "-" if row["byte_identical"] is None
-                          else row["byte_identical"],
-                          _fmt_percent(row["percent"])))
+            yield ("%-12s %9d %7d %15s %9s"
+                   % (row["class"], row["attempted"], row["listed"],
+                      "-" if row["byte_identical"] is None
+                      else row["byte_identical"],
+                      _fmt_percent(row["percent"])))
         t = summary["totals"]
-        out.append("%-12s %9d %7d %15s %9s"
-                   % ("total", t["attempted"], t["listed"],
-                      "-" if t["byte_identical"] is None else t["byte_identical"],
-                      _fmt_percent(t["percent"])))
-        out.append("bytes recovered: %d" % t["bytes_recovered"])
+        yield ("%-12s %9d %7d %15s %9s"
+               % ("total", t["attempted"], t["listed"],
+                  "-" if t["byte_identical"] is None else t["byte_identical"],
+                  _fmt_percent(t["percent"])))
+        yield "bytes recovered: %d" % t["bytes_recovered"]
 
     files = report.get("files") or []
     if files:
-        out.append("")
+        yield ""
         for f in files:
             where = (f["path"] + "/" + f["name"]) if f["path"] else f["name"]
             if "sha256" in f:           # recovered payload row
@@ -214,57 +217,74 @@ def render_text(report: dict) -> str:
                     line += "  %s" % f["modified"]
             if f["flags"]:
                 line += "  [" + ",".join(f["flags"]) + "]"
-            out.append(line)
+            yield line
 
     audit = report.get("audit")
     if audit:
-        out.append("")
-        out.append("sanitization audit: %s" % audit["verdict"])
+        yield ""
+        yield "sanitization audit: %s" % audit["verdict"]
         for row in audit["files"]:
-            out.append("  %-40s %-12s %d/%d bytes recoverable"
-                       % (row["path"], row["verdict"],
-                          row["recoverable_bytes"], row["size_bytes"]))
-        out.append("recoverable: %d of %d bytes; %d recoverable / %d "
-                   "partial / %d sanitized file(s)"
-                   % (audit["recoverable_bytes"], audit["total_bytes"],
-                      audit["recoverable_files"], audit["partial_files"],
-                      audit["sanitized_files"]))
+            yield ("  %-40s %-12s %d/%d bytes recoverable"
+                   % (row["path"], row["verdict"],
+                      row["recoverable_bytes"], row["size_bytes"]))
+        yield ("recoverable: %d of %d bytes; %d recoverable / %d "
+               "partial / %d sanitized file(s)"
+               % (audit["recoverable_bytes"], audit["total_bytes"],
+                  audit["recoverable_files"], audit["partial_files"],
+                  audit["sanitized_files"]))
 
     sim = report.get("simulation")
     if sim:
-        out.append("")
-        out.append("simulation (%s):" % sim.get("experiment", "?"))
+        yield ""
+        yield "simulation (%s):" % sim.get("experiment", "?")
         for key in sorted(sim):
             if key in ("experiment", "iterations", "remanence",
                        "state_hash"):
                 continue
-            out.append("  %s: %s" % (key, _fmt_value(sim[key])))
+            yield "  %s: %s" % (key, _fmt_value(sim[key]))
         for it in sim.get("iterations", []):
-            out.append("  iteration %2d: recoverable %8d B, copies %3d, "
-                       "identical %.2f"
-                       % (it["iteration"], it["recoverable_bytes"],
-                          it["copy_count"], it["byte_identical_fraction"]))
+            yield ("  iteration %2d: recoverable %8d B, copies %3d, "
+                   "identical %.2f"
+                   % (it["iteration"], it["recoverable_bytes"],
+                      it["copy_count"], it["byte_identical_fraction"]))
         rem = sim.get("remanence")
         if rem:
-            out.append("  remanence: %d payload(s), live %d, stale %d, "
-                       "retired %d, recoverable %d B"
-                       % (len(rem["payloads"]), rem["live_copies"],
-                          rem["stale_copies"], rem["retired_copies"],
-                          rem["recoverable_bytes"]))
+            yield ("  remanence: %d payload(s), live %d, stale %d, "
+                   "retired %d, recoverable %d B"
+                   % (len(rem["payloads"]), rem["live_copies"],
+                      rem["stale_copies"], rem["retired_copies"],
+                      rem["recoverable_bytes"]))
             for p in rem["payloads"]:
-                out.append("    %s lpns=%s copies=%d "
-                           "(live %d, stale %d, retired %d)"
-                           % (p["digest"][:16], p["lpns"], p["copies"],
-                              p["live"], p["stale"], p["retired"]))
+                yield ("    %s lpns=%s copies=%d "
+                       "(live %d, stale %d, retired %d)"
+                       % (p["digest"][:16], p["lpns"], p["copies"],
+                          p["live"], p["stale"], p["retired"]))
         if sim.get("state_hash"):
-            out.append("  state hash: %s" % sim["state_hash"])
-    return "\n".join(out) + "\n"
+            yield "  state hash: %s" % sim["state_hash"]
+
+
+def write_text(report: dict, fh) -> None:
+    """Write the human-readable rendering of a report dict (same facts,
+    no more) to the text file ``fh``, JSON_BATCH lines at a time."""
+    batch: list[str] = []
+    for line in _text_lines(report):
+        batch.append(line + "\n")
+        if len(batch) >= JSON_BATCH:
+            fh.write("".join(batch))
+            batch.clear()
+    fh.write("".join(batch))
+
+
+def render_text(report: dict) -> str:
+    """:func:`write_text`'s rendering as one string."""
+    buf = io.StringIO()
+    write_text(report, buf)
+    return buf.getvalue()
 
 
 # -- JSON -------------------------------------------------------------------
 
 _INF = float("inf")
-JSON_BATCH = 2048   # pieces (about one line each) held before one write
 
 
 def _float_text(value: float) -> str:

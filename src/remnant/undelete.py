@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -252,8 +252,11 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
     Returns (recovered, errors) where errors is a list of
     (candidate, message) for entries whose metadata no longer supports
     a read.  Every candidate is planned first, so a failed one takes no
-    output name; the workers then stream each file straight into its
-    output.  Report order matches scan order regardless of ``jobs``.
+    output name; then ``min(jobs, files)`` workers take the files one at
+    a time and stream each straight into its output.  Report order
+    matches scan order regardless of ``jobs``; an error that escapes a
+    worker stops the others taking more, and the earliest file's error
+    in that order is raised.
     """
     plans: list[RecoveredFile] = []
     errors: list[tuple[Candidate, str]] = []
@@ -268,9 +271,34 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
     dests = [os.path.join(out_dir, output_name(p.path, p.name, taken))
              for p in plans]
 
-    if jobs > 1 and len(plans) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            recovered = list(pool.map(recover_one, repeat(img), plans, dests))
+    workers = min(jobs, len(plans))
+    if workers > 1:
+        # One work item at a time per worker, not one future per file.
+        from concurrent.futures import ThreadPoolExecutor
+
+        recovered = [None] * len(plans)
+        todo = enumerate(zip(plans, dests))
+        lock = threading.Lock()
+        failures: list[tuple[int, Exception]] = []
+
+        def drain() -> None:
+            while not failures:
+                with lock:
+                    item = next(todo, None)
+                if item is None:
+                    return
+                index, (plan, dest) = item
+                try:
+                    recovered[index] = recover_one(img, plan, dest)
+                except Exception as exc:
+                    failures.append((index, exc))
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            running = [pool.submit(drain) for _ in range(workers)]
+        for worker in running:
+            worker.result()
+        if failures:
+            raise min(failures)[1]     # indices are unique
     else:
         recovered = list(map(recover_one, repeat(img), plans, dests))
 

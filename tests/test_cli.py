@@ -437,12 +437,32 @@ def test_recover_with_a_mismatched_sidecar_is_exit_4(small_image, tmp_path,
     '"files": {}, "dirs": {}, "internal": {}}',
     '{"filesystem": "FAT16", "total_size": 0, "geometry": {}, '
     '"files": {}, "dirs": {}, "internal": "x"}',
+    # (filesystem, field, value): the image's own sidecar with one field
+    # of a file row (a resident one on NTFS) mistyped.
+    ("fat16", "resident", True),
+    ("ntfs", "entry_offset", "x"),
+    ("fat16", "clusters", "zz"),
+    ("fat16", "size", "12"),
+    ("fat16", "file_class", "zzz"),
 ], ids=["no-files", "a-list", "geometry-a-string", "internal-empty",
-        "internal-a-string"])
+        "internal-a-string", "fat-resident-true", "ntfs-entry-offset-a-string",
+        "clusters-a-string", "size-a-string", "class-unknown"])
 @pytest.mark.parametrize("command", ["audit", "recover", "forge"])
 def test_a_malformed_sidecar_is_exit_5(small_image, tmp_path, capsys,
                                        command, sidecar):
     img, _ = small_image
+    if not isinstance(sidecar, str):
+        fs, key, value = sidecar
+        if fs == "ntfs":
+            img = tmp_path / "ntfs.img"
+            forge.build_image(forge.standard_corpus("ntfs", total_size=8 * MiB),
+                              img, truth_path=str(img) + ".truth.json")
+        with open(str(img) + ".truth.json", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        row = next(row for row in raw["files"].values()
+                   if fs != "ntfs" or row["resident"])
+        row[key] = value
+        sidecar = json.dumps(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(sidecar)
     out = tmp_path / "out"
@@ -590,6 +610,42 @@ def test_disk_commands_do_not_load_the_simulator():
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_disk_commands_load_neither_the_writer_nor_the_pool():
+    """``import remnant.cli`` compiles neither the forge's image writer
+    nor the thread pool; the writer's names still resolve through
+    ``remnant.forge``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, remnant.cli\n"
+         "print([m for m in ('remnant.forge_write', 'concurrent.futures')\n"
+         "       if m in sys.modules])\n"
+         "print(remnant.cli.forgemod.build_image.__module__)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "remnant.forge_write"]
+
+
+def test_recover_into_an_output_taken_by_a_directory_is_exit_5(
+        small_image, tmp_path, capsys):
+    img, _ = small_image
+    _mutate(img, "delete-all")
+    code, out, _ = run(capsys, "scan", str(img), "--json",
+                       str(tmp_path / "scan.json"))
+    assert code == 0
+    first = next(row for row in json.loads(
+        (tmp_path / "scan.json").read_text())["files"]
+        if row["deleted"] and not row["is_directory"])
+    out_dir = tmp_path / "out"
+    (out_dir / "_".join(filter(None, [first["path"], first["name"]]))).mkdir(
+        parents=True)
+    code, _, err = run(capsys, "recover", str(img), "--out", str(out_dir),
+                       "--jobs", "2")
+    assert code == 5
+    assert "Is a directory" in err
 
 
 # ------------------------------------------------------------ bad usage

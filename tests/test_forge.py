@@ -12,10 +12,12 @@ from hypothesis import given, strategies as st
 from remnant import cli
 from remnant import filetypes
 from remnant import forge
+from remnant import forge_write
 from remnant import ntfs as ntfsmod
 from remnant.undelete import recover_all, scan_volume
-from remnant.volume import (FsKind, VolumeError, cluster_extents,
-                            cluster_offset, detect_filesystem, open_image)
+from remnant.volume import (STREAM_CHUNK, FsKind, VolumeError,
+                            cluster_extents, cluster_offset,
+                            detect_filesystem, open_image)
 from test_forge_bytes import STEPS, _sha, fragmented_corpus
 
 MiB = 1024 * 1024
@@ -442,7 +444,7 @@ def _audit_one_by_rebuild(img, desc, t):
         matching = 0
         pos = 0
         cs = desc.cluster_size
-        batch = max(1, forge.STREAM_CHUNK // cs)
+        batch = max(1, STREAM_CHUNK // cs)
         for start, length in t.clusters:
             for first in range(start, start + length, batch):
                 count = min(batch, start + length - first)
@@ -577,7 +579,7 @@ def test_set_bits_matches_the_per_bit_reference(size, on, runs):
             else:
                 want[i // 8] &= ~(1 << (i % 8))
     got = bytearray(start)
-    forge._set_bits(got, runs, on)
+    forge_write._set_bits(got, runs, on)
     assert got == want
 
 

@@ -106,41 +106,52 @@ def test_every_module_import_is_used():
     assert unused == []
 
 
-def _forge_imports(reader):
-    """The forge's syntax tree and the names it imports from the
-    ``reader`` module (``remnant.fat`` or ``remnant.ntfs``), the module
-    itself included when it is imported whole."""
-    tree = ast.parse((PACKAGE / "forge.py").read_text(encoding="utf-8"))
+def _imports(module, reader, required=True):
+    """The syntax tree of ``module`` (a file under src/remnant) and the
+    names it imports from the ``reader`` module (``remnant.fat`` or
+    ``remnant.ntfs``), the module itself included when it is imported
+    whole.  A missing file fails, and so does, when ``required``, a
+    module that no longer imports from ``reader``, so a rule never goes
+    quiet by reading nothing."""
+    path = PACKAGE / module
+    assert path.is_file(), "%s is missing" % module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     taken = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             taken += [a.name for a in node.names if a.name == reader]
         elif isinstance(node, ast.ImportFrom):
-            module = "remnant" if node.level else ""
-            module = ".".join(filter(None, [module, node.module]))
+            package = "remnant" if node.level else ""
+            package = ".".join(filter(None, [package, node.module]))
             taken += [a.name for a in node.names
-                      if module == reader
-                      or "%s.%s" % (module, a.name) == reader]
-    assert taken, "forge.py no longer imports from %s" % reader
+                      if package == reader
+                      or "%s.%s" % (package, a.name) == reader]
+    assert taken or not required, \
+        "%s no longer imports from %s" % (module, reader)
     return tree, taken
 
 
 def test_forge_takes_only_constants_from_the_fat_reader():
-    """The forge is the oracle the FAT reader is tested against, so it
-    lays its bytes with its own encoders: from ``remnant.fat`` it takes
-    on-disk constants (UPPER_CASE names), never a decoder or the module
-    itself."""
-    _, taken = _forge_imports("remnant.fat")
-    assert [name for name in taken if not name.isupper()] == []
+    """The forge is the oracle the FAT reader is tested against, so its
+    writer lays the bytes with its own encoders: from ``remnant.fat`` it
+    takes on-disk constants (UPPER_CASE names), never a decoder or the
+    module itself, and the sidecar half takes no more."""
+    _, writer = _imports("forge_write.py", "remnant.fat")
+    _, reader = _imports("forge.py", "remnant.fat", required=False)
+    assert [name for name in writer + reader if not name.isupper()] == []
 
 
 def test_forge_plans_no_ntfs_write_with_the_ntfs_reader():
-    """The forge is the oracle the NTFS reader is tested against: from
-    ``remnant.ntfs`` it takes on-disk constants, and the record reader
-    only for ``_audit_resident``, which reads the volume and encodes
-    nothing.  No other forge code names the reader."""
+    """The forge is the oracle the NTFS reader is tested against: its
+    writer takes only on-disk constants from ``remnant.ntfs``, and the
+    sidecar half takes the record reader only for ``_audit_resident``,
+    which reads the volume and encodes nothing.  No other forge code
+    names the reader, not even through ``forge``'s own imports."""
     audit_only = {"read_record", "parse_attributes", "MftError"}
-    tree, taken = _forge_imports("remnant.ntfs")
+    writer_tree, writer = _imports("forge_write.py", "remnant.ntfs")
+    assert [name for name in writer if not name.isupper()] == []
+    assert audit_only.isdisjoint(_names(writer_tree))
+    tree, taken = _imports("forge.py", "remnant.ntfs")
     assert [name for name in taken
             if not name.isupper() and name not in audit_only] == []
     audit = next(node for node in tree.body

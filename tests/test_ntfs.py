@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from remnant import cli
 from remnant import forge
+from remnant import forge_write
 from remnant import ntfs
 from remnant import undelete
 from remnant import volume
@@ -100,11 +101,11 @@ _run_lists = st.lists(
 
 @given(runs=_run_lists)
 def test_encode_decode_round_trip(runs):
-    raw = forge.encode_data_runs(runs)
+    raw = forge_write.encode_data_runs(runs)
     back = decode_data_runs(raw)
     assert back == runs
     # Re-encoding is bit-exact: widths are canonical minimums.
-    assert forge.encode_data_runs(back) == raw
+    assert forge_write.encode_data_runs(back) == raw
 
 
 # ---------------------------------------------------------- record headers
@@ -328,8 +329,8 @@ def test_the_slot_scan_numbers_records_past_a_sparse_half_record(image_of):
     rs, cs = 1024, 512
 
     def record(index, runs, real):
-        return forge._record_bytes(index, RECORD_FLAG_IN_USE, [
-            forge._nonresident_attr(ATTR_DATA, runs, real, cs)], rs)
+        return forge_write._record_bytes(index, RECORD_FLAG_IN_USE, [
+            forge_write._nonresident_attr(ATTR_DATA, runs, real, cs)], rs)
 
     desc, buf = _ntfs_volume(cs, [
         (0, record(0, [(0, 3), (None, 1), (4, 12)], 16 * cs)),
@@ -538,18 +539,19 @@ def test_live_and_deleted_records_list_the_same_name(tmp_path, namespaces):
     truth = forge.build_image(spec, img_path)
     rec = truth.files["LINK.TXT"]
     names = ("FIRST.TXT", "SECOND.TXT")
-    attrs = [forge._resident_attr(ATTR_STANDARD_INFORMATION,
-                                  forge._std_info_value())]
+    attrs = [forge_write._resident_attr(ATTR_STANDARD_INFORMATION,
+                                        forge_write._std_info_value())]
     for name, namespace in zip(names, namespaces):
-        value = bytearray(forge._file_name_value(ntfs.ROOT_RECORD, name,
-                                                 100, 104, False))
+        value = bytearray(forge_write._file_name_value(
+            ntfs.ROOT_RECORD, name, 100, 104, False))
         value[0x41] = namespace
-        attrs.append(forge._resident_attr(ATTR_FILE_NAME, bytes(value)))
-    attrs.append(forge._resident_attr(ATTR_DATA, b"x" * 100))
+        attrs.append(forge_write._resident_attr(ATTR_FILE_NAME, bytes(value)))
+    attrs.append(forge_write._resident_attr(ATTR_DATA, b"x" * 100))
     with open(img_path, "r+b") as fh:
         fh.seek(rec.entry_offset)
-        fh.write(forge._record_bytes(rec.record_index, RECORD_FLAG_IN_USE,
-                                     attrs, forge.NTFS_RECORD_SIZE))
+        fh.write(forge_write._record_bytes(
+            rec.record_index, RECORD_FLAG_IN_USE, attrs,
+            forge_write.NTFS_RECORD_SIZE))
 
     def listed(deleted):
         img, desc = _open(img_path)
@@ -577,11 +579,11 @@ def test_reused_clusters_flag_overwritten_risk(tmp_path):
     index = big.record_index + 1
     assert index < truth.internal["mft_slots"]
     data = b"\xA5" * 40_000
-    with forge._Writer(path=img_path) as w:
+    with forge_write._Writer(path=img_path) as w:
         desc = detect_filesystem(w)
         cs, rs = desc.cluster_size, desc.mft_record_size
-        rec, runs = forge._file_record(index, "NEW.BIN", ntfs.ROOT_RECORD,
-                                       data, big.clusters, cs, rs)
+        rec, runs = forge_write._file_record(
+            index, "NEW.BIN", ntfs.ROOT_RECORD, data, big.clusters, cs, rs)
         assert runs == big.clusters
         w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
         w.write(truth.internal["mft_base"] + index * rs, rec)
@@ -630,7 +632,7 @@ def _patch_data_run(path, record_offset, record_size, length, lcn):
             pos += struct.unpack_from("<I", raw, pos + 4)[0]
         end = pos + struct.unpack_from("<I", raw, pos + 4)[0]
         pos += struct.unpack_from("<H", raw, pos + 0x20)[0]
-        runs = forge.encode_data_runs([(lcn, length)])
+        runs = forge_write.encode_data_runs([(lcn, length)])
         assert pos + len(runs) <= min(end, 510)
         fh.seek(record_offset + pos)
         fh.write(runs)

@@ -16,6 +16,7 @@ from remnant.report import (
     render_text,
     summarize,
     write_json,
+    write_text,
 )
 from remnant.volume import merge_runs
 
@@ -231,11 +232,11 @@ def _listing(rows: int) -> dict:
                               for i in range(rows)])
 
 
-def _writer_peak(report: dict) -> int:
+def _writer_peak(report: dict, writer=dump_json) -> int:
     with open(os.devnull, "w", encoding="utf-8") as sink:
         tracemalloc.start()
         try:
-            dump_json(report, sink)
+            writer(report, sink)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,3 +245,19 @@ def _writer_peak(report: dict) -> int:
 def test_the_writer_holds_a_batch_of_rows_not_the_document():
     small, large = _listing(2_000), _listing(20_000)
     assert _writer_peak(large) <= _writer_peak(small) + 64 * 1024
+
+
+def _scan_listing(rows: int) -> dict:
+    """A scan-shaped report of ``rows`` deleted-file rows with every field
+    the text rendering reads."""
+    return make_report({"command": "scan"}, files=[
+        {"name": "F%05d.TXT" % i, "path": "DATA", "size": i, "deleted": True,
+         "is_directory": False, "confidence": "high", "flags": ["carved"],
+         "modified": "2020-01-01T12:00:00"} for i in range(rows)])
+
+
+def test_the_text_writer_holds_a_batch_of_lines_not_the_rendering():
+    small, large = _scan_listing(2_000), _scan_listing(20_000)
+    assert _written(large, write_text) == render_text(large)
+    assert _writer_peak(large, write_text) \
+        <= _writer_peak(small, write_text) + 64 * 1024

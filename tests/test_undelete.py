@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -127,6 +129,112 @@ def test_parallel_recovery_preserves_scan_order(image_copy, tmp_path):
         four, _ = recover_all(img, scan, out_dir=str(tmp_path / "b"), jobs=4)
     assert [(r.name, r.sha256) for r in one] == \
         [(r.name, r.sha256) for r in four]
+
+
+def _deleted_files(tmp_path, count=3):
+    """A FAT16 image whose ``count`` files, all in one directory, are
+    all deleted."""
+    spec = forge.CorpusSpec(
+        filesystem="fat16", total_size=8 << 20,
+        files=[forge.FileSpec("F%d.BIN" % i, "document", 5000 + i, seed=i,
+                              parent="DATA")
+               for i in range(count)])
+    path = tmp_path / "deleted.img"
+    truth = forge.build_image(spec, path)
+    forge.apply_mutation(path, "delete-all", truth=truth)
+    return path
+
+
+def test_the_pool_starts_no_more_workers_than_files(tmp_path, monkeypatch):
+    path = _deleted_files(tmp_path)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        one, _ = recover_all(img, scan, out_dir=str(tmp_path / "a"), jobs=1)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        eight, _ = recover_all(img, scan, out_dir=str(tmp_path / "b"), jobs=8)
+    assert len(one) == 3
+    assert 1 <= len(started) <= 3
+    row = lambda r: {**r.to_dict(), "output": os.path.basename(r.output_path)}
+    assert [row(r) for r in eight] == [row(r) for r in one]
+    for a, b in zip(one, eight):
+        with open(a.output_path, "rb") as fa, open(b.output_path, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_many_workers_recover_every_file_once(tmp_path):
+    """More workers than cores, switching threads as often as the
+    interpreter allows: every file is still taken by exactly one worker
+    and lands in its own report slot."""
+    path = _deleted_files(tmp_path, count=200)
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        one, _ = recover_all(img, scan, out_dir=str(tmp_path / "a"), jobs=1)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(
+                recover_all(img, scan, out_dir=str(tmp_path / "b"), jobs=8)),
+                daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    (many, errors), = result
+    assert errors == [] and len(one) == 200
+    assert [(r.name, r.sha256) for r in many] == \
+        [(r.name, r.sha256) for r in one]
+    assert len(os.listdir(tmp_path / "b")) == 200
+
+
+def test_the_pool_holds_no_work_item_per_file(tmp_path):
+    """Two workers hold about what one does: the pool queues no work
+    item per file (400 futures held some 680 KiB)."""
+    path = _deleted_files(tmp_path, count=400)
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        recover_all(img, scan, out_dir=str(tmp_path / "warm"), jobs=2)
+        peaks = []
+        for jobs in (1, 2):
+            tracemalloc.start()
+            try:
+                recover_all(img, scan, out_dir=str(tmp_path / str(jobs)),
+                            jobs=jobs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 128 * 1024
+
+
+def test_an_output_that_cannot_be_opened_stops_the_pool(tmp_path):
+    path = _deleted_files(tmp_path)
+    out = tmp_path / "out"
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        # The second file's output name is taken by a directory.
+        cand = scan.files[1]
+        (out / output_name(cand.path, cand.name, set())).mkdir(parents=True)
+        raised = []
+
+        def run():
+            try:
+                recover_all(img, scan, out_dir=str(out), jobs=2)
+            except OSError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and isinstance(raised[0], IsADirectoryError)
 
 
 def test_ntfs_candidates_resolve_one_parent_level(image_copy):

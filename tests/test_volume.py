@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from remnant import forge, volume
+from remnant import forge, forge_write, volume
 from remnant.volume import (
     ClusterRangeError,
     FsKind,
@@ -91,7 +91,7 @@ def test_a_refused_span_names_its_access(tmp_path):
         with pytest.raises(VolumeError) as refused:
             img.read_at(1020, 8)
     assert str(refused.value) == "read [1020:1028) outside volume of 1024 bytes"
-    with forge._Writer(path=path) as w:
+    with forge_write._Writer(path=path) as w:
         with pytest.raises(VolumeError) as refused:
             w.write(1020, bytes(8))
     assert str(refused.value) == "write [1020:1028) outside volume of 1024 bytes"
