@@ -50,6 +50,13 @@ def parse_size(text: str) -> int:
     return int(digits) * _SIZE_SUFFIX[suffix]
 
 
+def positive_int(text: str) -> int:
+    """'4' → 4; argparse refuses a count below 1, as it refuses text."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 class Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our 2 means 'unrecognized
     volume', so route usage problems to the bad-config code instead."""
@@ -325,7 +332,7 @@ def build_parser() -> Parser:
                    help="also carve orphaned metadata")
     r.add_argument("--out", required=True, metavar="DIR",
                    help="directory for recovered files")
-    r.add_argument("--jobs", type=int, default=1,
+    r.add_argument("--jobs", type=positive_int, default=1,
                    help="recovery parallelism (report order is stable)")
     r.add_argument("--same-media", action="store_true",
                    help="allow the output directory to live on the image "

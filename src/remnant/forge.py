@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .filetypes import CLASSES, magic_for
@@ -89,17 +90,9 @@ class GroundTruth:
     mutations: list = field(default_factory=list)
 
     def save(self, path) -> None:
-        raw = {
-            "filesystem": self.filesystem,
-            "total_size": self.total_size,
-            "geometry": self.geometry,
-            "files": {k: vars(v) for k, v in self.files.items()},
-            "dirs": {k: vars(v) for k, v in self.dirs.items()},
-            "internal": self.internal,
-            "volume_label": self.volume_label,
-            "seed": self.seed,
-            "mutations": list(self.mutations),
-        }
+        raw = dict(vars(self),
+                   files={k: vars(v) for k, v in self.files.items()},
+                   dirs={k: vars(v) for k, v in self.dirs.items()})
         with open(path, "w") as fh:
             write_json(raw, fh)
 
@@ -215,9 +208,7 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
             rows.append(_audit_one(img, desc, t))
     total = sum(r["size_bytes"] for r in rows)
     recoverable = sum(r["recoverable_bytes"] for r in rows)
-    counts = {"RECOVERABLE": 0, "PARTIAL": 0, "SANITIZED": 0}
-    for r in rows:
-        counts[r["verdict"]] += 1
+    counts = Counter(r["verdict"] for r in rows)
     return {
         "truth_files": len(rows),
         "files": rows,

@@ -101,6 +101,19 @@ class FileSpec:
         return "%s/%s" % (self.parent, self.name) if self.parent else self.name
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` itself if it is a ``kind``; otherwise a TypeError that
+    names ``what``."""
+    if not isinstance(value, kind):
+        raise TypeError("%s must be %s, not %s"
+                        % (what, kind.__name__, type(value).__name__))
+    return value
+
+
+def _int_or_none(value) -> int | None:
+    return None if value is None else int(value)
+
+
 @dataclass
 class CorpusSpec:
     filesystem: str                     # fat12 | fat16 | fat32 | ntfs
@@ -130,18 +143,24 @@ class CorpusSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "CorpusSpec":
         try:
-            files = [FileSpec(f["name"], f["class"], int(f["size"]),
-                              f.get("seed"), f.get("parent", ""))
-                     for f in raw.get("files", [])]
+            rows = [_typed(f, dict, "a file row")
+                    for f in _typed(raw, dict, "the spec").get("files", [])]
+            files = [FileSpec(_typed(f["name"], str, "name"),
+                              _typed(f["class"], str, "class"),
+                              int(f["size"]), _int_or_none(f.get("seed")),
+                              _typed(f.get("parent", ""), str, "parent"))
+                     for f in rows]
             return cls(
                 filesystem=raw["filesystem"],
                 total_size=int(raw["total_size"]),
                 files=files,
-                dirs=list(raw.get("dirs", [])),
-                volume_label=raw.get("volume_label", "REMNANT"),
+                dirs=[_typed(d, str, "a dirs entry")
+                      for d in raw.get("dirs", [])],
+                volume_label=_typed(raw.get("volume_label", "REMNANT"), str,
+                                    "volume_label"),
                 seed=int(raw.get("seed", 0)),
                 bytes_per_sector=int(raw.get("bytes_per_sector", SECTOR)),
-                sectors_per_cluster=raw.get("sectors_per_cluster"),
+                sectors_per_cluster=_int_or_none(raw.get("sectors_per_cluster")),
                 fragment_pairs=[tuple(p) for p in raw.get("fragment_pairs", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:

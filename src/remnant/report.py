@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from itertools import islice
 
-from .filetypes import CLASSES, classify
+from .filetypes import classify
 from .volume import VolumeImage, stream_extents
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "remnant"
-# Pieces (about one line each) that either writer holds before one write.
+# Pieces (encoder tokens, or text lines) that either writer joins into
+# one write.
 JSON_BATCH = 2048
+# With ``indent`` set, ``iterencode`` is the pure-Python generator whose
+# pieces ``json.dumps`` joins, so the bytes are the same.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def exact_percent(numerator: int, denominator: int) -> float | None:
@@ -87,30 +92,21 @@ def summarize(files, truth_files=None) -> dict:
     the percentage is identical/attempted.  Without truth the counts
     describe only what was listed and the percentage stays null.
     """
-    listed_by_class = {c: 0 for c in CLASSES}
-    listed_by_class["unknown"] = 0
-    for f in files:
-        listed_by_class.setdefault(f.file_class, 0)
-        listed_by_class[f.file_class] += 1
+    listed_by_class = Counter(f.file_class for f in files)
 
     rows = []
     if truth_files is not None:
         recovered_hashes = {f.sha256 for f in files}
-        attempted_by_class: dict[str, int] = {}
-        identical_by_class: dict[str, int] = {}
-        for t in truth_files:
-            attempted_by_class.setdefault(t["class"], 0)
-            identical_by_class.setdefault(t["class"], 0)
-            attempted_by_class[t["class"]] += 1
-            if t["sha256"] in recovered_hashes:
-                identical_by_class[t["class"]] += 1
+        attempted_by_class = Counter(t["class"] for t in truth_files)
+        identical_by_class = Counter(t["class"] for t in truth_files
+                                     if t["sha256"] in recovered_hashes)
         for cls in sorted(attempted_by_class):
             att = attempted_by_class[cls]
             ident = identical_by_class[cls]
             rows.append({
                 "class": cls,
                 "attempted": att,
-                "listed": listed_by_class.get(cls, 0),
+                "listed": listed_by_class[cls],
                 "byte_identical": ident,
                 "percent": exact_percent(ident, att),
             })
@@ -118,8 +114,6 @@ def summarize(files, truth_files=None) -> dict:
         total_ident = sum(identical_by_class.values())
     else:
         for cls, n in sorted(listed_by_class.items()):
-            if n == 0:
-                continue
             rows.append({
                 "class": cls,
                 "attempted": n,
@@ -263,16 +257,18 @@ def _text_lines(report: dict):
             yield "  state hash: %s" % sim["state_hash"]
 
 
+def _write_batched(pieces, fh) -> None:
+    """Write the strings ``pieces`` to ``fh``, JSON_BATCH at a time, one
+    join and one ``write`` per batch."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, JSON_BATCH)):
+        fh.write("".join(batch))
+
+
 def write_text(report: dict, fh) -> None:
     """Write the human-readable rendering of a report dict (same facts,
     no more) to the text file ``fh``, JSON_BATCH lines at a time."""
-    batch: list[str] = []
-    for line in _text_lines(report):
-        batch.append(line + "\n")
-        if len(batch) >= JSON_BATCH:
-            fh.write("".join(batch))
-            batch.clear()
-    fh.write("".join(batch))
+    _write_batched((line + "\n" for line in _text_lines(report)), fh)
 
 
 def render_text(report: dict) -> str:
@@ -282,109 +278,15 @@ def render_text(report: dict) -> str:
     return buf.getvalue()
 
 
-# -- JSON -------------------------------------------------------------------
-
-_INF = float("inf")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_text(value) -> str | None:
-    """The JSON text of a scalar, or None for a list, tuple or dict."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % value.__class__.__name__)
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` coerces it: a string, quoted."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return '"%s"' % _float_text(key)
-    if key is True or key is False or key is None:
-        return '"%s"' % _scalar_text(key)
-    if isinstance(key, int):
-        return '"%s"' % int.__repr__(key)
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % key.__class__.__name__)
-
-
-def _write_container(value, newline: str, out: list, fh) -> None:
-    """Append ``value``, a list, tuple or dict whose closing bracket
-    starts ``newline``, to ``out``; hand ``out`` to ``fh`` once it holds
-    JSON_BATCH pieces."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        lead = "{" + inner
-        for key, item in sorted(value.items()):
-            text = _scalar_text(item)
-            if text is None:
-                out.append(lead + _key_text(key) + ": ")
-                _write_container(item, inner, out, fh)
-            else:
-                out.append(lead + _key_text(key) + ": " + text)
-            lead = "," + inner
-        out.append(newline + "}")
-    else:
-        if not value:
-            out.append("[]")
-            return
-        lead = "[" + inner
-        for item in value:
-            text = _scalar_text(item)
-            if text is None:
-                out.append(lead)
-                _write_container(item, inner, out, fh)
-            else:
-                out.append(lead + text)
-            lead = "," + inner
-        out.append(newline + "]")
-    if len(out) >= JSON_BATCH:
-        fh.write("".join(out))
-        out.clear()
-
-
 def write_json(value, fh) -> None:
     """Write ``value`` to the text file ``fh`` as the bytes of
     ``json.dumps(value, indent=2, sort_keys=True)``.
 
-    Scalars go through the stdlib's own C helpers, and the pieces go to
-    ``fh`` a batch at a time, so memory follows one batch of rows, not
-    the document (``json.dumps`` with ``indent`` holds every piece of the
-    document before one join).
+    Those bytes are the pieces of the stdlib encoder's ``iterencode``,
+    which go to ``fh`` JSON_BATCH at a time, so memory follows one batch,
+    not the document (``json.dumps`` joins every piece before returning).
     """
-    text = _scalar_text(value)
-    if text is not None:
-        fh.write(text)
-        return
-    out: list[str] = []
-    _write_container(value, "\n", out, fh)
-    fh.write("".join(out))
+    _write_batched(_ENCODER.iterencode(value), fh)
 
 
 def dump_json(report: dict, fh) -> None:

@@ -102,6 +102,44 @@ def test_forge_refuses_an_ntfs_volume_too_small_for_its_metadata(
     assert not img.exists()
 
 
+_FAT16 = {"filesystem": "fat16", "total_size": 16 * 1024 * 1024}
+_ROW = {"name": "A.TXT", "class": "document", "size": 10}
+
+
+@pytest.mark.parametrize("spec", [
+    dict(_FAT16, sectors_per_cluster="eight"),
+    dict(_FAT16, files=[dict(_ROW, name=5)]),
+    dict(_FAT16, files=[dict(_ROW, parent=7)]),
+    [_FAT16],
+    dict(_FAT16, files=[dict(_ROW, seed="seven")]),
+], ids=["spc-not-a-number", "name-not-a-string", "parent-not-a-string",
+        "spec-not-an-object", "seed-not-a-number"])
+def test_forge_refuses_a_mistyped_spec(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    img = tmp_path / "t.img"
+    code, _, err = run(capsys, "forge", str(img), "--spec", str(path))
+    assert code == 5
+    assert "bad corpus spec" in err
+    assert "Traceback" not in err
+    assert not img.exists()
+
+
+def test_forge_reads_a_numeric_string_as_a_cluster_size(tmp_path, capsys):
+    """``sectors_per_cluster`` goes through ``int()`` like the other
+    sizes, so "8" builds the image that 8 builds."""
+    images = []
+    for spc in ("8", 8):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(_FAT16, sectors_per_cluster=spc,
+                                        files=[_ROW])))
+        img = tmp_path / ("%r.img" % spc)
+        code, _, _ = run(capsys, "forge", str(img), "--spec", str(path))
+        assert code == 0
+        images.append(img.read_bytes())
+    assert images[0] == images[1]
+
+
 def test_forge_needs_exactly_one_mode(tmp_path, capsys):
     code, _, err = run(capsys, "forge", str(tmp_path / "x.img"))
     assert code == 5
@@ -315,6 +353,16 @@ def test_recover_jobs_do_not_change_the_result(small_image, tmp_path, capsys):
         blob = json.loads(jp.read_text())
         blobs.append([(r["name"], r["sha256"]) for r in blob["files"]])
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_recover_refuses_jobs_below_one(small_image, tmp_path, capsys, jobs):
+    img, _ = small_image
+    code, _, err = run(capsys, "recover", str(img), "--jobs", jobs,
+                       "--out", str(tmp_path / "out"))
+    assert code == 5
+    assert "--jobs" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_recover_refuses_the_source_media(small_image, tmp_path, capsys):

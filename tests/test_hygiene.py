@@ -188,14 +188,25 @@ def test_named_bytes_values_are_not_spelled_out_again():
 
 def test_indented_json_has_one_writer():
     """``report.write_json`` writes every indented JSON document (reports
-    and sidecars) a batch at a time; no module asks ``json.dump`` or
-    ``json.dumps`` for ``indent``, which builds the whole document."""
-    calls = [_where(path, node, node.func.attr)
-             for path, tree in _trees([PACKAGE]) for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("dump", "dumps")
-             and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "json"
-             and any(k.arg == "indent" for k in node.keywords)]
+    and sidecars) a batch at a time through the one indenting encoder in
+    ``report.py``.  No module asks ``json.dump`` or ``json.dumps`` for
+    ``indent`` (``json.dumps`` joins the whole document before it
+    returns, ``json.dump`` writes each piece on its own), and no other
+    module builds a ``json.JSONEncoder`` with ``indent``."""
+    calls, encoders = [], []
+    for path, tree in _trees([PACKAGE]):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and any(k.arg == "indent" for k in node.keywords)):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == "JSONEncoder":       # json.JSONEncoder or imported
+                encoders.append(_where(path, node, name))
+            elif name in ("dump", "dumps") \
+                    and isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name) \
+                    and func.value.id == "json":
+                calls.append(_where(path, node, name))
     assert calls == []
+    assert [e.partition(":")[0] for e in encoders] == ["src/remnant/report.py"]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from remnant.report import (
+    JSON_BATCH,
     RecoveredFile,
     dump_json,
     exact_percent,
@@ -261,3 +263,31 @@ def test_the_text_writer_holds_a_batch_of_lines_not_the_rendering():
     assert _written(large, write_text) == render_text(large)
     assert _writer_peak(large, write_text) \
         <= _writer_peak(small, write_text) + 64 * 1024
+
+
+class _CountingSink(io.StringIO):
+    """A text sink that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_both_writers_write_a_batch_at_a_time():
+    """A writer that hands each encoder piece or text line to ``write``
+    on its own holds little memory too, so only the number of writes
+    tells the batches apart from it."""
+    large = _scan_listing(20_000)
+    pieces = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True)
+                 .iterencode(large))
+    sink = _CountingSink()
+    write_json(large, sink)
+    assert sink.getvalue() == json.dumps(large, indent=2, sort_keys=True)
+    assert sink.writes <= math.ceil(pieces / JSON_BATCH)
+
+    lines = render_text(large).count("\n")
+    sink = _CountingSink()
+    write_text(large, sink)
+    assert sink.writes <= math.ceil(lines / JSON_BATCH)
