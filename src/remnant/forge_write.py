@@ -164,7 +164,7 @@ class CorpusSpec:
                 fragment_pairs=[tuple(p) for p in raw.get("fragment_pairs", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ForgeError("bad corpus spec: %s" % exc) from exc
+            raise ForgeError(str(exc)) from exc
 
 
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import re
 import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from operator import add, mul
 
 ERASED_BYTE = 0xFF
@@ -55,6 +56,11 @@ class PageState(Enum):
 # for every page of a retired block; _TAGS names each code.
 _FREE, _VALID, _STALE, _RETIRED = range(4)
 _TAGS = [state.value for state in PageState] + ["retired"]
+# The runs of FREE and of VALID pages in a stretch of the state column.
+_FREE_RUNS, _VALID_RUNS = (re.compile(b"%c+" % code)
+                           for code in (_FREE, _VALID))
+# Maps a state byte to 1 where the page is VALID, 0 elsewhere.
+_VALID_MASK = bytes(code == _VALID for code in range(256))
 
 
 @dataclass(frozen=True)
@@ -81,21 +87,25 @@ class FlashGeometry:
         if self.logical_pages >= 2 ** 31:
             raise FlashRangeError("logical pages must stay below 2**31")
 
-    @property
+    # The derived values are computed on first use and kept in the
+    # instance dict, which frozen dataclasses leave writable to
+    # cached_property; equality, hashing and repr see the five fields.
+
+    @cached_property
     def total_pages(self) -> int:
         return self.block_count * self.pages_per_block
 
-    @property
+    @cached_property
     def active_blocks(self) -> int:
         return self.block_count - self.reserve_blocks
 
-    @property
+    @cached_property
     def logical_pages(self) -> int:
         # One active block is over-provisioned headroom so garbage
         # collection always has somewhere to relocate valid pages.
         return (self.active_blocks - 1) * self.pages_per_block
 
-    @property
+    @cached_property
     def erased_page(self) -> bytes:
         return bytes([ERASED_BYTE]) * self.page_size
 
@@ -260,15 +270,13 @@ class FtlState:
         return all(self.state[ppn] == _VALID and self.lpn[ppn] == lpn
                    for lpn, ppn in self.mapping.items())
 
-    def _allocate(self, exclude: int | None = None) -> int | None:
+    def _allocate(self) -> int | None:
         """Greedy wear-leveling: the lowest free page in the
         lowest-erase-count allocatable block; ties break to the lowest
-        block index.  That is the first open block not ``exclude``."""
-        for best in self.open_blocks:
-            if best != exclude:
-                break
-        else:
+        block index.  That is the first open block."""
+        if not self.open_blocks:
             return None
+        best = self.open_blocks[0]
         ppb = self.geometry.pages_per_block
         return self.state.index(_FREE, best * ppb, (best + 1) * ppb)
 
@@ -286,6 +294,43 @@ class FtlState:
         if self.state.find(_FREE, block * ppb, (block + 1) * ppb) < 0:
             self.open_blocks.remove(block)
         self.mapping[lpn] = ppn
+
+    def _program_run(self, first: int, lpns: array,
+                     payloads: list[bytes]) -> None:
+        """Fill the FREE pages ``first``, ``first + 1``, ... of one
+        allocatable block with VALID copies of ``payloads``, stamped in
+        order, and map each of ``lpns`` (an ``"i"`` array) to its page:
+        ``_program`` page by page, as slice assignments."""
+        n = len(lpns)
+        end = first + n
+        stamp = self.op_counter
+        pages = range(first, end)
+        self.state[first:end] = bytes([_VALID]) * n
+        self.lpn[first:end] = lpns
+        self.stamp[first:end] = array("q", range(stamp, stamp + n))
+        self.payload.update(zip(pages, payloads))
+        self.mapping.update(zip(lpns, pages))
+        self.op_counter = stamp + n
+        self.free_active -= n
+        block = first // self.geometry.pages_per_block
+        if self.state.find(_FREE, *self._span(block)) < 0:
+            self.open_blocks.remove(block)
+
+    def _runs(self, pattern: re.Pattern, block: int) -> list[tuple[int, int]]:
+        """The (first, end) spans of ``pattern``'s runs in ``block``'s
+        state bytes, ascending."""
+        return [m.span() for m in pattern.finditer(self.state,
+                                                   *self._span(block))]
+
+    def _free_runs(self, exclude: int):
+        """The runs of FREE pages in the order ``_allocate`` would hand
+        their pages out with ``exclude`` closed: every open block but
+        ``exclude`` in wear order, each block's pages ascending.
+        Filling them only ever drops blocks from the index, so a
+        snapshot of it holds."""
+        for block in list(self.open_blocks):
+            if block != exclude:
+                yield from self._runs(_FREE_RUNS, block)
 
     def _mark_stale(self, ppn: int) -> None:
         """Only mapped pages go stale, and every mapped page lies in an
@@ -343,18 +388,15 @@ class FtlState:
 
     def garbage_collect(self) -> bool:
         """Reclaim the block with the most stale pages (ties: lowest
-        index).  Valid pages are relocated first, leaving stale copies
-        behind until the erase itself.  A block whose next erase would
-        reach the endurance limit is retired instead of erased.  With no
-        stale page in the allocatable blocks there is no victim, and
-        none is looked for."""
+        index).  Valid pages are relocated first, then the whole block
+        is erased.  A block whose next erase would reach the endurance
+        limit is retired instead of erased.  With no stale page in the
+        allocatable blocks there is no victim, and none is looked for."""
         if not self.stale_active:
             return False
-        victim = None
-        victim_stale = 0
-        for b in self.allocatable:
-            if self.stale_count[b] > victim_stale:
-                victim, victim_stale = b, self.stale_count[b]
+        # max keeps the first of equals, and allocatable is ascending.
+        victim = max(self.allocatable, key=self.stale_count.__getitem__)
+        victim_stale = self.stale_count[victim]
         if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
             return self.retire_block(victim)
         # Start no collection that cannot finish: the victim's valid
@@ -363,20 +405,28 @@ class FtlState:
         free = self._free_in(victim)
         if ppb - free - victim_stale > self.free_pages_active() - free:
             return False
+        # The valid pages move in one pass, in page order, to the free
+        # pages allocation would pick for them one at a time; the check
+        # above leaves room for all of them.  Their source pages are
+        # erased below without first going stale.
         start, end = self._span(victim)
-        for p in range(start, end):
-            if self.state[p] != _VALID:
-                continue
-            target = self._allocate(exclude=victim)
-            if target is None:
-                raise DeviceFull("no room to relocate during collection")
-            self._program(target, self.payload[p], self.lpn[p])
-            self._mark_stale(p)
+        valid = self.state[start:end].translate(_VALID_MASK)
+        lpns = array("i", compress(self.lpn[start:end], valid))
+        payloads = list(map(self.payload.__getitem__,
+                            compress(range(start, end), valid)))
+        runs = self._free_runs(exclude=victim)
+        moved = 0
+        while moved < len(lpns):
+            first, stop = next(runs)
+            n = min(stop - first, len(lpns) - moved)
+            self._program_run(first, lpns[moved:moved + n],
+                              payloads[moved:moved + n])
+            moved += n
+        for p in compress(range(start, end), self.state[start:end]):
+            del self.payload[p]
         self.state[start:end] = bytes(ppb)
         self.lpn[start:end] = array("i", [-1]) * ppb
         self.stamp[start:end] = array("q", [0]) * ppb
-        for p in range(start, end):
-            self.payload.pop(p, None)
         if free:
             self.open_blocks.remove(victim)
         self.free_active += ppb - free
@@ -412,13 +462,13 @@ class FtlState:
         self.allocatable = sorted(set(self.allocatable) - {block} | {repl})
         self.retired_count += 1
         # The replacement joins before its copies are programmed, so
-        # _program keeps the totals and the index current for it too.
+        # _program_run keeps the totals and the index current for it too.
         self.free_active, self.stale_active, self.open_blocks = \
             self._recount()
         shift = (repl - block) * self.geometry.pages_per_block
-        for src in range(*self._span(block)):
-            if self.state[src] == _VALID:
-                self._program(src + shift, self.payload[src], self.lpn[src])
+        for first, end in self._runs(_VALID_RUNS, block):
+            self._program_run(first + shift, self.lpn[first:end],
+                              [self.payload[p] for p in range(first, end)])
         return True
 
     # -- forensic interface --------------------------------------------
