@@ -3,9 +3,12 @@ encoders and builders, and the deletion mutations.
 
 It lays every byte with its own encoders, taking only on-disk constants
 from the readers it is the oracle for, and records where each byte went
-in a :class:`remnant.forge.GroundTruth`.  Only the forge commands need
-it; :mod:`remnant.forge` loads it on the first use of one of its public
-names, so reading a sidecar never compiles it.
+in a :class:`remnant.forge.GroundTruth`.  Content, records and fresh
+metadata are written whole; each read-modify-write (FAT entries, bitmap
+bits, record flags, delete marks) is an edit, applied by
+``_apply_edits``.  Only the forge commands need it; :mod:`remnant.forge`
+loads it on the first use of one of its public names, so reading a
+sidecar never compiles it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 from .fat import (
     ATTR_ARCHIVE,
@@ -172,7 +176,7 @@ class CorpusSpec:
 
 
 class _Writer(VolumeImage):
-    """The one way the forge changes an image: the image opened
+    """The bare store the forge writes through: the image opened
     read-write, read through the readers' checked ``read_at`` and
     written with ``pwrite`` at volume offsets that ``check_span`` has
     checked, so a write never grows the file."""
@@ -206,75 +210,81 @@ class _Writer(VolumeImage):
                 self.write(at, zeros[:min(STREAM_CHUNK, stop - at)])
             pos = self.next_data(stop)
 
-    def write_runs(self, runs, data: bytes, cluster_size: int,
-                   offset_of) -> None:
-        """Lay ``data`` over (first, count) cluster runs in order;
-        ``offset_of`` maps a cluster number to its byte offset."""
-        view = memoryview(data)
-        pos = 0
-        for first, count in runs:
-            self.write(offset_of(first), view[pos:pos + count * cluster_size])
-            pos += count * cluster_size
 
-    def clear_bits(self, base: int, runs) -> None:
-        """Clear the bits that (first, count) runs cover in the LSB-first
-        bitmap at byte offset ``base``, one read and one write per run."""
-        for first, count in runs:
-            lo, span = _bits_span(first, count)
-            raw = bytearray(self.read_at(base + lo, span))
-            _set_bits(raw, [(first - 8 * lo, count)], on=False)
-            self.write(base + lo, raw)
-
-    def fat_entries(self, fat_offsets, kind: FsKind, first: int,
-                    values) -> None:
-        """Store ``values`` as FAT entries ``first``, ``first + 1``, ... in
-        every copy of the table, one read and one write per copy.  FAT32
-        keeps each entry's reserved top nibble; FAT12 entries share
-        bytes, so their span is patched entry by entry."""
-        n = len(values)
-        lo, span = _fat_span(kind, first, n)
-        if kind is not FsKind.FAT12:
-            code = "H" if kind is FsKind.FAT16 else "I"
-            new = struct.pack("<%d%s" % (n, code), *values)
-            keep = int.from_bytes(b"\0\0\0\xf0" * n, "little")
-        for fat_off in fat_offsets:
-            if kind is FsKind.FAT12:
-                raw = bytearray(self.read_at(fat_off + lo, span))
-                for index, value in enumerate(values, first):
-                    _put_fat12(raw, index * 3 // 2 - lo, index, value)
-            elif kind is FsKind.FAT16:
-                raw = new
-            else:
-                old = int.from_bytes(self.read_at(fat_off + lo, span), "little")
-                raw = (old & keep | int.from_bytes(new, "little")).to_bytes(
-                    span, "little")
-            self.write(fat_off + lo, raw)
-
-    def fat_chain(self, fat_offsets, kind: FsKind, runs) -> None:
-        """Link (first, count) runs into one chain that ends in
-        end-of-chain: each cluster points at the next, each run's last
-        cluster at the next run's first."""
-        for i, (first, count) in enumerate(runs):
-            last = runs[i + 1][0] if i + 1 < len(runs) else _EOC[kind]
-            self.fat_entries(fat_offsets, kind, first,
-                             [*range(first + 1, first + count), last])
+def write_runs(w: _Writer, desc: VolumeDescriptor, runs, data: bytes) -> None:
+    """Lay ``data`` over (first, count) cluster runs of ``desc``'s volume
+    in order."""
+    view = memoryview(data)
+    pos = 0
+    for first, count in runs:
+        n = count * desc.cluster_size
+        w.write(cluster_offset(desc, first), view[pos:pos + n])
+        pos += n
 
 
-def _bits_span(first: int, count: int) -> tuple[int, int]:
-    """(byte offset, byte length) of the bits ``first`` to
-    ``first + count - 1`` in an LSB-first bitmap."""
-    lo = first // 8
-    return lo, -(-(first + count) // 8) - lo
+# -- edits -----------------------------------------------------------------
 
 
-def _fat_span(kind: FsKind, first: int, n: int) -> tuple[int, int]:
-    """(byte offset, byte length) of FAT entries ``first`` to
-    ``first + n - 1`` within one table; FAT12 entries share bytes."""
+def _apply_edits(w: _Writer, edits: list) -> None:
+    """Apply ``edits``, each (offset, length, change): ``change`` maps the
+    span's current bytes to its new bytes.  Every span is checked for
+    writing before the first read or write; then the edits apply in
+    order, one read and one write each, so edits that share a FAT12
+    byte or a bitmap byte compose."""
+    for offset, length, _ in edits:
+        w.check_span(offset, length, "write")
+    for offset, length, change in edits:
+        w.write(offset, change(w.read_at(offset, length)))
+
+
+def _fat_edits(fat_offsets, kind: FsKind, first: int, values) -> list:
+    """Edits that store ``values`` as FAT entries ``first``, ``first + 1``,
+    ... in every copy of the table, one per copy.  FAT32 keeps each
+    entry's reserved top nibble; FAT12 entries share bytes, so the span
+    is patched entry by entry."""
+    n = len(values)
     if kind is FsKind.FAT12:
         lo = first * 3 // 2
-        return lo, (first + n - 1) * 3 // 2 + 2 - lo
-    width = 2 if kind is FsKind.FAT16 else 4
-    return first * width, n * width
+        span = (first + n - 1) * 3 // 2 + 2 - lo
+
+        def change(raw):
+            raw = bytearray(raw)
+            for index, value in enumerate(values, first):
+                _put_fat12(raw, index * 3 // 2 - lo, index, value)
+            return raw
+    else:
+        width, code = (2, "H") if kind is FsKind.FAT16 else (4, "I")
+        lo, span = width * first, width * n
+        new = int.from_bytes(struct.pack("<%d%s" % (n, code), *values),
+                             "little")
+        keep = int.from_bytes(b"\0\0\0\xf0" * n, "little") if width == 4 else 0
+        change = lambda raw: (int.from_bytes(raw, "little") & keep
+                              | new).to_bytes(span, "little")
+    return [(fat_off + lo, span, change) for fat_off in fat_offsets]
+
+
+def _chain_edits(fat_offsets, kind: FsKind, runs) -> list:
+    """Edits that link (first, count) runs into one chain that ends in
+    end-of-chain: each cluster points at the next, each run's last
+    cluster at the next run's first."""
+    lasts = [first for first, _ in runs[1:]] + [_EOC[kind]]
+    return [edit for (first, count), last in zip(runs, lasts)
+            for edit in _fat_edits(fat_offsets, kind, first,
+                                   [*range(first + 1, first + count), last])]
+
+
+def _clear_bit_edits(base: int, runs) -> list:
+    """Edits that clear the bits (first, count) runs cover in the
+    LSB-first bitmap at byte offset ``base``, one per run."""
+    return [(base + first // 8, -(-(first + count) // 8) - first // 8,
+             partial(_cleared, first % 8, count)) for first, count in runs]
+
+
+def _cleared(first: int, count: int, raw: bytes) -> bytearray:
+    """``raw`` with the bits ``first`` to ``first + count - 1`` clear."""
+    raw = bytearray(raw)
+    _set_bits(raw, [(first, count)], on=False)
+    return raw
 
 
 # -- run-list encoding ---------------------------------------------------
@@ -563,7 +573,7 @@ class _FatBuilder:
         def allocate_dir(name: str) -> list[list[int]]:
             count = -(-need[name] // (cs // DIR_ENTRY_SIZE))
             runs = [[self.allocate(count), count]]
-            w.fat_chain(self.fat_offsets, kind, runs)
+            _apply_edits(w, _chain_edits(self.fat_offsets, kind, runs))
             base[name] = cluster_offset(desc, runs[0][0])
             return runs
 
@@ -606,8 +616,8 @@ class _FatBuilder:
         for f in files:
             runs = file_runs[f.path]
             data = content_bytes(f.file_class, f.size, f.seed)
-            w.fat_chain(self.fat_offsets, kind, runs)
-            w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+            _apply_edits(w, _chain_edits(self.fat_offsets, kind, runs))
+            write_runs(w, desc, runs, data)
             first = runs[0][0] if runs else 0
             raw11, lfns = file_83[f.path]
             off, lfn_offsets = place(
@@ -676,8 +686,9 @@ def _write_fat_system_areas(w: _Writer, desc: VolumeDescriptor, label: str,
         w.write(bps, info)
         w.write(6 * bps, boot)
         w.write(7 * bps, info)
-    w.fat_entries(_fat_offsets(desc), kind, 0,
-                  [(_EOC[kind] & ~0xFF) | MEDIA_FIXED, _EOC[kind]])
+    _apply_edits(w, _fat_edits(_fat_offsets(desc), kind, 0,
+                               [(_EOC[kind] & ~0xFF) | MEDIA_FIXED,
+                                _EOC[kind]]))
 
 
 # -- shared allocation planning -------------------------------------------
@@ -1046,7 +1057,7 @@ class _NtfsBuilder:
             data = content_bytes(f.file_class, f.size, f.seed)
             records[idx], runs = _file_record(idx, f.name, parent, data,
                                               plan[f.path], cs, rs)
-            w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+            write_runs(w, desc, runs, data)
             truth_files[f.path] = FileTruth(
                 path=f.path, file_class=f.file_class, size=f.size,
                 seed=f.seed, sha256=hashlib.sha256(data).hexdigest(),
@@ -1151,41 +1162,27 @@ def standard_corpus(filesystem: str, total_size: int | None = None,
 # -- deletion modalities ---------------------------------------------------
 
 
-def _delete_spans(truth: GroundTruth, t):
-    """Every (offset, length) span that ``_delete`` writes for ``t``."""
+def _delete_edits(truth: GroundTruth, t) -> list:
+    """The edits that delete file (or directory) ``t`` the way the file
+    system itself does: its directory metadata marked unused and its
+    allocation freed, no content byte touched."""
     if truth.filesystem == "NTFS":
-        yield t.entry_offset + 0x16, 2
-        for base, runs in ((truth.internal["mft_bitmap_value_abs"],
-                            [(t.record_index, 1)]),
-                           (truth.internal["cluster_bitmap_abs"], t.clusters)):
-            for first, count in runs:
-                lo, span = _bits_span(first, count)
-                yield base + lo, span
-    else:
-        for off in [t.entry_offset, *t.lfn_offsets]:
-            yield off, 1
-        kind = FsKind(truth.filesystem)
-        for first, count in t.clusters:
-            lo, span = _fat_span(kind, first, count)
-            for fat_off in truth.internal["fat_offsets"]:
-                yield fat_off + lo, span
+        return [(t.entry_offset + 0x16, 2, _not_in_use),
+                *_clear_bit_edits(truth.internal["mft_bitmap_value_abs"],
+                                  [(t.record_index, 1)]),
+                *_clear_bit_edits(truth.internal["cluster_bitmap_abs"],
+                                  t.clusters)]
+    kind, fat_offsets = FsKind(truth.filesystem), truth.internal["fat_offsets"]
+    return [*((off, 1, lambda raw: bytes([DELETED_MARK]))
+              for off in [t.entry_offset, *t.lfn_offsets]),
+            *(edit for first, count in t.clusters
+              for edit in _fat_edits(fat_offsets, kind, first, [0] * count))]
 
 
-def _delete(w: _Writer, truth: GroundTruth, t) -> None:
-    if truth.filesystem == "NTFS":
-        flags = struct.unpack("<H", w.read_at(t.entry_offset + 0x16, 2))[0]
-        w.write(t.entry_offset + 0x16,
-                struct.pack("<H", flags & ~RECORD_FLAG_IN_USE))
-        w.clear_bits(truth.internal["mft_bitmap_value_abs"],
-                     [(t.record_index, 1)])
-        w.clear_bits(truth.internal["cluster_bitmap_abs"], t.clusters)
-    else:
-        for off in [t.entry_offset, *t.lfn_offsets]:
-            w.write(off, bytes([DELETED_MARK]))
-        kind = FsKind(truth.filesystem)
-        for first, count in t.clusters:
-            w.fat_entries(truth.internal["fat_offsets"], kind, first,
-                          [0] * count)
+def _not_in_use(raw: bytes) -> bytes:
+    """An MFT record's flags word with the in-use flag cleared."""
+    flags, = struct.unpack("<H", raw)
+    return struct.pack("<H", flags & ~RECORD_FLAG_IN_USE)
 
 
 def _format(w: _Writer, desc: VolumeDescriptor, truth: GroundTruth,
@@ -1221,7 +1218,8 @@ def _fat_quick_format(w: _Writer, desc: VolumeDescriptor) -> None:
     # The fresh root takes one cluster; the next free is the one after.
     _write_fat_system_areas(w, desc, "NO NAME", desc.cluster_count - 1, 3)
     if desc.kind is FsKind.FAT32:
-        w.fat_chain(fat_offsets, desc.kind, [(desc.root_cluster, 1)])
+        _apply_edits(w, _chain_edits(fat_offsets, desc.kind,
+                                     [(desc.root_cluster, 1)]))
         w.zero(cluster_offset(desc, desc.root_cluster), desc.cluster_size)
     else:
         w.zero(desc.root_dir_sector * bps, desc.root_entries * DIR_ENTRY_SIZE)
@@ -1240,9 +1238,6 @@ def apply_mutation(image_path, action: str, truth: GroundTruth,
     with _Writer(path=image_path) as w:
         desc = check_sidecar(w, truth)
         if action in ("delete", "delete-all"):
-            # Each file (or directory), the way the file system itself
-            # deletes it: its directory metadata marked unused and its
-            # allocation freed, no content byte touched.
             if action == "delete":
                 t = truth.files.get(target) or truth.dirs.get(target)
                 if t is None:
@@ -1254,11 +1249,8 @@ def apply_mutation(image_path, action: str, truth: GroundTruth,
                 targets = [truth.files[path] for path in paths]
             # Every span is checked before the first write, so a sidecar
             # that points outside the image changes nothing.
-            for t in targets:
-                for offset, length in _delete_spans(truth, t):
-                    w.check_span(offset, length, "write")
-            for t in targets:
-                _delete(w, truth, t)
+            _apply_edits(w, [edit for t in targets
+                             for edit in _delete_edits(truth, t)])
             return {"action": action, "paths": paths}
         # A quick format re-initializes the metadata in place with the
         # same geometry: fresh boot record, empty allocation structures,

@@ -125,50 +125,19 @@ class BlockState:
 
 
 @dataclass
-class PageDump:
-    """One physical page as the forensic interface exposes it."""
-
-    block: int
-    page: int
-    tag: str          # free | valid | stale | retired
-    payload: bytes
-    lpn: int | None
-    timestamp: int
-
-
-@dataclass
 class ChipDump:
     """Every physical page of a device at one instant, in columns.
 
     Page ``ppn`` has the tag code ``tag[ppn]`` (free, valid, stale or
     retired), ``lpn[ppn]`` (-1 for none), ``stamp[ppn]`` and
     ``payload.get(ppn)``; a page with no payload entry reads as
-    ``geometry.erased_page``.  Iterating or indexing yields PageDump
-    rows, one per page in physical order."""
+    ``geometry.erased_page``."""
 
     geometry: FlashGeometry
     tag: bytearray
     payload: dict[int, bytes]
     lpn: array
     stamp: array
-
-    def __len__(self) -> int:
-        return len(self.tag)
-
-    def __getitem__(self, ppn: int) -> PageDump:
-        ppn = range(len(self.tag))[ppn]
-        return self._row(ppn, self.geometry.erased_page)
-
-    def __iter__(self):
-        erased = self.geometry.erased_page
-        return (self._row(ppn, erased) for ppn in range(len(self.tag)))
-
-    def _row(self, ppn: int, erased: bytes) -> PageDump:
-        block, page = divmod(ppn, self.geometry.pages_per_block)
-        lpn = self.lpn[ppn]
-        return PageDump(block, page, _TAGS[self.tag[ppn]],
-                        self.payload.get(ppn, erased),
-                        None if lpn < 0 else lpn, self.stamp[ppn])
 
     def held(self, *tags: str) -> set[bytes]:
         """The distinct payloads of the pages tagged with one of

@@ -153,7 +153,6 @@ class ParsedAttribute:
     resident: bool
     # resident form
     value: bytes | None = None
-    value_offset: int = 0     # of the value, from the record's start
     # non-resident form
     real_size: int = 0
     run_bytes: bytes = b""
@@ -212,7 +211,6 @@ def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
             walk.attributes.append(ParsedAttribute(
                 type_code=type_code, name=name, resident=True,
                 value=bytes(record[pos + value_off:pos + value_off + value_len]),
-                value_offset=pos + value_off,
             ))
         else:
             if pos + 0x40 > limit:

@@ -27,6 +27,7 @@ from remnant.ntfs import decode_data_runs
 
 MiB = 1024 * 1024
 PAGE = 2048
+TAGS = ["free", "valid", "stale", "retired"]      # a ChipDump's tag codes
 
 
 _CAP = None
@@ -225,9 +226,9 @@ def test_criterion_5_overwrites_strand_stale_copies():
     versions = [bytes([v]) * PAGE for v in range(1, 6)]
     for v in versions:
         state.write(0, v)
-    dump = state.forensic_dump()
-    stale = sum(1 for d in dump if d.tag == "stale")
-    live = sum(1 for d in dump if d.tag == "valid")
+    tag = state.forensic_dump().tag
+    stale = tag.count(TAGS.index("stale"))
+    live = tag.count(TAGS.index("valid"))
     if (stale, live) != (4, 1):
         failures.append("after 5 writes: %d stale + %d live" % (stale, live))
 
@@ -253,18 +254,20 @@ def test_criterion_6_retired_blocks_freeze_their_contents():
     ops = run_retirement_experiment(state)
     if state.retired_count != 1:
         failures.append("no block retired after %d ops" % ops)
-    retired = [b for b, blk in enumerate(state.blocks) if blk.retired]
+    ppb, erased = state.geometry.pages_per_block, state.geometry.erased_page
+    retired = [ppn for b, blk in enumerate(state.blocks) if blk.retired
+               for ppn in range(b * ppb, (b + 1) * ppb)]
+    dump = state.forensic_dump()
     frozen = {}
-    for d in state.forensic_dump():
-        if d.block in retired:
-            if d.tag != "retired":
-                failures.append("page %d/%d tagged %r" % (d.block, d.page, d.tag))
-            frozen[(d.block, d.page)] = d.payload
+    for ppn in retired:
+        if TAGS[dump.tag[ppn]] != "retired":
+            failures.append("page %d/%d tagged %r"
+                            % (*divmod(ppn, ppb), TAGS[dump.tag[ppn]]))
+        frozen[ppn] = dump.payload.get(ppn, erased)
 
     apply_random_operations(state, 1_000, random.Random(66))
-    after = {(d.block, d.page): d.payload for d in state.forensic_dump()
-             if d.block in retired}
-    changed = sum(1 for k in frozen if after.get(k) != frozen[k])
+    after = state.forensic_dump().payload
+    changed = sum(1 for ppn in frozen if after.get(ppn, erased) != frozen[ppn])
     if changed:
         failures.append("%d retired pages changed" % changed)
     _report(6, failures, "block retired after %d writes; %d frozen pages "

@@ -637,6 +637,41 @@ def test_a_refused_mutation_writes_nothing(tmp_path, fs, corrupt):
     assert _sha(img) == before
 
 
+@pytest.mark.parametrize("action", ["delete", "delete-all"])
+@pytest.mark.parametrize("fs", ALL_FS)
+def test_every_deletion_write_lies_in_a_span_checked_first(
+        image_copy, monkeypatch, fs, action):
+    """A deletion checks each span it writes with ``check_span(...,
+    "write")`` before its first write, and writes no byte outside them.
+    The writer checks each write again as it makes it, so only the
+    checks made before the first write count."""
+    path, truth = image_copy(fs)
+    events = []
+    check, write = forge_write._Writer.check_span, forge_write._Writer.write
+
+    def checking(self, offset, length, access="read"):
+        if access == "write":
+            events.append(("check", offset, length))
+        check(self, offset, length, access)
+
+    def writing(self, offset, data):
+        events.append(("write", offset, len(memoryview(data))))
+        write(self, offset, data)
+
+    monkeypatch.setattr(forge_write._Writer, "check_span", checking)
+    monkeypatch.setattr(forge_write._Writer, "write", writing)
+    # A long name, so on FAT the deletion marks long-name entries too.
+    forge.apply_mutation(path, action, truth=truth,
+                         target="DATA/Quarterly Report 2019.pdf")
+    first = next(i for i, (kind, *_) in enumerate(events) if kind == "write")
+    checked = [span for _, *span in events[:first]]
+    writes = [span for kind, *span in events if kind == "write"]
+    assert len(writes) > 1
+    assert [(at, n) for at, n in writes
+            if not any(lo <= at and at + n <= lo + length
+                       for lo, length in checked)] == []
+
+
 def _overrun_image(path, fs) -> None:
     """Double the sector count in the boot sector of a FAT32 or NTFS
     image, so the volume it describes runs past the end of the image."""

@@ -19,7 +19,6 @@ from remnant.ftl import (
     FlashRangeError,
     FtlError,
     FtlState,
-    PageDump,
     PageState,
     ReadOnlyDevice,
     apply_random_operations,
@@ -44,6 +43,27 @@ def _state(**kw):
 
 def _payload(tag: int) -> bytes:
     return bytes([tag & 0xFF]) * PAGE
+
+
+def _tags(dump):
+    """Each page's tag name, in physical order."""
+    return [TAGS[code] for code in dump.tag]
+
+
+def _pages(dump, *tags):
+    """The physical pages whose tag is one of ``tags``, ascending."""
+    return [ppn for ppn, tag in enumerate(_tags(dump)) if tag in tags]
+
+
+def _read(dump, ppn):
+    """Page ``ppn``'s payload; a page with no payload reads as erased."""
+    return dump.payload.get(ppn, dump.geometry.erased_page)
+
+
+def _block(dump, block):
+    """The physical pages of ``block``."""
+    ppb = dump.geometry.pages_per_block
+    return range(block * ppb, (block + 1) * ppb)
 
 
 # ------------------------------------------------------------- geometry
@@ -100,10 +120,11 @@ def test_geometry_keeps_logical_pages_below_2_31():
 
 def test_fresh_device_is_fully_erased():
     s = _state()
-    for d in s.forensic_dump():
-        assert d.tag == "free"
-        assert d.payload == b"\xFF" * PAGE
-        assert d.lpn is None
+    dump = s.forensic_dump()
+    pages = range(s.geometry.total_pages)
+    assert _tags(dump) == ["free"] * len(pages)
+    assert {_read(dump, ppn) for ppn in pages} == {b"\xFF" * PAGE}
+    assert set(dump.lpn) == {-1}
 
 
 # ------------------------------------------------------- writes and reads
@@ -113,10 +134,10 @@ def test_first_write_lands_in_block_zero():
     ppn = s.write(0, _payload(1))
     assert ppn == 0
     dump = s.forensic_dump()
-    assert dump[0].tag == "valid"
-    assert dump[0].lpn == 0
-    assert dump[0].payload == _payload(1)
-    assert sum(1 for d in dump if d.tag != "free") == 1
+    assert _pages(dump, "valid", "stale", "retired") == [0]
+    assert _tags(dump)[0] == "valid"
+    assert dump.lpn[0] == 0
+    assert _read(dump, 0) == _payload(1)
 
 
 def test_read_returns_the_last_write():
@@ -131,12 +152,11 @@ def test_overwrite_strands_the_old_copy():
     s.write(0, _payload(1))
     s.write(0, _payload(2))
     dump = s.forensic_dump()
-    stale = [d for d in dump if d.tag == "stale"]
-    valid = [d for d in dump if d.tag == "valid"]
+    stale, valid = _pages(dump, "stale"), _pages(dump, "valid")
     assert len(stale) == 1 and len(valid) == 1
     # The stranded page keeps the old bytes verbatim.
-    assert stale[0].payload == _payload(1)
-    assert valid[0].payload == _payload(2)
+    assert _read(dump, stale[0]) == _payload(1)
+    assert _read(dump, valid[0]) == _payload(2)
 
 
 def test_five_overwrites_leave_four_stale_copies():
@@ -144,15 +164,15 @@ def test_five_overwrites_leave_four_stale_copies():
     versions = [bytes([v]) * PAGE for v in range(1, 6)]
     for v in versions:
         s.write(0, v)
-    dump = [d for d in s.forensic_dump() if d.tag in ("valid", "stale")]
-    assert sum(1 for d in dump if d.tag == "stale") == 4
-    assert sum(1 for d in dump if d.tag == "valid") == 1
+    dump = s.forensic_dump()
+    assert len(_pages(dump, "stale")) == 4
+    assert len(_pages(dump, "valid")) == 1
+    held = _pages(dump, "valid", "stale")
     # Every superseded version is still physically present...
-    payloads = {d.payload for d in dump}
-    assert payloads == set(versions)
+    assert {_read(dump, ppn) for ppn in held} == set(versions)
     # ...and timestamps reconstruct the overwrite order.
-    stamped = sorted(dump, key=lambda d: d.timestamp)
-    assert [d.payload for d in stamped] == versions
+    stamped = sorted(held, key=dump.stamp.__getitem__)
+    assert [_read(dump, ppn) for ppn in stamped] == versions
 
 
 def test_unmapped_read_is_the_erased_pattern():
@@ -195,8 +215,9 @@ def test_trim_hides_data_from_the_host_only():
     assert s.read(0) == b"\xFF" * PAGE
     # Forensic view: all five versions remain, now all stale.
     dump = s.forensic_dump()
-    assert sum(1 for d in dump if d.tag == "stale") == 5
-    assert {d.payload for d in dump if d.tag == "stale"} == set(versions)
+    stale = _pages(dump, "stale")
+    assert len(stale) == 5
+    assert {_read(dump, ppn) for ppn in stale} == set(versions)
 
 
 def test_trim_unmapped_is_a_noop():
@@ -215,7 +236,7 @@ def test_trim_never_zeroes_a_page():
         written.append(p)
     for lpn in range(8):
         s.trim(lpn)
-    present = {d.payload for d in s.forensic_dump()}
+    present = set(s.forensic_dump().payload.values())
     for p in written:
         assert p in present
     assert s.check_conservation()
@@ -236,14 +257,15 @@ def _fill_block_zero_with_stale(s):
 def test_gc_erases_the_fully_stale_block():
     s = _state(gc_enabled=False)
     ppb = _fill_block_zero_with_stale(s)
-    assert sum(1 for d in s.forensic_dump() if d.tag == "stale") == ppb
+    assert len(_pages(s.forensic_dump(), "stale")) == ppb
     assert s.garbage_collect() is True
     dump = s.forensic_dump()
-    block0 = [d for d in dump if d.block == 0]
-    assert all(d.tag == "free" and d.payload == b"\xFF" * PAGE for d in block0)
+    tags = _tags(dump)
+    assert all(tags[ppn] == "free" and _read(dump, ppn) == b"\xFF" * PAGE
+               for ppn in _block(dump, 0))
     assert s.blocks[0].erase_count == 1
     # The stale remnants are gone for good.
-    assert sum(1 for d in dump if d.tag == "stale") == 0
+    assert _pages(dump, "stale") == []
 
 
 def test_gc_relocates_valid_pages_first():
@@ -294,20 +316,20 @@ def test_block_retires_at_the_endurance_limit():
     assert retired[0] not in s.allocatable
     assert blk.replacement in s.allocatable
     # Frozen contents are visible, tagged, and never free.
-    tags = {d.tag for d in s.forensic_dump() if d.block == retired[0]}
-    assert tags == {"retired"}
+    dump = s.forensic_dump()
+    tags = _tags(dump)
+    assert {tags[ppn] for ppn in _block(dump, retired[0])} == {"retired"}
 
 
 def test_retired_payloads_survive_further_churn():
     s = _state()
     run_retirement_experiment(s)
     retired = next(b for b, blk in enumerate(s.blocks) if blk.retired)
-    frozen = {(d.page, d.payload) for d in s.forensic_dump()
-              if d.block == retired}
+    dump = s.forensic_dump()
+    frozen = [_read(dump, ppn) for ppn in _block(dump, retired)]
     apply_random_operations(s, 300, random.Random(7))
-    after = {(d.page, d.payload) for d in s.forensic_dump()
-             if d.block == retired}
-    assert after == frozen
+    dump = s.forensic_dump()
+    assert [_read(dump, ppn) for ppn in _block(dump, retired)] == frozen
 
 
 def test_retire_block_guards():
@@ -341,6 +363,12 @@ def test_exhausted_reserve_makes_the_device_read_only():
 
 # ------------------------------------------------------------ chip dumps
 
+def _columns(dump):
+    """A copy of every column of ``dump``."""
+    return (bytes(dump.tag), dict(dump.payload), dump.lpn.tobytes(),
+            dump.stamp.tobytes())
+
+
 def test_a_dump_is_a_snapshot():
     s = _state(gc_enabled=False)
     for lpn in range(40):
@@ -348,45 +376,33 @@ def test_a_dump_is_a_snapshot():
     for lpn in range(10):
         s.write(lpn, _payload(100 + lpn))      # ten stale pages in block 0
     dump = s.forensic_dump()
-    rows = list(dump)
+    columns = _columns(dump)
     s.write(50, _payload(50))
     s.trim(20)
     assert s.garbage_collect() is True         # erases block 0
     s.blocks[1].erase_count = s.geometry.endurance_limit - 1
     assert s.retire_block(1) is True
-    assert list(dump) == rows
-    assert list(s.forensic_dump()) != rows
-
-
-def _reference_rows(s):
-    """The dump built page by page from the live columns."""
-    ppb = s.geometry.pages_per_block
-    rows = []
-    for ppn in range(s.geometry.total_pages):
-        block, lpn = ppn // ppb, s.lpn[ppn]
-        rows.append(PageDump(
-            block, ppn % ppb,
-            "retired" if s.blocks[block].retired
-            else list(PageState)[s.state[ppn]].value,
-            s.payload.get(ppn, s.geometry.erased_page),
-            None if lpn < 0 else lpn, s.stamp[ppn]))
-    return rows
+    assert _columns(dump) == columns
+    assert _columns(s.forensic_dump()) != columns
 
 
 def test_dump_rows_match_the_live_columns():
+    # Page by page, the dump reads as the live device, every page of a
+    # retired block tagged 'retired'.
     s = _state()
     run_retirement_experiment(s)
     apply_random_operations(s, 500, random.Random(3))
     assert s.retired_count == 1
     dump = s.forensic_dump()
-    rows = _reference_rows(s)
-    assert {row.tag for row in rows} == set(TAGS)
-    assert len(dump) == len(rows) == s.geometry.total_pages
-    assert list(dump) == rows
-    assert [dump[ppn] for ppn in range(len(rows))] == rows
-    assert dump[-1] == rows[-1]
-    with pytest.raises(IndexError):
-        dump[len(rows)]
+    ppb, pages = s.geometry.pages_per_block, range(s.geometry.total_pages)
+    tags = ["retired" if s.blocks[ppn // ppb].retired
+            else list(PageState)[s.state[ppn]].value for ppn in pages]
+    assert set(tags) == set(TAGS)
+    assert _tags(dump) == tags
+    assert [_read(dump, ppn) for ppn in pages] == [
+        s.payload.get(ppn, s.geometry.erased_page) for ppn in pages]
+    assert list(dump.lpn) == list(s.lpn)
+    assert list(dump.stamp) == list(s.stamp)
 
 
 # ------------------------------------------------------- remanence audits
@@ -415,8 +431,9 @@ def test_audit_accepts_bare_payload_histories():
     assert rep.recoverable_bytes == 0      # a live copy is not a remnant
 
 
-def _reference_audit(dump, history):
-    """The pairwise payload x page comparison the indexed audit replaced."""
+def _reference_audit(pages, history):
+    """The pairwise payload x page comparison the indexed audit replaced,
+    over (tag, payload) pairs, one per page."""
     order, lpns = [], {}
     for item in history:
         lpn, payload = ((None, bytes(item))
@@ -429,7 +446,7 @@ def _reference_audit(dump, history):
             lpns[payload].add(lpn)
     rows, live_t, stale_t, retired_t, recoverable = [], 0, 0, 0, 0
     for payload in order:
-        tags = [d.tag for d in dump if d.payload == payload]
+        tags = [tag for tag, held in pages if held == payload]
         live, stale, retired = (tags.count("valid"), tags.count("stale"),
                                 tags.count("retired"))
         rows.append({"digest": hashlib.sha256(payload).hexdigest(),
@@ -473,7 +490,9 @@ def test_audit_matches_the_pairwise_reference(pages, history):
                     array("i", [-1]) * len(pages),
                     array("q", [0]) * len(pages))
     report = remanence_audit(dump, history)
-    assert report.as_dict() == _reference_audit(list(dump), history)
+    read = [(tag, geometry.erased_page if payload is None else payload)
+            for tag, payload in pages]
+    assert report.as_dict() == _reference_audit(read, history)
     rows = report.payloads
     assert report.live_copies == sum(p.live for p in rows)
     assert report.stale_copies == sum(p.stale for p in rows)
@@ -485,7 +504,7 @@ def test_audit_matches_the_pairwise_reference(pages, history):
         (p.stale + p.retired) * len(payload)
         for p, payload in zip(rows, distinct, strict=True))
     for tags in (["retired"], ["valid", "stale", "retired"]):
-        assert dump.held(*tags) == {d.payload for d in dump if d.tag in tags}
+        assert dump.held(*tags) == {held for tag, held in read if tag in tags}
 
 
 def _churned_audit():
@@ -552,8 +571,9 @@ def test_audit_classifies_retired_copies_separately():
     s = _state()
     run_retirement_experiment(s)
     retired = next(b for b, blk in enumerate(s.blocks) if blk.retired)
-    hostage = next(d.payload for d in s.forensic_dump()
-                   if d.block == retired and d.payload != b"\xFF" * PAGE)
+    dump = s.forensic_dump()
+    hostage = next(_read(dump, ppn) for ppn in _block(dump, retired)
+                   if _read(dump, ppn) != b"\xFF" * PAGE)
     rep = remanence_audit(s.forensic_dump(), [hostage])
     assert rep.payloads[0].retired >= 1
     assert rep.recoverable_bytes >= PAGE
@@ -845,6 +865,12 @@ def _drive_both(geometry, ops):
                         [arg & 0xFF]) * geometry.page_size))
                 elif kind == "trim":
                     results.append(s.trim(arg % logical))
+                elif kind == "wear":
+                    # Wear out the open block at the head of the
+                    # allocator's index now, whatever its pages hold.
+                    block = s.open_blocks[0]
+                    s.blocks[block].erase_count = geometry.endurance_limit - 1
+                    results.append(s.retire_block(block))
                 else:
                     results.append(s.garbage_collect())
             except FtlError as exc:
@@ -866,10 +892,34 @@ _host_ops = st.lists(st.tuples(
     st.integers(0, 255)), max_size=300)
 
 
+@st.composite
+def _worn_early(draw):
+    """A geometry and ops that write every logical page, rewrite the
+    first few into the last active block and trim the second of them
+    and maybe others, so that block holds valid, stale and free pages;
+    retire it before any collection; collect; then random host ops.
+    The retirement copies at least two runs of valid pages into the
+    replacement, which is then the only open block, so the collection
+    moves block 0's valid pages into its free hole first.  With at most
+    three active blocks, pages_per_block - 2 rewrites leave the free
+    pages above the collection trigger."""
+    geometry = draw(st.builds(
+        FlashGeometry, block_count=st.integers(4, 5),
+        pages_per_block=st.integers(5, 8), page_size=st.just(16),
+        reserve_blocks=st.just(2), endurance_limit=st.integers(2, 4)))
+    trimmed = [False, True, False, *draw(st.lists(
+        st.booleans(), max_size=geometry.pages_per_block - 5))]
+    logical = geometry.logical_pages
+    return geometry, [
+        *(("write", lpn) for lpn in range(logical + len(trimmed))),
+        *(("trim", lpn) for lpn, trim in enumerate(trimmed) if trim),
+        ("wear", 0), ("gc", 0), *draw(_host_ops)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(geometry=_small_geometries, ops=_host_ops)
-def test_indexed_allocator_matches_the_block_scans(geometry, ops):
-    _drive_both(geometry, ops)
+@given(case=st.tuples(_small_geometries, _host_ops) | _worn_early())
+def test_indexed_allocator_matches_the_block_scans(case):
+    _drive_both(*case)
 
 
 def test_the_comparison_reaches_retirement_exhaustion_and_open_victims():

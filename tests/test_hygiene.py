@@ -210,3 +210,25 @@ def test_indented_json_has_one_writer():
                 calls.append(_where(path, node, name))
     assert calls == []
     assert [e.partition(":")[0] for e in encoders] == ["src/remnant/report.py"]
+
+
+def test_the_forge_store_defines_only_write_and_zero():
+    """``forge_write._Writer`` is the bare store that an FTL can replace:
+    ``read_at``, ``next_data`` and ``size`` come from ``VolumeImage``,
+    and it adds only its open flags, ``write`` and ``zero``.  The FAT and
+    bitmap encoders are functions beside it, not methods on it."""
+    tree = ast.parse((PACKAGE / "forge_write.py").read_text(encoding="utf-8"))
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Writer")
+    defined = []
+    for node in writer.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue                # the docstring
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [ast.unparse(target) for target in node.targets]
+        else:
+            defined.append(ast.unparse(node))
+    assert sorted(defined) == ["OPEN_FLAGS", "write", "zero"]

@@ -585,7 +585,7 @@ def test_reused_clusters_flag_overwritten_risk(tmp_path):
         rec, runs = forge_write._file_record(
             index, "NEW.BIN", ntfs.ROOT_RECORD, data, big.clusters, cs, rs)
         assert runs == big.clusters
-        w.write_runs(runs, data, cs, lambda c: cluster_offset(desc, c))
+        forge_write.write_runs(w, desc, runs, data)
         w.write(truth.internal["mft_base"] + index * rs, rec)
 
     img, desc = _open(img_path)
