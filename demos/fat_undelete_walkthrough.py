@@ -45,10 +45,10 @@ def main() -> None:
             surv = survey(img, desc)
             entry = next(e for e in find_deleted(surv, desc)
                          if e.size == original.size)
-            print("deleted slot found in %s:" % (entry.dir_path or "/"))
+            print("deleted slot found in %s:" % (entry.path or "/"))
             print("  stored name   %-14s (first byte lost to the marker)"
-                  % entry.name)
-            print("  display name  %s" % entry.display_name)
+                  % entry.short_name)
+            print("  display name  %s" % entry.name)
             print("  size          %d bytes" % entry.size)
             print("  first cluster %d" % entry.first_cluster)
 

@@ -47,6 +47,9 @@ ATTR_LFN = 0x0F            # long-file-name fragment marker
 LFN_LAST_FLAG = 0x40
 LFN_SEQ_MASK = 0x1F
 
+# fatgen103: a directory holds at most 65,536 entries (2 MiB of slots).
+MAX_DIR_ENTRIES = 65536
+
 DOT_NAME = b".          "
 DOTDOT_NAME = b"..         "
 
@@ -85,7 +88,9 @@ def fat_datetime_to_iso(date: int, time: int) -> str | None:
 
 @dataclass
 class FatDirEntry:
-    """One 32-byte directory entry, plus where it came from."""
+    """One 32-byte directory entry, plus where it came from.  A deleted
+    entry is its own recovery candidate: ``find_deleted`` sets its
+    chain, confidence and flags."""
 
     raw_name: bytes
     attr: int
@@ -96,9 +101,12 @@ class FatDirEntry:
     first_cluster: int
     size: int
     entry_offset: int          # absolute byte offset of the entry
-    dir_path: str = ""
+    path: str = ""             # the directory that holds the entry
     lfn_name: str | None = None
     orphaned: bool = False     # met through carving, not the live tree
+    chain: list[list[int]] = field(default_factory=list)  # [first, count]
+    confidence: str | None = None
+    flags: list[str] = field(default_factory=list)
 
     @property
     def deleted(self) -> bool:
@@ -128,14 +136,20 @@ class FatDirEntry:
         return base + "." + ext if ext else base
 
     @property
-    def display_name(self) -> str:
+    def name(self) -> str:
         return self.lfn_name or self.short_name
 
-    def created_iso(self) -> str | None:
+    @property
+    def created(self) -> str | None:
         return fat_datetime_to_iso(self.created_date, self.created_time)
 
-    def modified_iso(self) -> str | None:
+    @property
+    def modified(self) -> str | None:
         return fat_datetime_to_iso(self.modified_date, self.modified_time)
+
+    @property
+    def entry_id(self) -> str:
+        return "entry@0x%x" % self.entry_offset
 
 
 def _lfn_fragment_text(raw: bytes) -> str:
@@ -147,7 +161,7 @@ def _lfn_fragment_text(raw: bytes) -> str:
     return text.rstrip("￿")
 
 
-def parse_dir_slots(slots, dir_path: str, kind: FsKind, orphaned: bool = False):
+def parse_dir_slots(slots, path: str, kind: FsKind, orphaned: bool = False):
     """Parse a sequence of (absolute_offset, 32-byte slot) pairs.
 
     Returns the entries up to the end marker.  Long-name fragments are
@@ -194,7 +208,7 @@ def parse_dir_slots(slots, dir_path: str, kind: FsKind, orphaned: bool = False):
             first_cluster=cluster,
             size=size,
             entry_offset=offset,
-            dir_path=dir_path,
+            path=path,
             lfn_name=lfn,
             orphaned=orphaned,
         ))
@@ -217,10 +231,14 @@ class FatTable:
     def is_eoc(self, value: int) -> bool:
         return value >= _EOC_MIN[self.kind]
 
-    def chain_from(self, first: int, limit: int | None = None):
-        """Follow a live chain for at most ``limit`` clusters.  Returns
-        (runs, ended_with_eoc): the chain as [first, count] runs, cut
-        before the first cluster it would visit twice."""
+    def chain_from(self, first: int, limit: int | None = None,
+                   marked: bytearray | None = None):
+        """Follow a live chain for at most ``limit`` clusters, and only
+        up to the first cluster the allocation bitmap ``marked`` holds:
+        a chain that joins one already walked ends where that one does.
+        Returns (runs, ended): the chain as [first, count] runs, cut
+        before the first cluster it would visit twice, and whether it
+        reached an end-of-chain mark or joined a walked chain."""
         runs: list[list[int]] = []
         starts: list[int] = []                 # the runs' firsts, sorted
         by_start: dict[int, list[int]] = {}
@@ -228,6 +246,8 @@ class FatTable:
         taken = 0
         c = first
         while self.in_heap(c) and taken < cap:
+            if marked is not None and is_marked(marked, c):
+                return runs, True
             i = bisect_right(starts, c) - 1
             if i >= 0 and c < starts[i] + by_start[starts[i]][1]:
                 break                          # the chain loops back
@@ -307,15 +327,21 @@ def _read_or_none(img, offset, length):
         return None
 
 
-def _dir_slots_from_blocks(img, blocks):
-    """Expand (offset, length) byte regions into 32-byte slots.
-    Unreadable regions (truncated image) are skipped, not fatal."""
+def _dir_slots(img, blocks):
+    """Yield (absolute offset, 32-byte slot) across (offset, length) byte
+    regions, read lazily through ``read_extents``, so a caller that stops
+    at the end marker reads no further.  An unreadable region (truncated
+    image) is skipped, not fatal."""
     for base, length in blocks:
-        raw = _read_or_none(img, base, length)
-        if raw is None:
+        try:
+            img.check_span(base, length)
+        except VolumeError:
             continue
-        for pos in range(0, len(raw) - DIR_ENTRY_SIZE + 1, DIR_ENTRY_SIZE):
-            yield base + pos, raw[pos:pos + DIR_ENTRY_SIZE]
+        for chunk in read_extents(img, [(base, length)], length):
+            for pos in range(0, len(chunk) - DIR_ENTRY_SIZE + 1,
+                             DIR_ENTRY_SIZE):
+                yield base + pos, chunk[pos:pos + DIR_ENTRY_SIZE]
+            base += len(chunk)
 
 
 def _run_blocks(img, desc, runs):
@@ -329,10 +355,17 @@ def _run_blocks(img, desc, runs):
     return blocks
 
 
+def _dir_cluster_cap(desc: VolumeDescriptor) -> int:
+    """The most clusters a directory's chain may take: fatgen103's
+    MAX_DIR_ENTRIES slots."""
+    return _ceil_div(MAX_DIR_ENTRIES * DIR_ENTRY_SIZE, desc.cluster_size)
+
+
 def _root_blocks(img, desc, fat, live_clusters):
     bps = desc.bytes_per_sector
     if desc.kind is FsKind.FAT32:
-        runs, _ = fat.chain_from(desc.root_cluster)
+        runs, _ = fat.chain_from(desc.root_cluster,
+                                 limit=_dir_cluster_cap(desc))
         mark_runs(live_clusters, runs)
         return _run_blocks(img, desc, runs)
     return [(desc.root_dir_sector * bps, desc.root_entries * DIR_ENTRY_SIZE)]
@@ -436,13 +469,20 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
                 img, desc, fat, cluster, live_clusters, consumed)
 
 
+def _join(path: str, name: str) -> str:
+    return path + "/" + name if path else name
+
+
 def survey(img: VolumeImage, desc: VolumeDescriptor,
            deep: bool = False) -> FatSurvey:
     """Walk the live tree; with ``deep`` also carve orphaned directories.
 
     The live walk marks every cluster reachable from live chains in an
     allocation bitmap so the carve pass only ever looks at abandoned
-    space.
+    space.  A directory is read up to its end marker, over at most
+    MAX_DIR_ENTRIES slots of its chain, and a file's chain is walked
+    only up to the first cluster already marked, so the walk costs
+    O(heap) whatever the chain links claim.
     """
     # Sized by the image, not the boot record: a cluster past the image
     # cannot be read, and reads as neither live nor consumed.
@@ -474,29 +514,30 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     queue: deque[tuple[str, list]] = deque(
         [("", _root_blocks(img, desc, fat, live_clusters))])
     visited_dirs: set[int] = set()
+    dir_cap = _dir_cluster_cap(desc)
     while queue:
         path, blocks = queue.popleft()
-        slots = list(_dir_slots_from_blocks(img, blocks))
-        parsed = parse_dir_slots(slots, path, desc.kind)
-        for entry in parsed:
+        for entry in parse_dir_slots(_dir_slots(img, blocks), path, desc.kind):
             if not admit(entry) or entry.deleted:
                 continue
-            runs, ok = fat.chain_from(entry.first_cluster)
             if entry.is_directory:
                 if entry.first_cluster in visited_dirs:
                     continue
                 visited_dirs.add(entry.first_cluster)
+                runs, ok = fat.chain_from(entry.first_cluster, limit=dir_cap)
                 mark_runs(live_clusters, runs)
                 if not ok:
                     warnings.append("directory %s has a broken chain"
-                                    % entry.display_name)
-                sub = path + "/" + entry.display_name if path else entry.display_name
-                queue.append((sub, _run_blocks(img, desc, runs)))
+                                    % entry.name)
+                queue.append((_join(path, entry.name),
+                              _run_blocks(img, desc, runs)))
             elif entry.size > 0 and fat.in_heap(entry.first_cluster):
+                # What a marked cluster leads to is marked already.
+                runs, ok = fat.chain_from(entry.first_cluster,
+                                          marked=live_clusters)
                 mark_runs(live_clusters, runs)
                 if not ok:
-                    warnings.append("file %s has a broken chain"
-                                    % entry.display_name)
+                    warnings.append("file %s has a broken chain" % entry.name)
 
     # Recurse into deleted directories: chain zeroed, so contiguity only.
     pending = deque(e for e in entries if e.deleted and e.is_directory
@@ -512,11 +553,10 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             continue
         slots = _collect_orphan_dir(
             img, desc, fat, entry.first_cluster, live_clusters, consumed)
-        parent = entry.dir_path + "/" + entry.display_name \
-            if entry.dir_path else entry.display_name
         # Children of a deleted directory are unreachable whatever their
         # own first byte says, so they carry the orphaned flag too.
-        parsed = parse_dir_slots(slots, parent, desc.kind, orphaned=True)
+        parsed = parse_dir_slots(slots, _join(entry.path, entry.name),
+                                 desc.kind, orphaned=True)
         for sub in parsed:
             if (admit(sub) and sub.is_directory
                     and fat.in_heap(sub.first_cluster)):
@@ -532,31 +572,6 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
 
     return FatSurvey(entries=entries, fat=fat, live_clusters=live_clusters,
                      warnings=warnings)
-
-
-@dataclass
-class DeletedFatEntry:
-    name: str
-    lfn_name: str | None
-    dir_path: str
-    is_directory: bool
-    first_cluster: int
-    size: int
-    created: str | None
-    modified: str | None
-    chain: list[list[int]]      # [first, count] cluster runs
-    confidence: str
-    entry_offset: int
-    orphaned: bool = False
-    flags: list[str] = field(default_factory=list)
-
-    @property
-    def display_name(self) -> str:
-        return self.lfn_name or self.name
-
-    @property
-    def entry_id(self) -> str:
-        return "entry@0x%x" % self.entry_offset
 
 
 def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
@@ -614,60 +629,49 @@ def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
     return runs, confidence, flags
 
 
-def find_deleted(surv: FatSurvey, desc: VolumeDescriptor) -> list[DeletedFatEntry]:
+def find_deleted(surv: FatSurvey, desc: VolumeDescriptor) -> list[FatDirEntry]:
     """Deleted candidates: 0xE5-marked entries everywhere, plus intact
     entries that are only reachable through carved (orphaned) directories
-    — unreachable means logically deleted even when unmarked."""
-    out: list[DeletedFatEntry] = []
+    — unreachable means logically deleted even when unmarked.  Each
+    survey entry returned has its chain, confidence and flags set: the
+    reconstruction's flags, then ``orphaned``, ``truncated`` (a file
+    whose chain holds fewer bytes than its size) and ``carved``."""
+    cs = desc.cluster_size
+    out: list[FatDirEntry] = []
     for entry in surv.entries:
-        if entry.is_label or entry.is_dot:
-            continue
         if not entry.deleted and not entry.orphaned:
             continue
-        flags: list[str] = []
         if entry.is_directory:
-            chain, confidence = [], "heuristic"
+            chain, confidence, flags = [], "heuristic", []
         else:
             chain, confidence, flags = reconstruct_chain(
                 entry.first_cluster, entry.size, surv.fat, desc,
                 surv.live_clusters)
         if entry.orphaned and not entry.deleted:
-            flags = flags + ["orphaned"]
-        out.append(DeletedFatEntry(
-            name=entry.short_name,
-            lfn_name=entry.lfn_name,
-            dir_path=entry.dir_path,
-            is_directory=entry.is_directory,
-            first_cluster=entry.first_cluster,
-            size=entry.size,
-            created=entry.created_iso(),
-            modified=entry.modified_iso(),
-            chain=chain,
-            confidence=confidence,
-            entry_offset=entry.entry_offset,
-            orphaned=entry.orphaned,
-            flags=flags,
-        ))
+            flags.append("orphaned")
+        if (not entry.is_directory and "truncated" not in flags
+                and sum(count for _, count in chain) * cs < entry.size):
+            flags.append("truncated")
+        if entry.orphaned:
+            flags.append("carved")
+        entry.chain, entry.confidence, entry.flags = chain, confidence, flags
+        out.append(entry)
     out.sort(key=lambda e: e.entry_offset)
     return out
 
 
 def plan_file(img: VolumeImage, desc: VolumeDescriptor,
-              entry: DeletedFatEntry) -> RecoveredFile:
+              entry: FatDirEntry) -> RecoveredFile:
     """Lay the hypothesized chain out as extents, validated, and clip it
     to the recorded size, so the final cluster's slack never reaches
     the output."""
     if entry.is_directory:
-        raise FatError("%s is a directory" % entry.display_name)
+        raise FatError("%s is a directory" % entry.name)
     extents = cluster_extents(img, desc, entry.chain)
-    held = sum(length for _, length in extents)
-    flags = list(entry.flags)
-    if held < entry.size and "truncated" not in flags:
-        flags.append("truncated")
     return RecoveredFile(
-        name=entry.display_name,
-        path=entry.dir_path,
-        size=min(held, entry.size),
+        name=entry.name,
+        path=entry.path,
+        size=min(sum(length for _, length in extents), entry.size),
         sha256="",
         file_class="unknown",
         confidence=entry.confidence,
@@ -677,12 +681,12 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
             "clusters": entry.chain,
         },
         extents=extents,
-        flags=flags,
+        flags=list(entry.flags),
     )
 
 
 def recover_file(img: VolumeImage, desc: VolumeDescriptor,
-                 entry: DeletedFatEntry, sink=None) -> RecoveredFile:
+                 entry: FatDirEntry, sink=None) -> RecoveredFile:
     """Stream a deleted file's hypothesized chain into ``sink``, a
     writable object; with none the payload is only hashed."""
     return plan_file(img, desc, entry).stream(img, sink)

@@ -221,6 +221,16 @@ def audit_image(image_path, truth: GroundTruth) -> dict:
     }
 
 
+def boot_geometry(desc: VolumeDescriptor) -> dict:
+    """The geometry a boot record fixes, keyed as a sidecar keys it: the
+    descriptor's fields in their order, plus the cluster size, the
+    cluster count and the MFT record size."""
+    return {**vars(desc), "kind": desc.kind.value,
+            "cluster_size": desc.cluster_size,
+            "cluster_count": desc.total_clusters,
+            "record_size": desc.mft_record_size}
+
+
 def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
     """The image's descriptor, once the image has the size, the
     filesystem and the geometry that ``truth`` describes.  Every
@@ -236,11 +246,7 @@ def check_sidecar(img, truth: GroundTruth) -> VolumeDescriptor:
         raise SidecarMismatch(
             "ground truth is for %s, image is %s"
             % (truth.filesystem, desc.kind.value))
-    found = {**vars(desc), "kind": desc.kind.value,
-             "cluster_size": desc.cluster_size,
-             "cluster_count": desc.total_clusters,
-             "record_size": desc.mft_record_size}
-    for key, value in found.items():
+    for key, value in boot_geometry(desc).items():
         if key in truth.geometry and truth.geometry[key] != value:
             raise SidecarMismatch(
                 "ground truth records %s %r, image has %r"

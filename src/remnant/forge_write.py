@@ -35,6 +35,7 @@ from .forge import (
     FileTruth,
     ForgeError,
     GroundTruth,
+    boot_geometry,
     check_sidecar,
     content_bytes,
 )
@@ -498,6 +499,15 @@ def _fsinfo_sector(free_clusters: int, next_free: int) -> bytes:
     return bytes(sec)
 
 
+def _sidecar_geometry(desc: VolumeDescriptor, **extra) -> dict:
+    """A sidecar's geometry: what ``check_sidecar`` compares, less the
+    fields that are unset or that a sidecar leaves out, plus ``extra``."""
+    return {**{key: value for key, value in boot_geometry(desc).items()
+               if value is not None
+               and key not in ("volume_serial", "mft_record_size")},
+            **extra}
+
+
 class _FatBuilder:
     def __init__(self, spec: CorpusSpec):
         kind_name = spec.filesystem
@@ -634,12 +644,7 @@ class _FatBuilder:
         _write_fat_system_areas(w, desc, spec.volume_label,
                                 desc.cluster_count + 2 - self.cursor,
                                 self.cursor)
-        # The sidecar's geometry is the descriptor's, field for field.
-        geometry = {"kind": kind.value, **{key: getattr(desc, key) for key in (
-            "bytes_per_sector", "sectors_per_cluster", "reserved_sectors",
-            "num_fats", "sectors_per_fat", "root_entries", "total_sectors",
-            "cluster_count", "first_data_sector", "cluster_size",
-            "root_cluster" if kind is FsKind.FAT32 else "root_dir_sector")}}
+        geometry = _sidecar_geometry(desc)
         internal = {
             "fat_offsets": self.fat_offsets,
             "fat_bytes": desc.sectors_per_fat * desc.bytes_per_sector,
@@ -1070,18 +1075,7 @@ class _NtfsBuilder:
             [run for t in truth_files.values() for run in t.clusters],
             mft_clusters)
 
-        geometry = {
-            "kind": "NTFS",
-            "bytes_per_sector": desc.bytes_per_sector,
-            "sectors_per_cluster": desc.sectors_per_cluster,
-            "cluster_size": cs,
-            "total_sectors": desc.total_sectors,
-            "cluster_count": cc,
-            "mft_lcn": desc.mft_lcn,
-            "mft_clusters": mft_clusters,
-            "record_size": rs,
-            "mirror_lcn": desc.mirror_lcn,
-        }
+        geometry = _sidecar_geometry(desc, mft_clusters=mft_clusters)
         internal = {
             "mft_base": mft_base,
             "record_size": rs,

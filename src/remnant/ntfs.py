@@ -461,8 +461,8 @@ class NtfsEntry:
     name_known: bool
     is_directory: bool
     size: int
-    created: int
-    modified: int
+    created: str | None            # ISO-8601 UTC
+    modified: str | None
     parent_index: int | None
     resident: bool | None          # None when the record has no data stream
     payload: bytes | None          # resident data
@@ -471,6 +471,14 @@ class NtfsEntry:
     orphaned: bool = False
     record_offset: int = 0
     attr_walk_corrupt: bool = False
+    path: str = ""                 # the parent directory, set by survey
+
+    @property
+    def flags(self) -> list[str]:
+        marks = (("carved", self.orphaned),
+                 ("name-lost", not self.name_known),
+                 ("attributes-corrupt", self.attr_walk_corrupt))
+        return [flag for flag, on in marks if on]
 
     @property
     def entry_id(self) -> str:
@@ -533,8 +541,10 @@ def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
         name_known=name_known,
         is_directory=rec.header.is_directory,
         size=size,
-        created=(best_fn.created if name_known else (std.created if std else 0)),
-        modified=(best_fn.modified if name_known else (std.modified if std else 0)),
+        created=filetime_to_iso(best_fn.created if name_known
+                                else (std.created if std else 0)),
+        modified=filetime_to_iso(best_fn.modified if name_known
+                                 else (std.modified if std else 0)),
         parent_index=best_fn.parent_index if name_known else None,
         resident=resident,
         payload=payload,
@@ -551,7 +561,8 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     """One pass over the volume: live records, deleted candidates, and
     the allocation bitmap of clusters claimed by anything still in use.
     A deleted or carved slot without attributes was never used and is
-    left out."""
+    left out.  Each deleted entry's ``path`` names its parent directory,
+    resolved one level deep."""
     stats = MftScanStats()
     live: list[NtfsEntry] = []
     deleted: list[NtfsEntry] = []
@@ -585,6 +596,19 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
             walk = parse_attributes(rec.data, rec.header)
             if walk.attributes:
                 deleted.append(_entry_from_record(rec, walk))
+
+    # One level deep: the corpus keeps a flat tree, and deleted volumes
+    # rarely preserve enough of the index structure to walk further
+    # with confidence.
+    parents: dict[int, str] = {ROOT_RECORD: ""}
+    for e in live:
+        if e.is_directory and not e.is_system:
+            parents.setdefault(e.record_index, e.name)
+    for e in deleted:
+        if e.is_directory and e.record_index >= 0:
+            parents.setdefault(e.record_index, e.name)
+    for e in deleted:
+        e.path = parents.get(e.parent_index, "")
     return NtfsSurvey(live=live, deleted=deleted, stats=stats,
                       live_clusters=live_clusters)
 
@@ -598,6 +622,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
     follows the run list, with zero-fill for sparse runs, and stops at
     the volume edge (flagged, confidence downgraded).  The plan is
     clipped to the real size so slack never leaks into the result.
+    Its flags are the plan's own, then the entry's.
     """
     if entry.is_directory:
         raise MftError("record %d is a directory" % entry.record_index)
@@ -641,6 +666,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
 
     return RecoveredFile(
         name=entry.name,
+        path=entry.path,
         size=size,
         sha256="",
         file_class="unknown",
@@ -651,7 +677,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
             "clusters": merge_runs(real),
         },
         extents=extents,
-        flags=flags,
+        flags=flags + entry.flags,
     )
 
 

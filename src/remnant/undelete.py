@@ -14,7 +14,6 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from . import fat as fatmod
 from . import ntfs as ntfsmod
@@ -26,41 +25,21 @@ class UndeleteError(Exception):
     pass
 
 
-@dataclass
-class Candidate:
-    """One deleted entry in filesystem-neutral clothing.
-
-    ``entry`` keeps the parser-specific object so recovery can hand it
-    straight back to the module that produced it.
-    """
-
-    entry: object
-    name: str
-    path: str
-    size: int
-    is_directory: bool
-    confidence: str
-    flags: list[str]
-    entry_id: str
-    created: str | None = None
-    modified: str | None = None
-
-    def sort_key(self):
-        return (self.path, self.name, self.entry_id)
-
-    def to_row(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "size": self.size,
-            "deleted": True,
-            "is_directory": self.is_directory,
-            "confidence": self.confidence,
-            "flags": list(self.flags),
-            "entry": self.entry_id,
-            "created": self.created,
-            "modified": self.modified,
-        }
+def _deleted_row(entry) -> dict:
+    """A listing row for a deleted entry: a ``FatDirEntry`` or an
+    ``NtfsEntry``, which share these attributes."""
+    return {
+        "name": entry.name,
+        "path": entry.path,
+        "size": entry.size,
+        "deleted": True,
+        "is_directory": entry.is_directory,
+        "confidence": entry.confidence,
+        "flags": list(entry.flags),
+        "entry": entry.entry_id,
+        "created": entry.created,
+        "modified": entry.modified,
+    }
 
 
 def _live_row(name, path, size, is_directory, created=None, modified=None):
@@ -81,13 +60,14 @@ def _live_row(name, path, size, is_directory, created=None, modified=None):
 @dataclass
 class ScanResult:
     desc: VolumeDescriptor
-    candidates: list[Candidate]
+    # The deleted entries, FatDirEntry or NtfsEntry by filesystem.
+    candidates: list
     live_clusters: bytearray    # allocation bitmap, one byte per cluster
     live_rows: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
-    def files(self) -> list[Candidate]:
+    def files(self) -> list:
         return [c for c in self.candidates if not c.is_directory]
 
     def listing_rows(self) -> list[dict]:
@@ -95,52 +75,7 @@ class ScanResult:
         (directory, name) so repeated runs agree byte for byte."""
         live = sorted(self.live_rows,
                       key=lambda r: (r["path"], r["name"]))
-        return live + [c.to_row() for c in self.candidates]
-
-
-def _ntfs_candidates(surv) -> list[Candidate]:
-    # Parent names are resolved one level deep: the corpus keeps a flat
-    # tree, and deleted volumes rarely preserve enough of the index
-    # structure to walk further with confidence.
-    parents: dict[int, str] = {ntfsmod.ROOT_RECORD: ""}
-    for info in surv.live:
-        if info.is_directory and not info.is_system:
-            parents.setdefault(info.record_index, info.name)
-    for e in surv.deleted:
-        if e.is_directory and e.record_index >= 0:
-            parents.setdefault(e.record_index, e.name)
-
-    out = []
-    for e in surv.deleted:
-        path = parents.get(e.parent_index, "")
-        flags = []
-        if e.orphaned:
-            flags.append("carved")
-        if not e.name_known:
-            flags.append("name-lost")
-        if e.attr_walk_corrupt:
-            flags.append("attributes-corrupt")
-        out.append(Candidate(entry=e, name=e.name, path=path, size=e.size,
-                             is_directory=e.is_directory,
-                             confidence=e.confidence, flags=flags,
-                             entry_id=e.entry_id,
-                             created=ntfsmod.filetime_to_iso(e.created),
-                             modified=ntfsmod.filetime_to_iso(e.modified)))
-    return out
-
-
-def _fat_candidates(entries) -> list[Candidate]:
-    out = []
-    for e in entries:
-        flags = list(e.flags)
-        if e.orphaned and "carved" not in flags:
-            flags.append("carved")
-        out.append(Candidate(entry=e, name=e.display_name, path=e.dir_path,
-                             size=e.size, is_directory=e.is_directory,
-                             confidence=e.confidence, flags=flags,
-                             entry_id=e.entry_id,
-                             created=e.created, modified=e.modified))
-    return out
+        return live + [_deleted_row(c) for c in self.candidates]
 
 
 def scan_volume(img: VolumeImage, desc: VolumeDescriptor,
@@ -150,7 +85,7 @@ def scan_volume(img: VolumeImage, desc: VolumeDescriptor,
     live_rows: list[dict] = []
     if desc.kind is FsKind.NTFS:
         surv = ntfsmod.survey(img, desc, deep=deep)
-        cands = _ntfs_candidates(surv)
+        cands = surv.deleted
         for info in surv.live:
             if info.is_system or info.record_index == ntfsmod.ROOT_RECORD:
                 continue
@@ -164,38 +99,30 @@ def scan_volume(img: VolumeImage, desc: VolumeDescriptor,
         }
     else:
         surv = fatmod.survey(img, desc, deep=deep)
-        cands = _fat_candidates(fatmod.find_deleted(surv, desc))
+        cands = fatmod.find_deleted(surv, desc)
         for e in surv.entries:
             # Orphaned-but-intact entries are deleted candidates, not
             # live files: unreachable from the live tree means deleted.
-            if e.deleted or e.orphaned or e.is_label or e.is_dot:
+            if e.deleted or e.orphaned:
                 continue
-            live_rows.append(_live_row(e.display_name, e.dir_path, e.size,
-                                       e.is_directory, e.created_iso(),
-                                       e.modified_iso()))
+            live_rows.append(_live_row(e.name, e.path, e.size,
+                                       e.is_directory, e.created, e.modified))
         stats = {
             "entries_walked": len(surv.entries),
             "live_entries": len(live_rows),
         }
-    cands.sort(key=Candidate.sort_key)
+    cands.sort(key=lambda e: (e.path, e.name, e.entry_id))
     return ScanResult(desc=desc, candidates=cands,
                       live_clusters=surv.live_clusters,
                       live_rows=live_rows, stats=stats)
 
 
-def plan_one(img: VolumeImage, scan: ScanResult,
-             cand: Candidate) -> RecoveredFile:
-    """Plan one candidate's recovery; the scan's flags ride along."""
+def plan_one(img: VolumeImage, scan: ScanResult, entry) -> RecoveredFile:
+    """Plan one candidate's recovery with its filesystem's reader."""
     if scan.desc.kind is FsKind.NTFS:
-        plan = ntfsmod.plan_file(img, scan.desc, cand.entry,
+        return ntfsmod.plan_file(img, scan.desc, entry,
                                  live_clusters=scan.live_clusters)
-    else:
-        plan = fatmod.plan_file(img, scan.desc, cand.entry)
-    plan.path = cand.path
-    for fl in cand.flags:
-        if fl not in plan.flags:
-            plan.flags.append(fl)
-    return plan
+    return fatmod.plan_file(img, scan.desc, entry)
 
 
 def recover_one(img: VolumeImage, plan: RecoveredFile,
@@ -252,55 +179,53 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
     Returns (recovered, errors) where errors is a list of
     (candidate, message) for entries whose metadata no longer supports
     a read.  Every candidate is planned first, so a failed one takes no
-    output name; then ``min(jobs, files)`` workers take the files one at
-    a time and stream each straight into its output.  Report order
+    output name; then the calling thread and ``min(jobs, files) - 1``
+    helper threads run one loop that takes the files one at a time and
+    streams each straight into its output.  Report order
     matches scan order regardless of ``jobs``; an error that escapes a
     worker stops the others taking more, and the earliest file's error
     in that order is raised.
     """
     plans: list[RecoveredFile] = []
-    errors: list[tuple[Candidate, str]] = []
-    for cand in scan.files:
+    errors: list[tuple[object, str]] = []
+    for entry in scan.files:
         try:
-            plans.append(plan_one(img, scan, cand))
+            plans.append(plan_one(img, scan, entry))
         except VolumeError as exc:
-            errors.append((cand, str(exc)))
+            errors.append((entry, str(exc)))
 
     os.makedirs(out_dir, exist_ok=True)
     taken: set[str] = set()
     dests = [os.path.join(out_dir, output_name(p.path, p.name, taken))
              for p in plans]
+    todo = enumerate(zip(plans, dests))
+    recovered: list = [None] * len(plans)
+    lock = threading.Lock()
+    failures: list[tuple[int, Exception]] = []
 
-    workers = min(jobs, len(plans))
-    if workers > 1:
-        # One work item at a time per worker, not one future per file.
-        from concurrent.futures import ThreadPoolExecutor
+    def drain() -> None:
+        while not failures:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            index, (plan, dest) = item
+            try:
+                recovered[index] = recover_one(img, plan, dest)
+            except Exception as exc:
+                failures.append((index, exc))
 
-        recovered = [None] * len(plans)
-        todo = enumerate(zip(plans, dests))
-        lock = threading.Lock()
-        failures: list[tuple[int, Exception]] = []
-
-        def drain() -> None:
-            while not failures:
-                with lock:
-                    item = next(todo, None)
-                if item is None:
-                    return
-                index, (plan, dest) = item
-                try:
-                    recovered[index] = recover_one(img, plan, dest)
-                except Exception as exc:
-                    failures.append((index, exc))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            running = [pool.submit(drain) for _ in range(workers)]
-        for worker in running:
-            worker.result()
-        if failures:
-            raise min(failures)[1]     # indices are unique
-    else:
-        recovered = list(map(recover_one, repeat(img), plans, dests))
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(jobs, len(plans)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise min(failures)[1]     # indices are unique
 
     if truth_hashes is not None:
         for rf in recovered:

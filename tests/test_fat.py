@@ -23,6 +23,7 @@ from remnant.fat import (
     recover_file,
     survey,
 )
+from remnant.undelete import scan_volume
 from remnant.volume import (
     CorruptBootRecord,
     FsKind,
@@ -103,7 +104,7 @@ def test_lfn_fragments_fold_into_following_entry():
     entries = parse_dir_slots(slots, "", FsKind.FAT16)
     assert len(entries) == 1
     assert entries[0].lfn_name == name
-    assert entries[0].display_name == name
+    assert entries[0].name == name
 
 
 def test_deleted_lfn_fragments_reassemble_in_reverse_order():
@@ -375,7 +376,7 @@ def test_live_survey_matches_ground_truth(base_images, fs):
         surv = survey(img, desc)
     assert surv.warnings == []
     live = {
-        ("%s/%s" % (e.dir_path, e.display_name)) if e.dir_path else e.display_name
+        ("%s/%s" % (e.path, e.name)) if e.path else e.name
         for e in surv.entries
         if not (e.deleted or e.is_label or e.is_dot or e.is_directory)
     }
@@ -394,9 +395,9 @@ def test_deleted_files_recover_byte_identical(image_copy, fs):
         for path_, rec in truth.files.items():
             parent, _, base = path_.rpartition("/")
             match = [d for d in found
-                     if d.dir_path == parent and d.size == rec.size
-                     and (d.display_name == base                  # LFN survived
-                          or d.name[1:] == base.upper()[1:])]     # first byte lost
+                     if d.path == parent and d.size == rec.size
+                     and (d.name == base                          # LFN survived
+                          or d.short_name[1:] == base.upper()[1:])]  # first byte lost
             assert match, "missing %s" % path_
             got = recover_file(img, desc, match[0])
             assert got.size == rec.size
@@ -466,7 +467,7 @@ def test_quick_format_needs_the_deep_scan(image_copy, fs):
         assert find_deleted(shallow, desc) == []
         deep = survey(img, desc, deep=True)
         found = find_deleted(deep, desc)
-        names = {d.display_name for d in found if not d.is_directory}
+        names = {d.name for d in found if not d.is_directory}
         for rec in truth.files.values():
             assert rec.path.rsplit("/", 1)[-1] in names
         # Everything carved is orphaned: the live tree is empty.
@@ -491,6 +492,35 @@ def test_unreadable_allocation_table_degrades_to_carving(base_images, tmp_path):
         desc = detect_filesystem(img)
         surv = survey(img, desc, deep=True)
     assert any("carve-only" in w for w in surv.warnings)
+
+
+def test_a_directory_chain_run_to_the_heap_end_costs_one_directory(
+        image_copy):
+    """DATA's chain rewritten, in both FAT copies, to run through every
+    later cluster to the heap's end, across its files' chains: the scan
+    still lists every file, reads DATA only up to its end marker and
+    walks each chain cluster once."""
+    path, truth = image_copy("fat16")
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+    first = truth.dirs["DATA"].first_cluster
+    links = struct.pack("<%dH" % (desc.max_cluster + 1 - first),
+                        *range(first + 1, desc.max_cluster + 1), 0xFFFF)
+    with open(path, "r+b") as fh:
+        for fat_offset in truth.internal["fat_offsets"]:
+            fh.seek(fat_offset + 2 * first)
+            fh.write(links)
+    with open_image(path) as img:
+        tracemalloc.start()
+        try:
+            scan = scan_volume(img, desc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    listed = {"%s/%s" % (r["path"], r["name"]) for r in scan.live_rows
+              if not r["is_directory"]}
+    assert listed == set(truth.files)
+    assert peak < 8 << 20
 
 
 def _dir_head(names, end=True):
@@ -522,7 +552,7 @@ def test_deep_scan_carves_the_readable_part_of_a_truncated_image(image_copy):
     with open_image(path) as img:
         surv = survey(img, desc, deep=True)
     assert not surv.live_clusters[planted]
-    carved = {(e.dir_path, e.short_name) for e in surv.entries}
+    carved = {(e.path, e.short_name) for e in surv.entries}
     assert ("orphan-%d" % planted, "PLANTED.TXT") in carved
 
 
@@ -530,9 +560,7 @@ def test_recover_refuses_directories(image_copy):
     path, _ = image_copy("fat16")
     with open_image(path) as img:
         desc = detect_filesystem(img)
-        entry = fatmod.DeletedFatEntry(
-            name="_UBDIR", lfn_name=None, dir_path="", is_directory=True, first_cluster=2, size=0, created=None,
-            modified=None, chain=[], confidence="exact", entry_offset=0x2000)
+        entry = _entry(b"\xe5UBDIR     ", attr=ATTR_DIRECTORY, offset=0x2000)
         with pytest.raises(fatmod.FatError):
             recover_file(img, desc, entry)
 
@@ -579,7 +607,7 @@ def test_delete_then_undelete_restores_every_payload(tmp_path_factory, spec):
         by_tail = {}
         for d in found:
             if not d.is_directory:
-                by_tail.setdefault((d.name[1:], d.size), []).append(d)
+                by_tail.setdefault((d.short_name[1:], d.size), []).append(d)
         for rec in truth.files.values():
             key = (rec.path.rsplit("/", 1)[-1][1:], rec.size)
             assert key in by_tail

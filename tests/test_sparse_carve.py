@@ -121,7 +121,7 @@ def test_file_record_after_a_hole_is_carved(base_images, formatted, tmp_path,
     path = tmp_path / "planted.img"
     _write_sparse(path, data)
     sparse, dense = _deep_scans(path, lead)
-    assert off in {c.entry.record_offset for c in sparse.candidates}
+    assert off in {c.record_offset for c in sparse.candidates}
     assert sparse == dense
 
 

@@ -257,11 +257,10 @@ def _read_clusters(img, desc, clusters):
     return b"".join(img.read_at(offset, length) for offset, length in extents)
 
 
-def _recover_buffered(img, scan, cand):
+def _recover_buffered(img, scan, entry):
     """Reference: the whole-payload recovery that streaming replaced --
     read every cluster into one buffer, cut it to size, hash it."""
     desc = scan.desc
-    entry = cand.entry
     flags = []
     confidence = entry.confidence
     if desc.kind is FsKind.NTFS:
@@ -308,8 +307,8 @@ def _recover_buffered(img, scan, cand):
         if len(data) < entry.size and "truncated" not in flags:
             flags.append("truncated")
         data = data[:entry.size]
-        name = entry.display_name
-    for fl in cand.flags:
+        name = entry.name
+    for fl in entry.flags:
         if fl not in flags:
             flags.append(fl)
     return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data),
@@ -342,6 +341,51 @@ def test_streamed_recovery_matches_the_buffered_reference(image_copy, fs,
                 want["data"]), cand.entry_id
 
 
+def _is_sub_list(part, whole) -> bool:
+    """Whether ``part``'s items all appear in ``whole``, in order."""
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+@pytest.mark.parametrize("fs", ["fat12", "fat16", "fat32", "ntfs"])
+@pytest.mark.parametrize("mutation", ["delete-all", "quick-format"])
+def test_scan_flags_are_a_sub_list_of_the_recover_flags(image_copy, fs,
+                                                        mutation):
+    path, _ = image_copy(fs, mutation)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        scan = scan_volume(img, desc, deep=True)
+        listed = {r["entry"]: r["flags"] for r in scan.listing_rows()
+                  if r["deleted"]}
+        plans = [undelete.plan_one(img, scan, e) for e in scan.files]
+    assert plans
+    for plan in plans:
+        flags = listed[plan.source["entry"]]
+        assert _is_sub_list(flags, plan.flags), plan.source["entry"]
+        if fs != "ntfs":
+            assert flags == plan.flags, plan.source["entry"]
+
+
+def test_a_first_cluster_past_the_heap_scans_as_it_recovers(image_copy,
+                                                            tmp_path):
+    # FAT16 0xFFF0 is a reserved value, not a heap cluster: no byte of
+    # the file can be read, and scan and recover both say so.
+    path, truth = image_copy("fat16", "delete-all")
+    offset = truth.files["DATA/REPORT.PDF"].entry_offset
+    with open(path, "r+b") as fh:
+        fh.seek(offset + 0x1A)
+        fh.write((0xFFF0).to_bytes(2, "little"))
+    entry_id = "entry@0x%x" % offset
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        row, = (r for r in scan.listing_rows() if r["entry"] == entry_id)
+        recovered, errors = recover_all(img, scan, out_dir=str(tmp_path))
+    got, = (r for r in recovered if r.source["entry"] == entry_id)
+    assert errors == []
+    assert row["flags"] == got.flags == ["bad-first-cluster", "truncated"]
+    assert (got.size, got.source["clusters"]) == (0, [])
+
+
 def test_classification_sees_every_magic_prefix():
     assert max(len(magic) for magic, _ in MAGIC_TABLE) <= HEAD_BYTES
 
@@ -354,8 +398,7 @@ def test_plan_failure_takes_no_output_name(image_copy, tmp_path):
         desc = detect_filesystem(img)
         scan = scan_volume(img, desc)
         good = scan.files[0]
-        bad = replace(good, entry=replace(good.entry,
-                                          chain=[[desc.max_cluster + 1, 1]]))
+        bad = replace(good, chain=[[desc.max_cluster + 1, 1]])
         scan.candidates.insert(scan.candidates.index(good), bad)
         recovered, errors = recover_all(img, scan, out_dir=str(tmp_path))
     assert errors == [(bad, "cluster %d outside heap"
