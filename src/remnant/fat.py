@@ -424,12 +424,14 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
 
     The chain is gone, so continuation is by contiguity: keep taking the
     next cluster while the previous one ended without an end-of-directory
-    marker and the candidate still parses as nothing but entries.
+    marker and the candidate still parses as nothing but entries, over
+    at most MAX_DIR_ENTRIES slots, the live walk's bound.
     """
     cs = desc.cluster_size
     slots = []
     c = start
-    while fat.in_heap(c) and not is_marked(live_clusters, c) \
+    stop = start + _dir_cluster_cap(desc)
+    while c < stop and fat.in_heap(c) and not is_marked(live_clusters, c) \
             and not is_marked(consumed, c):
         buf = _read_or_none(img, cluster_offset(desc, c), cs)
         if buf is None:

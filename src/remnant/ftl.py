@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, mul
 
 ERASED_BYTE = 0xFF
@@ -459,21 +459,26 @@ class FtlState:
         """Stable digest of the complete device state."""
         h = hashlib.sha256()
         g = self.geometry
+        ppb = g.pages_per_block
         h.update(struct.pack("<5q", g.block_count, g.pages_per_block,
                              g.page_size, g.reserve_blocks, g.endurance_limit))
+        # Each page's packed row, then its payload: one block per update.
         rows = map(struct.Struct("<bqq").pack, self.state, self.lpn,
                    self.stamp)
         payloads = map(self.payload.get, range(g.total_pages),
                        repeat(g.erased_page))
-        for row, payload in zip(rows, payloads):
-            h.update(row)
-            h.update(payload)
-        for blk in self.blocks:
-            h.update(struct.pack(
-                "<qbq", blk.erase_count, blk.retired,
-                -1 if blk.replacement is None else blk.replacement))
-        for lpn in sorted(self.mapping):
-            h.update(struct.pack("<qq", lpn, self.mapping[lpn]))
+        block = [b""] * (2 * ppb)
+        for _ in range(g.block_count):
+            block[0::2] = islice(rows, ppb)
+            block[1::2] = islice(payloads, ppb)
+            h.update(b"".join(block))
+        h.update(b"".join(
+            struct.pack("<qbq", blk.erase_count, blk.retired,
+                        -1 if blk.replacement is None else blk.replacement)
+            for blk in self.blocks))
+        lpns = sorted(self.mapping)
+        h.update(b"".join(map(struct.Struct("<qq").pack, lpns,
+                              map(self.mapping.__getitem__, lpns))))
         h.update(struct.pack("<q", len(self.reserve_pool)))
         for b in self.reserve_pool:
             h.update(struct.pack("<q", b))
@@ -508,29 +513,38 @@ class RemanenceReport:
     The four totals are counted when the report is made.  The rows, one
     PayloadAudit per distinct payload in order of first appearance, are
     built (a sha256 digest and the sorted lpns of each) the first time
-    ``payloads`` or ``as_dict()`` is read, and kept.  The report owns
-    its payloads and lpns, so later changes to the history leave it as
-    it was."""
+    ``payloads`` or ``as_dict()`` is read, and kept; until then the
+    history is held as two columns, each item's payload and its lpn,
+    and no payload has a set of its own.  The report owns those columns,
+    so later changes to the history leave it as it was."""
 
-    def __init__(self, lpns: dict[bytes, set[int]], copies: list[int]):
-        # lpns: payload -> its lpns, in order of first appearance;
-        # copies: the live, stale and retired copies of each in turn.
+    def __init__(self, written: list[bytes], lpns: list[int | None],
+                 distinct: dict[bytes, int], copies: list[int]):
+        # written, lpns: each history item's payload and lpn (None for a
+        # bare payload); distinct: keyed by the distinct payloads in
+        # order of first appearance; copies: the live, stale and retired
+        # copies of each in turn.
+        self._written = written
         self._lpns = lpns
+        self._distinct = distinct
         self._copies = copies
         stale, retired = copies[1::3], copies[2::3]
         self.live_copies = sum(copies[0::3])
         self.stale_copies = sum(stale)
         self.retired_copies = sum(retired)
         self.recoverable_bytes = sum(map(mul, map(add, stale, retired),
-                                         map(len, lpns)))
+                                         map(len, distinct)))
 
     @cached_property
     def payloads(self) -> list[PayloadAudit]:
+        lpn_sets = {payload: set() for payload in self._distinct}
+        for payload, lpn in zip(self._written, self._lpns):
+            if lpn is not None:
+                lpn_sets[payload].add(lpn)
         copies = self._copies
         return [PayloadAudit(hashlib.sha256(payload).hexdigest(),
                              sorted(lpns), *copies[i:i + 3])
-                for i, (payload, lpns) in zip(count(0, 3),
-                                              self._lpns.items())]
+                for i, (payload, lpns) in zip(count(0, 3), lpn_sets.items())]
 
     def as_dict(self) -> dict:
         return {
@@ -548,19 +562,24 @@ def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
     ``history`` is the experiment's write log: (lpn, payload) pairs or
     bare payloads.  Recoverable bytes counts stale and retired copies —
     data the host can no longer address but a chip-level dump still
-    yields.  The cost is one pass over the history and one over the
-    programmed pages; no payload is digested until a row is read."""
-    lpns: dict[bytes, set[int]] = {}  # in order of first appearance
+    yields.  The cost is one pass over the history, which copies each
+    item's payload and lpn into two lists, and one over the programmed
+    pages; no payload is digested, and no payload's lpn set is built,
+    until a row is read."""
+    written: list[bytes] = []
+    lpns: list[int | None] = []
+    keep, keep_lpn = written.append, lpns.append
     for item in history:
         if isinstance(item, (bytes, bytearray)):
-            lpn, payload = None, bytes(item)
+            keep(bytes(item))
+            keep_lpn(None)
         else:
-            lpn, payload = item[0], bytes(item[1])
-        held = lpns.get(payload)
-        if held is None:
-            held = lpns[payload] = set()
-        if lpn is not None:
-            held.add(lpn)
+            keep(bytes(item[1]))
+            keep_lpn(item[0])
+    # payload -> 3 * rank - 1, ranked in order of first appearance.  The
+    # update only replaces values, so iterating the keys stays valid.
+    base = dict.fromkeys(written)
+    base.update(zip(base, count(-1, 3)))
 
     # One pass over the programmed pages tallies live, stale and retired
     # copies per rank, in slot 3 * rank + tag - 1: tag codes 1-3 are
@@ -569,17 +588,17 @@ def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
     # nothing, even when the erased pattern is in the history; a retired
     # page with no payload, which the pass never sees, is a retired copy
     # of that pattern.
-    end = 3 * len(lpns)
-    base = dict(zip(lpns, count(-1, 3)))     # payload -> 3 * rank - 1
+    end = 3 * len(base)
+    held, tag = dump.payload, dump.tag
     copies = [0] * (end + 3)
-    tag = dump.tag
-    for ppn, payload in dump.payload.items():
-        copies[base.get(payload, end - 1) + tag[ppn]] += 1
+    for slot in map(add, map(base.get, held.values(), repeat(end - 1)),
+                    map(tag.__getitem__, held)):
+        copies[slot] += 1
     erased = base.get(dump.geometry.erased_page)
     if erased is not None:
         copies[erased + _RETIRED] += tag.count(_RETIRED) - sum(copies[2::3])
     del copies[end:]
-    return RemanenceReport(lpns, copies)
+    return RemanenceReport(written, lpns, base, copies)
 
 
 # -- canned experiments -------------------------------------------------

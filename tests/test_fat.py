@@ -523,6 +523,40 @@ def test_a_directory_chain_run_to_the_heap_end_costs_one_directory(
     assert peak < 8 << 20
 
 
+def test_a_carved_directory_run_to_the_heap_end_costs_one_directory(
+        image_copy):
+    """After a quick format, DATA's slots past its end marker and every
+    later heap cluster filled with one plausible archive entry, none
+    terminated: the carve gathers DATA by contiguity over at most
+    MAX_DIR_ENTRIES slots, the live walk's bound, not the rest of the
+    heap (519,616 slots and an 81.7 MiB traced peak without it)."""
+    path, truth = image_copy("fat16", "quick-format")
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        base = cluster_offset(desc, truth.dirs["DATA"].first_cluster)
+        head = img.read_at(base, 64 * desc.cluster_size)
+    end = next(pos for pos in range(64, len(head), 32) if head[pos] == 0)
+    heap_end = cluster_offset(desc, desc.max_cluster) + desc.cluster_size
+    with open(path, "r+b") as fh:
+        fh.seek(base + end)
+        fh.write((b"FILLER  TXT" + bytes([ATTR_ARCHIVE]) + bytes(20))
+                 * ((heap_end - base - end) // 32))
+    with open_image(path) as img:
+        fat = fatmod.load_fat(img, desc)
+        live = bytearray(volume.image_clusters(img, desc))
+        tracemalloc.start()
+        try:
+            carved = {cluster: len(slots) for cluster, slots
+                      in fatmod._carve_orphan_dirs(img, desc, fat, live,
+                                                   bytearray(len(live)))}
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert 0 < carved[truth.dirs["DATA"].first_cluster] \
+        <= fatmod.MAX_DIR_ENTRIES
+    assert peak < 32 << 20
+
+
 def _dir_head(names, end=True):
     """'.', '..', one archive entry per name, then an end marker."""
     slots = [fatmod.DOT_NAME + bytes([ATTR_DIRECTORY]) + bytes(20),

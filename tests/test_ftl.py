@@ -1091,6 +1091,30 @@ def test_a_dump_of_a_volume_sized_device_is_small():
     assert not dump.payload
 
 
+def test_an_audit_whose_rows_are_unread_keeps_no_set_per_payload():
+    # 30,000 distinct 8-byte payloads over 16 lpns of a 64-page device:
+    # a set per payload traced 11.0 MiB, the history's two columns and
+    # the rank of each payload 4.0 MiB.
+    g = FlashGeometry(block_count=4, pages_per_block=16, page_size=8,
+                      reserve_blocks=0)
+    s = FtlState(geometry=g)
+    history = [(i % 16, i.to_bytes(8, "little")) for i in range(30_000)]
+    for lpn, payload in history:
+        s.write(lpn, payload)
+    dump = s.forensic_dump()
+    tracemalloc.start()
+    try:
+        report = remanence_audit(dump, history)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    assert report.live_copies == 16
+    read = [(TAGS[code], _read(dump, ppn))
+            for ppn, code in enumerate(dump.tag)]
+    assert report.as_dict() == _reference_audit(read, history)
+
+
 class _ReadCountingList(list):
     """A list that counts its item reads."""
 
