@@ -50,6 +50,11 @@ LFN_SEQ_MASK = 0x1F
 # fatgen103: a directory holds at most 65,536 entries (2 MiB of slots).
 MAX_DIR_ENTRIES = 65536
 
+# survey's allocation map: 1 marks a cluster of a live chain, _TAKEN
+# one a deleted or carved directory took; _LIVE_ONLY clears the latter.
+_TAKEN = 2
+_LIVE_ONLY = bytes(code == 1 for code in range(256))
+
 DOT_NAME = b".          "
 DOTDOT_NAME = b"..         "
 
@@ -418,9 +423,10 @@ def _block_all_plausible(buf: bytes) -> bool:
     return seen_any
 
 
-def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
+def _collect_orphan_dir(img, desc, fat, start, live_clusters):
     """Gather a carved directory starting at ``start`` and mark its
-    clusters in the ``consumed`` bitmap.  Returns its slots.
+    clusters ``_TAKEN`` in the allocation map ``live_clusters``, where
+    it stops at any marked cluster.  Returns its slots.
 
     The chain is gone, so continuation is by contiguity: keep taking the
     next cluster while the previous one ended without an end-of-directory
@@ -431,8 +437,7 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
     slots = []
     c = start
     stop = start + _dir_cluster_cap(desc)
-    while c < stop and fat.in_heap(c) and not is_marked(live_clusters, c) \
-            and not is_marked(consumed, c):
+    while c < stop and fat.in_heap(c) and not is_marked(live_clusters, c):
         buf = _read_or_none(img, cluster_offset(desc, c), cs)
         if buf is None:
             break
@@ -448,16 +453,17 @@ def _collect_orphan_dir(img, desc, fat, start, live_clusters, consumed):
                 break
         if end_here:
             break
-    mark_runs(consumed, [(start, c - start)])
+    mark_runs(live_clusters, [(start, c - start)], _TAKEN)
     return slots
 
 
-def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
-    """Yield (cluster, slots) for every orphaned directory in the heap.
+def _carve_orphan_dirs(img, desc, fat, live_clusters):
+    """Yield (cluster, slots) for every orphaned directory in the heap
+    outside the clusters ``live_clusters`` marks.
 
     ``find_signatures`` reads the heap once and meets the clusters that
     open with a '.' in ascending order; each carved directory's clusters
-    are marked in the ``consumed`` bitmap before the next is sought.
+    are marked ``_TAKEN`` in ``live_clusters`` before the next is sought.
     """
     cs = desc.cluster_size
     heap = cluster_offset(desc, 2)
@@ -465,10 +471,9 @@ def _carve_orphan_dirs(img, desc, fat, live_clusters, consumed):
     stop = heap + (image_clusters(img, desc) - 2) * cs
     for offset, head in find_signatures(img, heap, stop, cs, DOT_NAME, cs):
         cluster = 2 + (offset - heap) // cs
-        if (not live_clusters[cluster] and not consumed[cluster]
-                and _qualifies_as_orphan_dir(head)):
+        if not live_clusters[cluster] and _qualifies_as_orphan_dir(head):
             yield cluster, _collect_orphan_dir(
-                img, desc, fat, cluster, live_clusters, consumed)
+                img, desc, fat, cluster, live_clusters)
 
 
 def _join(path: str, name: str) -> str:
@@ -484,12 +489,13 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
     space.  A directory is read up to its end marker, over at most
     MAX_DIR_ENTRIES slots of its chain, and a file's chain is walked
     only up to the first cluster already marked, so the walk costs
-    O(heap) whatever the chain links claim.
+    O(heap) whatever the chain links claim.  The deleted directories and
+    the carve then mark the clusters they take ``_TAKEN`` in the same
+    map, which is cleared back to the live chains before it is returned.
     """
     # Sized by the image, not the boot record: a cluster past the image
-    # cannot be read, and reads as neither live nor consumed.
+    # cannot be read, and reads as neither live nor taken.
     live_clusters = bytearray(image_clusters(img, desc))
-    consumed = bytearray(len(live_clusters))
     entries: list[FatDirEntry] = []
     warnings: list[str] = []
     try:
@@ -546,15 +552,14 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                     and fat.in_heap(e.first_cluster))
     while pending:
         entry = pending.popleft()
-        if is_marked(consumed, entry.first_cluster) \
-                or is_marked(live_clusters, entry.first_cluster):
+        if is_marked(live_clusters, entry.first_cluster):
             continue
         head = _read_or_none(img, cluster_offset(desc, entry.first_cluster),
                              desc.cluster_size)
         if head is None or not _qualifies_as_orphan_dir(head):
             continue
         slots = _collect_orphan_dir(
-            img, desc, fat, entry.first_cluster, live_clusters, consumed)
+            img, desc, fat, entry.first_cluster, live_clusters)
         # Children of a deleted directory are unreachable whatever their
         # own first byte says, so they carry the orphaned flag too.
         parsed = parse_dir_slots(slots, _join(entry.path, entry.name),
@@ -565,14 +570,15 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
                 pending.append(sub)
 
     if deep:
-        for cluster, slots in _carve_orphan_dirs(img, desc, fat, live_clusters,
-                                                 consumed):
+        for cluster, slots in _carve_orphan_dirs(img, desc, fat,
+                                                 live_clusters):
             parsed = parse_dir_slots(slots, "orphan-%d" % cluster,
                                      desc.kind, orphaned=True)
             for sub in parsed:
                 admit(sub)
 
-    return FatSurvey(entries=entries, fat=fat, live_clusters=live_clusters,
+    return FatSurvey(entries=entries, fat=fat,
+                     live_clusters=live_clusters.translate(_LIVE_ONLY),
                      warnings=warnings)
 
 

@@ -7,10 +7,13 @@ erase-endurance limit is retired with every payload frozen in place.
 Garbage collection is the only operation that destroys a stale payload.
 
 The page store is columnar: one state byte per page, an ``lpn`` and a
-program stamp per page in two integer arrays, and a payload dict that
-holds programmed pages only, so a device costs about 13 bytes per page
-before its first write.  ``forensic_dump`` snapshots those columns with
-C-level copies.
+program stamp per page in two integer arrays, and one payload slot per
+block, ``None`` until a page of the block is programmed and then a list
+of the block's payloads, so a device costs about 13 bytes per page
+before its first write and 8 more per page of a programmed block.
+``forensic_dump`` snapshots the columns with C-level copies and shares
+every block's payload list but those of the open blocks, the only
+lists a later write can change.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
 
 ERASED_BYTE = 0xFF
@@ -59,8 +62,9 @@ _TAGS = [state.value for state in PageState] + ["retired"]
 # The runs of FREE and of VALID pages in a stretch of the state column.
 _FREE_RUNS, _VALID_RUNS = (re.compile(b"%c+" % code)
                            for code in (_FREE, _VALID))
-# Maps a state byte to 1 where the page is VALID, 0 elsewhere.
+# Map a state byte to 1 where the page is VALID (FREE), to 0 elsewhere.
 _VALID_MASK = bytes(code == _VALID for code in range(256))
+_FREE_MASK = bytes(code == _FREE for code in range(256))
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,10 @@ class FlashGeometry:
     def erased_page(self) -> bytes:
         return bytes([ERASED_BYTE]) * self.page_size
 
+    @cached_property
+    def erased_block(self) -> tuple[bytes, ...]:
+        return (self.erased_page,) * self.pages_per_block
+
 
 def desk_geometry() -> FlashGeometry:
     """The small deterministic geometry used throughout the tests:
@@ -129,27 +137,31 @@ class ChipDump:
     """Every physical page of a device at one instant, in columns.
 
     Page ``ppn`` has the tag code ``tag[ppn]`` (free, valid, stale or
-    retired), ``lpn[ppn]`` (-1 for none), ``stamp[ppn]`` and
-    ``payload.get(ppn)``; a page with no payload entry reads as
-    ``geometry.erased_page``."""
+    retired), ``lpn[ppn]`` (-1 for none) and ``stamp[ppn]``.  Its
+    payload is item ``ppn % pages_per_block`` of block
+    ``ppn // pages_per_block``'s slot in ``payload``, and a slot of
+    ``None`` reads as ``geometry.erased_block``; ``pages()`` reads
+    every page in physical order.  The lists may be shared with the
+    device, which never changes them again."""
 
     geometry: FlashGeometry
     tag: bytearray
-    payload: dict[int, bytes]
+    payload: list[list[bytes] | None]
     lpn: array
     stamp: array
 
+    def pages(self):
+        """Every page's payload, in physical order."""
+        erased = self.geometry.erased_block
+        return chain.from_iterable(erased if block is None else block
+                                   for block in self.payload)
+
     def held(self, *tags: str) -> set[bytes]:
         """The distinct payloads of the pages tagged with one of
-        ``tags``, none of which may be 'free'.  A retired page with no
-        payload entry, frozen while free, reads as the erased pattern."""
+        ``tags``, none of which may be 'free'.  A retired page frozen
+        while free reads as the erased pattern."""
         codes = {_TAGS.index(t) for t in tags}
-        tag = self.tag
-        out = {p for ppn, p in self.payload.items() if tag[ppn] in codes}
-        if _RETIRED in codes and tag.count(_RETIRED) > sum(
-                tag[ppn] == _RETIRED for ppn in self.payload):
-            out.add(self.geometry.erased_page)
-        return out
+        return set(compress(self.pages(), map(codes.__contains__, self.tag)))
 
 
 class FtlState:
@@ -157,8 +169,16 @@ class FtlState:
 
     Physical page ``ppn`` is ``state[ppn]`` (a PageState ordinal),
     ``lpn[ppn]`` (-1 for none), ``stamp[ppn]`` (the op counter when it
-    was programmed, 0 when erased) and ``payload.get(ppn)``; a page
-    with no payload entry reads as ``geometry.erased_page``.
+    was programmed, 0 when erased) and item ``ppn % pages_per_block`` of
+    ``payload[ppn // pages_per_block]``.  A block's payload slot is
+    ``None`` while no page of it has been programmed since its last
+    erase, and otherwise a list in which every FREE page holds
+    ``geometry.erased_page``.
+
+    Only a FREE page is ever programmed, and only an allocatable block
+    with a FREE page is open, so the lists of the blocks outside
+    ``open_blocks`` never change in place: an erase replaces the slot.
+    ``forensic_dump`` copies the open blocks' lists and shares the rest.
     """
 
     def __init__(self, geometry: FlashGeometry | None = None, seed: int = 0,
@@ -171,7 +191,7 @@ class FtlState:
         self.state = bytearray(g.total_pages)
         self.lpn = array("i", [-1]) * g.total_pages
         self.stamp = array("q", [0]) * g.total_pages
-        self.payload: dict[int, bytes] = {}
+        self.payload: list[list[bytes] | None] = [None] * g.block_count
         self.blocks = [BlockState() for _ in range(g.block_count)]
         # Stale pages per block, kept current wherever a page goes stale
         # or its block is erased.
@@ -225,17 +245,24 @@ class FtlState:
     def check_conservation(self) -> bool:
         """Recount every block's stale pages against its tally, the
         totals and the open-block index against the state column, check
-        that exactly the programmed pages hold a payload, and that each
-        mapping entry names a VALID page carrying that lpn."""
+        that exactly the blocks with a programmed page hold a payload
+        list, in which every FREE page holds the erased pattern, and
+        that each mapping entry names a VALID page carrying that lpn."""
         if ((self.free_active, self.stale_active, self.open_blocks)
                 != self._recount()):
             return False
         if any(self.state.count(_STALE, *self._span(b)) != self.stale_count[b]
                for b in range(self.geometry.block_count)):
             return False
-        if (len(self.payload) != len(self.state) - self.state.count(_FREE)
-                or any(self.state[ppn] == _FREE for ppn in self.payload)):
-            return False
+        erased = {self.geometry.erased_page}
+        for b, pages in enumerate(self.payload):
+            start, end = self._span(b)
+            free = self.state[start:end].translate(_FREE_MASK)
+            if (pages is None) == (0 in free):
+                return False
+            if pages is not None and (len(pages) != len(free) or not set(
+                    compress(pages, free)) <= erased):
+                return False
         return all(self.state[ppn] == _VALID and self.lpn[ppn] == lpn
                    for lpn, ppn in self.mapping.items())
 
@@ -252,15 +279,19 @@ class FtlState:
     def _program(self, ppn: int, payload: bytes, lpn: int) -> None:
         """Fill a FREE page of an allocatable block with a VALID copy of
         ``payload`` and map ``lpn`` to it."""
+        ppb = self.geometry.pages_per_block
+        block = ppn // ppb
+        start = block * ppb
+        pages = self.payload[block]
+        if pages is None:
+            pages = self.payload[block] = list(self.geometry.erased_block)
+        pages[ppn - start] = payload
         self.state[ppn] = _VALID
-        self.payload[ppn] = payload
         self.lpn[ppn] = lpn
         self.stamp[ppn] = self.op_counter
         self.op_counter += 1
         self.free_active -= 1
-        ppb = self.geometry.pages_per_block
-        block = ppn // ppb
-        if self.state.find(_FREE, block * ppb, (block + 1) * ppb) < 0:
+        if self.state.find(_FREE, start, start + ppb) < 0:
             self.open_blocks.remove(block)
         self.mapping[lpn] = ppn
 
@@ -273,15 +304,17 @@ class FtlState:
         n = len(lpns)
         end = first + n
         stamp = self.op_counter
-        pages = range(first, end)
+        block, index = divmod(first, self.geometry.pages_per_block)
+        pages = self.payload[block]
+        if pages is None:
+            pages = self.payload[block] = list(self.geometry.erased_block)
+        pages[index:index + n] = payloads
         self.state[first:end] = bytes([_VALID]) * n
         self.lpn[first:end] = lpns
-        self.stamp[first:end] = array("q", range(stamp, stamp + n))
-        self.payload.update(zip(pages, payloads))
-        self.mapping.update(zip(lpns, pages))
+        self.stamp[first:end] = array("q", list(range(stamp, stamp + n)))
+        self.mapping.update(zip(lpns, range(first, end)))
         self.op_counter = stamp + n
         self.free_active -= n
-        block = first // self.geometry.pages_per_block
         if self.state.find(_FREE, *self._span(block)) < 0:
             self.open_blocks.remove(block)
 
@@ -343,7 +376,8 @@ class FtlState:
         ppn = self.mapping.get(lpn)
         if ppn is None:
             return self.geometry.erased_page
-        return self.payload[ppn]
+        block, index = divmod(ppn, self.geometry.pages_per_block)
+        return self.payload[block][index]
 
     def trim(self, lpn: int) -> None:
         """Drop the mapping; the physical payload stays put as stale."""
@@ -380,9 +414,8 @@ class FtlState:
         # erased below without first going stale.
         start, end = self._span(victim)
         valid = self.state[start:end].translate(_VALID_MASK)
-        lpns = array("i", compress(self.lpn[start:end], valid))
-        payloads = list(map(self.payload.__getitem__,
-                            compress(range(start, end), valid)))
+        lpns = array("i", list(compress(self.lpn[start:end], valid)))
+        payloads = list(compress(self.payload[victim], valid))
         runs = self._free_runs(exclude=victim)
         moved = 0
         while moved < len(lpns):
@@ -391,8 +424,7 @@ class FtlState:
             self._program_run(first, lpns[moved:moved + n],
                               payloads[moved:moved + n])
             moved += n
-        for p in compress(range(start, end), self.state[start:end]):
-            del self.payload[p]
+        self.payload[victim] = None
         self.state[start:end] = bytes(ppb)
         self.lpn[start:end] = array("i", [-1]) * ppb
         self.stamp[start:end] = array("q", [0]) * ppb
@@ -434,10 +466,12 @@ class FtlState:
         # _program_run keeps the totals and the index current for it too.
         self.free_active, self.stale_active, self.open_blocks = \
             self._recount()
+        base = block * self.geometry.pages_per_block
         shift = (repl - block) * self.geometry.pages_per_block
+        pages = self.payload[block]
         for first, end in self._runs(_VALID_RUNS, block):
             self._program_run(first + shift, self.lpn[first:end],
-                              [self.payload[p] for p in range(first, end)])
+                              pages[first - base:end - base])
         return True
 
     # -- forensic interface --------------------------------------------
@@ -445,15 +479,24 @@ class FtlState:
     def forensic_dump(self) -> ChipDump:
         """Every physical page, payload verbatim, as a snapshot that
         later operations leave unchanged.  Pages in retired blocks are
-        tagged 'retired' whatever their frozen state was."""
+        tagged 'retired' whatever their frozen state was.
+
+        The cost is O(blocks + pages of the open blocks) beside the
+        three C-level column copies: the block slots are copied, and of
+        the payload lists only those of the open blocks, since no other
+        list is ever changed in place (see the class docstring)."""
         tag = bytearray(self.state)
         retired = bytes([_RETIRED]) * self.geometry.pages_per_block
         for b, blk in enumerate(self.blocks):
             if blk.retired:
                 start, end = self._span(b)
                 tag[start:end] = retired
-        return ChipDump(self.geometry, tag, dict(self.payload),
-                        self.lpn[:], self.stamp[:])
+        payload = self.payload[:]
+        for b in self.open_blocks:
+            if payload[b] is not None:
+                payload[b] = payload[b][:]
+        return ChipDump(self.geometry, tag, payload, self.lpn[:],
+                        self.stamp[:])
 
     def state_hash(self) -> str:
         """Stable digest of the complete device state."""
@@ -465,12 +508,10 @@ class FtlState:
         # Each page's packed row, then its payload: one block per update.
         rows = map(struct.Struct("<bqq").pack, self.state, self.lpn,
                    self.stamp)
-        payloads = map(self.payload.get, range(g.total_pages),
-                       repeat(g.erased_page))
         block = [b""] * (2 * ppb)
-        for _ in range(g.block_count):
+        for pages in self.payload:
             block[0::2] = islice(rows, ppb)
-            block[1::2] = islice(payloads, ppb)
+            block[1::2] = g.erased_block if pages is None else pages
             h.update(b"".join(block))
         h.update(b"".join(
             struct.pack("<qbq", blk.erase_count, blk.retired,
@@ -563,9 +604,10 @@ def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
     bare payloads.  Recoverable bytes counts stale and retired copies —
     data the host can no longer address but a chip-level dump still
     yields.  The cost is one pass over the history, which copies each
-    item's payload and lpn into two lists, and one over the programmed
-    pages; no payload is digested, and no payload's lpn set is built,
-    until a row is read."""
+    item's payload and lpn into two lists, and one over the pages of
+    the blocks that hold a payload list and of the retired blocks; no
+    payload is digested, and no payload's lpn set is built, until a row
+    is read."""
     written: list[bytes] = []
     lpns: list[int | None] = []
     keep, keep_lpn = written.append, lpns.append
@@ -576,28 +618,32 @@ def remanence_audit(dump: ChipDump, history) -> RemanenceReport:
         else:
             keep(bytes(item[1]))
             keep_lpn(item[0])
-    # payload -> 3 * rank - 1, ranked in order of first appearance.  The
+    # payload -> 4 * rank, ranked in order of first appearance.  The
     # update only replaces values, so iterating the keys stays valid.
     base = dict.fromkeys(written)
-    base.update(zip(base, count(-1, 3)))
+    base.update(zip(base, count(0, 4)))
 
-    # One pass over the programmed pages tallies live, stale and retired
-    # copies per rank, in slot 3 * rank + tag - 1: tag codes 1-3 are
-    # those three.  Pages of no history payload fill the three slots
-    # past the last rank.  FREE pages hold no payload and count for
-    # nothing, even when the erased pattern is in the history; a retired
-    # page with no payload, which the pass never sees, is a retired copy
-    # of that pattern.
-    end = 3 * len(base)
-    held, tag = dump.payload, dump.tag
-    copies = [0] * (end + 3)
-    for slot in map(add, map(base.get, held.values(), repeat(end - 1)),
-                    map(tag.__getitem__, held)):
+    # One pass tallies each page in slot 4 * rank + tag: tag codes 1-3
+    # are the live, stale and retired copies, and the FREE slot of each
+    # rank is dropped, so a FREE page counts for nothing even when the
+    # erased pattern is in the history, while a retired page frozen
+    # while free is a retired copy of it.  Pages of no history payload
+    # fill the four slots past the last rank.  A block with no payload
+    # list is all FREE unless it is retired, so only the blocks with a
+    # list and the retired blocks are read.
+    ppb = dump.geometry.pages_per_block
+    erased, tag = dump.geometry.erased_block, dump.tag
+    read = [(start, erased if block is None else block)
+            for start, block in zip(count(0, ppb), dump.payload)
+            if block is not None or tag[start] == _RETIRED]
+    pages = chain.from_iterable(block for _, block in read)
+    tags = chain.from_iterable(tag[start:start + ppb] for start, _ in read)
+    end = 4 * len(base)
+    copies = [0] * (end + 4)
+    for slot in map(add, map(base.get, pages, repeat(end)), tags):
         copies[slot] += 1
-    erased = base.get(dump.geometry.erased_page)
-    if erased is not None:
-        copies[erased + _RETIRED] += tag.count(_RETIRED) - sum(copies[2::3])
     del copies[end:]
+    del copies[::4]
     return RemanenceReport(written, lpns, base, copies)
 
 

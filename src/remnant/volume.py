@@ -363,17 +363,17 @@ def is_marked(bitmap: bytearray, cluster: int) -> bool:
     return cluster < len(bitmap) and bitmap[cluster] != 0
 
 
-def mark_runs(bitmap: bytearray, runs) -> None:
-    """Set to 1 the bytes of an allocation bitmap (one byte per cluster
-    number) that the (first, count) runs cover.  Each run is clipped to
-    the bitmap and sparse runs (first None) mark nothing, so the work is
-    bounded by the bitmap whatever length a run claims."""
+def mark_runs(bitmap: bytearray, runs, mark: int = 1) -> None:
+    """Set to ``mark`` the bytes of an allocation bitmap (one byte per
+    cluster number) that the (first, count) runs cover.  Each run is
+    clipped to the bitmap and sparse runs (first None) mark nothing, so
+    the work is bounded by the bitmap whatever length a run claims."""
     for first, count in runs:
         if first is None:
             continue
         end = min(first + count, len(bitmap))
         if first < end:
-            bitmap[first:end] = b"\x01" * (end - first)
+            bitmap[first:end] = bytes([mark]) * (end - first)
 
 
 def cluster_extents(img: VolumeImage, desc: VolumeDescriptor,

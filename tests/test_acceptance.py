@@ -254,20 +254,21 @@ def test_criterion_6_retired_blocks_freeze_their_contents():
     ops = run_retirement_experiment(state)
     if state.retired_count != 1:
         failures.append("no block retired after %d ops" % ops)
-    ppb, erased = state.geometry.pages_per_block, state.geometry.erased_page
+    ppb = state.geometry.pages_per_block
     retired = [ppn for b, blk in enumerate(state.blocks) if blk.retired
                for ppn in range(b * ppb, (b + 1) * ppb)]
     dump = state.forensic_dump()
+    pages = list(dump.pages())
     frozen = {}
     for ppn in retired:
         if TAGS[dump.tag[ppn]] != "retired":
             failures.append("page %d/%d tagged %r"
                             % (*divmod(ppn, ppb), TAGS[dump.tag[ppn]]))
-        frozen[ppn] = dump.payload.get(ppn, erased)
+        frozen[ppn] = pages[ppn]
 
     apply_random_operations(state, 1_000, random.Random(66))
-    after = state.forensic_dump().payload
-    changed = sum(1 for ppn in frozen if after.get(ppn, erased) != frozen[ppn])
+    after = list(state.forensic_dump().pages())
+    changed = sum(1 for ppn in frozen if after[ppn] != frozen[ppn])
     if changed:
         failures.append("%d retired pages changed" % changed)
     _report(6, failures, "block retired after %d writes; %d frozen pages "

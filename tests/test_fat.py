@@ -484,6 +484,18 @@ def test_carve_results_are_a_superset_of_the_live_walk(image_copy):
     assert shallow <= deep
 
 
+@pytest.mark.parametrize("mutation", ["delete-all", "quick-format"])
+def test_the_survey_map_marks_live_chains_only(image_copy, mutation):
+    # The deleted directories and the carve mark the clusters they take
+    # in the live walk's map; the survey clears those marks again.
+    path, _ = image_copy("fat32", mutation)
+    with open_image(path) as img:
+        desc = detect_filesystem(img)
+        shallow, deep = survey(img, desc), survey(img, desc, deep=True)
+    assert deep.live_clusters == shallow.live_clusters
+    assert set(deep.live_clusters) <= {0, 1}
+
+
 def test_unreadable_allocation_table_degrades_to_carving(base_images, tmp_path):
     src, _ = base_images["fat16"]
     cut = tmp_path / "cut.img"
@@ -547,8 +559,7 @@ def test_a_carved_directory_run_to_the_heap_end_costs_one_directory(
         tracemalloc.start()
         try:
             carved = {cluster: len(slots) for cluster, slots
-                      in fatmod._carve_orphan_dirs(img, desc, fat, live,
-                                                   bytearray(len(live)))}
+                      in fatmod._carve_orphan_dirs(img, desc, fat, live)}
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -651,7 +662,7 @@ def test_delete_then_undelete_restores_every_payload(tmp_path_factory, spec):
 
 # ------------------------------------------- strided carve vs per-cluster
 
-def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
+def _carve_per_cluster(img, desc, fat, live_clusters):
     """Reference: the carve as one Python iteration per cluster."""
     cs = desc.cluster_size
     batch = max(1, volume.STREAM_CHUNK // cs)
@@ -664,12 +675,12 @@ def _carve_per_cluster(img, desc, fat, live_clusters, consumed):
             break
         for i in range(count):
             cluster = c + i
-            if live_clusters[cluster] or consumed[cluster]:
+            if live_clusters[cluster]:
                 continue
             if not fatmod._qualifies_as_orphan_dir(chunk[i * cs:(i + 1) * cs]):
                 continue
             out.append((cluster, fatmod._collect_orphan_dir(
-                img, desc, fat, cluster, live_clusters, consumed)))
+                img, desc, fat, cluster, live_clusters)))
         c += count
     return out
 
@@ -696,7 +707,7 @@ _NAMES = [b"F%07dTXT" % i for i in range(46)]
 def _planted_heap(draw):
     """Directory heads, continuation blocks and '.'-led junk, on or off
     cluster boundaries, mostly near the batch edge and the heap's end;
-    ``live`` and ``consumed`` mark some of the planted clusters."""
+    ``live`` and ``taken`` mark some of the planted clusters."""
     plants = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         cluster = min(_MAX, draw(st.sampled_from(_EDGE))
@@ -738,18 +749,20 @@ def _planted_heap(draw):
                       (_BATCH + 7, 0, _dir_head(_NAMES[:2]))]),
                {_BATCH + 7}, set()))
 def test_strided_carve_matches_the_per_cluster_reference(heap, image_of):
-    buf, live, consumed = heap
+    buf, live, taken = heap
     desc = _desc16(cluster_count=_HEAP)
     lead = desc.first_data_sector * desc.bytes_per_sector
     fat = _table(cluster_count=_HEAP)
-    live = _bitmap(desc, live)
-    want_consumed, got_consumed = _bitmap(desc, consumed), _bitmap(desc, consumed)
+    # One map: live chains marked 1, clusters already taken _TAKEN.
+    want_map = _bitmap(desc, live)
+    for c in taken:
+        want_map[c] = fatmod._TAKEN
+    got_map = bytearray(want_map)
     with image_of(bytes(lead) + buf) as img:
-        want = _carve_per_cluster(img, desc, fat, live, want_consumed)
-        got = list(fatmod._carve_orphan_dirs(img, desc, fat, live,
-                                             got_consumed))
+        want = _carve_per_cluster(img, desc, fat, want_map)
+        got = list(fatmod._carve_orphan_dirs(img, desc, fat, got_map))
     assert got == want
-    assert got_consumed == want_consumed
+    assert got_map == want_map
 
 
 # ------------------------------------------------------- table decoding

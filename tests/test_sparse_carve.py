@@ -137,8 +137,7 @@ def test_deep_carve_reads_only_the_data_extents(formatted, fs):
         real = img.read_at
         img.read_at = lambda off, n: read.append(n) or real(off, n)
         if desc.kind.is_fat:
-            list(fatmod._carve_orphan_dirs(img, desc, table, live,
-                                           bytearray(len(live))))
+            list(fatmod._carve_orphan_dirs(img, desc, table, live))
         else:
             list(ntfs.carve_records(img, desc, set(), live,
                                     ntfs.MftScanStats()))
