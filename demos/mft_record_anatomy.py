@@ -6,6 +6,7 @@ prints every structure the recovery path relies on, at the offsets
 where it actually lives.
 """
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from remnant.ntfs import (
     RECORD_FLAG_IN_USE,
     decode_data_runs,
     filetime_to_iso,
-    parse_attributes,
     parse_file_name,
     parse_standard_info,
     scan_mft,
@@ -45,28 +45,34 @@ def main() -> None:
                   % (desc.mft_record_size, desc.mft_lcn))
 
             for record in scan_mft(img, desc):
-                walk = parse_attributes(record.data, record.header)
                 name = next((parse_file_name(a.value).name
-                             for a in walk.attributes
+                             for a in record.attributes
                              if a.type_code == ATTR_FILE_NAME and a.value), "")
                 if name == SUBJECT:
                     break
             else:
                 raise SystemExit("subject record not found")
 
-            h = record.header
-            print("\nrecord %d at volume offset %#x" % (h.record_index,
+            # The header words the reader checks but does not keep; the
+            # fixup touches only the stride tails, so they read as stored.
+            raw = img.read_at(record.offset, desc.mft_record_size)
+            usa_count, = struct.unpack_from("<H", raw, 0x06)
+            sequence, = struct.unpack_from("<H", raw, 0x10)
+            first_attr, _, used, allocated = struct.unpack_from("<HHII",
+                                                                raw, 0x14)
+            print("\nrecord %d at volume offset %#x" % (record.index,
                                                         record.offset))
             print("  signature FILE, seq %d, flags %#06x (%s)"
-                  % (h.sequence, h.flags,
-                     "in use" if h.flags & RECORD_FLAG_IN_USE else "deleted"))
+                  % (sequence, record.flags,
+                     "in use" if record.flags & RECORD_FLAG_IN_USE
+                     else "deleted"))
             print("  fixup: %d update-sequence slots verified and patched"
-                  % (h.usa_count - 1))
+                  % (usa_count - 1))
             print("  attributes start at %#x, record used %d of %d bytes"
-                  % (h.first_attr_offset, h.used_size, h.allocated_size))
+                  % (first_attr, used, allocated))
 
             print("\nattribute walk:")
-            for a in walk.attributes:
+            for a in record.attributes:
                 label = ATTR_NAMES.get(a.type_code, "type %#x" % a.type_code)
                 if a.resident:
                     print("  %-24s resident, %d-byte value"
@@ -88,7 +94,7 @@ def main() -> None:
                         kind = "sparse" if first is None else "LCN %d" % first
                         print("      run: %d clusters at %s" % (count, kind))
 
-            data = next(a for a in walk.attributes if a.is_unnamed_data)
+            data = next(a for a in record.attributes if a.is_unnamed_data)
             total = sum(count for _, count in
                         decode_data_runs(data.run_bytes))
             print("\n%s occupies %d clusters for %d real bytes; deleting the"

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .filetypes import CLASSES, magic_for
-from .ntfs import MftError, parse_attributes, read_record
+from .ntfs import MftError, read_record
 from .report import write_json
 from .volume import (
     VolumeDescriptor,
@@ -290,7 +290,7 @@ def _audit_resident(img, desc, t: FileTruth, original: bytes) -> int:
                           t.entry_offset)
     except MftError:
         return 0
-    for attr in parse_attributes(rec.data, rec.header).attributes:
+    for attr in rec.attributes:
         if attr.is_unnamed_data and attr.resident:
             return t.size if attr.value == original else 0
     return 0

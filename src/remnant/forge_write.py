@@ -757,21 +757,20 @@ def _resident_attr(type_code: int, value: bytes, name: str = "") -> bytes:
 
 
 def _nonresident_attr(type_code: int, runs, real_size: int,
-                      cluster_size: int, name: str = "") -> bytes:
-    """A non-resident attribute over (first, count) cluster runs."""
+                      cluster_size: int) -> bytes:
+    """An unnamed non-resident attribute over (first, count) cluster
+    runs."""
     run_bytes = encode_data_runs(runs)
-    name_bytes = name.encode("utf-16-le")
-    runs_off = _align8(0x40 + len(name_bytes))
+    runs_off = 0x40
     length = _align8(runs_off + len(run_bytes))
     total_clusters = sum(count for _, count in runs)
     alloc = total_clusters * cluster_size
     raw = bytearray(length)
-    struct.pack_into("<IIBBHHH", raw, 0, type_code, length, 1, len(name),
-                     0x40, 0, 0)
+    struct.pack_into("<IIBBHHH", raw, 0, type_code, length, 1, 0,
+                     runs_off, 0, 0)
     struct.pack_into("<QQ", raw, 0x10, 0, max(total_clusters - 1, 0))
     struct.pack_into("<HHI", raw, 0x20, runs_off, 0, 0)
     struct.pack_into("<QQQ", raw, 0x28, alloc, real_size, real_size)
-    raw[0x40:0x40 + len(name_bytes)] = name_bytes
     raw[runs_off:runs_off + len(run_bytes)] = run_bytes
     return bytes(raw)
 

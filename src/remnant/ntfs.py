@@ -2,11 +2,13 @@
 
 Deleting a file on NTFS clears one flag bit in its MFT record, so live,
 deleted and carved records are the same thing and take the same path:
-one reader (``read_record``: signature, update-sequence fixup, header)
-and one entry type (``NtfsEntry``, built by ``_entry_from_record``).
-A record is parsed strictly from its first-attribute offset; nothing is
-assumed about where individual attributes sit inside the record.  The
-fixup is applied before any field beyond the record header is trusted.
+one step (``read_record``) turns a record-sized buffer into one
+``MftRecord`` by checking the signature, applying the update-sequence
+fixup, checking the header's sizes and walking the attributes, and one
+entry type (``NtfsEntry``, built by ``_entry_from_record``) lists it.
+The fixup is applied before any field is trusted, and the walk starts
+at the header's first-attribute offset: nothing is assumed about where
+individual attributes sit inside the record.
 """
 
 from __future__ import annotations
@@ -81,50 +83,6 @@ def filetime_to_iso(ticks: int) -> str | None:
     return dt.replace(tzinfo=None).isoformat() + "Z"
 
 
-@dataclass
-class MftRecordHeader:
-    usa_count: int
-    sequence: int
-    first_attr_offset: int
-    flags: int
-    used_size: int
-    allocated_size: int
-    base_reference: int
-    record_index: int
-
-    @property
-    def in_use(self) -> bool:
-        return bool(self.flags & RECORD_FLAG_IN_USE)
-
-    @property
-    def is_directory(self) -> bool:
-        return bool(self.flags & RECORD_FLAG_DIRECTORY)
-
-
-def parse_record_header(buf: bytes, record_index: int = -1) -> MftRecordHeader:
-    if len(buf) < 48 or buf[0:4] != FILE_SIGNATURE:
-        raise MftError("record %d: bad signature" % record_index)
-    usa_count, = struct.unpack_from("<H", buf, 0x06)
-    sequence, = struct.unpack_from("<H", buf, 0x10)
-    first_attr, flags, used, allocated = struct.unpack_from("<HHII", buf, 0x14)
-    base_ref, = struct.unpack_from("<Q", buf, 0x20)
-    hdr = MftRecordHeader(
-        usa_count=usa_count,
-        sequence=sequence,
-        first_attr_offset=first_attr,
-        flags=flags,
-        used_size=used,
-        allocated_size=allocated,
-        base_reference=base_ref,
-        record_index=record_index,
-    )
-    if not (hdr.first_attr_offset < hdr.used_size <= hdr.allocated_size <= len(buf)):
-        raise MftError("record %d: inconsistent sizes" % record_index)
-    if hdr.first_attr_offset < 0x2A:
-        raise MftError("record %d: attributes inside header" % record_index)
-    return hdr
-
-
 def apply_fixup(buf: bytearray) -> None:
     """Replace each stride's guard word with the stored original, in place.
 
@@ -160,71 +118,6 @@ class ParsedAttribute:
     @property
     def is_unnamed_data(self) -> bool:
         return self.type_code == ATTR_DATA and self.name == ""
-
-
-@dataclass
-class AttributeWalk:
-    attributes: list[ParsedAttribute]
-    corrupt: bool = False
-
-
-def parse_attributes(record: bytes, header: MftRecordHeader) -> AttributeWalk:
-    """Walk the attribute list from the first-attribute offset.
-
-    The walk stops at the 0xFFFFFFFF terminator.  A zero-length or
-    overrunning attribute ends the walk early with the partial list and
-    the corruption flag set instead of raising.
-    """
-    walk = AttributeWalk(attributes=[])
-    pos = header.first_attr_offset
-    limit = min(header.used_size, len(record))
-    while True:
-        if pos + 4 > limit:
-            walk.corrupt = True
-            break
-        type_code, = struct.unpack_from("<I", record, pos)
-        if type_code == ATTR_END:
-            break
-        if pos + 16 > limit:
-            walk.corrupt = True
-            break
-        length, = struct.unpack_from("<I", record, pos + 4)
-        if length == 0 or length % 8 or pos + length > limit:
-            walk.corrupt = True
-            break
-        non_resident = record[pos + 8]
-        name_len = record[pos + 9]
-        name_off, = struct.unpack_from("<H", record, pos + 10)
-        name = ""
-        if name_len:
-            raw = record[pos + name_off:pos + name_off + 2 * name_len]
-            name = raw.decode("utf-16-le", errors="replace")
-        if not non_resident:
-            if pos + 0x18 > limit:
-                walk.corrupt = True
-                break
-            value_len, = struct.unpack_from("<I", record, pos + 0x10)
-            value_off, = struct.unpack_from("<H", record, pos + 0x14)
-            if value_off + value_len > length:
-                walk.corrupt = True
-                break
-            walk.attributes.append(ParsedAttribute(
-                type_code=type_code, name=name, resident=True,
-                value=bytes(record[pos + value_off:pos + value_off + value_len]),
-            ))
-        else:
-            if pos + 0x40 > limit:
-                walk.corrupt = True
-                break
-            runs_off, = struct.unpack_from("<H", record, pos + 0x20)
-            real, = struct.unpack_from("<Q", record, pos + 0x30)
-            walk.attributes.append(ParsedAttribute(
-                type_code=type_code, name=name, resident=False,
-                real_size=real,
-                run_bytes=bytes(record[pos + runs_off:pos + length]),
-            ))
-        pos += length
-    return walk
 
 
 def decode_data_runs(raw: bytes) -> list[tuple[int | None, int]]:
@@ -309,25 +202,95 @@ def parse_file_name(value: bytes) -> FileNameView | None:
     )
 
 
+def _walk_attributes(record: bytearray, pos: int,
+                     limit: int) -> tuple[list[ParsedAttribute], bool]:
+    """The attributes from ``pos`` to the 0xFFFFFFFF terminator, and
+    whether the walk broke off: a zero-length or overrunning attribute
+    ends it early with the partial list instead of raising."""
+    attributes: list[ParsedAttribute] = []
+    while True:
+        if pos + 4 > limit:
+            return attributes, True
+        type_code, = struct.unpack_from("<I", record, pos)
+        if type_code == ATTR_END:
+            return attributes, False
+        if pos + 16 > limit:
+            return attributes, True
+        length, = struct.unpack_from("<I", record, pos + 4)
+        if length == 0 or length % 8 or pos + length > limit:
+            return attributes, True
+        non_resident = record[pos + 8]
+        name_len = record[pos + 9]
+        name_off, = struct.unpack_from("<H", record, pos + 10)
+        name = ""
+        if name_len:
+            raw = record[pos + name_off:pos + name_off + 2 * name_len]
+            name = raw.decode("utf-16-le", errors="replace")
+        if not non_resident:
+            if pos + 0x18 > limit:
+                return attributes, True
+            value_len, = struct.unpack_from("<I", record, pos + 0x10)
+            value_off, = struct.unpack_from("<H", record, pos + 0x14)
+            if value_off + value_len > length:
+                return attributes, True
+            attributes.append(ParsedAttribute(
+                type_code=type_code, name=name, resident=True,
+                value=bytes(record[pos + value_off:pos + value_off + value_len]),
+            ))
+        else:
+            if pos + 0x40 > limit:
+                return attributes, True
+            runs_off, = struct.unpack_from("<H", record, pos + 0x20)
+            real, = struct.unpack_from("<Q", record, pos + 0x30)
+            attributes.append(ParsedAttribute(
+                type_code=type_code, name=name, resident=False,
+                real_size=real,
+                run_bytes=bytes(record[pos + runs_off:pos + length]),
+            ))
+        pos += length
+
+
 @dataclass
 class MftRecord:
-    header: MftRecordHeader
-    data: bytes          # fixup already applied
+    index: int           # place in the $MFT stream, -1 when carved
     offset: int          # absolute byte offset inside the volume
-    orphaned: bool = False
+    flags: int
+    base_reference: int  # nonzero in an extension record
+    attributes: list[ParsedAttribute]
+    corrupt: bool        # the attribute walk broke off
+    orphaned: bool
+
+    @property
+    def in_use(self) -> bool:
+        return bool(self.flags & RECORD_FLAG_IN_USE)
+
+    @property
+    def is_directory(self) -> bool:
+        return bool(self.flags & RECORD_FLAG_DIRECTORY)
 
 
 def read_record(buf: bytes, offset: int, index: int = -1,
                 orphaned: bool = False) -> MftRecord:
     """The one way a record is read: check the signature, apply the
-    fixup and parse the header of the record-sized ``buf`` found at
-    byte ``offset``.  Raises MftError when any of the three fails."""
+    fixup, check the header's sizes and walk the attributes of the
+    record-sized ``buf`` found at byte ``offset``.  Raises MftError
+    when any of the first three fails; a broken walk only sets
+    ``corrupt``."""
     if buf[0:4] != FILE_SIGNATURE:
         raise MftError("record %d: bad signature" % index)
     raw = bytearray(buf)
     apply_fixup(raw)
-    data = bytes(raw)
-    return MftRecord(parse_record_header(data, index), data, offset, orphaned)
+    # A fixup that passes leaves at least one 512-byte stride, so the
+    # header below is always whole.
+    first_attr, flags, used, allocated = struct.unpack_from("<HHII", raw, 0x14)
+    base_reference, = struct.unpack_from("<Q", raw, 0x20)
+    if not first_attr < used <= allocated <= len(raw):
+        raise MftError("record %d: inconsistent sizes" % index)
+    if first_attr < 0x2A:
+        raise MftError("record %d: attributes inside header" % index)
+    attributes, corrupt = _walk_attributes(raw, first_attr, used)
+    return MftRecord(index, offset, flags, base_reference, attributes,
+                     corrupt, orphaned)
 
 
 @dataclass
@@ -353,7 +316,7 @@ def mft_extent(img: VolumeImage,
         rec = read_record(img.read_at(base, desc.mft_record_size), base, 0)
     except MftError as exc:
         raise MftError("MFT unreadable: %s" % exc) from exc
-    for attr in parse_attributes(rec.data, rec.header).attributes:
+    for attr in rec.attributes:
         if attr.is_unnamed_data and not attr.resident:
             return decode_data_runs(attr.run_bytes)
     raise MftError("MFT unreadable: record 0 has no data extent")
@@ -503,11 +466,11 @@ class NtfsSurvey:
     live_clusters: bytearray    # 1 per cluster a live record's runs hold
 
 
-def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
+def _entry_from_record(rec: MftRecord) -> NtfsEntry:
     std = None
     best_fn = None
     data_attr = None
-    for attr in walk.attributes:
+    for attr in rec.attributes:
         if attr.type_code == ATTR_STANDARD_INFORMATION and attr.resident:
             std = parse_standard_info(attr.value)
         elif attr.type_code == ATTR_FILE_NAME and attr.resident:
@@ -533,13 +496,13 @@ def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
             except RunListError:
                 runs = []
             size = data_attr.real_size
-    index = rec.header.record_index
+    index = rec.index
     return NtfsEntry(
         record_index=index,
         name=best_fn.name if name_known else (
             "record-%d" % index if index >= 0 else "carved-%x" % rec.offset),
         name_known=name_known,
-        is_directory=rec.header.is_directory,
+        is_directory=rec.is_directory,
         size=size,
         created=filetime_to_iso(best_fn.created if name_known
                                 else (std.created if std else 0)),
@@ -552,7 +515,7 @@ def _entry_from_record(rec: MftRecord, walk: AttributeWalk) -> NtfsEntry:
         confidence="exact" if name_known else "heuristic",
         orphaned=rec.orphaned,
         record_offset=rec.offset,
-        attr_walk_corrupt=walk.corrupt,
+        attr_walk_corrupt=rec.corrupt,
     )
 
 
@@ -573,29 +536,27 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
 
     for rec in scan_mft(img, desc, stats):
         known_offsets.add(rec.offset)
-        if rec.header.base_reference & FILE_REFERENCE_INDEX_MASK:
+        if rec.base_reference & FILE_REFERENCE_INDEX_MASK:
             continue  # extension record; base record owns the attributes
-        walk = parse_attributes(rec.data, rec.header)
-        if rec.header.in_use:
-            for attr in walk.attributes:
+        if rec.in_use:
+            for attr in rec.attributes:
                 if not attr.resident:
                     try:
                         mark_runs(live_clusters,
                                   decode_data_runs(attr.run_bytes))
                     except RunListError:
                         pass  # an undecodable run list claims nothing
-            live.append(_entry_from_record(rec, walk))
-        elif walk.attributes:
-            deleted.append(_entry_from_record(rec, walk))
+            live.append(_entry_from_record(rec))
+        elif rec.attributes:
+            deleted.append(_entry_from_record(rec))
 
     if deep:
         # Orphaned records are unreachable from the live volume, so they
         # are deleted candidates whatever their flag says.
         for rec in carve_records(img, desc, known_offsets, live_clusters,
                                  stats):
-            walk = parse_attributes(rec.data, rec.header)
-            if walk.attributes:
-                deleted.append(_entry_from_record(rec, walk))
+            if rec.attributes:
+                deleted.append(_entry_from_record(rec))
 
     # One level deep: the corpus keeps a flat tree, and deleted volumes
     # rarely preserve enough of the index structure to walk further

@@ -87,12 +87,10 @@ def test_built_corpus_reads_back_byte_identical(base_images, fs):
                                                rec.seed)
             assert hashlib.sha256(original).hexdigest() == rec.sha256
             if rec.resident:
-                raw = bytearray(img.read_at(rec.entry_offset,
-                                            desc.mft_record_size))
-                ntfsmod.apply_fixup(raw)
-                hdr = ntfsmod.parse_record_header(bytes(raw), -1)
-                walk = ntfsmod.parse_attributes(bytes(raw), hdr)
-                value = next(a.value for a in walk.attributes
+                record = ntfsmod.read_record(
+                    img.read_at(rec.entry_offset, desc.mft_record_size),
+                    rec.entry_offset)
+                value = next(a.value for a in record.attributes
                              if a.is_unnamed_data)
                 assert value == original
             else:

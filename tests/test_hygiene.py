@@ -147,7 +147,7 @@ def test_forge_plans_no_ntfs_write_with_the_ntfs_reader():
     sidecar half takes the record reader only for ``_audit_resident``,
     which reads the volume and encodes nothing.  No other forge code
     names the reader, not even through ``forge``'s own imports."""
-    audit_only = {"read_record", "parse_attributes", "MftError"}
+    audit_only = {"read_record", "MftError"}
     writer_tree, writer = _imports("forge_write.py", "remnant.ntfs")
     assert [name for name in writer if not name.isupper()] == []
     assert audit_only.isdisjoint(_names(writer_tree))

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import sparse_copy
 from remnant import cli
 from remnant import forge
 from remnant import forge_write
@@ -30,8 +31,7 @@ from remnant.ntfs import (
     apply_fixup,
     decode_data_runs,
     mft_extent,
-    parse_attributes,
-    parse_record_header,
+    read_record,
     recover_file,
     scan_mft,
     survey,
@@ -128,22 +128,22 @@ def _blank_record(flags=0x0001, index=7):
 
 
 def test_flags_decide_deletion_state():
-    live = parse_record_header(bytes(_blank_record(flags=0x0001)), 7)
+    live = read_record(bytes(_blank_record(flags=0x0001)), 0, 7)
     assert live.in_use and not live.is_directory
     assert live.flags & RECORD_FLAG_IN_USE
 
-    gone = parse_record_header(bytes(_blank_record(flags=0x0000)), 7)
+    gone = read_record(bytes(_blank_record(flags=0x0000)), 0, 7)
     assert not gone.flags & RECORD_FLAG_IN_USE and not gone.is_directory
 
-    gone_dir = parse_record_header(bytes(_blank_record(flags=0x0002)), 7)
+    gone_dir = read_record(bytes(_blank_record(flags=0x0002)), 0, 7)
     assert not gone_dir.flags & RECORD_FLAG_IN_USE and gone_dir.is_directory
 
 
 def test_bad_signature_is_an_error():
     buf = _blank_record()
     buf[0:4] = b"BAAD"
-    with pytest.raises(MftError):
-        parse_record_header(bytes(buf), 3)
+    with pytest.raises(MftError, match="record 3: bad signature"):
+        read_record(bytes(buf), 0, 3)
 
 
 def test_fixup_restores_sector_tails():
@@ -161,12 +161,9 @@ def test_fixup_detects_torn_record():
 
 
 def test_attribute_walk_of_empty_record():
-    buf = _blank_record()
-    apply_fixup(buf)
-    hdr = parse_record_header(bytes(buf), 7)
-    walk = parse_attributes(bytes(buf), hdr)
-    assert walk.attributes == []
-    assert not walk.corrupt
+    rec = read_record(bytes(_blank_record()), 0, 7)
+    assert rec.attributes == []
+    assert not rec.corrupt
 
 
 # ----------------------------------------------------------- forged layout
@@ -178,11 +175,13 @@ def test_std_info_value_sits_at_0x48(base_images):
     checked = 0
     with img:
         for rec in scan_mft(img, desc):
-            type_code, = struct.unpack_from("<I", rec.data, 0x30)
+            # Stored bytes: the fixup changes only the stride tails.
+            raw = img.read_at(rec.offset, desc.mft_record_size)
+            type_code, = struct.unpack_from("<I", raw, 0x30)
             if type_code != ATTR_STANDARD_INFORMATION:
                 continue
-            value_len, = struct.unpack_from("<I", rec.data, 0x30 + 0x10)
-            value_off, = struct.unpack_from("<H", rec.data, 0x30 + 0x14)
+            value_len, = struct.unpack_from("<I", raw, 0x30 + 0x10)
+            value_off, = struct.unpack_from("<H", raw, 0x30 + 0x14)
             assert 0x30 + value_off == 0x48
             assert value_len in (0x30, 0x48)  # short and long forms
             checked += 1
@@ -221,7 +220,7 @@ def test_scan_walks_every_mft_slot(base_images):
     assert stats.file_records == len(records)
     assert stats.file_records >= 16 + len(truth.files)  # system + corpus
     assert stats.corrupt == 0
-    indexes = [r.header.record_index for r in records]
+    indexes = [r.index for r in records]
     assert indexes == sorted(indexes)
 
 
@@ -238,7 +237,7 @@ def test_records_keep_their_index_across_a_sparse_mft_run(base_images,
     with img:
         records = list(scan_mft(img, desc))
     base = lcn * desc.cluster_size
-    by_index = {r.header.record_index: r.offset for r in records}
+    by_index = {r.index: r.offset for r in records}
     assert by_index[32] == base + 32 * rs
     assert all(offset == base + index * rs
                for index, offset in by_index.items())
@@ -255,7 +254,7 @@ def test_a_record_cut_by_a_sparse_mft_run_is_not_stitched(monkeypatch,
     stats = MftScanStats()
     with image_of(buf) as img:
         records = list(scan_mft(img, desc, stats))
-    assert [(r.header.record_index, r.offset) for r in records] == \
+    assert [(r.index, r.offset) for r in records] == \
         [(0, 0)] + [(i, i * 1024) for i in range(2, 8)]
     assert (stats.records_seen, stats.corrupt, stats.skipped) == (7, 0, 0)
 
@@ -337,8 +336,7 @@ def test_the_slot_scan_numbers_records_past_a_sparse_half_record(image_of):
         (6144, record(6, [(100, 3)], 1029)),
         (7168, record(7, [(200, 3)], 1029))])
     with image_of(buf) as img:
-        by_index = {r.header.record_index: r.offset
-                    for r in scan_mft(img, desc)}
+        by_index = {r.index: r.offset for r in scan_mft(img, desc)}
         assert by_index[6] == 6144
 
 
@@ -504,19 +502,16 @@ def test_record_without_file_name_gets_placeholder(image_copy):
     img, desc = _open(path)
     with img:
         raw = bytearray(img.read_at(rec.entry_offset, desc.mft_record_size))
-    img.close()
-    apply_fixup(raw)
     # Overwrite the $FILE_NAME type code with a bogus one so the walk
-    # still terminates but the name is gone.
+    # still terminates but the name is gone.  The fixup guards only the
+    # stride tails, so the stored bytes are patched.
     fn_off = 0x78
     type_code, = struct.unpack_from("<I", raw, fn_off)
     assert type_code == ATTR_FILE_NAME
     struct.pack_into("<I", raw, fn_off, 0x20)   # unused attribute type
 
-    hdr = parse_record_header(bytes(raw), rec.record_index)
     entry = ntfs._entry_from_record(
-        ntfs.MftRecord(header=hdr, data=bytes(raw), offset=rec.entry_offset),
-        parse_attributes(bytes(raw), hdr))
+        read_record(bytes(raw), rec.entry_offset, rec.record_index))
     assert not entry.name_known
     assert entry.name == "record-%d" % rec.record_index
     assert entry.confidence == "heuristic"
@@ -620,6 +615,15 @@ def test_sink_and_buffer_agree(image_copy, tmp_path):
 
 # ------------------------------------------------- hostile run lengths
 
+def _attribute_at(raw, type_code):
+    """Offset of the first attribute of ``type_code`` in a fixed-up
+    record."""
+    pos, = struct.unpack_from("<H", raw, 0x14)
+    while struct.unpack_from("<I", raw, pos)[0] != type_code:
+        pos += struct.unpack_from("<I", raw, pos + 4)[0]
+    return pos
+
+
 def _patch_data_run(path, record_offset, record_size, length, lcn):
     """Rewrite a record's unnamed $DATA run list in place as one run of
     ``length`` clusters at ``lcn``, clear of the first guard word."""
@@ -627,9 +631,7 @@ def _patch_data_run(path, record_offset, record_size, length, lcn):
         fh.seek(record_offset)
         raw = bytearray(fh.read(record_size))
         apply_fixup(raw)
-        pos = parse_record_header(bytes(raw)).first_attr_offset
-        while struct.unpack_from("<I", raw, pos)[0] != ATTR_DATA:
-            pos += struct.unpack_from("<I", raw, pos + 4)[0]
+        pos = _attribute_at(raw, ATTR_DATA)
         end = pos + struct.unpack_from("<I", raw, pos + 4)[0]
         pos += struct.unpack_from("<H", raw, pos + 0x20)[0]
         runs = forge_write.encode_data_runs([(lcn, length)])
@@ -732,6 +734,135 @@ def test_run_length_near_two_to_the_32_stays_bounded(tmp_path, lcn):
         assert got.source["clusters"] == [[lcn, desc.total_clusters - lcn]]
 
 
+# --------------------------------------- aimed corruption of a deleted record
+
+_AIMED = "DATA/REPORT.PDF"         # non-resident, one $FILE_NAME
+_GUARD_WORDS = (0x1FE, 0x3FE)      # the stride tails the fixup checks
+
+
+@pytest.fixture(scope="module")
+def deleted_ntfs16(tmp_path_factory):
+    """The 16 MiB NTFS standard corpus after ``delete-all``, with its
+    sidecar next to it."""
+    path = tmp_path_factory.mktemp("aimed") / "ntfs16.img"
+    spec = forge.standard_corpus("ntfs", total_size=16 * 1024 * 1024)
+    truth = forge.build_image(spec, path)
+    forge.apply_mutation(path, "delete-all", truth=truth)
+    truth.mutations.append("delete-all")
+    truth.save(str(path) + ".truth.json")
+    return path, truth
+
+
+def _data_length(length):
+    """A patch setting the $DATA length to ``length(pos, used_size)``."""
+    def patch(raw):
+        pos = _attribute_at(raw, ATTR_DATA)
+        used, = struct.unpack_from("<I", raw, 0x18)
+        return pos + 4, struct.pack("<I", length(pos, used))
+    return patch
+
+
+def _name_past_value(raw):
+    """One UTF-16 unit more name than the $FILE_NAME value holds."""
+    pos = _attribute_at(raw, ATTR_FILE_NAME)
+    value_len, value_off = struct.unpack_from("<IH", raw, pos + 0x10)
+    return pos + value_off + 0x40, bytes([(value_len - 0x42) // 2 + 1])
+
+
+def _used_above_allocated(raw):
+    allocated, = struct.unpack_from("<I", raw, 0x1C)
+    return 0x18, struct.pack("<I", allocated + 8)
+
+
+_ATTRIBUTES_CORRUPT = {
+    "data-length-past-used-size": _data_length(lambda pos, used: used - pos + 8),
+    "data-length-zero": _data_length(lambda pos, used: 0),
+    "data-length-not-a-multiple-of-8":
+        _data_length(lambda pos, used: used - pos - 4),
+}
+_HEADER_REFUSED = {
+    "used-size-above-allocated-size": _used_above_allocated,
+    "first-attribute-inside-header":
+        lambda raw: (0x14, struct.pack("<H", 0x28)),
+}
+_AIMED_PATCHES = {**_ATTRIBUTES_CORRUPT, "name-past-its-value":
+                  _name_past_value, **_HEADER_REFUSED}
+
+
+def _aimed_copy(deleted_ntfs16, tmp_path, patch):
+    """A copy of the corpus and its sidecar with ``patch(raw)``'s
+    (offset, bytes) written into the aimed record's stored bytes, clear
+    of the guard words, so the fixup still passes; returns the copy and
+    the record's index."""
+    src, truth = deleted_ntfs16
+    dst = tmp_path / src.name
+    sparse_copy(src, dst)
+    shutil.copy(str(src) + ".truth.json", str(dst) + ".truth.json")
+    rec = truth.files[_AIMED]
+    img, desc = _open(dst)
+    with img:
+        raw = bytearray(img.read_at(rec.entry_offset, desc.mft_record_size))
+    apply_fixup(raw)
+    pos, new = patch(raw)
+    assert all(pos + len(new) <= guard or guard + 2 <= pos
+               for guard in _GUARD_WORDS)
+    with open(dst, "r+b") as fh:
+        fh.seek(rec.entry_offset + pos)
+        fh.write(new)
+    return dst, rec.record_index
+
+
+@pytest.mark.parametrize("patch", _ATTRIBUTES_CORRUPT.values(),
+                         ids=list(_ATTRIBUTES_CORRUPT))
+def test_a_broken_data_length_lists_the_record_as_corrupt(
+        deleted_ntfs16, tmp_path, patch):
+    path, index = _aimed_copy(deleted_ntfs16, tmp_path, patch)
+    img, desc = _open(path)
+    with img:
+        for deep in (False, True):
+            entry, = [e for e in survey(img, desc, deep=deep).deleted
+                      if e.record_index == index]
+            assert entry.flags == ["attributes-corrupt"]
+            assert (entry.size, entry.resident) == (0, None)
+
+
+def test_a_name_past_its_value_loses_the_name(deleted_ntfs16, tmp_path):
+    path, index = _aimed_copy(deleted_ntfs16, tmp_path, _name_past_value)
+    img, desc = _open(path)
+    with img:
+        entry, = [e for e in survey(img, desc).deleted
+                  if e.record_index == index]
+    assert entry.name == "record-%d" % index
+    assert entry.flags == ["name-lost"]
+    assert entry.confidence == "heuristic"
+
+
+@pytest.mark.parametrize("patch", _HEADER_REFUSED.values(),
+                         ids=list(_HEADER_REFUSED))
+def test_an_inconsistent_header_refuses_the_record(deleted_ntfs16, tmp_path,
+                                                   patch):
+    path, index = _aimed_copy(deleted_ntfs16, tmp_path, patch)
+    img, desc = _open(path)
+    with img:
+        for deep in (False, True):
+            surv = survey(img, desc, deep=deep)
+            assert index not in [e.record_index
+                                 for e in surv.live + surv.deleted]
+            assert surv.stats.corrupt == 1
+
+
+@pytest.mark.parametrize("patch", _AIMED_PATCHES.values(),
+                         ids=list(_AIMED_PATCHES))
+def test_every_command_exits_0_on_an_aimed_record(deleted_ntfs16, tmp_path,
+                                                  capsys, patch):
+    path, _ = _aimed_copy(deleted_ntfs16, tmp_path, patch)
+    for argv in (["scan", str(path), "--deep"],
+                 ["recover", str(path), "--deep",
+                  "--out", str(tmp_path / "out")],
+                 ["audit", str(path), str(path) + ".truth.json"]):
+        assert cli.main(argv) == 0, argv
+
+
 # ------------------------------------------------- strided carve vs per-slot
 
 def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
@@ -767,14 +898,12 @@ def _carve_per_slot(img, desc, known_offsets, skip_clusters, stats):
                     buf = bytes(view[pos:]) + tail
                 else:
                     buf = bytes(view[pos:pos + record_size])
-                raw = bytearray(buf)
                 try:
-                    apply_fixup(raw)
-                    hdr = parse_record_header(bytes(raw), -1)
+                    rec = read_record(buf, abs_off, orphaned=True)
                 except MftError:
                     continue
                 stats.carve_candidates += 1
-                yield ntfs.MftRecord(hdr, bytes(raw), abs_off, orphaned=True)
+                yield rec
 
 
 def _ntfs_volume(cs, plants):
