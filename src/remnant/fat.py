@@ -13,9 +13,9 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .report import RecoveredFile
 from .volume import (
@@ -227,6 +227,12 @@ class FatTable:
     kind: FsKind
     entries: list[int] | array | bytes     # bytes: an all-free table
 
+    @cached_property
+    def visited(self) -> bytearray:
+        """chain_from's marks, one byte per cluster slot, all clear
+        between walks."""
+        return bytearray(len(self.entries))
+
     def in_heap(self, cluster: int) -> bool:
         return 2 <= cluster < len(self.entries)
 
@@ -243,33 +249,37 @@ class FatTable:
         a chain that joins one already walked ends where that one does.
         Returns (runs, ended): the chain as [first, count] runs, cut
         before the first cluster it would visit twice, and whether it
-        reached an end-of-chain mark or joined a walked chain."""
+        reached an end-of-chain mark or joined a walked chain.  Marks in
+        ``visited``, cleared on return, keep it O(clusters taken); two
+        walks of one table must not overlap."""
         runs: list[list[int]] = []
-        starts: list[int] = []                 # the runs' firsts, sorted
-        by_start: dict[int, list[int]] = {}
-        cap = limit if limit is not None else len(self.entries)
-        taken = 0
+        entries, visited = self.entries, self.visited
+        bad = _BAD[self.kind]
+        left = limit if limit is not None else len(entries)
+        ended = False
+        run = None                             # the last of runs
         c = first
-        while self.in_heap(c) and taken < cap:
+        while self.in_heap(c) and left > 0:
             if marked is not None and is_marked(marked, c):
-                return runs, True
-            i = bisect_right(starts, c) - 1
-            if i >= 0 and c < starts[i] + by_start[starts[i]][1]:
+                ended = True
+                break
+            if visited[c]:
                 break                          # the chain loops back
-            if runs and c == runs[-1][0] + runs[-1][1]:
-                runs[-1][1] += 1
+            visited[c] = 1
+            if run is not None and c == run[0] + run[1]:
+                run[1] += 1
             else:
-                runs.append([c, 1])
-                by_start[c] = runs[-1]
-                insort(starts, c)
-            taken += 1
-            value = self.entries[c]
-            if self.is_eoc(value):
-                return runs, True
-            if value == 0 or value == _BAD[self.kind]:
-                return runs, False
-            c = value
-        return runs, False
+                run = [c, 1]
+                runs.append(run)
+            left -= 1
+            c = entries[c]
+            if self.is_eoc(c):
+                ended = True
+                break
+            if c == 0 or c == bad:
+                break
+        mark_runs(visited, runs, 0)
+        return runs, ended
 
 
 def load_fat(img: VolumeImage, desc: VolumeDescriptor) -> FatTable:

@@ -9,7 +9,8 @@ Garbage collection is the only operation that destroys a stale payload.
 The page store is columnar: one state byte per page, an ``lpn`` and a
 program stamp per page in two integer arrays, and one payload slot per
 block, ``None`` until a page of the block is programmed and then a list
-of the block's payloads, so a device costs about 13 bytes per page
+of the block's payloads, and the mapping is an ``lpn``-indexed integer
+array, so a device costs about 13 bytes per page and 4 per logical page
 before its first write and 8 more per page of a programmed block.
 ``forensic_dump`` snapshots the columns with C-level copies and shares
 every block's payload list but those of the open blocks, the only
@@ -87,9 +88,9 @@ class FlashGeometry:
             raise FlashRangeError("reserve must be smaller than the device")
         if self.block_count - self.reserve_blocks < 2:
             raise FlashRangeError("need at least two active blocks")
-        # The lpn columns hold 4-byte signed ints.
-        if self.logical_pages >= 2 ** 31:
-            raise FlashRangeError("logical pages must stay below 2**31")
+        # The lpn and mapping columns hold page numbers as 4-byte ints.
+        if self.total_pages > 2 ** 31:
+            raise FlashRangeError("physical pages must not exceed 2**31")
 
     # The derived values are computed on first use and kept in the
     # instance dict, which frozen dataclasses leave writable to
@@ -123,13 +124,6 @@ def desk_geometry() -> FlashGeometry:
     8 blocks x 32 pages x 2048 B, one reserve block, endurance 10."""
     return FlashGeometry(block_count=8, pages_per_block=32, page_size=2048,
                          reserve_blocks=1, endurance_limit=10)
-
-
-@dataclass(slots=True)
-class BlockState:
-    erase_count: int = 0
-    retired: bool = False
-    replacement: int | None = None
 
 
 @dataclass
@@ -192,11 +186,13 @@ class FtlState:
         self.lpn = array("i", [-1]) * g.total_pages
         self.stamp = array("q", [0]) * g.total_pages
         self.payload: list[list[bytes] | None] = [None] * g.block_count
-        self.blocks = [BlockState() for _ in range(g.block_count)]
+        self.erase_count = [0] * g.block_count
+        # Each retired block's replacement, in retirement order.
+        self.replacement: dict[int, int] = {}
         # Stale pages per block, kept current wherever a page goes stale
         # or its block is erased.
         self.stale_count = [0] * g.block_count
-        self.mapping: dict[int, int] = {}
+        self.mapping = array("i", [-1]) * g.logical_pages   # -1: unmapped
         # The highest-numbered blocks are held back for bad-block
         # replacement and take no writes until a retirement pulls one in.
         self.allocatable = list(range(g.active_blocks))
@@ -210,7 +206,10 @@ class FtlState:
         self.op_counter = 1
         self.read_only = False
         self.gc_runs = 0
-        self.retired_count = 0
+
+    @property
+    def retired_count(self) -> int:
+        return len(self.replacement)
 
     # -- bookkeeping -------------------------------------------------
 
@@ -226,7 +225,7 @@ class FtlState:
         return self.free_active
 
     def _wear(self, block: int) -> tuple[int, int]:
-        return (self.blocks[block].erase_count, block)
+        return (self.erase_count[block], block)
 
     def _recount(self) -> tuple[int, int, list[int]]:
         """The free- and stale-page totals of the allocatable blocks and
@@ -247,7 +246,8 @@ class FtlState:
         totals and the open-block index against the state column, check
         that exactly the blocks with a programmed page hold a payload
         list, in which every FREE page holds the erased pattern, and
-        that each mapping entry names a VALID page carrying that lpn."""
+        that the mapped pages are exactly the VALID pages of the
+        allocatable blocks, each mapped from the lpn it carries."""
         if ((self.free_active, self.stale_active, self.open_blocks)
                 != self._recount()):
             return False
@@ -263,8 +263,10 @@ class FtlState:
             if pages is not None and (len(pages) != len(free) or not set(
                     compress(pages, free)) <= erased):
                 return False
-        return all(self.state[ppn] == _VALID and self.lpn[ppn] == lpn
-                   for lpn, ppn in self.mapping.items())
+        valid = [(ppn, self.lpn[ppn]) for b in self.allocatable
+                 for ppn in range(*self._span(b)) if self.state[ppn] == _VALID]
+        return valid == sorted((ppn, lpn) for lpn, ppn
+                               in enumerate(self.mapping) if ppn >= 0)
 
     def _allocate(self) -> int | None:
         """Greedy wear-leveling: the lowest free page in the
@@ -312,7 +314,8 @@ class FtlState:
         self.state[first:end] = bytes([_VALID]) * n
         self.lpn[first:end] = lpns
         self.stamp[first:end] = array("q", list(range(stamp, stamp + n)))
-        self.mapping.update(zip(lpns, range(first, end)))
+        for lpn, ppn in zip(lpns, range(first, end)):
+            self.mapping[lpn] = ppn
         self.op_counter = stamp + n
         self.free_active -= n
         if self.state.find(_FREE, *self._span(block)) < 0:
@@ -362,9 +365,9 @@ class FtlState:
             ppn = self._allocate()
         if ppn is None:
             raise DeviceFull("device full")
-        old = self.mapping.get(lpn)
+        old = self.mapping[lpn]
         self._program(ppn, bytes(data), lpn)
-        if old is not None:
+        if old >= 0:
             self._mark_stale(old)
         return ppn
 
@@ -373,8 +376,8 @@ class FtlState:
         read as the erased pattern — the host never sees remnants."""
         if not 0 <= lpn < self.geometry.logical_pages:
             raise FlashRangeError("logical page %d out of range" % lpn)
-        ppn = self.mapping.get(lpn)
-        if ppn is None:
+        ppn = self.mapping[lpn]
+        if ppn < 0:
             return self.geometry.erased_page
         block, index = divmod(ppn, self.geometry.pages_per_block)
         return self.payload[block][index]
@@ -383,8 +386,8 @@ class FtlState:
         """Drop the mapping; the physical payload stays put as stale."""
         if not 0 <= lpn < self.geometry.logical_pages:
             raise FlashRangeError("logical page %d out of range" % lpn)
-        ppn = self.mapping.pop(lpn, None)
-        if ppn is not None:
+        ppn, self.mapping[lpn] = self.mapping[lpn], -1
+        if ppn >= 0:
             self._mark_stale(ppn)
 
     # -- maintenance ---------------------------------------------------
@@ -400,7 +403,7 @@ class FtlState:
         # max keeps the first of equals, and allocatable is ascending.
         victim = max(self.allocatable, key=self.stale_count.__getitem__)
         victim_stale = self.stale_count[victim]
-        if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
+        if self.erase_count[victim] + 1 >= self.geometry.endurance_limit:
             return self.retire_block(victim)
         # Start no collection that cannot finish: the victim's valid
         # pages must fit the free pages of the other blocks.
@@ -433,7 +436,7 @@ class FtlState:
         self.free_active += ppb - free
         self.stale_active -= self.stale_count[victim]
         self.stale_count[victim] = 0
-        self.blocks[victim].erase_count += 1
+        self.erase_count[victim] += 1
         bisect.insort(self.open_blocks, victim, key=self._wear)
         self.gc_runs += 1
         return True
@@ -447,21 +450,18 @@ class FtlState:
         forensic_dump forever.  With no reserve left the device drops
         to read-only instead.
         """
-        blk = self.blocks[block]
-        if blk.retired:
+        limit = self.geometry.endurance_limit
+        if block in self.replacement:
             raise FtlError("block %d already retired" % block)
-        if blk.erase_count < self.geometry.endurance_limit - 1:
+        if self.erase_count[block] < limit - 1:
             raise FtlError("block %d is not at the endurance limit" % block)
         if not self.reserve_pool:
             self.read_only = True
             return False
-        repl = self.reserve_pool.pop(0)
-        blk.retired = True
-        blk.replacement = repl
+        repl = self.replacement[block] = self.reserve_pool.pop(0)
         # The forgone final erase is what wore the block out; account it.
-        blk.erase_count = max(blk.erase_count, self.geometry.endurance_limit)
+        self.erase_count[block] = max(self.erase_count[block], limit)
         self.allocatable = sorted(set(self.allocatable) - {block} | {repl})
-        self.retired_count += 1
         # The replacement joins before its copies are programmed, so
         # _program_run keeps the totals and the index current for it too.
         self.free_active, self.stale_active, self.open_blocks = \
@@ -487,10 +487,8 @@ class FtlState:
         list is ever changed in place (see the class docstring)."""
         tag = bytearray(self.state)
         retired = bytes([_RETIRED]) * self.geometry.pages_per_block
-        for b, blk in enumerate(self.blocks):
-            if blk.retired:
-                start, end = self._span(b)
-                tag[start:end] = retired
+        for b in self.replacement:
+            tag[slice(*self._span(b))] = retired
         payload = self.payload[:]
         for b in self.open_blocks:
             if payload[b] is not None:
@@ -514,12 +512,12 @@ class FtlState:
             block[1::2] = g.erased_block if pages is None else pages
             h.update(b"".join(block))
         h.update(b"".join(
-            struct.pack("<qbq", blk.erase_count, blk.retired,
-                        -1 if blk.replacement is None else blk.replacement)
-            for blk in self.blocks))
-        lpns = sorted(self.mapping)
-        h.update(b"".join(map(struct.Struct("<qq").pack, lpns,
-                              map(self.mapping.__getitem__, lpns))))
+            struct.pack("<qbq", wear, b in self.replacement,
+                        self.replacement.get(b, -1))
+            for b, wear in enumerate(self.erase_count)))
+        pair = struct.Struct("<qq").pack
+        h.update(b"".join(pair(lpn, ppn)
+                          for lpn, ppn in enumerate(self.mapping) if ppn >= 0))
         h.update(struct.pack("<q", len(self.reserve_pool)))
         for b in self.reserve_pool:
             h.update(struct.pack("<q", b))

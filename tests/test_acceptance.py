@@ -255,7 +255,7 @@ def test_criterion_6_retired_blocks_freeze_their_contents():
     if state.retired_count != 1:
         failures.append("no block retired after %d ops" % ops)
     ppb = state.geometry.pages_per_block
-    retired = [ppn for b, blk in enumerate(state.blocks) if blk.retired
+    retired = [ppn for b in state.replacement
                for ppn in range(b * ppb, (b + 1) * ppb)]
     dump = state.forensic_dump()
     pages = list(dump.pages())

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import struct
+import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -357,6 +359,28 @@ def test_run_chains_match_the_per_cluster_reference(case, limit):
                                                       live_set)
         assert reconstruct_chain(first, size, fat, desc, live_map) == \
             (merge_runs((c, 1) for c in chain), conf, flags)
+
+
+def test_a_descending_chain_walks_in_linear_time():
+    # A FAT32 chain stepping down two clusters at a time is a run per
+    # cluster, so a walk that searches its runs at each step is
+    # quadratic (5.1 s here).  Even clusters only: the reference takes
+    # 0xFFF7 (odd) as bad.
+    runs = 200_000
+    top = 2 * runs + 2
+    entries = array("I", [0]) * (top + 1)
+    for c in range(6, top + 1, 2):
+        entries[c] = c - 2
+    entries[4] = 0x0FFFFFFF
+    fat = FatTable(FsKind.FAT32, entries)
+    start = time.perf_counter()
+    got = fat.chain_from(top)
+    elapsed = time.perf_counter() - start
+    chain, ended = _chain_from_per_cluster(fat, top)
+    assert got == (merge_runs((c, 1) for c in chain), ended)
+    assert len(got[0]) == runs and ended
+    assert not any(fat.visited)                # cleared for the next walk
+    assert elapsed < 2.0
 
 
 # ------------------------------------------------------- whole images

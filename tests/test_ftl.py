@@ -126,6 +126,15 @@ def test_geometry_keeps_logical_pages_below_2_31():
                       reserve_blocks=0)
 
 
+def test_geometry_keeps_physical_pages_within_2_31():
+    # The mapping column holds physical page numbers: many reserve
+    # blocks keep the logical pages well below 2**31, but the page
+    # numbers past 2**31 - 1 would not fit.
+    with pytest.raises(FlashRangeError):
+        FlashGeometry(block_count=2 ** 25 + 1, pages_per_block=64,
+                      reserve_blocks=2 ** 24)
+
+
 def test_fresh_device_is_fully_erased():
     s = _state()
     dump = s.forensic_dump()
@@ -271,7 +280,7 @@ def test_gc_erases_the_fully_stale_block():
     tags = _tags(dump)
     assert all(tags[ppn] == "free" and _read(dump, ppn) == b"\xFF" * PAGE
                for ppn in _block(dump, 0))
-    assert s.blocks[0].erase_count == 1
+    assert s.erase_count[0] == 1
     # The stale remnants are gone for good.
     assert _pages(dump, "stale") == []
 
@@ -316,13 +325,13 @@ def test_block_retires_at_the_endurance_limit():
     ops = run_retirement_experiment(s)
     assert s.retired_count == 1
     assert ops > 0
-    retired = [b for b, blk in enumerate(s.blocks) if blk.retired]
+    retired = list(s.replacement)
     assert len(retired) == 1
-    blk = s.blocks[retired[0]]
-    assert blk.erase_count >= s.geometry.endurance_limit
-    assert blk.replacement is not None
+    replacement = s.replacement[retired[0]]
+    assert s.erase_count[retired[0]] >= s.geometry.endurance_limit
+    assert replacement is not None
     assert retired[0] not in s.allocatable
-    assert blk.replacement in s.allocatable
+    assert replacement in s.allocatable
     # Frozen contents are visible, tagged, and never free.
     dump = s.forensic_dump()
     tags = _tags(dump)
@@ -332,7 +341,7 @@ def test_block_retires_at_the_endurance_limit():
 def test_retired_payloads_survive_further_churn():
     s = _state()
     run_retirement_experiment(s)
-    retired = next(b for b, blk in enumerate(s.blocks) if blk.retired)
+    retired = next(iter(s.replacement))
     dump = s.forensic_dump()
     frozen = [_read(dump, ppn) for ppn in _block(dump, retired)]
     apply_random_operations(s, 300, random.Random(7))
@@ -345,7 +354,7 @@ def test_retire_block_guards():
     with pytest.raises(FtlError, match="not at the endurance limit"):
         s.retire_block(0)
     run_retirement_experiment(s)
-    retired = next(b for b, blk in enumerate(s.blocks) if blk.retired)
+    retired = next(iter(s.replacement))
     with pytest.raises(FtlError, match="already retired"):
         s.retire_block(retired)
 
@@ -357,8 +366,8 @@ def test_exhausted_reserve_makes_the_device_read_only():
     s.write(0, bytes([1]) * 64)
     # Wear two blocks to the brink by hand; the natural path to the same
     # state is exercised by the retirement-experiment tests above.
-    s.blocks[0].erase_count = g.endurance_limit - 1
-    s.blocks[1].erase_count = g.endurance_limit - 1
+    s.erase_count[0] = g.endurance_limit - 1
+    s.erase_count[1] = g.endurance_limit - 1
     assert s.retire_block(0) is True       # consumes the only reserve
     assert s.read(0) == bytes([1]) * 64    # valid page moved with the block
     assert s.retire_block(1) is False      # nothing left to swap in
@@ -402,9 +411,9 @@ def test_a_dump_is_a_snapshot():
     s.write(0, _payload(7))
     assert s.payload[0][0] == _payload(7)
     # Retire block 1 into the reserve block.
-    s.blocks[1].erase_count = s.geometry.endurance_limit - 1
+    s.erase_count[1] = s.geometry.endurance_limit - 1
     assert s.retire_block(1) is True
-    assert s.payload[s.blocks[1].replacement] is not None
+    assert s.payload[s.replacement[1]] is not None
     assert _columns(dump) == columns
     assert list(dump.pages()) == pages
     assert dump.held("valid", "stale", "retired") == held
@@ -434,7 +443,7 @@ def test_dump_rows_match_the_live_columns():
     assert s.retired_count == 1
     dump = s.forensic_dump()
     ppb, pages = s.geometry.pages_per_block, range(s.geometry.total_pages)
-    tags = ["retired" if s.blocks[ppn // ppb].retired
+    tags = ["retired" if ppn // ppb in s.replacement
             else list(PageState)[s.state[ppn]].value for ppn in pages]
     assert set(tags) == set(TAGS)
     assert _tags(dump) == tags
@@ -628,7 +637,7 @@ def test_collection_destroys_remnants():
 def test_audit_classifies_retired_copies_separately():
     s = _state()
     run_retirement_experiment(s)
-    retired = next(b for b, blk in enumerate(s.blocks) if blk.retired)
+    retired = next(iter(s.replacement))
     dump = s.forensic_dump()
     hostage = next(_read(dump, ppn) for ppn in _block(dump, retired)
                    if _read(dump, ppn) != b"\xFF" * PAGE)
@@ -699,7 +708,7 @@ def test_wear_stays_level_under_churn():
                           reserve_blocks=1, endurance_limit=10_000)
         s = FtlState(geometry=g)
         apply_random_operations(s, 2000, random.Random(seed))
-        counts = [s.blocks[b].erase_count for b in s.allocatable]
+        counts = [s.erase_count[b] for b in s.allocatable]
         spreads.append(max(counts) - min(counts))
     assert max(spreads) <= 8
     assert sum(spreads) / len(spreads) <= 4.5
@@ -716,9 +725,9 @@ def test_collection_that_cannot_finish_is_not_started():
 
     def snapshot():
         return (s.op_counter, list(s.stale_count), s.gc_runs,
-                [b.erase_count for b in s.blocks], bytes(s.state),
+                list(s.erase_count), bytes(s.state),
                 s.lpn.tobytes(), s.stamp.tobytes(),
-                _payload_lists(s.payload), dict(s.mapping))
+                _payload_lists(s.payload), s.mapping.tobytes())
 
     failed = 0
     for i in range(300):
@@ -779,6 +788,15 @@ def test_conservation_catches_drifted_tallies_and_mappings():
     assert not s.check_conservation()
 
 
+def test_conservation_catches_a_valid_page_left_unmapped():
+    s = _state(gc_enabled=False)
+    for lpn in range(3):
+        s.write(lpn, _payload(lpn))
+    assert s.check_conservation()
+    s.mapping[1] = -1                      # written, but no longer mapped
+    assert not s.check_conservation()
+
+
 def test_conservation_catches_a_drifted_total_and_index():
     s = _state(gc_enabled=False)
     s.write(0, _payload(1))
@@ -825,8 +843,8 @@ class _ScanningFtl(FtlState):
         best = None
         for b in self.allocatable:
             if (b != exclude and _free_pages(self, b)
-                    and (best is None or self.blocks[b].erase_count
-                         < self.blocks[best].erase_count)):
+                    and (best is None or self.erase_count[b]
+                         < self.erase_count[best])):
                 best = b
         if best is None:
             return None
@@ -843,7 +861,7 @@ class _ScanningFtl(FtlState):
         for b in self.allocatable:
             if self.stale_count[b] > victim_stale:
                 victim, victim_stale = b, self.stale_count[b]
-        if self.blocks[victim].erase_count + 1 >= self.geometry.endurance_limit:
+        if self.erase_count[victim] + 1 >= self.geometry.endurance_limit:
             return self.retire_block(victim)
         ppb = self.geometry.pages_per_block
         free = _free_pages(self, victim)
@@ -868,26 +886,23 @@ class _ScanningFtl(FtlState):
         self.free_active += ppb - free
         self.stale_active -= self.stale_count[victim]
         self.stale_count[victim] = 0
-        self.blocks[victim].erase_count += 1
+        self.erase_count[victim] += 1
         bisect.insort(self.open_blocks, victim, key=self._wear)
         self.gc_runs += 1
         return True
 
     def retire_block(self, block):
-        blk = self.blocks[block]
-        if blk.retired:
+        limit = self.geometry.endurance_limit
+        if block in self.replacement:
             raise FtlError("block %d already retired" % block)
-        if blk.erase_count < self.geometry.endurance_limit - 1:
+        if self.erase_count[block] < limit - 1:
             raise FtlError("block %d is not at the endurance limit" % block)
         if not self.reserve_pool:
             self.read_only = True
             return False
-        repl = self.reserve_pool.pop(0)
-        blk.retired = True
-        blk.replacement = repl
-        blk.erase_count = max(blk.erase_count, self.geometry.endurance_limit)
+        repl = self.replacement[block] = self.reserve_pool.pop(0)
+        self.erase_count[block] = max(self.erase_count[block], limit)
         self.allocatable = sorted(set(self.allocatable) - {block} | {repl})
-        self.retired_count += 1
         self.free_active, self.stale_active, self.open_blocks = \
             self._recount()
         ppb = self.geometry.pages_per_block
@@ -926,7 +941,7 @@ def _drive_both(geometry, ops):
                     # Wear out the open block at the head of the
                     # allocator's index now, whatever its pages hold.
                     block = s.open_blocks[0]
-                    s.blocks[block].erase_count = geometry.endurance_limit - 1
+                    s.erase_count[block] = geometry.endurance_limit - 1
                     results.append(s.retire_block(block))
                 else:
                     results.append(s.garbage_collect())
@@ -1117,10 +1132,9 @@ def test_filling_a_volume_sized_device_reproduces_recorded_state():
 
 def test_a_volume_sized_page_store_is_small():
     # 4,160 x 64 x 2 KiB (520 MiB of flash): a state byte, a 4-byte lpn
-    # and an 8-byte stamp per page come to 3.3 MiB of the 3.9 MiB
-    # traced; a page object each traced 29.4 MiB, and two 8-byte columns
-    # beside unslotted block records 5.1 MiB.  A fresh device holds no
-    # payload.
+    # and an 8-byte stamp per page come to 3.3 MiB and the 4-byte
+    # mapping column to 1.0 MiB of the 4.70 MiB traced; a page object
+    # each traced 29.4 MiB.  A fresh device holds no payload.
     g = FlashGeometry(block_count=4160, pages_per_block=64, page_size=2048)
     tracemalloc.start()
     try:
@@ -1150,8 +1164,9 @@ def test_a_dump_of_a_volume_sized_device_is_small():
 
 def test_a_programmed_page_costs_a_list_slot():
     # Filling every logical page of 520 x 64 x 2 KiB (one shared payload)
-    # traced 108 B per programmed page, the mapping's entry and ints
-    # included; a payload dict keyed by physical page traced 139 B.
+    # traced 9 B per programmed page: its 8-byte slot in its block's
+    # payload list and a share of the list's header.  A mapping dict
+    # traced 108 B, and a payload dict keyed by physical page 139 B.
     g = FlashGeometry(block_count=520, pages_per_block=64, page_size=2048,
                       reserve_blocks=4)
     s = FtlState(geometry=g)
@@ -1163,7 +1178,7 @@ def test_a_programmed_page_costs_a_list_slot():
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traced < 120 * g.logical_pages
+    assert traced < 16 * g.logical_pages
 
 
 def test_a_dump_of_a_written_device_copies_only_the_open_blocks():
