@@ -45,11 +45,8 @@ def main() -> None:
                   "directories" % (len(deep.candidates), orphans))
 
             out = Path(tmp) / "recovered"
-            truth_rows = truth.truth_rows()
-            hashes = {t["sha256"] for t in truth_rows}
-            recovered, errors = recover_all(img, deep, str(out),
-                                            truth_hashes=hashes)
-            stats = summarize(recovered, truth_rows)
+            recovered, errors = recover_all(img, deep, str(out))
+            stats = summarize(recovered, truth.files.values())
             print("\nrecovered %d/%d files, %s%% byte-identical"
                   % (stats["totals"]["byte_identical"],
                      stats["totals"]["listed"],

@@ -127,10 +127,8 @@ def cmd_recover(args) -> int:
         if warning:
             sys.stderr.write("remnant: %s\n" % warning)
         scan = undelete.scan_volume(img, desc, deep=args.deep)
-        truth_rows = truth.truth_rows() if truth else None
-        hashes = {t["sha256"] for t in truth_rows} if truth_rows else None
         recovered, errors = undelete.recover_all(
-            img, scan, out_dir=args.out, jobs=args.jobs, truth_hashes=hashes)
+            img, scan, out_dir=args.out, jobs=args.jobs)
 
     meta = _volume_meta("recover", args, desc)
     meta["output_dir"] = args.out
@@ -141,7 +139,8 @@ def cmd_recover(args) -> int:
         meta["modality"] = truth.mutations[-1] if truth.mutations else None
     if errors:
         meta["errors"] = ["%s: %s" % (c.entry_id, msg) for c, msg in errors]
-    summary = reportmod.summarize(recovered, truth_rows)
+    summary = reportmod.summarize(recovered,
+                                  truth.files.values() if truth else None)
     _emit(reportmod.make_report(meta, summary=summary, files=recovered),
           args.json)
     return EXIT_OK if recovered else EXIT_NOTHING_RECOVERED

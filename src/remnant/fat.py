@@ -593,8 +593,7 @@ def survey(img: VolumeImage, desc: VolumeDescriptor,
 
 
 def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
-                      desc: VolumeDescriptor,
-                      live_clusters: bytearray | None = None):
+                      desc: VolumeDescriptor, live_clusters: bytearray):
     """Hypothesize the cluster chain of a deleted file.
 
     Deletion normally zeroes the chain, so all that survives is the
@@ -614,8 +613,7 @@ def reconstruct_chain(first_cluster: int, size: int, fat: FatTable,
         return [], "fragmented-unknown", ["bad-first-cluster"]
     top = len(fat.entries) - 1
     if not fat.is_free(first_cluster):
-        if live_clusters is not None \
-                and not is_marked(live_clusters, first_cluster):
+        if not is_marked(live_clusters, first_cluster):
             # The allocation is dangling, not owned by a live file: the
             # original chain is still written in the table.  Follow it.
             runs, ended = fat.chain_from(first_cluster, limit=needed)
@@ -700,6 +698,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
         },
         extents=extents,
         flags=list(entry.flags),
+        entry_offset=entry.entry_offset,
     )
 
 

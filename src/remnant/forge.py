@@ -135,10 +135,6 @@ class GroundTruth:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    def truth_rows(self) -> list[dict]:
-        return [{"path": t.path, "class": t.file_class, "size": t.size,
-                 "sha256": t.sha256} for t in self.files.values()]
-
 
 def _row_problem(row, ntfs: bool) -> str | None:
     """What makes a sidecar file or directory row unusable for the audit
@@ -258,7 +254,7 @@ def _audit_one(img, desc, t: FileTruth) -> dict:
     if t.resident:
         matching = _audit_resident(
             img, desc, t, content_bytes(t.file_class, t.size, t.seed))
-    elif stream_extents(img, cluster_extents(img, desc, t.clusters),
+    elif stream_extents(img, extents := cluster_extents(img, desc, t.clusters),
                         t.size, None)[0] == t.sha256:
         matching = t.size
     else:
@@ -266,7 +262,6 @@ def _audit_one(img, desc, t: FileTruth) -> dict:
         matching = 0
         pos = 0
         cs = desc.cluster_size
-        extents = cluster_extents(img, desc, t.clusters)
         for disk in read_extents(img, extents, t.size):
             want = original[pos:pos + len(disk)]
             # A chunk that differs is compared cluster by cluster.

@@ -639,6 +639,7 @@ def plan_file(img: VolumeImage, desc: VolumeDescriptor,
         },
         extents=extents,
         flags=flags + entry.flags,
+        entry_offset=entry.record_offset,
     )
 
 

@@ -59,6 +59,7 @@ class RecoveredFile:
     output_path: str | None = None
     byte_identical: bool | None = None
     extents: list = field(default_factory=list)  # never serialized
+    entry_offset: int | None = None     # the entry read; never serialized
 
     def to_dict(self) -> dict:
         return {
@@ -87,19 +88,26 @@ class RecoveredFile:
 def summarize(files, truth_files=None) -> dict:
     """Build the per-class summary table.
 
-    With ground truth, ``attempted`` counts the truth corpus and
-    ``byte_identical`` the truth files whose exact content came back;
-    the percentage is identical/attempted.  Without truth the counts
-    describe only what was listed and the percentage stays null.
+    With ground truth, a collection of ``FileTruth``, each row is
+    matched to the truth file of the entry it was read from, by the
+    entry's byte offset, and is ``byte_identical`` when their hashes
+    agree (never for a row that belongs to no truth file).
+    ``attempted`` counts the truth corpus and ``byte_identical`` the
+    truth files whose own row matched; the percentage is
+    identical/attempted.  Without truth the counts describe only what
+    was listed and the percentage stays null.
     """
     listed_by_class = Counter(f.file_class for f in files)
 
     rows = []
     if truth_files is not None:
-        recovered_hashes = {f.sha256 for f in files}
-        attempted_by_class = Counter(t["class"] for t in truth_files)
-        identical_by_class = Counter(t["class"] for t in truth_files
-                                     if t["sha256"] in recovered_hashes)
+        truth_sha = {t.entry_offset: t.sha256 for t in truth_files}
+        for f in files:
+            f.byte_identical = truth_sha.get(f.entry_offset) == f.sha256
+        matched = {f.entry_offset for f in files if f.byte_identical}
+        attempted_by_class = Counter(t.file_class for t in truth_files)
+        identical_by_class = Counter(t.file_class for t in truth_files
+                                     if t.entry_offset in matched)
         for cls in sorted(attempted_by_class):
             att = attempted_by_class[cls]
             ident = identical_by_class[cls]

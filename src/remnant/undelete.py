@@ -173,7 +173,7 @@ def check_out_dir(img: VolumeImage, out_dir: str,
 
 
 def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
-                jobs: int = 1, truth_hashes: set[str] | None = None):
+                jobs: int = 1):
     """Recover every non-directory candidate into ``out_dir``.
 
     Returns (recovered, errors) where errors is a list of
@@ -226,8 +226,4 @@ def recover_all(img: VolumeImage, scan: ScanResult, out_dir: str,
             helper.join()
     if failures:
         raise min(failures)[1]     # indices are unique
-
-    if truth_hashes is not None:
-        for rf in recovered:
-            rf.byte_identical = rf.sha256 in truth_hashes
     return recovered, errors

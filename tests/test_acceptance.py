@@ -121,8 +121,8 @@ def test_criterion_1_metadata_delete_recovers_everything(tmp_path):
             if row["percent"] != 100.0:
                 failures.append("%s: class %s at %s%%"
                                 % (fs, row["class"], row["percent"]))
-        truth_hashes = {r.sha256 for r in truth.files.values()}
-        exact = [r for r in blob["files"] if r["sha256"] in truth_hashes]
+        known = {r.sha256 for r in truth.files.values()}
+        exact = [r for r in blob["files"] if r["sha256"] in known]
         if not all(r["byte_identical"] for r in exact):
             failures.append("%s: non-identical recovery" % fs)
         if not all(r["confidence"] == "exact" for r in exact):

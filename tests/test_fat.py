@@ -183,7 +183,7 @@ def _expand(runs):
 
 def test_chain_all_free_is_exact():
     desc, fat = _desc16(), _table()
-    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc)
+    chain, conf, flags = reconstruct_chain(5, 1200, fat, desc, _bitmap(desc))
     assert _expand(chain) == [5, 6, 7]          # ceil(1200 / 512) clusters
     assert conf == "exact"
     assert flags == []
@@ -191,14 +191,15 @@ def test_chain_all_free_is_exact():
 
 def test_chain_single_cluster_file():
     desc, fat = _desc16(), _table()
-    chain, conf, flags = reconstruct_chain(9, 1, fat, desc)
+    chain, conf, flags = reconstruct_chain(9, 1, fat, desc, _bitmap(desc))
     assert _expand(chain) == [9]
     assert conf == "exact"
 
 
 def test_chain_zero_size_is_trivially_exact():
     desc, fat = _desc16(), _table()
-    assert reconstruct_chain(5, 0, fat, desc) == ([], "exact", [])
+    assert reconstruct_chain(5, 0, fat, desc, _bitmap(desc)) == \
+        ([], "exact", [])
 
 
 def test_chain_skips_live_cluster_and_admits_guesswork():
@@ -238,7 +239,8 @@ def test_chain_dangling_allocation_is_followed_exactly():
 def test_chain_truncates_at_end_of_heap():
     desc, fat = _desc16(), _table()
     first = desc.max_cluster - 1       # room for 2 of the 4 needed
-    chain, conf, flags = reconstruct_chain(first, 2048, fat, desc)
+    chain, conf, flags = reconstruct_chain(first, 2048, fat, desc,
+                                           _bitmap(desc))
     assert _expand(chain) == [first, first + 1]
     assert "truncated" in flags
 
@@ -246,7 +248,8 @@ def test_chain_truncates_at_end_of_heap():
 def test_chain_bad_first_cluster():
     desc, fat = _desc16(), _table()
     for bad in (0, 1, desc.cluster_count + 5):
-        chain, conf, flags = reconstruct_chain(bad, 100, fat, desc)
+        chain, conf, flags = reconstruct_chain(bad, 100, fat, desc,
+                                               _bitmap(desc))
         assert _expand(chain) == []
         assert conf == "fragmented-unknown"
         assert flags == ["bad-first-cluster"]
@@ -255,7 +258,7 @@ def test_chain_bad_first_cluster():
 @given(size=st.integers(min_value=1, max_value=62 * 512))
 def test_chain_length_matches_ceil_division(size):
     desc, fat = _desc16(), _table()
-    chain, conf, _ = reconstruct_chain(2, size, fat, desc)
+    chain, conf, _ = reconstruct_chain(2, size, fat, desc, _bitmap(desc))
     assert len(_expand(chain)) == (size + 511) // 512
     assert conf == "exact"
 
@@ -273,13 +276,13 @@ def _chain_from_per_cluster(fat, first, limit=None):
         value = fat.entries[c]
         if fat.is_eoc(value):
             return chain, True
-        if value == 0 or value == 0xFFF7:          # FAT16 bad cluster
+        if value == 0 or value == fatmod._BAD[fat.kind]:
             return chain, False
         c = value
     return chain, False
 
 
-def _reconstruct_per_cluster(first_cluster, size, fat, desc, live=None):
+def _reconstruct_per_cluster(first_cluster, size, fat, desc, live):
     """Reference: the per-cluster chain hypothesis the runs replaced;
     ``live`` is a set of cluster numbers."""
     if size == 0:
@@ -289,7 +292,7 @@ def _reconstruct_per_cluster(first_cluster, size, fat, desc, live=None):
         return [], "fragmented-unknown", ["bad-first-cluster"]
     top = desc.max_cluster
     if not fat.is_free(first_cluster):
-        if live is not None and first_cluster not in live:
+        if first_cluster not in live:
             chain, ended = _chain_from_per_cluster(fat, first_cluster, needed)
             flags = [] if (ended or len(chain) == needed) else ["truncated"]
             return chain, "exact", flags
@@ -354,23 +357,21 @@ def test_run_chains_match_the_per_cluster_reference(case, limit):
     chain, ended = _chain_from_per_cluster(fat, first, limit)
     assert fat.chain_from(first, limit) == (
         merge_runs((c, 1) for c in chain), ended)
-    for live_map, live_set in ((None, None), (_bitmap(desc, live), live)):
-        chain, conf, flags = _reconstruct_per_cluster(first, size, fat, desc,
-                                                      live_set)
-        assert reconstruct_chain(first, size, fat, desc, live_map) == \
-            (merge_runs((c, 1) for c in chain), conf, flags)
+    chain, conf, flags = _reconstruct_per_cluster(first, size, fat, desc, live)
+    assert reconstruct_chain(first, size, fat, desc, _bitmap(desc, live)) == \
+        (merge_runs((c, 1) for c in chain), conf, flags)
 
 
 def test_a_descending_chain_walks_in_linear_time():
-    # A FAT32 chain stepping down two clusters at a time is a run per
+    # A FAT32 chain stepping down one cluster at a time is a run per
     # cluster, so a walk that searches its runs at each step is
-    # quadratic (5.1 s here).  Even clusters only: the reference takes
-    # 0xFFF7 (odd) as bad.
+    # quadratic.  It passes cluster 0xFFF7, FAT16's bad mark, which is
+    # an ordinary link on FAT32.
     runs = 200_000
-    top = 2 * runs + 2
+    top = runs + 3
     entries = array("I", [0]) * (top + 1)
-    for c in range(6, top + 1, 2):
-        entries[c] = c - 2
+    for c in range(5, top + 1):
+        entries[c] = c - 1
     entries[4] = 0x0FFFFFFF
     fat = FatTable(FsKind.FAT32, entries)
     start = time.perf_counter()

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
+from remnant.forge import FileTruth
 from remnant.report import (
     JSON_BATCH,
     RecoveredFile,
@@ -68,21 +69,27 @@ def test_cluster_runs_collapse_contiguity():
 
 # ------------------------------------------------------------- summaries
 
-def _rf(name, cls, size, sha, conf="exact"):
+def _rf(name, cls, size, sha, conf="exact", entry_offset=None):
     return RecoveredFile(name=name, size=size, sha256=sha, file_class=cls,
-                         confidence=conf, source={})
+                         confidence=conf, source={},
+                         entry_offset=entry_offset)
+
+
+def _truth(path, cls, size, sha, entry_offset):
+    return FileTruth(path=path, file_class=cls, size=size, seed=0,
+                     sha256=sha, first_cluster=2, clusters=[],
+                     entry_offset=entry_offset)
 
 
 def test_summary_against_ground_truth():
-    truth = [
-        {"path": "A.PDF", "class": "document", "size": 10, "sha256": "h1"},
-        {"path": "B.PDF", "class": "document", "size": 20, "sha256": "h2"},
-        {"path": "C.JPG", "class": "image", "size": 30, "sha256": "h3"},
-    ]
-    files = [_rf("A.PDF", "document", 10, "h1"),
-             _rf("C.JPG", "image", 30, "h3"),
-             _rf("X.BIN", "unknown", 5, "h9")]     # extra, not in truth
+    truth = [_truth("A.PDF", "document", 10, "h1", 0x100),
+             _truth("B.PDF", "document", 20, "h2", 0x120),
+             _truth("C.JPG", "image", 30, "h3", 0x140)]
+    files = [_rf("A.PDF", "document", 10, "h1", entry_offset=0x100),
+             _rf("C.JPG", "image", 30, "h3", entry_offset=0x140),
+             _rf("X.BIN", "unknown", 5, "h9", entry_offset=0x160)]  # extra
     s = summarize(files, truth)
+    assert [f.byte_identical for f in files] == [True, True, False]
     by_class = {r["class"]: r for r in s["classes"]}
     assert by_class["document"]["attempted"] == 2
     assert by_class["document"]["byte_identical"] == 1
@@ -97,9 +104,24 @@ def test_summary_against_ground_truth():
 def test_summary_without_truth_has_null_percentages():
     files = [_rf("A.PDF", "document", 10, "h1")]
     s = summarize(files)
+    assert files[0].byte_identical is None
     assert all(r["percent"] is None for r in s["classes"])
     assert s["totals"]["percent"] is None
     assert s["totals"]["listed"] == 1
+
+
+def test_a_row_is_scored_against_its_own_entry_only():
+    # B's row holds A's bytes: a hash both truth files know, but not
+    # the one of the entry B's row was read from.
+    truth = [_truth("A.DOC", "document", 10, "h1", 0x100),
+             _truth("B.DOC", "document", 10, "h2", 0x120)]
+    files = [_rf("A.DOC", "document", 10, "h1", entry_offset=0x100),
+             _rf("B.DOC", "document", 10, "h1", entry_offset=0x120),
+             _rf("C.DOC", "document", 10, "h2", entry_offset=None)]
+    s = summarize(files, truth)
+    assert [f.byte_identical for f in files] == [True, False, False]
+    assert s["totals"]["byte_identical"] == 1
+    assert s["totals"]["percent"] == 50.0
 
 
 def test_summary_of_nothing():
@@ -140,8 +162,8 @@ def _written(value, writer=write_json) -> str:
 
 
 def test_json_and_text_carry_the_same_facts():
-    truth = [{"path": "A.PDF", "class": "document", "size": 10, "sha256": "h1"}]
-    files = [_rf("A.PDF", "document", 10, "h1")]
+    truth = [_truth("A.PDF", "document", 10, "h1", 0x100)]
+    files = [_rf("A.PDF", "document", 10, "h1", entry_offset=0x100)]
     rep = make_report({"command": "recover", "image": "x.img"},
                       summary=summarize(files, truth), files=files)
     blob = json.loads(_written(rep, dump_json))
@@ -152,6 +174,7 @@ def test_json_and_text_carry_the_same_facts():
     assert "A.PDF" in text
     assert blob["files"][0]["sha256"] in text
     assert blob["summary"]["totals"]["attempted"] == 1
+    assert blob["files"][0]["byte_identical"] is True
     # And the JSON is stable under a round trip.
     assert json.loads(_written(json.loads(_written(rep, dump_json)),
                                dump_json)) == blob

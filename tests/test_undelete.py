@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from remnant import forge, undelete
 from remnant.filetypes import MAGIC_TABLE, classify
+from remnant.report import summarize
 from remnant.undelete import output_name, recover_all, scan_volume
 from remnant.volume import (
     HEAD_BYTES,
@@ -90,19 +91,74 @@ def test_scan_files_property_excludes_directories(image_copy):
 
 def test_recover_all_reports_truth_hits(image_copy, tmp_path):
     path, truth = image_copy("ntfs", "delete-all")
-    hashes = {r.sha256 for r in truth.files.values()}
     out = tmp_path / "out"
     with open_image(path) as img:
         desc = detect_filesystem(img)
         scan = scan_volume(img, desc)
-        recovered, errors = recover_all(img, scan, out_dir=str(out),
-                                        truth_hashes=hashes)
+        recovered, errors = recover_all(img, scan, out_dir=str(out))
+    summarize(recovered, truth.files.values())
     assert errors == []
     assert len(recovered) >= len(truth.files)
     assert sum(1 for r in recovered if r.byte_identical) == len(truth.files)
     for r in recovered:
         written = (out / r.output_path).read_bytes()
         assert hashlib.sha256(written).hexdigest() == r.sha256
+
+
+@pytest.mark.parametrize("fs", ["fat32", "ntfs"])
+@pytest.mark.parametrize("mutation", ["delete-all", "quick-format"])
+def test_every_truth_file_is_scored_against_its_own_row(image_copy, tmp_path,
+                                                        fs, mutation):
+    path, truth = image_copy(fs, mutation)
+    with open_image(path) as img:
+        scan = scan_volume(img, detect_filesystem(img),
+                           deep=mutation == "quick-format")
+        recovered, errors = recover_all(img, scan, str(tmp_path / "out"))
+    summary = summarize(recovered, truth.files.values())
+    assert errors == []
+    by_offset = {r.entry_offset: r for r in recovered}
+    for t in truth.files.values():
+        row = by_offset[t.entry_offset]
+        assert row.sha256 == t.sha256 and row.byte_identical, t.path
+    # The report's promise: recomputing the total from the rows
+    # reproduces it.
+    assert summary["totals"]["byte_identical"] == \
+        sum(r.to_dict()["byte_identical"] for r in recovered) == \
+        len(truth.files)
+
+
+def test_a_row_read_from_a_cleared_high_word_is_not_byte_identical(tmp_path):
+    # A deleted FAT32 entry whose first cluster lost its high 16 bits
+    # points at A's first cluster, so B's row holds A's bytes: a hash
+    # the truth knows, but not the one of the entry it was read from.
+    spec = forge.CorpusSpec(
+        filesystem="fat32", total_size=40 << 20, sectors_per_cluster=1,
+        files=[forge.FileSpec("A.DOC", "document", 64 << 10, seed=1),
+               forge.FileSpec("FILLER.BIN", "video", 65408 * 512, seed=2),
+               forge.FileSpec("B.DOC", "document", 64 << 10, seed=3)])
+    img_path = tmp_path / "high.img"
+    truth = forge.build_image(spec, img_path)
+    a, b = truth.files["A.DOC"], truth.files["B.DOC"]
+    assert b.first_cluster == 0x10000 | a.first_cluster
+    forge.apply_mutation(img_path, "delete-all", truth=truth)
+    with open(img_path, "r+b") as fh:
+        fh.seek(b.entry_offset + 0x14)         # DIR_FstClusHI
+        fh.write(b"\0\0")
+    with open_image(img_path) as img:
+        scan = scan_volume(img, detect_filesystem(img))
+        recovered, errors = recover_all(img, scan, str(tmp_path / "out"))
+    summary = summarize(recovered, truth.files.values())
+    assert errors == []
+    row = {r.entry_offset: r for r in recovered}
+    assert row[b.entry_offset].sha256 == a.sha256
+    assert row[b.entry_offset].byte_identical is False
+    assert row[a.entry_offset].byte_identical is True
+    # The summary is what counting the truth hashes found anywhere
+    # among the rows gives: B's own bytes came back nowhere.
+    found = {r.sha256 for r in recovered}
+    assert summary["totals"]["byte_identical"] == 2 == \
+        sum(t.sha256 in found for t in truth.files.values())
+    assert summary["totals"]["attempted"] == 3
 
 
 def test_a_plan_streamed_without_a_sink_is_only_hashed(image_copy,
@@ -422,11 +478,11 @@ def test_recovery_memory_does_not_grow_with_the_bytes_recovered(tmp_path):
         tracemalloc.start()
         try:
             recovered, errors = recover_all(
-                img, scan, out_dir=str(tmp_path / "out"), jobs=2,
-                truth_hashes={t.sha256 for t in truth.files.values()})
+                img, scan, out_dir=str(tmp_path / "out"), jobs=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    summarize(recovered, truth.files.values())
     assert errors == []
     assert sum(r.byte_identical for r in recovered) == 8
     for r in recovered:
